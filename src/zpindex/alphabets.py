@@ -176,8 +176,8 @@ class Alphabet:
                 return f"S^{self.n_factors}:q={qs.pop()}"
         raise ShapeError("no serialization token for this product alphabet")
 
-    def letter_text(self, a: ElementLike) -> str:
-        a = self.element(a)
+    def letter_text(self, a: Element) -> str:
+        """Text of a normalized element, as stored in words."""
         return str(a[0]) if self.n_factors == 1 else "[" + ",".join(map(str, a)) + "]"
 
 

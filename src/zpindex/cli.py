@@ -27,7 +27,7 @@ from .coindex import (
     index_of_join_of_finite,
     verify_certificate,
 )
-from .complexes import SimplicialComplex, join_complex
+from .complexes import SimplicialComplex, _is_prime, join_complex
 from .errors import NeededRangeError, NonFreeActionError, ResourceCapError, ShapeError
 from .homology import betti_numbers
 from .shiftspaces import (
@@ -78,20 +78,33 @@ def _word_spec(family: str, m: int, q: int, n: int, delta: Fraction) -> Subshift
     raise _UsageError(f"unknown family {family!r}; known: Sigma, Z, Y, XS")
 
 
-def _parse_join_token(token: str) -> tuple[SubshiftSpec, int]:
-    """"Sigma:m=2,p=7" or "Z:p=5,q=8" -> (word spec, period)."""
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _token_params(token: str) -> tuple[str, dict[str, str]]:
+    """"Z:p=5,q=8" -> ("Z", {"p": "5", "q": "8"})."""
     head, _, rest = token.partition(":")
     params = {}
     if rest:
         for piece in rest.split(","):
             key, _, val = piece.partition("=")
             if not val:
-                raise _UsageError(f"bad join token parameter {piece!r}")
+                raise _UsageError(f"bad token parameter {piece!r} in {token!r}")
             params[key.strip()] = val.strip()
-    m = int(params.pop("m", "1"))
-    p = int(params.pop("p", "0"))
-    q = int(params.pop("q", "8"))
-    n = int(params.pop("N", "1"))
+    return head, params
+
+
+def _parse_join_token(token: str) -> tuple[SubshiftSpec, int]:
+    """"Sigma:m=2,p=7" or "Z:p=5,q=8" -> (word spec, period)."""
+    head, params = _token_params(token)
+    m = _int(params.pop("m", "1"), "m")
+    p = _int(params.pop("p", "0"), "p")
+    q = _int(params.pop("q", "8"), "q")
+    n = _int(params.pop("N", "1"), "N")
     delta = _fraction(params.pop("delta", "1/2"))
     if params:
         raise _UsageError(f"unknown keys in join token: {sorted(params)}")
@@ -143,23 +156,12 @@ def _orbit_count(spec: SubshiftSpec, p: int, count: int) -> int:
     return orbit_decompose(words, p).n_orbits
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # -- subcommand implementations ----------------------------------------------------
 
 
 def _cmd_count(args) -> tuple[dict, int]:
     spec = _word_spec(args.family, args.m, args.q, args.N, _fraction(args.delta))
-    ps = [int(x) for x in args.p_list.split(",")] if args.p_list else [args.p]
+    ps = [_int(x, "--p-list entry") for x in args.p_list.split(",")] if args.p_list else [args.p]
     if any(p < 1 for p in ps):
         raise _UsageError("periods must be >= 1")
     rows = []
@@ -322,11 +324,10 @@ def _cmd_certify(args) -> tuple[dict, int]:
             cert = EquivariantMapCert.from_json(json.load(fh))
         if not args.target:
             raise _UsageError("--cert needs --target, e.g. Z:p=2,q=8")
-        head, _, rest = args.target.partition(":")
-        params = dict(piece.split("=", 1) for piece in rest.split(",") if piece)
-        if head != "Z" or int(params.get("p", 0)) != 2:
+        head, params = _token_params(args.target)
+        if head != "Z" or _int(params.get("p", "0"), "p") != 2 or "q" not in params:
             raise _UsageError("certificate targets support Z:p=2,q=<res> for now")
-        q = int(params["q"])
+        q = _int(params["q"], "q")
         target = build_approx(z_torus_spec(2, q))
         prov = [f"certificate loaded from {args.cert}; target rebuilt from {args.target}"]
     else:
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
     except ResourceCapError as e:
         _emit({"error": {"type": "resource-cap", "reason": str(e)}}, None)
         return 1
-    except ShapeError as e:
+    except (ShapeError, json.JSONDecodeError) as e:
         _emit({"error": {"type": "shape", "reason": str(e)}}, None)
         return 1
     except OSError as e:

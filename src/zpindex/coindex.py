@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from .complexes import (
     SimplicialComplex,
+    _is_prime,
     standard_join_model,
     verify_free_action,
 )
@@ -62,6 +63,8 @@ class IndexReport:
     provenance: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ShapeError(f"the acting group order must be a prime, got {self.p}")
         lo_ok = self.coind_lower >= -1 and self.ind_lower >= -1
         chain = (
             self.coind_lower <= self.coind_upper
@@ -269,15 +272,18 @@ class EquivariantMapCert:
 
     @classmethod
     def from_json(cls, doc: dict) -> EquivariantMapCert:
-        dom = doc["domain"]
-        domain = None if isinstance(dom, str) else SimplicialComplex.from_json(dom)
-        return cls(
-            p=int(doc["p"]),
-            n=int(doc["n"]),
-            vertex_map=tuple(int(v) for v in doc["vertex_map"]),
-            target_ref=str(doc["target_ref"]),
-            domain=domain,
-        )
+        try:
+            dom = doc["domain"]
+            domain = None if isinstance(dom, str) else SimplicialComplex.from_json(dom)
+            return cls(
+                p=int(doc["p"]),
+                n=int(doc["n"]),
+                vertex_map=tuple(int(v) for v in doc["vertex_map"]),
+                target_ref=str(doc["target_ref"]),
+                domain=domain,
+            )
+        except KeyError as e:
+            raise ShapeError(f"certificate document lacks the key {e}") from None
 
 
 @dataclass(frozen=True)

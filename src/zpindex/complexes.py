@@ -1,10 +1,19 @@
 """Finite complexes with a prime-order action by cell permutations.
 
-Simplicial complexes store their k-cells as lex-sorted numpy integer
-arrays of vertex ids; cubical complexes store (base corner, extent mask)
-rows on a periodic grid.  Both validate face closure, that the action is a
-permutation of exact order p mapping cells to cells, and both can report a
-setwise-invariant cell as a freeness counterexample.
+Both kinds of complex share one cell table.  The k-cells of each dimension
+are integer rows: sorted vertex ids for a simplex, (base corner, extent
+mask) on a periodic grid for a cube.  Each row gets one int64 mixed-radix
+key (radix n_vertices per vertex slot; q per base coordinate and 2^D for
+the mask), and the rows are stored sorted by key, which is their
+lexicographic order.  Every lookup is a binary search among the keys; a
+complex whose keys would reach 2^63 is refused, never wrapped.
+
+Validation checks that the group order p is prime, that the action is a
+permutation of exact order p mapping cells to cells, and face closure.
+Closure finds every face of every cell once and keeps the face indices
+with their sign pattern, which is all boundary assembly needs.  A
+setwise-invariant cell, found during the action check, is reported as a
+freeness counterexample.
 
 Joins are implemented for simplicial complexes: vertex sets are disjoint
 unions and cells are unions of one cell (or nothing) from each side.  A
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,6 +33,7 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
+    "CellComplex",
     "SimplicialComplex",
     "CubicalComplex",
     "join_complex",
@@ -35,38 +46,168 @@ __all__ = [
     "apply_join_of_maps",
 ]
 
-
-def _row_view(arr: np.ndarray) -> np.ndarray:
-    """1-D structured view so rows compare lexicographically."""
-    a = np.ascontiguousarray(arr)
-    if a.ndim != 2:
-        raise ShapeError("expected a 2-D cell array")
-    return a.view([("", a.dtype)] * a.shape[1]).reshape(-1)
-
-def _lexsort_rows(arr: np.ndarray) -> np.ndarray:
-    view = _row_view(arr)
-    return arr[np.argsort(view, kind="stable")]
+_KEY_LIMIT = 1 << 63  # keys are int64: the product of a row's radices stays below this
 
 
-def _rows_unique(arr: np.ndarray) -> bool:
-    if len(arr) < 2:
-        return True
-    v = _row_view(arr)
-    return bool(np.all(v[1:] != v[:-1]))
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
-def _member_indices(haystack_sorted: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Index of each needle row in the lex-sorted haystack; -1 when absent."""
-    hv = _row_view(haystack_sorted)
-    nv = _row_view(needles)
-    pos = np.searchsorted(hv, nv)
-    pos_clipped = np.minimum(pos, len(hv) - 1) if len(hv) else np.zeros_like(pos)
-    found = np.zeros(len(nv), dtype=bool) if not len(hv) else hv[pos_clipped] == nv
-    out = np.where(found, pos_clipped, -1)
-    return out.astype(np.int64)
+def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """Mixed-radix int64 key of each row; keys sort as the rows do lexicographically."""
+    if prod(radices) >= _KEY_LIMIT:
+        raise ShapeError(
+            f"cell keys with radices {list(radices)} would reach 2^63; complex too large to index"
+        )
+    key = np.zeros(len(rows), dtype=np.int64)
+    for j, r in enumerate(radices):
+        key *= r
+        key += rows[:, j]
+    return key
 
 
-class SimplicialComplex:
+class CellComplex:
+    """Cells per dimension sorted by key, their faces, and the action's fixed cell.
+
+    A subclass sets ``p`` through ``_set_order``, hands its normalized rows
+    to ``_set_cells`` and calls ``_finish``.  It supplies only its own rules:
+    ``_radices(d)`` (the key radices of a d-cell row), ``_action_rows(rows)``
+    (the image rows under the action, normalized) and ``_face_signs(d)`` /
+    ``_face_rows(d, rows, i)`` (the i-th face of each d-cell and its sign).
+
+    After validation ``faces[d]`` is a read-only (n_d, k) array: entry
+    (j, i) is the index among the (d-1)-cells of the i-th face of d-cell j,
+    whose boundary coefficient is ``face_signs[d][i]``.
+    """
+
+    p: int
+    cells: dict[int, np.ndarray]
+    keys: dict[int, np.ndarray]
+    faces: dict[int, np.ndarray]
+    face_signs: dict[int, tuple[int, ...]]
+
+    def _radices(self, d: int) -> list[int]:
+        raise NotImplementedError
+
+    def _action_rows(self, rows: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _face_signs(self, d: int) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def _face_rows(self, d: int, rows: np.ndarray, i: int) -> np.ndarray:
+        raise NotImplementedError
+
+    # -- building -----------------------------------------------------------------
+
+    def _set_order(self, p: int) -> None:
+        self.p = int(p)
+        if not _is_prime(self.p):
+            raise ShapeError(f"the acting group order must be a prime, got {p}")
+
+    def _set_cells(self, cells: dict[int, np.ndarray]) -> None:
+        """Store each dimension's rows sorted by key; duplicates are refused."""
+        self.cells, self.keys = {}, {}
+        for d in sorted(cells):
+            key = _row_keys(cells[d], self._radices(d))
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            if np.any(key[1:] == key[:-1]):
+                raise ShapeError(f"duplicate cells in dimension {d}")
+            self.cells[d], self.keys[d] = cells[d][order], key
+
+    def _finish(self, has_action: bool) -> None:
+        """Check the action (when there is one) and closure, then freeze the table."""
+        self._has_action = has_action
+        self._witness = None
+        if has_action:
+            self._check_action()
+        self._find_faces()
+        for table in (self.cells, self.keys, self.faces):
+            for a in table.values():
+                a.setflags(write=False)
+
+    def _check_action(self) -> None:
+        for d, rows in self.cells.items():
+            img = _row_keys(self._action_rows(rows), self._radices(d))
+            if np.any(self._index_of_keys(d, img) < 0):
+                raise ShapeError(f"action does not map dimension-{d} cells to cells")
+            hits = np.flatnonzero(img == self.keys[d])
+            if self._witness is None and len(hits):
+                self._witness = (d, tuple(int(v) for v in rows[hits[0]]))
+
+    def _find_faces(self) -> None:
+        self.faces, self.face_signs = {}, {}
+        for d, rows in self.cells.items():
+            if d == 0:
+                continue
+            if d - 1 not in self.cells:
+                raise ShapeError(f"dimension {d} cells present but no {d - 1} cells")
+            signs = self._face_signs(d)
+            idx = np.empty((len(rows), len(signs)), dtype=np.int64)
+            for i in range(len(signs)):
+                face = self._face_rows(d, rows, i)
+                idx[:, i] = self._index_of_keys(d - 1, _row_keys(face, self._radices(d - 1)))
+            if np.any(idx < 0):
+                raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
+            self.faces[d], self.face_signs[d] = idx, signs
+
+    # -- lookups --------------------------------------------------------------------
+
+    def _index_of_keys(self, d: int, want: np.ndarray) -> np.ndarray:
+        """Index of each key among the d-cells; -1 when absent."""
+        keys = self.keys[d]
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[pos] == want, pos, -1)
+
+    def _find_cell(self, d: int, row: Sequence[int]) -> int:
+        """Index of one row among the d-cells, or -1 (also for rows off the grid)."""
+        if d not in self.keys:
+            return -1
+        radices = self._radices(d)
+        if len(row) != len(radices) or not all(0 <= v < r for v, r in zip(row, radices)):
+            return -1
+        want = _row_keys(np.array([row], dtype=np.int64), radices)
+        return int(self._index_of_keys(d, want)[0])
+
+    # -- queries ----------------------------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return max(self.cells) if self.cells else -1
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.cells
+
+    def n_cells(self, d: int) -> int:
+        return len(self.cells.get(d, ()))
+
+    def cell_counts(self) -> dict[int, int]:
+        return {d: len(a) for d, a in self.cells.items()}
+
+    def total_cells(self) -> int:
+        return sum(len(a) for a in self.cells.values())
+
+    def free_witness(self) -> tuple[int, tuple[int, ...]] | None:
+        """A setwise-invariant cell (dimension, row), or None if the action is free."""
+        if not self._has_action:
+            raise ShapeError("freeness is undefined: this complex carries no action")
+        return self._witness
+
+    @property
+    def is_free(self) -> bool:
+        return self.free_witness() is None
+
+
+class SimplicialComplex(CellComplex):
     """A finite simplicial complex plus a vertex permutation of order p."""
 
     def __init__(
@@ -78,9 +219,7 @@ class SimplicialComplex:
         labels: list[str] | None = None,
         join_factors: tuple[int, ...] | None = None,
     ):
-        self.p = int(p)
-        if self.p < 2:
-            raise ShapeError(f"the acting group order must be a prime >= 2, got {p}")
+        self._set_order(p)
         self.n_vertices = int(n_vertices)
         self.labels = list(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.n_vertices:
@@ -101,11 +240,8 @@ class SimplicialComplex:
             a = np.sort(a, axis=1)
             if np.any(a[:, 1:] == a[:, :-1]):
                 raise ShapeError(f"degenerate cell with a repeated vertex in dimension {d}")
-            a = _lexsort_rows(a)
-            if not _rows_unique(a):
-                raise ShapeError(f"duplicate cells in dimension {d}")
             norm[d] = a
-        self.cells = norm
+        self._set_cells(norm)
 
         if action is None:
             # a plain complex: joins and homology work, freeness queries do not
@@ -114,17 +250,27 @@ class SimplicialComplex:
             self.action = np.asarray(action, dtype=np.int64).reshape(-1)
             if len(self.action) != self.n_vertices:
                 raise ShapeError("action length does not match vertex count")
-            self._validate_action()
-        self._validate_closure()
-        for a in self.cells.values():
-            a.setflags(write=False)
-        if self.action is not None:
+            self._check_permutation()
             self.action.setflags(write=False)
-        self._free_witness_cache: tuple[bool, tuple | None] | None = None
+        self._finish(self.action is not None)
 
-    # -- validation -------------------------------------------------------------
+    # -- cell rules -------------------------------------------------------------------
 
-    def _validate_action(self):
+    def _radices(self, d: int) -> list[int]:
+        return [self.n_vertices] * (d + 1)
+
+    def _action_rows(self, rows: np.ndarray) -> np.ndarray:
+        img = self.action.astype(np.int32)[rows]
+        img.sort(axis=1)
+        return img
+
+    def _face_signs(self, d: int) -> tuple[int, ...]:
+        return tuple((-1) ** i for i in range(d + 1))
+
+    def _face_rows(self, d: int, rows: np.ndarray, i: int) -> np.ndarray:
+        return np.delete(rows, i, axis=1)
+
+    def _check_permutation(self):
         n = self.n_vertices
         if n == 0:
             return
@@ -139,74 +285,13 @@ class SimplicialComplex:
             raise ShapeError(
                 f"action must have exact order {self.p} on a nonempty complex, got the identity"
             )
-        # permutation must map cells to cells
-        for d, arr in self.cells.items():
-            if d == 0:
-                continue
-            img = np.sort(self.action[arr], axis=1).astype(np.int32)
-            if np.any(_member_indices(arr, img) < 0):
-                raise ShapeError(f"action does not map dimension-{d} cells to cells")
 
-    def _validate_closure(self):
-        for d in sorted(self.cells):
-            if d == 0:
-                continue
-            arr = self.cells[d]
-            below = self.cells.get(d - 1)
-            if below is None:
-                raise ShapeError(f"dimension {d} cells present but no {d - 1} cells")
-            for i in range(d + 1):
-                faces = np.delete(arr, i, axis=1)
-                if np.any(_member_indices(below, faces) < 0):
-                    raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
-
-    # -- basic queries ------------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return max(self.cells) if self.cells else -1
-
-    @property
-    def is_empty(self) -> bool:
-        return self.n_vertices == 0
-
-    def n_cells(self, d: int) -> int:
-        return len(self.cells.get(d, ()))
-
-    def cell_counts(self) -> dict[int, int]:
-        return {d: len(a) for d, a in sorted(self.cells.items())}
-
-    def total_cells(self) -> int:
-        return sum(len(a) for a in self.cells.values())
-
-    def free_witness(self) -> tuple[int, tuple[int, ...]] | None:
-        """A setwise-invariant cell (dimension, vertex tuple), or None if free."""
-        if self.action is None:
-            raise ShapeError("freeness is undefined: this complex carries no action")
-        if self._free_witness_cache is None:
-            witness = None
-            for d, arr in sorted(self.cells.items()):
-                img = np.sort(self.action[arr], axis=1).astype(np.int32)
-                hits = np.nonzero(np.all(img == arr, axis=1))[0]
-                if len(hits):
-                    witness = (d, tuple(int(v) for v in arr[hits[0]]))
-                    break
-            self._free_witness_cache = (witness is None, witness)
-        return self._free_witness_cache[1]
-
-    @property
-    def is_free(self) -> bool:
-        self.free_witness()
-        return self._free_witness_cache[0]
+    # -- queries ------------------------------------------------------------------------
 
     def carrier_cell(self, vertex_ids: Iterable[int]) -> tuple[int, ...] | None:
         """The cell spanned by the given vertices, if it is in the complex."""
-        tup = np.array(sorted(set(int(v) for v in vertex_ids)), dtype=np.int32)
-        arr = self.cells.get(len(tup) - 1)
-        if arr is None:
-            return None
-        idx = _member_indices(arr, tup.reshape(1, -1))[0]
-        return tuple(int(v) for v in tup) if idx >= 0 else None
+        tup = tuple(sorted(set(int(v) for v in vertex_ids)))
+        return tup if self._find_cell(len(tup) - 1, tup) >= 0 else None
 
     def vertex_label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -294,10 +379,13 @@ class SimplicialComplex:
     def from_json(cls, doc: dict) -> SimplicialComplex:
         if doc.get("kind", "simplicial") != "simplicial":
             raise ShapeError("not a simplicial complex document")
-        labels = [str(x) for x in doc["vertices"]]
-        return cls.from_maximal(
-            len(labels), doc["maximal_cells"], doc["action"], int(doc["p"]), labels=labels
-        )
+        try:
+            labels = [str(x) for x in doc["vertices"]]
+            return cls.from_maximal(
+                len(labels), doc["maximal_cells"], doc["action"], int(doc["p"]), labels=labels
+            )
+        except KeyError as e:
+            raise ShapeError(f"simplicial complex document lacks the key {e}") from None
 
 
 def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
@@ -385,7 +473,7 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class CubicalComplex:
+class CubicalComplex(CellComplex):
     """Cells (base corner, extent mask) on a periodic grid, q points per axis.
 
     A mask bit set at axis t extends the cell one grid step along t; a
@@ -403,9 +491,7 @@ class CubicalComplex:
     ):
         self.q = int(q)
         self.n_axes = int(n_axes)
-        self.p = int(p)
-        if self.p < 2:
-            raise ShapeError(f"the acting group order must be a prime >= 2, got {p}")
+        self._set_order(p)
         if self.q < 3:
             raise ShapeError("grid needs q >= 3 so cell corners stay distinct")
         self.axis_map = np.asarray(axis_map, dtype=np.int64).reshape(-1)
@@ -420,37 +506,52 @@ class CubicalComplex:
             a = np.asarray(arr, dtype=np.int32).reshape(-1, D + 1)
             if len(a) == 0:
                 continue
-            base, mask = a[:, :D], a[:, D]
+            base, mask = a[:, :D], a[:, D].astype(np.int64)
             if base.min() < 0 or base.max() >= self.q:
                 raise ShapeError("cell base corner outside the grid")
-            if np.any(_popcount(mask.astype(np.int64)) != d):
+            if mask.min() < 0 or mask.max() >= 1 << D:
+                raise ShapeError(f"cell mask outside 0..2^{D}-1")
+            if np.any(_popcount(mask) != d):
                 raise ShapeError(f"mask popcount does not match dimension {d}")
-            a = _lexsort_rows(a)
-            if not _rows_unique(a):
-                raise ShapeError(f"duplicate cubical cells in dimension {d}")
             norm[d] = a
-        self.cells = norm
-        self._validate_action()
-        self._validate_closure()
-        for a in self.cells.values():
-            a.setflags(write=False)
-        self._free_witness_cache: tuple[bool, tuple | None] | None = None
+        self._set_cells(norm)
+        self._check_axis_order()
+        self._finish(True)
 
-    # -- action ---------------------------------------------------------------
+    # -- cell rules -------------------------------------------------------------------
 
-    def _apply_action_rows(self, arr: np.ndarray) -> np.ndarray:
+    def _radices(self, d: int) -> list[int]:
+        return [self.q] * self.n_axes + [1 << self.n_axes]
+
+    def _action_rows(self, rows: np.ndarray) -> np.ndarray:
         D = self.n_axes
-        base, mask = arr[:, :D], arr[:, D].astype(np.int64)
-        new_base = base[:, self.axis_map]
+        mask = rows[:, D].astype(np.int64)
         new_mask = np.zeros_like(mask)
         for t in range(D):
             new_mask |= ((mask >> int(self.axis_map[t])) & 1) << t
-        out = np.empty_like(arr)
-        out[:, :D] = new_base
-        out[:, D] = new_mask.astype(np.int32)
+        out = np.empty_like(rows)
+        out[:, :D] = rows[:, :D][:, self.axis_map]
+        out[:, D] = new_mask
         return out
 
-    def _validate_action(self):
+    def _face_signs(self, d: int) -> tuple[int, ...]:
+        # per set mask bit s (in axis order): the far face, then the base face
+        return tuple(sign for s in range(d) for sign in ((-1) ** s, -((-1) ** s)))
+
+    def _face_rows(self, d: int, rows: np.ndarray, i: int) -> np.ndarray:
+        """Drop the (i // 2)-th set mask bit; even i steps the base across it."""
+        D = self.n_axes
+        mask = rows[:, D].astype(np.int64)
+        bits = (mask[:, None] >> np.arange(D)) & 1
+        axis = np.argmax(np.cumsum(bits, axis=1) == i // 2 + 1, axis=1)
+        face = rows.copy()
+        face[:, D] = mask & ~(1 << axis)
+        if i % 2 == 0:
+            r = np.arange(len(rows))
+            face[r, axis] = (face[r, axis] + 1) % self.q
+        return face
+
+    def _check_axis_order(self):
         cur = self.axis_map.copy()
         for _ in range(self.p - 1):
             cur = self.axis_map[cur]
@@ -460,51 +561,8 @@ class CubicalComplex:
             raise ShapeError(
                 f"axis permutation must have exact order {self.p} on a nonempty complex"
             )
-        for d, arr in self.cells.items():
-            img = self._apply_action_rows(arr)
-            if np.any(_member_indices(arr, img) < 0):
-                raise ShapeError(f"action does not map dimension-{d} cells to cells")
-
-    def _faces_of(self, arr: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) faces dropping the slot-th set mask bit of each row."""
-        D = self.n_axes
-        mask = arr[:, D].astype(np.int64)
-        bits = ((mask[:, None] >> np.arange(D)) & 1).astype(bool)
-        order = np.cumsum(bits, axis=1)  # 1-based rank of each set bit
-        axis = np.argmax(bits & (order == slot + 1), axis=1)
-        lower = arr.copy()
-        lower[:, D] = (mask & ~(1 << axis)).astype(np.int32)
-        upper = lower.copy()
-        rows = np.arange(len(arr))
-        upper[rows, axis] = (upper[rows, axis] + 1) % self.q
-        return lower, upper
-
-    def _validate_closure(self):
-        for d in sorted(self.cells):
-            if d == 0:
-                continue
-            arr = self.cells[d]
-            below = self.cells.get(d - 1)
-            if below is None:
-                raise ShapeError(f"dimension {d} cells present but no {d - 1} cells")
-            for slot in range(d):
-                lower, upper = self._faces_of(arr, slot)
-                if np.any(_member_indices(below, lower) < 0) or np.any(
-                    _member_indices(below, upper) < 0
-                ):
-                    raise ShapeError(
-                        f"cubical face closure fails between dimensions {d} and {d - 1}"
-                    )
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return max(self.cells) if self.cells else -1
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.cells
 
     @property
     def n_vertices(self) -> int:
@@ -514,53 +572,23 @@ class CubicalComplex:
     def join_factors(self):
         return None  # cubical complexes are never structural joins
 
-    def n_cells(self, d: int) -> int:
-        return len(self.cells.get(d, ()))
-
-    def cell_counts(self) -> dict[int, int]:
-        return {d: len(a) for d, a in sorted(self.cells.items())}
-
-    def total_cells(self) -> int:
-        return sum(len(a) for a in self.cells.values())
-
     def vertex_bases(self) -> np.ndarray:
         return self.cells[0][:, : self.n_axes] if 0 in self.cells else np.zeros((0, self.n_axes), np.int32)
 
     def vertex_index(self, coords: Sequence[int]) -> int:
-        row = np.array(
-            [list(coords) + [0]], dtype=np.int32
-        )
-        idx = _member_indices(self.cells[0], row)[0]
+        idx = self._find_cell(0, [int(x) for x in coords] + [0])
         if idx < 0:
             raise ShapeError(f"grid point {tuple(coords)} is not a vertex of the complex")
-        return int(idx)
+        return idx
 
     @property
     def action(self) -> np.ndarray:
         """The vertex permutation induced by the axis permutation."""
-        verts = self.cells[0]
-        img = self._apply_action_rows(verts)
-        return _member_indices(verts, img)
+        img = self._action_rows(self.cells[0])
+        return self._index_of_keys(0, _row_keys(img, self._radices(0)))
 
     def vertex_label(self, v: int) -> str:
         return ",".join(str(int(x)) for x in self.cells[0][v, : self.n_axes])
-
-    def free_witness(self) -> tuple[int, tuple[int, ...]] | None:
-        if self._free_witness_cache is None:
-            witness = None
-            for d, arr in sorted(self.cells.items()):
-                img = self._apply_action_rows(arr)
-                hits = np.nonzero(np.all(img == arr, axis=1))[0]
-                if len(hits):
-                    witness = (d, tuple(int(v) for v in arr[hits[0]]))
-                    break
-            self._free_witness_cache = (witness is None, witness)
-        return self._free_witness_cache[1]
-
-    @property
-    def is_free(self) -> bool:
-        self.free_witness()
-        return self._free_witness_cache[0]
 
     def carrier_cell(self, vertex_ids: Iterable[int]) -> tuple[int, ...] | None:
         """Smallest grid cell whose corner set contains the given vertices."""
@@ -569,30 +597,24 @@ class CubicalComplex:
             return None
         D = self.n_axes
         coords = self.cells[0][ids, :D]
-        base = np.zeros(D, dtype=np.int32)
-        mask = 0
+        row = [0] * D + [0]
         for t in range(D):
             vals = sorted(set(int(x) for x in coords[:, t]))
             if len(vals) == 1:
-                base[t] = vals[0]
+                row[t] = vals[0]
             elif len(vals) == 2:
                 a, b = vals
                 if (a + 1) % self.q == b:
-                    base[t] = a
+                    row[t] = a
                 elif (b + 1) % self.q == a:
-                    base[t] = b
+                    row[t] = b
                 else:
                     return None
-                mask |= 1 << t
+                row[D] |= 1 << t
             else:
                 return None
-        d = bin(mask).count("1")
-        arr = self.cells.get(d)
-        if arr is None:
-            return None
-        row = np.concatenate([base, [mask]]).astype(np.int32).reshape(1, -1)
-        idx = _member_indices(arr, row)[0]
-        return tuple(int(v) for v in row[0]) if idx >= 0 else None
+        d = bin(row[D]).count("1")
+        return tuple(row) if self._find_cell(d, row) >= 0 else None
 
 
 # -- model recognition ------------------------------------------------------------

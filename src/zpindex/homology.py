@@ -1,14 +1,17 @@
 """Reduced Betti numbers over a prime field by exact boundary-matrix ranks.
 
-Boundary matrices are assembled sparsely (each cell has few faces) and the
-composition of consecutive boundaries is verified to vanish at
-construction.  Ranks come from a left-to-right column reduction over F_ell
-that keeps one normalized pivot column per pivot row: each incoming column
-is reduced against existing pivots at its largest remaining row until it
-either dies (a cycle) or claims a new pivot.  With boundary columns
-ordered lexicographically this stays near the input sparsity on the join
-and grid complexes this library produces, which is what makes the
-million-column cases tractable.  No floating point, no randomization.
+One assembler serves simplicial and cubical complexes alike: the boundary
+leaving dimension d is a sparse matrix whose column j lists the faces of
+d-cell j, read from the face indices and sign pattern the complex found
+once at validation.  The composition of consecutive boundaries is
+verified to vanish at construction.  Ranks come from a left-to-right
+column reduction over F_ell that keeps one normalized pivot column per
+pivot row: each incoming column is reduced against existing pivots at its
+largest remaining row until it either dies (a cycle) or claims a new
+pivot.  With boundary columns ordered lexicographically this stays near
+the input sparsity on the join and grid complexes this library produces,
+which is what makes the million-column cases tractable.  No floating
+point, no randomization.
 
 The augmentation to the ground field is the implicit dimension-0 boundary,
 so all Betti numbers are reduced.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CubicalComplex, SimplicialComplex
+from .complexes import CellComplex, _is_prime
 from .errors import ShapeError
 
 __all__ = [
@@ -31,17 +34,6 @@ __all__ = [
     "connectivity",
     "connectivity_from_betti",
 ]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -115,27 +107,15 @@ def _composition_vanishes(lo: _Csc, hi: _Csc, ell: int) -> bool:
     if hi.n_cols == 0 or lo.n_cols == 0:
         return True
     per_col = np.diff(lo.indptr)
-    if len(set(per_col.tolist())) > 1:
-        # general path: expand via gather of variable-length columns
-        lo_rows = [lo.indices[s:e] for s, e in zip(lo.indptr[:-1], lo.indptr[1:])]
-        lo_vals = [lo.data[s:e] for s, e in zip(lo.indptr[:-1], lo.indptr[1:])]
-        keys = []
-        vals = []
-        cols = np.repeat(np.arange(hi.n_cols, dtype=np.int64), np.diff(hi.indptr))
-        for t in range(len(hi.indices)):
-            mid = hi.indices[t]
-            keys.append(cols[t] * lo.n_rows + lo_rows[mid].astype(np.int64))
-            vals.append(int(hi.data[t]) * lo_vals[mid].astype(np.int64))
-        key = np.concatenate(keys)
-        val = np.concatenate(vals)
-    else:
-        c1 = int(per_col[0])
-        rows_mat = lo.indices.reshape(lo.n_cols, c1).astype(np.int64)
-        vals_mat = lo.data.reshape(lo.n_cols, c1).astype(np.int64)
-        cols = np.repeat(np.arange(hi.n_cols, dtype=np.int64), np.diff(hi.indptr))
-        mids = hi.indices.astype(np.int64)
-        key = (cols[:, None] * lo.n_rows + rows_mat[mids]).reshape(-1)
-        val = (hi.data.astype(np.int64)[:, None] * vals_mat[mids]).reshape(-1)
+    if np.any(per_col != per_col[0]):
+        raise ShapeError("boundary columns of unequal width cannot be composition-checked")
+    c1 = int(per_col[0])
+    rows_mat = lo.indices.reshape(lo.n_cols, c1).astype(np.int64)
+    vals_mat = lo.data.reshape(lo.n_cols, c1).astype(np.int64)
+    cols = np.repeat(np.arange(hi.n_cols, dtype=np.int64), np.diff(hi.indptr))
+    mids = hi.indices.astype(np.int64)
+    key = (cols[:, None] * lo.n_rows + rows_mat[mids]).reshape(-1)
+    val = (hi.data.astype(np.int64)[:, None] * vals_mat[mids]).reshape(-1)
     order = np.argsort(key, kind="stable")
     key = key[order]
     val = val[order]
@@ -184,77 +164,30 @@ def _rank_from_csc(n_cols, indptr, indices, data, ell) -> int:
     return rank
 
 
-def _simplicial_boundaries(c: SimplicialComplex, ell: int) -> list[_Csc]:
-    out = []
-    for d in range(1, c.dim + 1):
-        arr = c.cells[d]
-        below = c.cells[d - 1]
-        n = len(arr)
-        rows_mat = np.empty((n, d + 1), dtype=np.int64)
-        for i in range(d + 1):
-            faces = np.delete(arr, i, axis=1)
-            from .complexes import _member_indices
-
-            rows_mat[:, i] = _member_indices(below, faces)
-        if np.any(rows_mat < 0):
-            raise ShapeError("face closure violation while assembling boundaries")
-        signs = np.array([(-1) ** i % ell for i in range(d + 1)], dtype=np.int64)
-        vals_mat = np.tile(signs, (n, 1))
-        out.append(
-            _Csc(
-                n_rows=len(below),
-                n_cols=n,
-                indptr=np.arange(n + 1, dtype=np.int64) * (d + 1),
-                indices=rows_mat.reshape(-1),
-                data=vals_mat.reshape(-1),
-            )
-        )
-    return out
-
-
-def _cubical_boundaries(c: CubicalComplex, ell: int) -> list[_Csc]:
-    from .complexes import _member_indices
-
-    out = []
-    for d in range(1, c.dim + 1):
-        arr = c.cells[d]
-        below = c.cells[d - 1]
-        n = len(arr)
-        rows_mat = np.empty((n, 2 * d), dtype=np.int64)
-        vals_mat = np.empty((n, 2 * d), dtype=np.int64)
-        for slot in range(d):
-            lower, upper = c._faces_of(arr, slot)
-            li = _member_indices(below, lower)
-            ui = _member_indices(below, upper)
-            if np.any(li < 0) or np.any(ui < 0):
-                raise ShapeError("cubical face closure violation while assembling boundaries")
-            sgn = (-1) ** slot
-            rows_mat[:, 2 * slot] = ui
-            vals_mat[:, 2 * slot] = sgn % ell
-            rows_mat[:, 2 * slot + 1] = li
-            vals_mat[:, 2 * slot + 1] = -sgn % ell
-        out.append(
-            _Csc(
-                n_rows=len(below),
-                n_cols=n,
-                indptr=np.arange(n + 1, dtype=np.int64) * (2 * d),
-                indices=rows_mat.reshape(-1),
-                data=vals_mat.reshape(-1),
-            )
-        )
-    return out
-
-
 def boundary_matrices(c, ell: int) -> ChainComplexFp:
-    """Assemble and composition-check all boundary matrices of a complex."""
+    """Assemble and composition-check all boundary matrices of a complex.
+
+    Column j of the boundary leaving dimension d lists the faces of d-cell j
+    found at validation; its row indices are a view of the face array.
+    """
     if not _is_prime(ell):
         raise ShapeError(f"homology field order must be prime, got {ell}")
-    if isinstance(c, SimplicialComplex):
-        bnds = _simplicial_boundaries(c, ell)
-    elif isinstance(c, CubicalComplex):
-        bnds = _cubical_boundaries(c, ell)
-    else:
+    if not isinstance(c, CellComplex):
         raise ShapeError(f"cannot assemble boundaries for {type(c).__name__}")
+    bnds = []
+    for d in range(1, c.dim + 1):
+        faces = c.faces[d]
+        n, k = faces.shape
+        signs = np.array(c.face_signs[d], dtype=np.int64) % ell
+        bnds.append(
+            _Csc(
+                n_rows=c.n_cells(d - 1),
+                n_cols=n,
+                indptr=np.arange(n + 1, dtype=np.int64) * k,
+                indices=faces.reshape(-1),
+                data=np.tile(signs, n),
+            )
+        )
     counts = tuple(c.n_cells(d) for d in range(c.dim + 1))
     return ChainComplexFp(ell, counts, bnds)
 

@@ -210,9 +210,14 @@ class SubshiftSpec:
             if pair in seen:
                 continue
             seen.add(pair)
-            i, j = max(pair), min(pair)
-            checks_at[i].append(j)
-        return _run_dfs(len(elements), L, checks_at, lambda u, v: ok[u][v], cap)
+            j, i = sorted(pair)
+            checks_at[i].append((j, i))
+
+        def accept(word, t):
+            j, i = t
+            return ok[word[j]][word[i]]
+
+        return _run_dfs_general(len(elements), L, checks_at, accept, cap)
 
     def _dfs_adjacent(self, elements, L, cap):
         """Backtracking for the disjunctive adjacent-gap constraint."""
@@ -230,29 +235,9 @@ class SubshiftSpec:
         return _run_dfs_general(len(elements), L, checks_at, accept, cap)
 
 
-def _run_dfs(n_letters, L, checks_at, pair_ok, cap):
-    out = []
-    word = [0] * L
-    nodes = 0
-
-    def rec(i):
-        nonlocal nodes
-        if i == L:
-            out.append(tuple(word))
-            return
-        for u in range(n_letters):
-            nodes += 1
-            if nodes > cap:
-                raise ResourceCapError(f"enumeration exceeded the node cap ({cap})")
-            word[i] = u
-            if all(pair_ok(word[j], u) for j in checks_at[i]):
-                rec(i + 1)
-
-    rec(0)
-    return out
-
-
 def _run_dfs_general(n_letters, L, checks_at, accept, cap):
+    """Backtracking over letter indices; checks_at[i] are the checks that
+    become decidable once letter i is set, each passed to accept(word, check)."""
     out = []
     word = [0] * L
     nodes = 0
@@ -300,7 +285,7 @@ def _int_matrix_trace_power(a: list[list[int]], k: int) -> int:
 # -- cyclic words ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicWord:
     """A period-L configuration; the index set is Z/LZ."""
 
@@ -327,7 +312,7 @@ class CyclicWord:
         return CyclicWord(self.alphabet, tuple(self.letters[(i + k) % L] for i in range(L)))
 
     def text(self) -> str:
-        body = ",".join(self.alphabet.letter_text(x) for x in self.letters)
+        body = ",".join(map(self.alphabet.letter_text, self.letters))
         return f"{self.alphabet.token()}:[{body}]"
 
     def __lt__(self, other: CyclicWord) -> bool:
@@ -386,30 +371,28 @@ def orbit_decompose(words, p: int) -> OrbitDecomposition:
     for w in words:
         if w.period != p:
             raise ShapeError(f"word of period {w.period} in a period-{p} decomposition")
-    remaining = set(words)
+    given = {w: w for w in words}  # orbits hold the caller's words, not shifted copies
+    placed = set()
     orbits = []
     free = True
     witness = None
-    while remaining:
-        w = min(remaining)
-        orbit = []
+    # ascending order: each orbit is met first at its least word
+    for w in sorted(given):
+        if w in placed:
+            continue
         seen = set()
         x = w
         while x not in seen:
             seen.add(x)
-            orbit.append(x)
             x = x.shift(1)
-        rep_orbit = tuple(sorted(seen))
-        orbits.append(rep_orbit)
+        if not seen <= given.keys():
+            raise ShapeError("orbit leaves the input set; input is not shift-closed")
+        orbits.append(tuple(sorted(given[x] for x in seen)))
         if len(seen) != p:
             free = False
             if witness is None:
                 witness = w
-        missing = seen - remaining
-        if missing:
-            raise ShapeError("orbit leaves the input set; input is not shift-closed")
-        remaining -= seen
-    orbits.sort(key=lambda o: o[0])
+        placed |= seen
     return OrbitDecomposition(tuple(orbits), free, witness)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .alphabets import circle_grid, product_alphabet
-from .complexes import CubicalComplex, cycle_complex
+from .complexes import CubicalComplex, _is_prime, cycle_complex
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
 from .homology import BettiVector, betti_numbers
@@ -46,17 +46,6 @@ def _cell_cap(override: int | None) -> int:
     if override is not None:
         return override
     return int(os.environ.get("ZPINDEX_CELL_CAP", DEFAULT_CELL_CAP))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def test_certify_tampered_exits_2(capsys, tmp_path):
     assert out["results"]["verification"]["witness"] is not None
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, tmp_path):
     code, doc = run(capsys, "count", "--family", "Sigma", "--bogus", "1")
     assert code == 1 and doc["error"]["type"] == "usage"
 
@@ -133,6 +133,35 @@ def test_usage_errors_exit_1(capsys):
 
     code, doc = run(capsys, "enumerate", "--family", "Z", "--p", "2", "--q", "6")
     assert code == 1 and doc["error"]["type"] == "shape"
+
+    code, doc = run(capsys, "count", "--family", "Sigma", "--p-list", "2,x")
+    assert code == 1 and doc["error"]["type"] == "usage"
+
+    code, doc = run(capsys, "homology", "--join-of", "Sigma:m=x,p=5")
+    assert code == 1 and doc["error"]["type"] == "usage"
+
+    path = tmp_path / "cert.json"
+    run(capsys, "certify", "--q", "8", "--save-cert", str(path))
+    code, doc = run(capsys, "certify", "--cert", str(path), "--target", "Z:p=2")
+    assert code == 1 and doc["error"]["type"] == "usage"
+
+    cert = json.loads(path.read_text())
+    del cert["domain"]
+    bad = tmp_path / "no-domain.json"
+    bad.write_text(json.dumps(cert))
+    code, doc = run(capsys, "certify", "--cert", str(bad), "--target", "Z:p=2,q=8")
+    assert code == 1 and doc["error"]["type"] == "shape"
+
+    bad.write_text("{not json")
+    code, doc = run(capsys, "certify", "--cert", str(bad), "--target", "Z:p=2,q=8")
+    assert code == 1 and doc["error"]["type"] == "shape"
+
+
+def test_composite_period_is_a_shape_error(capsys):
+    # Z/4 acts on the 18 period-4 points with Z/2 stabilisers: no exact index
+    code, doc = run(capsys, "index", "--join-of", "Sigma:m=1,p=4", "--copies", "2")
+    assert code == 1 and doc["error"]["type"] == "shape"
+    assert "results" not in doc
 
 
 def test_determinism_up_to_timestamp(capsys):

@@ -184,3 +184,10 @@ def test_acceptance_chain_consistency_after_rules():
     rep = apply_dimension_bound(rep, join_complex(P(5), P(5)))
     assert rep.coind_lower <= rep.coind_upper <= rep.ind_upper
     assert rep.coind_lower <= rep.ind_lower <= rep.ind_upper
+
+
+def test_composite_order_report_rejected():
+    with pytest.raises(ShapeError, match="prime"):
+        IndexReport.nonempty_free(4)
+    with pytest.raises(ShapeError, match="prime"):
+        IndexReport.exact_value(6, 0, "rule")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from zpindex.alphabets import cyclic_group
 from zpindex.complexes import (
     CubicalComplex,
+    _row_keys,
     JoinPoint,
     SimplicialComplex,
     apply_join_of_maps,
@@ -217,3 +219,105 @@ def test_cubical_validation():
         CubicalComplex(8, 2, {2: np.array([[0, 0, 3]])}, [1, 0], 2)
     with pytest.raises(ShapeError):
         CubicalComplex(8, 2, {1: np.array([[0, 0, 3]])}, [1, 0], 2)  # popcount 2 != 1
+
+
+def test_composite_order_rejected():
+    # perm^4 = id holds for a swap, but Z/4 would act with Z/2 stabilisers
+    with pytest.raises(ShapeError, match="prime"):
+        SimplicialComplex.discrete(2, [1, 0], 4)
+    with pytest.raises(ShapeError, match="prime"):
+        CubicalComplex(8, 2, {0: np.array([[0, 0, 0]])}, [1, 0], 4)
+
+
+# -- the cell table ----------------------------------------------------------------
+
+
+def full_torus(q=4, D=2):
+    """Every cubical cell of the D-torus at resolution q, with a cyclic axis shift."""
+    cells = {}
+    for base in product(range(q), repeat=D):
+        for mask in range(1 << D):
+            cells.setdefault(bin(mask).count("1"), []).append(list(base) + [mask])
+    axis_map = [(t + 1) % D for t in range(D)]
+    return CubicalComplex(q, D, {d: np.array(v) for d, v in cells.items()}, axis_map, D)
+
+
+def test_keys_sort_rows_like_lexsort():
+    rng = np.random.default_rng(7)
+    q, D, n = 5, 3, 11
+    simplicial = rng.integers(0, n, size=(400, 3))
+    cubical = np.hstack([rng.integers(0, q, size=(400, D)), rng.integers(0, 1 << D, size=(400, 1))])
+    for rows, radices in ((simplicial, [n] * 3), (cubical, [q] * D + [1 << D])):
+        keys = _row_keys(rows, radices)
+        lex = np.lexsort(rows.T[::-1])
+        assert np.array_equal(rows[np.argsort(keys, kind="stable")], rows[lex])
+
+    # stored rows are in lexicographic order, whatever order they came in
+    edges = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(30)}
+    shuffled = np.array(sorted(edges, key=lambda e: rng.random()))
+    c = SimplicialComplex(n, {1: shuffled}, None, 2)
+    assert [tuple(r) for r in c.cells[1].tolist()] == sorted(edges)
+    t = full_torus(q=5, D=3)
+    for d, rows in t.cells.items():
+        assert np.array_equal(rows, rows[np.lexsort(rows.T[::-1])])
+        assert np.all(np.diff(t.keys[d]) > 0)
+
+
+def test_key_overflow_guard_refuses():
+    # 16^16 * 2^16 = 2^80 possible cells: refused before any key is formed
+    with pytest.raises(ShapeError, match="2\\^63"):
+        CubicalComplex(16, 16, {0: np.zeros((1, 17), dtype=np.int32)}, list(range(1, 16)) + [0], 2)
+    with pytest.raises(ShapeError, match="2\\^63"):
+        _row_keys(np.array([[1, 1]]), [1 << 32, 1 << 31])
+    # just below the limit the largest row keeps a positive, exact key
+    top = np.array([[(1 << 31) - 1, (1 << 31) - 1]])
+    assert int(_row_keys(top, [1 << 31, 1 << 31])[0]) == (1 << 62) - 1
+
+
+def _corners(c, row):
+    D = c.n_axes
+    base, mask = [int(x) for x in row[:D]], int(row[D])
+    axes = [t for t in range(D) if mask >> t & 1]
+    out = set()
+    for steps in product((0, 1), repeat=len(axes)):
+        pt = list(base)
+        for a, s in zip(axes, steps):
+            pt[a] = (pt[a] + s) % c.q
+        out.add(tuple(pt))
+    return frozenset(out)
+
+
+def test_stored_faces_match_plain_python():
+    m = standard_join_model(3, 2)
+    for d in range(1, m.dim + 1):
+        index = {tuple(r): j for j, r in enumerate(m.cells[d - 1].tolist())}
+        expected = [
+            [index[t[:i] + t[i + 1:]] for i in range(d + 1)]
+            for t in map(tuple, m.cells[d].tolist())
+        ]
+        assert m.faces[d].tolist() == expected
+        assert m.face_signs[d] == tuple((-1) ** i for i in range(d + 1))
+
+    t = full_torus()
+    D = t.n_axes
+    for d in range(1, t.dim + 1):
+        index = {_corners(t, r): j for j, r in enumerate(t.cells[d - 1])}
+        expected = []
+        for row in t.cells[d]:
+            cube = _corners(t, row)
+            faces = []
+            for a in [a for a in range(D) if int(row[D]) >> a & 1]:
+                far = (int(row[a]) + 1) % t.q
+                faces.append(index[frozenset(x for x in cube if x[a] == far)])
+                faces.append(index[frozenset(x for x in cube if x[a] == row[a])])
+            expected.append(faces)
+        assert t.faces[d].tolist() == expected
+        assert t.face_signs[d] == tuple(s for k in range(d) for s in ((-1) ** k, -((-1) ** k)))
+
+    from zpindex.homology import boundary_matrices
+
+    for c in (m, t):
+        cc = boundary_matrices(c, 3)
+        for d, b in enumerate(cc.boundaries, start=1):
+            assert not c.faces[d].flags.writeable
+            assert np.shares_memory(b.indices, c.faces[d])  # a view, not a copy

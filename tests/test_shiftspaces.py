@@ -174,6 +174,15 @@ def test_node_cap():
         ZQ8.enumerate_periodic(5, node_cap=10)
 
 
+def test_node_counts_are_exact():
+    # the smallest caps that let each search finish: pair checks, recoded pair
+    # checks, a split index cycle, and the adjacent-gap triples
+    for spec, p, nodes in ((SIGMA1, 7, 570), (SIGMA2, 7, 570), (SIGMA2, 6, 309), (ZQ8, 3, 584)):
+        assert spec.enumerate_periodic(p, node_cap=nodes)
+        with pytest.raises(ResourceCapError):
+            spec.enumerate_periodic(p, node_cap=nodes - 1)
+
+
 def test_spec_validation():
     with pytest.raises(ShapeError):
         SubshiftSpec(Z3, Separation(0, Fraction(1, 2)))
