@@ -27,7 +27,7 @@ from .coindex import (
     index_of_join_of_finite,
     verify_certificate,
 )
-from .complexes import SimplicialComplex, _is_prime, join_complex
+from .complexes import SimplicialComplex, _is_prime, join_cell_count, join_complex
 from .errors import NeededRangeError, NonFreeActionError, ResourceCapError, ShapeError
 from .homology import betti_numbers
 from .shiftspaces import (
@@ -241,6 +241,7 @@ def _join_complex_from_args(args) -> tuple[SimplicialComplex, SubshiftSpec, int,
     prov = [
         f"factor: period-{p} point set of {args.join_of} with {base.n_vertices} points"
     ]
+    join_cell_count([base.total_cells()] * args.copies)
     joined = base
     for _ in range(args.copies - 1):
         joined = join_complex(joined, base)

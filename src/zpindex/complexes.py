@@ -30,13 +30,14 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ResourceCapError, ShapeError
 
 __all__ = [
     "CellComplex",
     "SimplicialComplex",
     "CubicalComplex",
     "join_complex",
+    "join_cell_count",
     "standard_join_model",
     "cycle_complex",
     "verify_free_action",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 _KEY_LIMIT = 1 << 63  # keys are int64: the product of a row's radices stays below this
+# cells a join may have: about 5x the 2,048,382 of the 3-fold join of the period-7 set
+_JOIN_CELL_CAP = 10**7
 
 
 def _is_prime(n: int) -> bool:
@@ -388,14 +391,28 @@ class SimplicialComplex(CellComplex):
             raise ShapeError(f"simplicial complex document lacks the key {e}") from None
 
 
+def join_cell_count(totals: Sequence[int]) -> int:
+    """Cells of the join of complexes with these total cell counts,
+    prod(c_i + 1) - 1; refused with ResourceCapError above the join cell cap."""
+    predicted = prod(int(t) + 1 for t in totals) - 1
+    if predicted > _JOIN_CELL_CAP:
+        raise ResourceCapError(
+            f"join of {len(totals)} complexes would have {predicted} cells, "
+            f"above the join cell cap ({_JOIN_CELL_CAP}); nothing was built"
+        )
+    return predicted
+
+
 def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """The join: disjoint vertices, cells are unions of one side's cell or nothing.
 
     The empty complex is the join identity.  dim(A*B) = dim A + dim B + 1
-    and the nonempty-cell counts satisfy (cA+1)(cB+1)-1.
+    and the nonempty-cell counts satisfy (cA+1)(cB+1)-1, which is checked
+    against the join cell cap before anything is allocated.
     """
     if a.p != b.p:
         raise ShapeError(f"cannot join complexes over different primes {a.p} and {b.p}")
+    join_cell_count([a.total_cells(), b.total_cells()])
     if a.is_empty:
         return b
     if b.is_empty:

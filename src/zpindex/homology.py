@@ -4,17 +4,29 @@ One assembler serves simplicial and cubical complexes alike: the boundary
 leaving dimension d is a sparse matrix whose column j lists the faces of
 d-cell j, read from the face indices and sign pattern the complex found
 once at validation.  The composition of consecutive boundaries is
-verified to vanish at construction.  Ranks come from a left-to-right
-column reduction over F_ell that keeps one normalized pivot column per
-pivot row: each incoming column is reduced against existing pivots at its
-largest remaining row until it either dies (a cycle) or claims a new
-pivot.  With boundary columns ordered lexicographically this stays near
-the input sparsity on the join and grid complexes this library produces,
-which is what makes the million-column cases tractable.  No floating
-point, no randomization.
+verified to vanish at construction, one block of columns at a time.
 
-The augmentation to the ground field is the implicit dimension-0 boundary,
-so all Betti numbers are reduced.
+rank(boundary_d) is computed as the rank of its transpose, the coboundary
+delta^{d-1}, whose column i lists the cofaces of (d-1)-cell i in ascending
+order.  The "low" of a column is its largest row.  Working up from
+dimension 0, three steps keep the exact reduction small:
+
+* Clearing.  A (d-1)-cell that was a pivot row (a low) of the reduced
+  delta^{d-2} is the largest entry of a coboundary, which delta^{d-1}
+  kills; so its column is a combination of earlier columns and is skipped
+  unread.  For d = 1 the augmentation's all-ones coboundary clears the
+  last vertex.  Pivot rows are memoized per dimension.
+* Apparent pivots.  Of the remaining columns, every one whose low no
+  other column shares is a pivot as it stands; columns with distinct lows
+  are independent.  This is found in numpy, without a Python loop.
+* Fallback.  Only the columns that share a low are reduced, by a column
+  reduction that keeps one normalized pivot column per pivot row.  A low
+  owned by an apparent column is served by normalizing that column on
+  first use.
+
+The rank is the number of pivot rows.  All arithmetic is exact over F_ell:
+no floating point, no randomization.  The augmentation to the ground field
+is the implicit dimension-0 boundary, so all Betti numbers are reduced.
 """
 from __future__ import annotations
 
@@ -71,6 +83,10 @@ class ChainComplexFp:
         self.n_cells = n_cells
         self.boundaries = boundaries  # index d-1 holds the boundary C_d -> C_{d-1}
         self._check_compositions()
+        self._pivot_rows: dict[int, np.ndarray] = {}
+        # per dimension d: cleared, live, apparent and colliding columns of
+        # delta^{d-1}, and the reduction steps the colliding ones took
+        self.reduction_counts: dict[int, dict[str, int]] = {}
 
     @property
     def top_dim(self) -> int:
@@ -96,72 +112,143 @@ class ChainComplexFp:
         """Rank of the boundary leaving dimension d (d = 0 is the augmentation)."""
         if d == 0:
             return 1 if self.n_cells and self.n_cells[0] > 0 else 0
-        if d > self.top_dim:
+        if d < 0 or d > self.top_dim:
             return 0
-        b = self.boundaries[d - 1]
-        return _rank_from_csc(b.n_cols, b.indptr, b.indices, b.data, self.ell)
+        return len(self._pivots(d))
+
+    def _pivots(self, d: int) -> np.ndarray:
+        """Pivot rows (d-cells) of the reduced coboundary delta^{d-1}, memoized."""
+        piv = self._pivot_rows.get(d)
+        if piv is None:
+            if d == 0:
+                # the augmentation's coboundary is the all-ones column: its low is the last vertex
+                n0 = self.n_cells[0] if self.n_cells else 0
+                piv = np.arange(max(n0 - 1, 0), n0)
+            else:
+                counts = self.reduction_counts[d] = {}
+                piv = _coboundary_pivots(self.boundaries[d - 1], self._pivots(d - 1), self.ell, counts)
+            self._pivot_rows[d] = piv
+        return piv
+
+
+_COMPOSE_BLOCK = 1 << 16  # columns of the upper boundary expanded at once by the composition check
 
 
 def _composition_vanishes(lo: _Csc, hi: _Csc, ell: int) -> bool:
-    """Does lo @ hi vanish mod ell?  Entries are expanded, grouped, summed."""
+    """Does lo @ hi vanish mod ell?  Entries are expanded, grouped and summed,
+    one block of hi columns at a time."""
     if hi.n_cols == 0 or lo.n_cols == 0:
         return True
     per_col = np.diff(lo.indptr)
     if np.any(per_col != per_col[0]):
         raise ShapeError("boundary columns of unequal width cannot be composition-checked")
     c1 = int(per_col[0])
-    rows_mat = lo.indices.reshape(lo.n_cols, c1).astype(np.int64)
-    vals_mat = lo.data.reshape(lo.n_cols, c1).astype(np.int64)
-    cols = np.repeat(np.arange(hi.n_cols, dtype=np.int64), np.diff(hi.indptr))
-    mids = hi.indices.astype(np.int64)
-    key = (cols[:, None] * lo.n_rows + rows_mat[mids]).reshape(-1)
-    val = (hi.data.astype(np.int64)[:, None] * vals_mat[mids]).reshape(-1)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    val = val[order]
-    starts = np.concatenate([[0], np.nonzero(key[1:] != key[:-1])[0] + 1])
-    sums = np.add.reduceat(val, starts)
-    return not np.any(sums % ell)
+    rows_mat = lo.indices.reshape(lo.n_cols, c1)
+    vals_mat = lo.data.reshape(lo.n_cols, c1)
+    hi_width = np.diff(hi.indptr)
+    for j0 in range(0, hi.n_cols, _COMPOSE_BLOCK):
+        j1 = min(j0 + _COMPOSE_BLOCK, hi.n_cols)
+        s, e = int(hi.indptr[j0]), int(hi.indptr[j1])
+        cols = np.repeat(np.arange(j1 - j0, dtype=np.int64), hi_width[j0:j1])
+        mids = hi.indices[s:e]
+        key = (cols[:, None] * lo.n_rows + rows_mat[mids]).reshape(-1)
+        val = (hi.data[s:e].astype(np.int64)[:, None] * vals_mat[mids]).reshape(-1)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.concatenate([[0], np.nonzero(key[1:] != key[:-1])[0] + 1])
+        if np.any(np.add.reduceat(val[order], starts) % ell):
+            return False
+    return True
 
 
-def _rank_from_csc(n_cols, indptr, indices, data, ell) -> int:
-    """Column reduction over F_ell; returns the number of pivot columns."""
+def _coboundary_pivots(b: _Csc, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
+    """Pivot rows of the coboundary delta = b^T over F_ell, reduced exactly.
+
+    Column i of delta lists the cofaces of row-cell i of b.  Columns in
+    ``cleared`` are skipped; every other column whose low (largest row) no
+    other column shares is a pivot as it stands; the rest are reduced by
+    ``_reduce_colliding``.  Returns the pivot rows (the lows), one per rank.
+    """
+    rows, data = b.indices, b.data
+    # int32 column ids where they fit: the transpose sets the peak RSS of the largest joins
+    col_type = np.int32 if b.n_cols < 1 << 31 else np.int64
+    cols = np.repeat(np.arange(b.n_cols, dtype=col_type), np.diff(b.indptr))
+    nz = data % ell != 0
+    if not nz.all():
+        rows, data, cols = rows[nz], data[nz], cols[nz]
+    # one stable sort by row turns b into delta with rows ascending in each column
+    order = np.argsort(rows, kind="stable")
+    t_rows = cols[order]
+    del cols, nz
+    t_data = data[order]
+    del order
+    t_data %= ell
+    t_ptr = np.zeros(b.n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=b.n_rows), out=t_ptr[1:])
+
+    live = np.ones(b.n_rows, dtype=bool)
+    live[cleared] = False
+    counts["cleared"] = b.n_rows - int(live.sum())
+    counts["live"] = int(live.sum())
+    cand = np.flatnonzero(live & (t_ptr[1:] > t_ptr[:-1]))
+    lows = t_rows[t_ptr[cand + 1] - 1]
+    apparent = np.bincount(lows, minlength=b.n_cols)[lows] == 1
+    colliding = cand[~apparent]
+    counts["apparent"] = int(apparent.sum())
+    counts["colliding"] = len(colliding)
+    counts["steps"] = 0
+    if not len(colliding):
+        return lows
+    owner = dict(zip(lows[apparent].tolist(), cand[apparent].tolist()))
+    found = _reduce_colliding(colliding, owner, t_ptr, t_rows, t_data, ell, counts)
+    return np.concatenate([lows[apparent], np.array(found, dtype=np.int64)])
+
+
+def _reduce_colliding(colliding, owner, t_ptr, t_rows, t_data, ell, counts) -> list[int]:
+    """Column reduction over F_ell of the colliding columns; returns their new pivot rows.
+
+    ``pivots`` keeps one normalized column per pivot row, without its low
+    entry.  A low owned by an apparent column (``owner``: low -> column) is
+    normalized on first use; such a column is already counted in the rank.
+    """
     pivots: dict[int, list[tuple[int, int]]] = {}
-    rank = 0
-    ptr = indptr.tolist()
-    idx = indices.tolist()
-    dat = data.tolist()
+    found: list[int] = []
+    steps = 0
     get_piv = pivots.get
-    for j in range(n_cols):
-        s, e = ptr[j], ptr[j + 1]
-        if s == e:
-            continue
-        work: dict[int, int] = {}
-        for t in range(s, e):
-            v = dat[t] % ell
-            if v:
-                work[idx[t]] = v
+    for s, e in zip(t_ptr[colliding].tolist(), t_ptr[colliding + 1].tolist()):
+        work = dict(zip(t_rows[s:e].tolist(), t_data[s:e].tolist()))
         while work:
             low = max(work)
             piv = get_piv(low)
             if piv is None:
-                f = work.pop(low)
-                if f != 1:
-                    inv = pow(f, ell - 2, ell)
-                    piv_col = [(r, v * inv % ell) for r, v in work.items()]
-                else:
-                    piv_col = list(work.items())
-                pivots[low] = piv_col
-                rank += 1
+                a = owner.pop(low, None)
+                if a is not None:
+                    a_s, a_e = int(t_ptr[a]), int(t_ptr[a + 1])
+                    entries = dict(zip(t_rows[a_s:a_e].tolist(), t_data[a_s:a_e].tolist()))
+                    piv = pivots[low] = _normalized(entries, low, ell)
+            if piv is None:
+                pivots[low] = _normalized(work, low, ell)
+                found.append(low)
                 break
             f = work.pop(low)
+            steps += 1
             for r, v in piv:
                 nv = (work.get(r, 0) - f * v) % ell
                 if nv:
                     work[r] = nv
                 else:
                     work.pop(r, None)
-    return rank
+    counts["steps"] = steps
+    return found
+
+
+def _normalized(col: dict[int, int], low: int, ell: int) -> list[tuple[int, int]]:
+    """The column scaled so its low entry is 1, with that entry removed."""
+    f = col.pop(low)
+    if f == 1:
+        return list(col.items())
+    inv = pow(f, ell - 2, ell)
+    return [(r, v * inv % ell) for r, v in col.items()]
 
 
 def boundary_matrices(c, ell: int) -> ChainComplexFp:

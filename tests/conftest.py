@@ -1,14 +1,18 @@
 """Shared independent oracles for the test suite.
 
 These deliberately re-derive results with different machinery than the
-package: dense row-echelon elimination instead of the sparse column
-reduction, and plain itertools scans instead of backtracking enumeration.
+package: dense row-echelon elimination and a left-to-right column
+reduction of the boundary itself instead of the package's coboundary
+reduction with clearing, and plain itertools scans instead of
+backtracking enumeration.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 from math import factorial
+
+import numpy as np
 
 
 def dense_rank_mod(rows: list[list[int]], ell: int) -> int:
@@ -38,6 +42,62 @@ def dense_rank_mod(rows: list[list[int]], ell: int) -> int:
         rank += 1
         if r == len(rows):
             break
+    return rank
+
+
+def dense_rank_np(b, ell: int) -> int:
+    """Row-echelon rank over F_ell of a sparse boundary matrix, densified into
+    numpy; the same elimination as ``dense_rank_mod``, one pivot row at a time."""
+    m = np.zeros((b.n_rows, b.n_cols), dtype=np.int64)
+    cols = np.repeat(np.arange(b.n_cols), np.diff(b.indptr))
+    np.add.at(m, (b.indices, cols), b.data)
+    m %= ell
+    rank = 0
+    for col in range(b.n_cols):
+        nz = np.flatnonzero(m[rank:, col])
+        if not nz.size:
+            continue
+        piv = rank + int(nz[0])
+        m[[rank, piv]] = m[[piv, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), ell - 2, ell) % ell
+        below = rank + 1 + np.flatnonzero(m[rank + 1 :, col])
+        m[below] = (m[below] - m[below, col][:, None] * m[rank]) % ell
+        rank += 1
+        if rank == b.n_rows:
+            break
+    return rank
+
+
+def column_reduction_rank(b, ell: int) -> int:
+    """Left-to-right reduction of the boundary columns over F_ell, keeping one
+    normalized pivot column per pivot row (lowest = largest row index); no
+    clearing and no apparent pivots."""
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    rank = 0
+    ptr = b.indptr.tolist()
+    idx = b.indices.tolist()
+    dat = b.data.tolist()
+    for j in range(b.n_cols):
+        work: dict[int, int] = {}
+        for t in range(ptr[j], ptr[j + 1]):
+            v = dat[t] % ell
+            if v:
+                work[idx[t]] = v
+        while work:
+            low = max(work)
+            piv = pivots.get(low)
+            f = work.pop(low)
+            if piv is None:
+                inv = pow(f, ell - 2, ell)
+                pivots[low] = [(r, v * inv % ell) for r, v in work.items()]
+                rank += 1
+                break
+            for r, v in piv:
+                nv = (work.get(r, 0) - f * v) % ell
+                if nv:
+                    work[r] = nv
+                else:
+                    work.pop(r, None)
     return rank
 
 

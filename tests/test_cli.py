@@ -1,5 +1,11 @@
+import contextlib
 import csv
+import io
 import json
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpindex.cli import main
 
@@ -157,6 +163,15 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert code == 1 and doc["error"]["type"] == "shape"
 
 
+def test_join_cell_cap_refuses_before_building(capsys):
+    # 2046 period-11 points, three copies: about 8.6e9 cells predicted
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "homology", "--join-of", "Sigma:m=1,p=11", "--copies", "3")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and doc["error"]["type"] == "resource-cap"
+    assert "8577357822" in doc["error"]["reason"] and "10000000" in doc["error"]["reason"]
+
+
 def test_composite_period_is_a_shape_error(capsys):
     # Z/4 acts on the 18 period-4 points with Z/2 stabilisers: no exact index
     code, doc = run(capsys, "index", "--join-of", "Sigma:m=1,p=4", "--copies", "2")
@@ -186,3 +201,62 @@ def test_output_file(capsys, tmp_path):
     code = main(["count", "--family", "Sigma", "--p", "3", "--output", str(path)])
     assert code == 0
     assert json.loads(path.read_text())["results"]["count"] == 6
+
+
+# -- argv mutation: whatever the input, one JSON document and exit 0, 1 or 2 -------
+
+VALID_ARGVS = [
+    ["count", "--family", "Sigma", "--m", "1", "--p", "5"],
+    ["enumerate", "--family", "Sigma", "--p", "3"],
+    ["orbits", "--family", "Sigma", "--p", "3"],
+    ["verify-lemma", "--id", "4.1", "--m", "1", "--p", "3"],
+    ["homology", "--join-of", "Sigma:m=1,p=3", "--copies", "2"],
+    ["index", "--join-of", "Sigma:m=1,p=3", "--copies", "2"],
+    ["approx-z", "--p", "2", "--q", "8"],
+]
+# tokens that may be inserted; no option that writes a file, no help, and no
+# value that turns a small job into a large one
+VOCABULARY = [
+    "count", "homology", "index", "orbits", "--family", "Sigma", "Z", "Y", "XS", "Nope",
+    "--m", "--p", "--q", "--N", "--copies", "--field", "--delta", "--seed", "--trials",
+    "--id", "9.9", "--join-of", "Sigma:m=1,p=3", "Sigma:m=x,p=5", "Z:p=2", "Sigma:p",
+    "--p-list", "2,x", "--stability", "--cap", "--bogus", "0", "1", "2", "3", "-1",
+    "x", "1/0", "",
+]
+
+
+def mutate(argv: list[str], ops) -> list[str]:
+    out = list(argv)
+    for kind, i, j, token in ops:
+        if kind == "insert":
+            out.insert(i % (len(out) + 1), token)
+        elif not out:
+            continue
+        elif kind == "drop":
+            del out[i % len(out)]
+        elif kind == "swap":
+            i, j = i % len(out), j % len(out)
+            out[i], out[j] = out[j], out[i]
+        else:
+            out[i % len(out)] = token
+    return out
+
+
+OPS = st.lists(
+    st.tuples(st.sampled_from(["swap", "drop", "insert", "replace"]),
+              st.integers(0, 15), st.integers(0, 15), st.sampled_from(VOCABULARY)),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VALID_ARGVS), OPS)
+def test_mutated_argv_gives_one_json_document(argv, ops):
+    argv = mutate(argv, ops)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    doc = json.loads(buf.getvalue())
+    assert isinstance(doc, dict), argv
+    assert ("error" in doc) == (code == 1), argv

@@ -15,11 +15,12 @@ from zpindex.complexes import (
     apply_join_of_maps,
     cycle_complex,
     is_EnZp,
+    join_cell_count,
     join_complex,
     standard_join_model,
     verify_free_action,
 )
-from zpindex.errors import ShapeError
+from zpindex.errors import ResourceCapError, ShapeError
 from zpindex.seqmaps import block_sum_step, separation_violations
 from zpindex.shiftspaces import mismatch_shift, periodic_point_complex
 from zpindex.verify import _random_separated_window
@@ -52,7 +53,14 @@ def test_join_counting_laws():
             assert j.dim == a.dim + b.dim + 1
             assert j.n_vertices == a.n_vertices + b.n_vertices
             ca, cb, cj = a.total_cells(), b.total_cells(), j.total_cells()
-            assert cj == (ca + 1) * (cb + 1) - 1
+            assert cj == (ca + 1) * (cb + 1) - 1 == join_cell_count([ca, cb])
+
+
+def test_join_cell_cap_is_checked_before_allocation():
+    assert join_cell_count([126] * 3) == 2_048_382  # the 3-fold join of the period-7 set
+    big = SimplicialComplex.discrete(4000, None, 3)
+    with pytest.raises(ResourceCapError, match=r"16008000 cells.*\(10000000\)"):
+        join_complex(big, big)
 
 
 def test_join_identity_is_empty_complex():

@@ -1,20 +1,39 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import csc_to_dense, dense_betti, dense_rank_mod
-from zpindex.complexes import CubicalComplex, SimplicialComplex, join_complex
+from conftest import (
+    column_reduction_rank,
+    csc_to_dense,
+    dense_betti,
+    dense_rank_mod,
+    dense_rank_np,
+)
+from zpindex.complexes import (
+    CubicalComplex,
+    SimplicialComplex,
+    cycle_complex,
+    join_complex,
+    standard_join_model,
+)
 from zpindex.errors import ShapeError
 from zpindex.homology import (
+    _COMPOSE_BLOCK,
     BettiVector,
     ChainComplexFp,
     _Csc,
+    betti,
     betti_numbers,
     boundary_matrices,
     connectivity,
     connectivity_from_betti,
 )
+from zpindex.shiftspaces import AdjacentGap
+from zpindex.torusgrid import TorusGridSpec, build_approx, separated_torus_spec, z_torus_spec
 
 
 def discrete(n, p=2):
@@ -111,7 +130,7 @@ def test_connectivity_from_betti_conventions():
     assert connectivity_from_betti((0, 0, 0), 2) == 2
 
 
-def test_full_torus_homology():
+def full_torus_q4():
     # every cubical cell of the 2-torus at q = 4, with the axis swap action
     q, D = 4, 2
     cells = {}
@@ -120,7 +139,11 @@ def test_full_torus_homology():
             d = bin(mask).count("1")
             cells.setdefault(d, []).append(list(base) + [mask])
     cells = {d: np.array(v, dtype=np.int32) for d, v in cells.items()}
-    torus = CubicalComplex(q, D, cells, [1, 0], 2)
+    return CubicalComplex(q, D, cells, [1, 0], 2)
+
+
+def test_full_torus_homology():
+    torus = full_torus_q4()
     assert not torus.is_free  # diagonal squares are swap-invariant
     for ell in (2, 3):
         bv = betti_numbers(torus, ell)
@@ -155,3 +178,156 @@ def test_euler_identity_holds_on_corpus():
         euler_cells = sum((-1) ** d * n for d, n in counts.items())
         euler_betti = sum((-1) ** d * b for d, b in enumerate(bv.reduced))
         assert euler_betti == euler_cells - 1
+
+
+# -- the coboundary rank engine against independent oracles -------------------------
+
+JOIN_SIZES = [(2,), (5,), (1, 3), (2, 2), (2, 3), (3, 3), (4, 6), (2, 2, 2), (2, 2, 3),
+              (2, 3, 5), (3, 3, 3), (1, 2, 2), (2, 2, 2, 2), (6, 6)]
+
+# every complex this file and test_torusgrid.py build that dense elimination can hold
+TEST_COMPLEXES = {
+    "triangle": triangle_boundary_complex,
+    "point": lambda: discrete(1),
+    "cone": lambda: join_complex(discrete(1, 3), join_of(3, 3, p=3)),
+    "full-torus-q4": full_torus_q4,
+    **{f"join{sizes}": (lambda sizes=sizes: join_of(*sizes)) for sizes in JOIN_SIZES},
+    "Z:p=2,q=8": lambda: build_approx(z_torus_spec(2, 8)),
+    "Z:p=2,q=16": lambda: build_approx(z_torus_spec(2, 16)),
+    "Z:p=3,q=8": lambda: build_approx(z_torus_spec(3, 8)),
+    "XS:p=3,q=8,N=1": lambda: build_approx(separated_torus_spec(3, 8, 1, Fraction(1, 2))),
+    "Y:p=2,q=8": lambda: build_approx(TorusGridSpec(2, 8, family=AdjacentGap(Fraction(1), exact=True))),
+}
+# the two 4-dimensional approximations test_torusgrid.py builds are too large to
+# densify; the left-to-right reduction of the boundary itself checks them
+LARGE_TEST_COMPLEXES = {
+    "Z:p=3,q=16": lambda: build_approx(z_torus_spec(3, 16)),
+    "XS:p=2,q=8,N=2": lambda: build_approx(separated_torus_spec(2, 8, 2, Fraction(1, 2))),
+}
+
+
+def engine_ranks(cc):
+    return [cc.rank(d) for d in range(1, cc.top_dim + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(TEST_COMPLEXES))
+def test_ranks_match_dense_elimination(name):
+    c = TEST_COMPLEXES[name]()
+    for ell in (2, 3, 5):
+        cc = boundary_matrices(c, ell)
+        assert engine_ranks(cc) == [dense_rank_np(b, ell) for b in cc.boundaries], ell
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_TEST_COMPLEXES))
+def test_ranks_match_column_reduction(name):
+    c = LARGE_TEST_COMPLEXES[name]()
+    for ell in (2, 3):
+        cc = boundary_matrices(c, ell)
+        assert engine_ranks(cc) == [column_reduction_rank(b, ell) for b in cc.boundaries]
+        assert sum(cc.reduction_counts[d]["colliding"] for d in cc.reduction_counts) > 0
+
+
+@st.composite
+def small_complexes(draw):
+    n = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=8))
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    return SimplicialComplex.from_maximal(n, [sorted(c) for c in cells], None, ell), ell
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes())
+def test_ranks_match_dense_on_random_complexes(case):
+    c, ell = case
+    cc = boundary_matrices(c, ell)
+    assert engine_ranks(cc) == [dense_rank_mod(csc_to_dense(b), ell) for b in cc.boundaries]
+
+
+@pytest.mark.parametrize("name", ["join(2, 2, 2, 2)", "Z:p=3,q=8"])
+def test_rank_order_does_not_matter(name):
+    c = TEST_COMPLEXES[name]()
+    ascending = boundary_matrices(c, 3)
+    expected = [ascending.rank(d) for d in range(c.dim + 2)]
+    top_first = boundary_matrices(c, 3)
+    got = {d: top_first.rank(d) for d in [3, 1, 2, 0, 4]}
+    assert [got[d] for d in range(c.dim + 2)] == expected
+
+
+@pytest.mark.parametrize("name", sorted(TEST_COMPLEXES) + sorted(LARGE_TEST_COMPLEXES))
+def test_live_columns_are_the_uncleared_ones(name):
+    c = {**TEST_COMPLEXES, **LARGE_TEST_COMPLEXES}[name]()
+    cc = boundary_matrices(c, 3)
+    ranks = [cc.rank(d) for d in range(cc.top_dim + 1)]
+    for d in range(1, cc.top_dim + 1):
+        counts = cc.reduction_counts[d]
+        assert counts["live"] == cc.n_cells[d - 1] - ranks[d - 1]
+        assert counts["cleared"] == ranks[d - 1]
+        assert counts["apparent"] + counts["colliding"] <= counts["live"]
+        assert counts["apparent"] <= ranks[d]
+
+
+def test_composition_check_rejects_bad_column_in_a_later_block():
+    c = join_of(41, 41, 41, p=3)  # 68921 triangles: more than one block
+    cc = boundary_matrices(c, 3)
+    lo, hi = cc.boundaries
+    assert hi.n_cols > _COMPOSE_BLOCK
+    data = hi.data.copy()
+    data[-1] = (data[-1] + 1) % 3  # one sign of the last triangle is wrong
+    bad = _Csc(hi.n_rows, hi.n_cols, hi.indptr, hi.indices, data)
+    with pytest.raises(ShapeError):
+        ChainComplexFp(3, cc.n_cells, [lo, bad])
+
+
+# -- Kunneth formula for joins of non-discrete factors ----------------------------
+
+Z3_CYCLE6 = cycle_complex(6, [2, 3, 4, 5, 0, 1], 3)
+Z3_CYCLE3 = cycle_complex(3, [1, 2, 0], 3)
+Z3_K33 = standard_join_model(3, 2)
+Z3_POINTS = SimplicialComplex.discrete(3, [1, 2, 0], 3)
+# two surfaces without an action, whose coboundaries have colliding lows: the
+# 6-vertex projective plane (b~ = (0,1,1) over F_2, acyclic over odd fields)
+# and the 7-vertex torus
+RP2_6 = SimplicialComplex.from_maximal(
+    6, [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)], None, 3)
+TORUS_7 = SimplicialComplex.from_maximal(
+    7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)], None, 3)
+
+
+def kunneth(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced Betti numbers of A*B over a field from those of A and B:
+    b~_{n+1}(A*B) = sum over i + j = n of b~_i(A) b~_j(B)."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j + 1] += x * y
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "factors, collides",
+    [
+        ((Z3_CYCLE6, Z3_CYCLE6), False),
+        ((Z3_CYCLE6, Z3_K33), False),
+        ((Z3_CYCLE3, Z3_K33), False),
+        ((Z3_K33, Z3_CYCLE6, Z3_POINTS), False),
+        ((RP2_6, Z3_CYCLE6), True),
+        ((RP2_6, Z3_K33), True),
+        ((Z3_CYCLE3, TORUS_7), True),
+        ((TORUS_7, RP2_6), True),
+    ],
+    ids=["C6*C6", "C6*K33", "C3*K33", "K33*C6*P3", "RP2*C6", "RP2*K33", "C3*T7", "T7*RP2"],
+)
+def test_kunneth_formula_for_joins(factors, collides):
+    joined = factors[0]
+    for f in factors[1:]:
+        joined = join_complex(joined, f)
+    for ell in (2, 3, 5):
+        expected = betti_numbers(factors[0], ell).reduced
+        for f in factors[1:]:
+            expected = kunneth(expected, betti_numbers(f, ell).reduced)
+        cc = boundary_matrices(joined, ell)
+        assert betti(cc).reduced == expected
+        if collides:  # the fallback reduction, not only apparent pivots, was needed
+            assert sum(cc.reduction_counts[d]["colliding"] for d in cc.reduction_counts) > 0
