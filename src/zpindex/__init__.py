@@ -23,20 +23,16 @@ from .coindex import (
     exact_index_finite_free,
     ind_upper_by_dimension,
     index_of_join_of_finite,
-    join_lower_report,
     verify_certificate,
 )
 from .complexes import (
     CubicalComplex,
     EnReport,
-    JoinPoint,
     SimplicialComplex,
-    apply_join_of_maps,
     cycle_complex,
     is_EnZp,
     join_complex,
     standard_join_model,
-    verify_free_action,
 )
 from .errors import (
     NeededRangeError,
@@ -55,7 +51,6 @@ from .homology import (
 from .seqmaps import (
     AnchorSeq,
     Window,
-    block_sum,
     block_sum_step,
     pair_embed,
     pair_embed_cyclic,

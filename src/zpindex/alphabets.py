@@ -92,10 +92,6 @@ class Alphabet:
         return len(self.factors)
 
     @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(f.order for f in self.factors)
-
-    @property
     def order(self) -> int:
         n = 1
         for f in self.factors:
@@ -136,9 +132,6 @@ class Alphabet:
     def sub(self, a: ElementLike, b: ElementLike) -> Element:
         a, b = self.element(a), self.element(b)
         return tuple((x - y) % f.order for x, y, f in zip(a, b, self.factors))
-
-    def neg(self, a: ElementLike) -> Element:
-        return self.sub(self.identity, a)
 
     def metric(self, a: ElementLike, b: ElementLike) -> Fraction:
         """Max over factors of the factor metric; exact rational."""

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .complexes import (
-    SimplicialComplex,
-    _is_prime,
-    standard_join_model,
-    verify_free_action,
-)
+from .complexes import SimplicialComplex, _is_prime, standard_join_model
 from .errors import NonFreeActionError, ShapeError
 
 __all__ = [
@@ -32,7 +27,6 @@ __all__ = [
     "exact_index_finite_free",
     "index_of_join_of_finite",
     "coindex_join_lower",
-    "join_lower_report",
     "MapEvidence",
     "coindex_transport",
     "EquivariantMapCert",
@@ -176,25 +170,6 @@ def coindex_join_lower(r1: IndexReport, r2: IndexReport) -> int:
     return r1.coind_lower + r2.coind_lower + 1
 
 
-def join_lower_report(r1: IndexReport, r2: IndexReport) -> IndexReport:
-    """A bounds-only report for the join, carrying the superadditivity rule."""
-    lo = coindex_join_lower(r1, r2)
-    return IndexReport(
-        r1.p,
-        lo,
-        INF,
-        max(lo, -1),
-        INF,
-        False,
-        r1.provenance
-        + r2.provenance
-        + (
-            f"join lower bound: coind >= {_fmt(r1.coind_lower)} + "
-            f"{_fmt(r2.coind_lower)} + 1 = {lo}",
-        ),
-    )
-
-
 @dataclass(frozen=True)
 class MapEvidence:
     """Why an equivariant continuous map is known to exist."""
@@ -320,8 +295,8 @@ def _domain_complex(cert: EquivariantMapCert):
         )
     if dom.action is None:
         raise ShapeError("explicit certificate domain carries no action")
-    ok, witness = verify_free_action(dom)
-    if not ok:
+    witness = dom.free_witness()
+    if witness is not None:
         raise NonFreeActionError(f"certificate domain is not free at {witness}", witness)
     if dom.dim != cert.n:
         raise ShapeError(f"certificate domain has dimension {dom.dim}, expected {cert.n}")
@@ -359,8 +334,8 @@ def verify_certificate(cert: EquivariantMapCert, target) -> CertReport:
                           reason=f"target prime {target.p} != certificate prime {cert.p}")
     if getattr(target, "action", None) is None:
         return CertReport(False, cert.n, tuple(checks), reason="target carries no action")
-    ok, witness = verify_free_action(target)
-    if not ok:
+    witness = target.free_witness()
+    if witness is not None:
         return CertReport(False, cert.n, tuple(checks),
                           reason="target action is not free", witness=witness)
     checks.append("target: free action verified")
@@ -427,8 +402,8 @@ def ind_upper_by_dimension(c) -> int:
     """dim C as an index upper bound for a free complex (standard theory)."""
     if getattr(c, "action", None) is None:
         raise ShapeError("dimension bound needs an action")
-    ok, witness = verify_free_action(c)
-    if not ok:
+    witness = c.free_witness()
+    if witness is not None:
         raise NonFreeActionError(f"dimension bound needs a free action; fixed cell {witness}",
                                  witness)
     return c.dim

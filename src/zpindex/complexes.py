@@ -24,9 +24,8 @@ homological evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,11 +39,8 @@ __all__ = [
     "join_cell_count",
     "standard_join_model",
     "cycle_complex",
-    "verify_free_action",
     "EnReport",
     "is_EnZp",
-    "JoinPoint",
-    "apply_join_of_maps",
 ]
 
 _KEY_LIMIT = 1 << 63  # keys are int64: the product of a row's radices stays below this
@@ -136,6 +132,22 @@ class CellComplex:
         for table in (self.cells, self.keys, self.faces):
             for a in table.values():
                 a.setflags(write=False)
+
+    def _check_order(self, perm: np.ndarray, n: int, what: str, items: str) -> None:
+        """perm permutes range(n), perm^p = id, and perm is not the identity
+        on a nonempty complex (so its order is exactly the prime p)."""
+        ident = np.arange(n)
+        if len(perm) != n or not np.array_equal(np.sort(perm), ident):
+            raise ShapeError(f"{what} is not a permutation of the {items}")
+        cur = perm
+        for _ in range(self.p - 1):
+            cur = perm[cur]
+        if not np.array_equal(cur, ident):
+            raise ShapeError(f"{what} does not satisfy perm^{self.p} = id")
+        if self.cells and np.array_equal(perm, ident):
+            raise ShapeError(
+                f"{what} must have exact order {self.p} on a nonempty complex, got the identity"
+            )
 
     def _check_action(self) -> None:
         for d, rows in self.cells.items():
@@ -253,7 +265,7 @@ class SimplicialComplex(CellComplex):
             self.action = np.asarray(action, dtype=np.int64).reshape(-1)
             if len(self.action) != self.n_vertices:
                 raise ShapeError("action length does not match vertex count")
-            self._check_permutation()
+            self._check_order(self.action, self.n_vertices, "action", "vertices")
             self.action.setflags(write=False)
         self._finish(self.action is not None)
 
@@ -272,22 +284,6 @@ class SimplicialComplex(CellComplex):
 
     def _face_rows(self, d: int, rows: np.ndarray, i: int) -> np.ndarray:
         return np.delete(rows, i, axis=1)
-
-    def _check_permutation(self):
-        n = self.n_vertices
-        if n == 0:
-            return
-        if sorted(self.action.tolist()) != list(range(n)):
-            raise ShapeError("action is not a permutation of the vertices")
-        cur = self.action.copy()
-        for _ in range(self.p - 1):
-            cur = self.action[cur]
-        if not np.array_equal(cur, np.arange(n)):
-            raise ShapeError(f"action does not satisfy perm^{self.p} = id")
-        if np.array_equal(self.action, np.arange(n)):
-            raise ShapeError(
-                f"action must have exact order {self.p} on a nonempty complex, got the identity"
-            )
 
     # -- queries ------------------------------------------------------------------------
 
@@ -349,25 +345,14 @@ class SimplicialComplex(CellComplex):
     # -- exchange format -----------------------------------------------------------
 
     def maximal_cells(self) -> list[list[int]]:
+        """Cells that are a face of no other cell, by dimension, then in key order."""
         out: list[list[int]] = []
-        marked: set[tuple[int, ...]] = set()
-        for d in sorted(self.cells, reverse=True):
-            for row in self.cells[d]:
-                c = tuple(int(v) for v in row)
-                if c in marked:
-                    continue
-                out.append(list(c))
-                stack = [c]
-                while stack:
-                    t = stack.pop()
-                    if len(t) > 1:
-                        for i in range(len(t)):
-                            f = t[:i] + t[i + 1 :]
-                            if f not in marked:
-                                marked.add(f)
-                                stack.append(f)
-                marked.add(c)
-        return sorted(out, key=lambda c: (len(c), c))
+        for d in sorted(self.cells):
+            keep = np.ones(len(self.cells[d]), dtype=bool)
+            if d + 1 in self.faces:
+                keep[self.faces[d + 1].ravel()] = False
+            out.extend(self.cells[d][keep].tolist())
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -472,12 +457,6 @@ def cycle_complex(q: int, action: Sequence[int], p: int) -> SimplicialComplex:
     return SimplicialComplex(q, {1: edges}, action, p)
 
 
-def verify_free_action(c) -> tuple[bool, tuple | None]:
-    """(True, None) when no cell is setwise invariant, else (False, witness)."""
-    w = c.free_witness()
-    return (w is None, w)
-
-
 # -- cubical complexes -----------------------------------------------------------
 
 
@@ -512,10 +491,6 @@ class CubicalComplex(CellComplex):
         if self.q < 3:
             raise ShapeError("grid needs q >= 3 so cell corners stay distinct")
         self.axis_map = np.asarray(axis_map, dtype=np.int64).reshape(-1)
-        if len(self.axis_map) != self.n_axes or sorted(self.axis_map.tolist()) != list(
-            range(self.n_axes)
-        ):
-            raise ShapeError("axis_map is not a permutation of the axes")
 
         D = self.n_axes
         norm: dict[int, np.ndarray] = {}
@@ -532,7 +507,7 @@ class CubicalComplex(CellComplex):
                 raise ShapeError(f"mask popcount does not match dimension {d}")
             norm[d] = a
         self._set_cells(norm)
-        self._check_axis_order()
+        self._check_order(self.axis_map, self.n_axes, "axis_map", "axes")
         self._finish(True)
 
     # -- cell rules -------------------------------------------------------------------
@@ -568,17 +543,6 @@ class CubicalComplex(CellComplex):
             face[r, axis] = (face[r, axis] + 1) % self.q
         return face
 
-    def _check_axis_order(self):
-        cur = self.axis_map.copy()
-        for _ in range(self.p - 1):
-            cur = self.axis_map[cur]
-        if not np.array_equal(cur, np.arange(self.n_axes)):
-            raise ShapeError(f"axis permutation does not satisfy perm^{self.p} = id")
-        if self.cells and np.array_equal(self.axis_map, np.arange(self.n_axes)):
-            raise ShapeError(
-                f"axis permutation must have exact order {self.p} on a nonempty complex"
-            )
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -588,9 +552,6 @@ class CubicalComplex(CellComplex):
     @property
     def join_factors(self):
         return None  # cubical complexes are never structural joins
-
-    def vertex_bases(self) -> np.ndarray:
-        return self.cells[0][:, : self.n_axes] if 0 in self.cells else np.zeros((0, self.n_axes), np.int32)
 
     def vertex_index(self, coords: Sequence[int]) -> int:
         idx = self._find_cell(0, [int(x) for x in coords] + [0])
@@ -663,7 +624,8 @@ def is_EnZp(c, n: int, ell: int | None = None, betti=None) -> EnReport:
     """Check freeness, dimension n, and vanishing reduced homology below n."""
     from .homology import betti_numbers, connectivity_from_betti
 
-    free, witness = verify_free_action(c)
+    witness = c.free_witness()
+    free = witness is None
     field = ell if ell is not None else c.p
     if betti is None:
         betti = betti_numbers(c, field)
@@ -688,53 +650,3 @@ def is_EnZp(c, n: int, ell: int | None = None, betti=None) -> EnReport:
         field=field,
         witness=witness,
     )
-
-
-# -- join points and joins of maps ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JoinPoint:
-    """A formal convex point of a join: weights sum to 1, coordinates with
-    weight zero are ignored by equality (the collapse rule)."""
-
-    weights: tuple[Fraction, ...]
-    points: tuple[Any, ...]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.points):
-            raise ShapeError("weights and points have different arities")
-        if not self.weights:
-            raise ShapeError("join point needs at least one factor")
-        w = tuple(Fraction(x) for x in self.weights)
-        object.__setattr__(self, "weights", w)
-        if any(x < 0 for x in w) or sum(w) != 1:
-            raise ShapeError("weights must be nonnegative rationals summing to 1")
-        for t, pt in zip(w, self.points):
-            if t > 0 and pt is None:
-                raise ShapeError("a factor with positive weight needs a point")
-
-    def support(self) -> tuple[tuple[int, Fraction, Any], ...]:
-        return tuple(
-            (i, t, pt) for i, (t, pt) in enumerate(zip(self.weights, self.points)) if t > 0
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JoinPoint):
-            return NotImplemented
-        return len(self.weights) == len(other.weights) and self.support() == other.support()
-
-    def __hash__(self):
-        return hash((len(self.weights), self.support()))
-
-
-def apply_join_of_maps(maps: Sequence[Callable[[Any], Any]], x: JoinPoint) -> JoinPoint:
-    """Apply one map per factor, keeping weights; zero-weight factors stay opaque."""
-    if len(maps) != len(x.points):
-        raise ShapeError(
-            f"got {len(maps)} maps for a join point with {len(x.points)} factors"
-        )
-    new_points = tuple(
-        maps[i](pt) if t > 0 else None for i, (t, pt) in enumerate(zip(x.weights, x.points))
-    )
-    return JoinPoint(x.weights, new_points)

@@ -26,7 +26,6 @@ __all__ = [
     "Window",
     "AnchorSeq",
     "block_sum_step",
-    "block_sum",
     "section_input_range",
     "section_apply",
     "pair_embed",
@@ -71,23 +70,9 @@ class Window:
             )
         return self.letters[k - self.offset]
 
-    def covers(self, lo: int, hi: int) -> bool:
-        """Does the window contain every absolute index in [lo, hi]?"""
-        return self.start <= lo and hi < self.stop
-
     def shift(self, s: int) -> Window:
         """The window of the s-th shift image (new letter at k is old letter at k+s)."""
         return Window(self.alphabet, self.offset - s, self.letters)
-
-    def restrict(self, lo: int, hi: int) -> Window:
-        if not self.covers(lo, hi):
-            missing = tuple(k for k in range(lo, hi + 1) if not self.start <= k < self.stop)
-            raise NeededRangeError(
-                f"window [{self.start}, {self.stop}) cannot restrict to [{lo}, {hi}]",
-                needed=(lo, hi),
-                missing=missing,
-            )
-        return Window(self.alphabet, lo, self.letters[lo - self.offset : hi + 1 - self.offset])
 
 
 @dataclass(frozen=True)
@@ -142,15 +127,6 @@ def block_sum_step(m: int, w: Window) -> Window:
             acc = alpha.add(acc, w[k + i * gap])
         out.append(acc)
     return Window(alpha, w.start, tuple(out))
-
-
-def block_sum(m: int, n: int, w: Window) -> Window:
-    """The composite code from level m down to level n, one literal step at a time."""
-    if not m > n >= 1:
-        raise ShapeError(f"composite code needs m > n >= 1, got m={m}, n={n}")
-    for j in range(m, n, -1):
-        w = block_sum_step(j, w)
-    return w
 
 
 # -- the anchored section -------------------------------------------------------

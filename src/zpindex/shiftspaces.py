@@ -18,7 +18,6 @@ uses a transfer matrix and is cross-checkable against enumeration.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,12 +40,10 @@ __all__ = [
 ]
 
 DEFAULT_NODE_CAP = 10**7
-
-
-def _node_cap(override: int | None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("ZPINDEX_NODE_CAP", DEFAULT_NODE_CAP))
+# letters the words found by one search may hold: Sigma m=1, p=19 (9,961,510) fits
+_WORD_LETTER_CAP = 10**7
+# Python writes no int of more than 4300 digits as text (sys.get_int_max_str_digits)
+_COUNT_DIGIT_CAP = 4300
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ class SubshiftSpec:
             raise ShapeError(f"period must be >= 1, got {p}")
         if method not in ("auto", "direct", "recoded"):
             raise ShapeError(f"unknown enumeration method {method!r}")
-        cap = _node_cap(node_cap)
+        cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
         elements = self.alphabet.all_elements()
 
         if isinstance(self.family, Separation):
@@ -180,6 +177,10 @@ class SubshiftSpec:
         into g independent cycles of length p/g, so the count is
         trace(A^(p/g))**g.  For g = p (m! a multiple of p) each cycle is a
         self-loop and the count is 0, matching the empty enumeration.
+
+        With n letters and largest row sum r, trace(A^k) <= n * r^k, so the
+        count is at most n^g * r^p; a count that could pass the digit cap is
+        refused with ResourceCapError before any matrix power.
         """
         if not isinstance(self.family, Separation):
             raise ShapeError("transfer-matrix counting applies to separation families only")
@@ -190,6 +191,14 @@ class SubshiftSpec:
         n = len(elements)
         a = [[1 if ok[i][j] else 0 for j in range(n)] for i in range(n)]
         g = gcd(self.family.step, p)
+        r = max(sum(row) for row in a)
+        limit = 10**_COUNT_DIGIT_CAP
+        if _saturating_pow(n, g, limit) * _saturating_pow(r, p, limit) >= limit:
+            raise ResourceCapError(
+                f"the period-{p} count may have more than {_COUNT_DIGIT_CAP} decimal digits "
+                f"(bound {n}^{g}*{r}^{p} >= 10^{_COUNT_DIGIT_CAP}), above the count digit "
+                f"cap ({_COUNT_DIGIT_CAP}); nothing was computed"
+            )
         t = _int_matrix_trace_power(a, p // g)
         return t**g
 
@@ -237,25 +246,53 @@ class SubshiftSpec:
 
 def _run_dfs_general(n_letters, L, checks_at, accept, cap):
     """Backtracking over letter indices; checks_at[i] are the checks that
-    become decidable once letter i is set, each passed to accept(word, check)."""
+    become decidable once letter i is set, each passed to accept(word, check).
+
+    The search keeps an explicit stack (the next letter to try at each
+    position), so its depth is not bounded by Python's recursion limit.
+    Every letter tried counts as one node.  The words found may hold at most
+    the word letter cap, so a deep period is refused before its words fill
+    memory.
+    """
     out = []
     word = [0] * L
+    nxt = [0] * L
     nodes = 0
-
-    def rec(i):
-        nonlocal nodes
+    i = 0
+    while i >= 0:
         if i == L:
+            if (len(out) + 1) * L > _WORD_LETTER_CAP:
+                raise ResourceCapError(
+                    f"enumeration found more than {len(out)} words of {L} letters, above "
+                    f"the word letter cap ({_WORD_LETTER_CAP} letters); nothing is returned"
+                )
             out.append(tuple(word))
-            return
-        for u in range(n_letters):
-            nodes += 1
-            if nodes > cap:
-                raise ResourceCapError(f"enumeration exceeded the node cap ({cap})")
-            word[i] = u
-            if all(accept(word, t) for t in checks_at[i]):
-                rec(i + 1)
+            i -= 1
+            continue
+        u = nxt[i]
+        if u == n_letters:
+            nxt[i] = 0
+            i -= 1
+            continue
+        nxt[i] = u + 1
+        nodes += 1
+        if nodes > cap:
+            raise ResourceCapError(f"enumeration exceeded the node cap ({cap})")
+        word[i] = u
+        if all(accept(word, t) for t in checks_at[i]):
+            i += 1
+    return out
 
-    rec(0)
+
+def _saturating_pow(base: int, exp: int, limit: int) -> int:
+    """min(base**exp, limit) for base >= 0, never forming a number above limit**2."""
+    out = 1
+    while exp:
+        if exp & 1:
+            out = min(out * base, limit)
+        exp >>= 1
+        if exp:
+            base = min(base * base, limit)
     return out
 
 

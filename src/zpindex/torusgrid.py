@@ -14,7 +14,6 @@ comparison is decided exactly; 4 | q keeps 1/2 and 1 on grid boundaries.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,12 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 2_000_000
-
-
-def _cell_cap(override: int | None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("ZPINDEX_CELL_CAP", DEFAULT_CELL_CAP))
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     cell would contain a rotation-fixed corner, i.e. a constant word, and
     constant words violate every positive-threshold family.
     """
-    cap = _cell_cap(cell_cap)
+    cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
     D = spec.n_axes
     q = spec.q
     vertex_ok = _vertex_mask(spec)

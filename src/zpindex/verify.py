@@ -24,7 +24,7 @@ from .coindex import (
     exact_index_finite_free,
     index_of_join_of_finite,
 )
-from .errors import ShapeError
+from .errors import ResourceCapError, ShapeError
 from .homology import betti_numbers
 from .seqmaps import (
     AnchorSeq,
@@ -55,6 +55,9 @@ __all__ = [
     "LEMMA_IDS",
     "run_lemma_check",
 ]
+
+# letters a section trial window may hold; m = 8 (282,240) runs, m = 9 is refused
+_WINDOW_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,27 +105,33 @@ def _trial_ranges(rng: random.Random, m: int) -> tuple[int, int]:
     return lo, hi
 
 
-def check_roundtrip(
-    m: int, alphabet: Alphabet, delta: Fraction, trials: int, seed: int
-) -> VerifyResult:
-    """Forward code after the section is the identity, bit-exact, on random
-    valid windows and random anchors."""
+def _section_suite(lemma, m, alphabet, delta, trials, seed, extend, first_bad) -> VerifyResult:
+    """One trial loop for the section suites 3.1 and 3.2.
+
+    Each trial draws an output range [lo, hi], a delta-separated input
+    window covering what the section reads on [lo, hi + extend] and a seeded
+    anchor, then evaluates the section there.  ``first_bad(lo, hi, x, y)``
+    returns the failure fields of the trial, or None when it passes.
+    """
+    window = 7 * factorial(m)  # outputs lie in [-2 m!, 5 m!)
+    if window > _WINDOW_CAP:
+        raise ResourceCapError(
+            f"verify {lemma} at m={m}: a trial window can reach {window} letters, "
+            f"above the window cap ({_WINDOW_CAP}); no trial was run"
+        )
     rng = random.Random(seed)
     gap = factorial(m - 1)
-    span = (m - 1) * gap
     failures = 0
     first = None
     for t in range(trials):
         lo, hi = _trial_ranges(rng, m)
-        need = section_input_range(m, lo, hi + span)
+        need = section_input_range(m, lo, hi + extend)
         nlo, nhi = need if need is not None else (0, 0)
         x = _random_separated_window(rng, alphabet, delta, gap, nlo, nhi)
         anchor_seed = rng.randrange(10**9)
-        anchor = AnchorSeq.seeded(alphabet, anchor_seed)
-        y = section_apply(m, anchor, x, lo, hi + span)
-        back = block_sum_step(m, y)
-        bad = [k for k in range(lo, hi + 1) if back[k] != x[k]]
-        if bad:
+        y = section_apply(m, AnchorSeq.seeded(alphabet, anchor_seed), x, lo, hi + extend)
+        bad = first_bad(lo, hi, x, y)
+        if bad is not None:
             failures += 1
             if first is None:
                 first = {
@@ -132,49 +141,41 @@ def check_roundtrip(
                     "anchor_seed": anchor_seed,
                     "window": [list(e) for e in x.letters],
                     "offset": x.offset,
-                    "first_bad_index": bad[0],
+                    **bad,
                 }
     return VerifyResult(
-        "3.2", failures == 0, trials, failures, first,
+        lemma, failures == 0, trials, failures, first,
         details={"m": m, "alphabet": alphabet.token(), "seed": seed},
     )
+
+
+def check_roundtrip(
+    m: int, alphabet: Alphabet, delta: Fraction, trials: int, seed: int
+) -> VerifyResult:
+    """Forward code after the section is the identity, bit-exact, on random
+    valid windows and random anchors."""
+
+    def first_bad(lo, hi, x, y):
+        back = block_sum_step(m, y)
+        bad = [k for k in range(lo, hi + 1) if back[k] != x[k]]
+        return {"first_bad_index": bad[0]} if bad else None
+
+    span = (m - 1) * factorial(m - 1)
+    return _section_suite("3.2", m, alphabet, delta, trials, seed, span, first_bad)
 
 
 def check_section_containment(
     m: int, alphabet: Alphabet, delta: Fraction, trials: int, seed: int
 ) -> VerifyResult:
     """Section outputs satisfy the level-m pair constraint at every checkable pair."""
-    rng = random.Random(seed)
-    gap = factorial(m - 1)
     block = factorial(m)
-    failures = 0
-    first = None
-    for t in range(trials):
-        lo, hi = _trial_ranges(rng, m)
-        hi += block  # make at least one (k, k + m!) pair visible
-        need = section_input_range(m, lo, hi)
-        nlo, nhi = need if need is not None else (0, 0)
-        x = _random_separated_window(rng, alphabet, delta, gap, nlo, nhi)
-        anchor_seed = rng.randrange(10**9)
-        anchor = AnchorSeq.seeded(alphabet, anchor_seed)
-        y = section_apply(m, anchor, x, lo, hi)
+
+    def first_bad(lo, hi, x, y):
         bad = separation_violations(y, block, delta)
-        if bad:
-            failures += 1
-            if first is None:
-                first = {
-                    "trial": t,
-                    "m": m,
-                    "alphabet": alphabet.token(),
-                    "anchor_seed": anchor_seed,
-                    "offset": x.offset,
-                    "window": [list(e) for e in x.letters],
-                    "first_bad_pair": [bad[0], bad[0] + block],
-                }
-    return VerifyResult(
-        "3.1", failures == 0, trials, failures, first,
-        details={"m": m, "alphabet": alphabet.token(), "seed": seed},
-    )
+        return {"first_bad_pair": [bad[0], bad[0] + block]} if bad else None
+
+    # extending by m! makes at least one (k, k + m!) pair visible
+    return _section_suite("3.1", m, alphabet, delta, trials, seed, block, first_bad)
 
 
 def check_periodic_finite(m: int, p: int) -> VerifyResult:

@@ -45,7 +45,7 @@ def test_diameter_is_one():
         assert a.diameter == 1
 
 
-@pytest.mark.parametrize("alpha", SMALL, ids=lambda a: a.factors[0].__class__.__name__ + str(a.orders))
+@pytest.mark.parametrize("alpha", SMALL, ids=lambda a: a.factors[0].__class__.__name__ + str(tuple(f.order for f in a.factors)))
 def test_metric_axioms_exhaustive(alpha):
     els = alpha.all_elements()
     assert len(els) <= 24

@@ -172,6 +172,47 @@ def test_join_cell_cap_refuses_before_building(capsys):
     assert "8577357822" in doc["error"]["reason"] and "10000000" in doc["error"]["reason"]
 
 
+def test_count_digit_cap_refuses_before_the_matrix_power(capsys, tmp_path):
+    # 2^p + 2(-1)^p has 4303 digits at p = 14293; Python writes at most 4300
+    for argv in (["--p", "14293"], ["--p", "100003"],
+                 ["--p-list", "5,100003", "--csv", str(tmp_path / "c.csv")]):
+        t0 = time.perf_counter()
+        code, doc = run(capsys, "count", "--family", "Sigma", "--m", "1", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and doc["error"]["type"] == "resource-cap", argv
+        assert "2^" in doc["error"]["reason"] and "(4300)" in doc["error"]["reason"]
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_count_at_the_digit_cap_still_prints(capsys):
+    code, doc = run(capsys, "count", "--family", "Sigma", "--m", "1", "--p", "14281")
+    assert code == 0
+    count = doc["results"]["count"]
+    assert count == 2**14281 - 2 and len(str(count)) == 4300
+
+
+def test_verify_window_cap_refuses_before_the_first_trial(capsys):
+    for lemma in ("3.1", "3.2"):
+        t0 = time.perf_counter()
+        code, doc = run(capsys, "verify-lemma", "--id", lemma, "--m", "9",
+                        "--alphabet", "Z3", "--trials", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and doc["error"]["type"] == "resource-cap"
+        assert "2540160" in doc["error"]["reason"] and "1000000" in doc["error"]["reason"]
+
+
+def test_deep_period_searches_refuse_before_filling_memory(capsys):
+    # each once printed a RecursionError traceback; orbits of a composite p enumerate
+    for argv in (["enumerate", "--family", "Sigma", "--m", "1", "--p", "1500"],
+                 ["orbits", "--family", "Z", "--p", "997", "--q", "8"],
+                 ["count", "--family", "Sigma", "--m", "1", "--p", "1024"]):
+        t0 = time.perf_counter()
+        code, doc = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and doc["error"]["type"] == "resource-cap", argv
+        assert "word letter cap" in doc["error"]["reason"]
+
+
 def test_composite_period_is_a_shape_error(capsys):
     # Z/4 acts on the 18 period-4 points with Z/2 stabilisers: no exact index
     code, doc = run(capsys, "index", "--join-of", "Sigma:m=1,p=4", "--copies", "2")

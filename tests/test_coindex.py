@@ -13,7 +13,6 @@ from zpindex.coindex import (
     exact_index_finite_free,
     ind_upper_by_dimension,
     index_of_join_of_finite,
-    join_lower_report,
     verify_certificate,
 )
 from zpindex.complexes import SimplicialComplex, join_complex, standard_join_model
@@ -75,9 +74,6 @@ def test_coindex_join_lower_arithmetic():
     assert coindex_join_lower(r1, r2) == coindex_join_lower(r2, r1)
     with pytest.raises(ShapeError):
         coindex_join_lower(r0, IndexReport.exact_value(7, 0, "test"))
-    joined = join_lower_report(r1, r2)
-    assert joined.coind_lower == 4 and not joined.exact
-    assert any("join lower bound" in s for s in joined.provenance)
 
 
 def test_transport():

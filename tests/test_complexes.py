@@ -1,29 +1,22 @@
-import random
-from fractions import Fraction
 from itertools import product
-from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zpindex.alphabets import cyclic_group
 from zpindex.complexes import (
     CubicalComplex,
     _row_keys,
-    JoinPoint,
     SimplicialComplex,
-    apply_join_of_maps,
     cycle_complex,
     is_EnZp,
     join_cell_count,
     join_complex,
     standard_join_model,
-    verify_free_action,
 )
 from zpindex.errors import ResourceCapError, ShapeError
-from zpindex.seqmaps import block_sum_step, separation_violations
 from zpindex.shiftspaces import mismatch_shift, periodic_point_complex
-from zpindex.verify import _random_separated_window
 
 Z3PTS = SimplicialComplex.discrete(3, [1, 2, 0], 3)
 
@@ -81,8 +74,7 @@ def test_cone_is_contractible():
 
 def test_free_action_examples():
     assert Z3PTS.is_free
-    ok, witness = verify_free_action(join_complex(Z3PTS, Z3PTS))
-    assert ok and witness is None
+    assert join_complex(Z3PTS, Z3PTS).free_witness() is None
 
 
 def test_identity_action_rejected():
@@ -102,14 +94,12 @@ def test_wrong_order_action_rejected():
 def test_invariant_edge_is_a_freeness_witness():
     # two swapped points joined by the edge between them: the edge is setwise fixed
     c = SimplicialComplex(2, {1: np.array([[0, 1]])}, [1, 0], 2)
-    ok, witness = verify_free_action(c)
-    assert not ok and witness == (1, (0, 1))
+    assert c.free_witness() == (1, (0, 1))
 
 
 def test_fixed_vertex_is_a_freeness_witness():
     c = SimplicialComplex.discrete(3, [1, 0, 2], 2)
-    ok, witness = verify_free_action(c)
-    assert not ok and witness == (0, (2,))
+    assert c.free_witness() == (0, (2,))
 
 
 def test_join_freeness_is_conjunction():
@@ -183,42 +173,15 @@ def test_exchange_json_roundtrip():
             assert np.array_equal(back.cells[d], c.cells[d])
 
 
-def test_join_point_validation_and_collapse():
-    x = JoinPoint((Fraction(1), Fraction(0)), ("a", None))
-    y = JoinPoint((Fraction(1), Fraction(0)), ("a", "ignored"))
-    assert x == y and hash(x) == hash(y)
-    assert x != JoinPoint((Fraction(0), Fraction(1)), (None, "a"))
-    with pytest.raises(ShapeError):
-        JoinPoint((Fraction(1, 2),), ("a",))  # weights must sum to 1
-    with pytest.raises(ShapeError):
-        JoinPoint((Fraction(1, 2), Fraction(1, 2)), ("a", None))
-    with pytest.raises(ShapeError):
-        JoinPoint((Fraction(-1, 2), Fraction(3, 2)), ("a", "b"))
-
-
-def test_apply_join_of_maps():
-    x = JoinPoint((Fraction(1, 2), Fraction(1, 2)), (1, 2))
-    assert apply_join_of_maps([lambda v: v, lambda v: v], x) == x
-    collapsed = JoinPoint((Fraction(1), Fraction(0)), (1, None))
-    out = apply_join_of_maps([lambda v: v + 10, lambda v: v], collapsed)
-    assert out.points[0] == 11 and out.points[1] is None
-    with pytest.raises(ShapeError):
-        apply_join_of_maps([lambda v: v], x)
-
-
-def test_join_of_block_codes_preserves_validity():
-    # one forward-code step per factor keeps every factor window valid
-    rng = random.Random(4)
-    z3 = cyclic_group(3)
-    m = 2
-    windows = [
-        _random_separated_window(rng, z3, Fraction(1, 2), factorial(m), 0, 10)
-        for _ in range(3)
-    ]
-    x = JoinPoint((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), tuple(windows))
-    out = apply_join_of_maps([lambda w: block_sum_step(m, w)] * 3, x)
-    for w in out.points:
-        assert separation_violations(w, factorial(m - 1), Fraction(1, 2)) == []
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=8))))
+def test_maximal_cells_are_the_cells_in_no_other_cell(case):
+    n, given_cells = case
+    c = SimplicialComplex.from_maximal(n, [sorted(s) for s in given_cells], None, 2)
+    cells = [tuple(int(v) for v in row) for d in c.cells for row in c.cells[d]]
+    brute = [list(s) for s in cells if not any(set(s) < set(t) for t in cells)]
+    assert c.maximal_cells() == sorted(brute, key=lambda s: (len(s), s))
 
 
 def test_cubical_validation():

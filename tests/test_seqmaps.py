@@ -9,7 +9,6 @@ from zpindex.errors import NeededRangeError, ShapeError
 from zpindex.seqmaps import (
     AnchorSeq,
     Window,
-    block_sum,
     block_sum_step,
     pair_embed,
     pair_embed_cyclic,
@@ -79,14 +78,6 @@ def test_block_sum_constraint_transport():
             assert separation_violations(y, factorial(m - 1), HALF) == []
 
 
-def test_block_sum_composite():
-    rng = random.Random(2)
-    x = _random_separated_window(rng, Z3, HALF, 6, 0, 40)
-    assert block_sum(3, 1, x).letters == block_sum_step(2, block_sum_step(3, x)).letters
-    with pytest.raises(ShapeError):
-        block_sum(2, 2, x)
-
-
 def test_section_example_m2():
     y = section_apply(2, AnchorSeq.constant(Z3), zw(0, 1), 0, 1)
     assert [v[0] for v in y.letters] == [0, 1]
@@ -121,6 +112,20 @@ def test_roundtrip_and_containment_suites():
         assert r.passed, r.first_counterexample
         c = check_section_containment(m, alpha, HALF, trials=120, seed=7)
         assert c.passed, c.first_counterexample
+
+
+def test_section_suites_report_the_first_failed_trial(monkeypatch):
+    # break each suite's final check: every trial fails, and the record names trial 0
+    import zpindex.verify as verify
+
+    monkeypatch.setattr(verify, "block_sum_step", lambda m, y: Window(Z3, y.offset, ((1,),) * len(y)))
+    monkeypatch.setattr(verify, "separation_violations", lambda y, step, delta: [y.start])
+    for check, key in ((check_roundtrip, "first_bad_index"), (check_section_containment, "first_bad_pair")):
+        r = check(2, Z3, HALF, trials=5, seed=7)
+        assert not r.passed and r.failures == 5
+        first = r.first_counterexample
+        assert first["trial"] == 0 and first["m"] == 2 and first["alphabet"] == "Z3"
+        assert key in first and {"anchor_seed", "window", "offset"} <= set(first)
 
 
 def test_roundtrip_anchor_independence():
@@ -180,11 +185,6 @@ def test_pair_embed_cyclic_injective_on_fixed_period():
 
 def test_window_helpers():
     w = zw(3, 0, 1, 2)
-    assert w.covers(3, 5) and not w.covers(3, 6)
     assert w[4] == (1,)
     with pytest.raises(NeededRangeError):
         w[6]
-    r = w.restrict(4, 5)
-    assert r.offset == 4 and len(r) == 2
-    with pytest.raises(NeededRangeError):
-        w.restrict(2, 4)

@@ -183,6 +183,15 @@ def test_node_counts_are_exact():
             spec.enumerate_periodic(p, node_cap=nodes - 1)
 
 
+def test_deep_search_reaches_a_cap_not_the_recursion_limit():
+    # one search level per letter: period 1500 is deeper than Python's recursion limit
+    with pytest.raises(ResourceCapError, match="node cap"):
+        SIGMA1.enumerate_periodic(1500, node_cap=10**4)
+    # 2^1500 words: the search stops once its words would pass 10^7 letters
+    with pytest.raises(ResourceCapError, match=r"6666 words of 1500 letters.*\(10000000 letters\)"):
+        SIGMA1.enumerate_periodic(1500)
+
+
 def test_spec_validation():
     with pytest.raises(ShapeError):
         SubshiftSpec(Z3, Separation(0, Fraction(1, 2)))

@@ -34,7 +34,7 @@ def test_vertex_scan_oracle_p2():
     c = build_approx(z_torus_spec(2, 8))
     words = brute_z_words(8, 2)
     assert c.n_vertices == len(words) == 40
-    got = {tuple(int(x) for x in row) for row in c.vertex_bases()}
+    got = {tuple(int(x) for x in row) for row in c.cells[0][:, : c.n_axes]}
     assert got == set(words)
 
 
@@ -84,8 +84,8 @@ def test_inclusion_monotonicity_under_refinement():
     spec = z_torus_spec(2, 8)
     coarse = build_approx(spec)
     fine = build_approx(spec.refined())
-    fine_vertices = {tuple(int(x) for x in row) for row in fine.vertex_bases()}
-    for row in coarse.vertex_bases():
+    fine_vertices = {tuple(int(x) for x in row) for row in fine.cells[0][:, : fine.n_axes]}
+    for row in coarse.cells[0][:, : coarse.n_axes]:
         doubled = tuple(2 * int(x) for x in row)
         assert doubled in fine_vertices
 
@@ -93,21 +93,6 @@ def test_inclusion_monotonicity_under_refinement():
 def test_cell_cap():
     with pytest.raises(ResourceCapError):
         build_approx(z_torus_spec(2, 8), cell_cap=10)
-
-
-def test_cell_cap_env_override(monkeypatch):
-    monkeypatch.setenv("ZPINDEX_CELL_CAP", "10")
-    with pytest.raises(ResourceCapError):
-        build_approx(z_torus_spec(2, 8))
-
-
-def test_node_cap_env_override(monkeypatch):
-    from zpindex.shiftspaces import neighbor_gap_shift
-    from zpindex.alphabets import circle_grid
-
-    monkeypatch.setenv("ZPINDEX_NODE_CAP", "10")
-    with pytest.raises(ResourceCapError):
-        neighbor_gap_shift(circle_grid(8), Fraction(1, 2)).enumerate_periodic(4)
 
 
 def test_canonical_certificate_accepted():
