@@ -13,13 +13,28 @@ permutation of exact order p mapping cells to cells, and face closure.
 Closure finds every face of every cell once and keeps the face indices
 with their sign pattern, which is all boundary assembly needs.  A
 setwise-invariant cell, found during the action check, is reported as a
-freeness counterexample.
+freeness counterexample.  ``_check_boundary_square`` proves that the
+boundary squares to zero from the stored faces alone: each kind of
+complex names which face of a face equals which (the simplicial identities
+d_i d_j = d_{j-1} d_i for i < j, and their cubical analogue), and the
+shared check tests those integer-array equalities, that the named pairs
+match up every face of a face exactly once with opposite signs, and that
+the edge signs sum to zero.  Together these give boundary o boundary = 0
+and augmentation o boundary = 0 over the integers, hence over every field.
 
-Joins are implemented for simplicial complexes: vertex sets are disjoint
-unions and cells are unions of one cell (or nothing) from each side.  A
-join of discrete complexes remembers its factor sizes, which is the one
-structural situation where high connectivity is a theorem rather than
-homological evidence.
+Joins are implemented for simplicial complexes.  The N vertices of A*B
+are those of A followed by those of B, and a cell is a pair (sigma, tau)
+of a cell of each side, either of which may be empty.  The join is built
+from its validated factors without searching: the row of (sigma, tau) is
+sigma followed by tau shifted past A's vertices, so its radix-N key is
+key(sigma) * N^|tau| + key(tau + |V(A)|); its faces are (d_i sigma, tau) and then
+(sigma, d_j tau), the Leibniz rule for joins; and it is setwise fixed
+exactly when sigma and tau are (an empty side counts as fixed).  Each
+split (dim sigma, dim tau) of a dimension is already in key order; one
+stable argsort of the keys merges the splits.  A join of discrete
+complexes remembers its factor sizes, which is the one structural
+situation where high connectivity is a theorem rather than homological
+evidence.
 """
 from __future__ import annotations
 
@@ -59,12 +74,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
-    """Mixed-radix int64 key of each row; keys sort as the rows do lexicographically."""
+def _check_radices(radices: Sequence[int]) -> None:
     if prod(radices) >= _KEY_LIMIT:
         raise ShapeError(
             f"cell keys with radices {list(radices)} would reach 2^63; complex too large to index"
         )
+
+
+def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """Mixed-radix int64 key of each row; keys sort as the rows do lexicographically."""
+    _check_radices(radices)
     key = np.zeros(len(rows), dtype=np.int64)
     for j, r in enumerate(radices):
         key *= r
@@ -78,8 +97,9 @@ class CellComplex:
     A subclass sets ``p`` through ``_set_order``, hands its normalized rows
     to ``_set_cells`` and calls ``_finish``.  It supplies only its own rules:
     ``_radices(d)`` (the key radices of a d-cell row), ``_action_rows(rows)``
-    (the image rows under the action, normalized) and ``_face_signs(d)`` /
-    ``_face_rows(d, rows, i)`` (the i-th face of each d-cell and its sign).
+    (the image rows under the action, normalized), ``_face_signs(d)`` /
+    ``_face_rows(d, rows, i)`` (the i-th face of each d-cell and its sign)
+    and ``_face_pairs(d)`` (its face identities).
 
     After validation ``faces[d]`` is a read-only (n_d, k) array: entry
     (j, i) is the index among the (d-1)-cells of the i-th face of d-cell j,
@@ -102,6 +122,11 @@ class CellComplex:
         raise NotImplementedError
 
     def _face_rows(self, d: int, rows: np.ndarray, i: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _face_pairs(self, d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """Pairs ((i, i2), (j, j2)): face i2 of face i of every d-cell is its
+        face j2 of face j."""
         raise NotImplementedError
 
     # -- building -----------------------------------------------------------------
@@ -129,6 +154,9 @@ class CellComplex:
         if has_action:
             self._check_action()
         self._find_faces()
+        self._freeze()
+
+    def _freeze(self) -> None:
         for table in (self.cells, self.keys, self.faces):
             for a in table.values():
                 a.setflags(write=False)
@@ -149,9 +177,13 @@ class CellComplex:
                 f"{what} must have exact order {self.p} on a nonempty complex, got the identity"
             )
 
+    def _image_keys(self, d: int) -> np.ndarray:
+        """Key of the image of each d-cell under the action."""
+        return _row_keys(self._action_rows(self.cells[d]), self._radices(d))
+
     def _check_action(self) -> None:
         for d, rows in self.cells.items():
-            img = _row_keys(self._action_rows(rows), self._radices(d))
+            img = self._image_keys(d)
             if np.any(self._index_of_keys(d, img) < 0):
                 raise ShapeError(f"action does not map dimension-{d} cells to cells")
             hits = np.flatnonzero(img == self.keys[d])
@@ -173,6 +205,38 @@ class CellComplex:
             if np.any(idx < 0):
                 raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
             self.faces[d], self.face_signs[d] = idx, signs
+
+    def _check_boundary_square(self) -> None:
+        """Refuse with ShapeError unless boundary o boundary = 0 and the
+        augmentation o boundary = 0, exactly, for the stored faces and signs.
+
+        Face i2 of face i of a d-cell enters the double boundary with sign
+        face_signs[d][i] * face_signs[d-1][i2].  When the pairs of
+        ``_face_pairs(d)`` cover every (i, i2) exactly once, give equal
+        face-of-face indices and opposite signs, all terms cancel.
+        """
+        if 1 in self.faces and sum(self.face_signs[1]):
+            raise ShapeError("augmentation composed with the edge boundary is nonzero")
+        for d in range(2, self.dim + 1):
+            top, low = self.faces[d], self.faces[d - 1]
+            signs, low_signs = self.face_signs[d], self.face_signs[d - 1]
+            pairs = self._face_pairs(d)
+            covered = sorted(x for pair in pairs for x in pair)
+            if covered != [(i, i2) for i in range(len(signs)) for i2 in range(len(low_signs))]:
+                raise ShapeError(
+                    f"face-of-face pairing in dimension {d} is not a perfect matching"
+                )
+            for (i, i2), (j, j2) in pairs:
+                if signs[i] * low_signs[i2] != -signs[j] * low_signs[j2]:
+                    raise ShapeError(
+                        f"boundary composition does not vanish between dimensions {d} and "
+                        f"{d - 2}: faces ({i}, {i2}) and ({j}, {j2}) carry equal signs"
+                    )
+                if not np.array_equal(low[top[:, i], i2], low[top[:, j], j2]):
+                    raise ShapeError(
+                        f"boundary composition does not vanish between dimensions {d} and "
+                        f"{d - 2}: face {i2} of face {i} differs from face {j2} of face {j}"
+                    )
 
     # -- lookups --------------------------------------------------------------------
 
@@ -285,6 +349,24 @@ class SimplicialComplex(CellComplex):
     def _face_rows(self, d: int, rows: np.ndarray, i: int) -> np.ndarray:
         return np.delete(rows, i, axis=1)
 
+    def _face_pairs(self, d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        # d_i d_j = d_{j-1} d_i for i < j: both drop vertices i and j
+        return [((j, i), (i, j - 1)) for j in range(d + 1) for i in range(j)]
+
+    @classmethod
+    def _from_table(cls, p, n_vertices, cells, keys, faces, action, witness, labels, join_factors):
+        """A complex from tables already known to be valid (sorted, closed,
+        action of order p with the given witness); nothing is checked."""
+        c = cls.__new__(cls)
+        c.p, c.n_vertices, c.labels, c.join_factors = p, n_vertices, labels, join_factors
+        c.cells, c.keys, c.faces = cells, keys, faces
+        c.face_signs = {d: c._face_signs(d) for d in faces}
+        c.action, c._has_action, c._witness = action, action is not None, witness
+        if action is not None:
+            action.setflags(write=False)
+        c._freeze()
+        return c
+
     # -- queries ------------------------------------------------------------------------
 
     def carrier_cell(self, vertex_ids: Iterable[int]) -> tuple[int, ...] | None:
@@ -388,12 +470,36 @@ def join_cell_count(totals: Sequence[int]) -> int:
     return predicted
 
 
+class _JoinSide:
+    """One factor of a join, in the join's vertex numbering and key radix.
+
+    Dimension -1 holds the empty cell (one empty row, key 0), which a join
+    cell may take on either side.  Each vertex has the empty cell as its
+    only face, index 0.  ``fixed[d]`` marks the d-cells the action fixes
+    setwise; the empty cell is fixed.
+    """
+
+    def __init__(self, f: SimplicialComplex, shift: int, n: int, with_action: bool):
+        self.rows = {-1: np.zeros((1, 0), dtype=np.int32)}
+        self.keys = {-1: np.zeros(1, dtype=np.int64)}
+        self.faces = {}
+        self.fixed = {-1: np.ones(1, dtype=bool)}
+        for d, cells in f.cells.items():
+            self.rows[d] = cells + np.int32(shift)
+            self.keys[d] = _row_keys(self.rows[d], [n] * (d + 1))
+            self.faces[d] = f.faces[d] if d else np.zeros((len(cells), 1), dtype=np.int64)
+            if with_action:
+                self.fixed[d] = f._image_keys(d) == f.keys[d]
+
+
 def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """The join: disjoint vertices, cells are unions of one side's cell or nothing.
 
     The empty complex is the join identity.  dim(A*B) = dim A + dim B + 1
     and the nonempty-cell counts satisfy (cA+1)(cB+1)-1, which is checked
-    against the join cell cap before anything is allocated.
+    against the join cell cap before anything is allocated.  Cells, keys,
+    faces and the freeness witness are computed from the factors' tables,
+    with no lookup among the join's cells (see the module docstring).
     """
     if a.p != b.p:
         raise ShapeError(f"cannot join complexes over different primes {a.p} and {b.p}")
@@ -402,34 +508,65 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
         return b
     if b.is_empty:
         return a
-    na = a.n_vertices
-    cells: dict[int, list[np.ndarray]] = {}
-    for d, arr in a.cells.items():
-        cells.setdefault(d, []).append(arr)
-    for d, arr in b.cells.items():
-        cells.setdefault(d, []).append(arr + na)
-    for da, arra in a.cells.items():
-        for db, arrb in b.cells.items():
-            d = da + db + 1
-            left = np.repeat(arra, len(arrb), axis=0)
-            right = np.tile(arrb + na, (len(arra), 1))
-            cells.setdefault(d, []).append(np.hstack([left, right]))
-    merged = {
-        d: np.vstack(parts) if len(parts) > 1 else parts[0] for d, parts in cells.items()
-    }
-    if a.action is None or b.action is None:
-        action = None
-    else:
-        action = np.concatenate([a.action, b.action + na])
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = a.labels + b.labels
+    n = a.n_vertices + b.n_vertices
+    has_action = a.action is not None and b.action is not None
+    left, right = _JoinSide(a, 0, n, has_action), _JoinSide(b, a.n_vertices, n, has_action)
+    cells: dict[int, np.ndarray] = {}
+    keys: dict[int, np.ndarray] = {}
+    faces: dict[int, np.ndarray] = {}
+    witness = None
+    # per split (dim sigma, dim tau) of the previous dimension: the sorted
+    # position of each of its cells, as an (n_sigma, n_tau) array
+    place: dict[tuple[int, int], np.ndarray] = {}
+    for d in range(a.dim + b.dim + 2):
+        _check_radices([n] * (d + 1))
+        splits = [(s, d - 1 - s) for s in range(max(-1, d - 1 - b.dim), min(a.dim, d) + 1)]
+        shapes = [(len(left.keys[s]), len(right.keys[t])) for s, t in splits]
+        bounds = np.cumsum([0] + [ns * nt for ns, nt in shapes]).tolist()
+        rows = np.empty((bounds[-1], d + 1), dtype=np.int32)
+        key = np.empty(bounds[-1], dtype=np.int64)
+        face = np.empty((bounds[-1], d + 1), dtype=np.int64)
+        fixed = np.empty(bounds[-1], dtype=bool)
+        for (s, t), (ns, nt), r0, r1 in zip(splits, shapes, bounds, bounds[1:]):
+            block = rows[r0:r1].reshape(ns, nt, d + 1)
+            block[:, :, : s + 1] = left.rows[s][:, None, :]
+            block[:, :, s + 1 :] = right.rows[t][None, :, :]
+            np.add.outer(
+                left.keys[s] * n ** (t + 1), right.keys[t], out=key[r0:r1].reshape(ns, nt)
+            )
+            if d:
+                block = face[r0:r1].reshape(ns, nt, d + 1)
+                for i in range(s + 1):  # (d_i sigma, tau)
+                    block[:, :, i] = place[s - 1, t][left.faces[s][:, i]]
+                for j in range(t + 1):  # (sigma, d_j tau)
+                    block[:, :, s + 1 + j] = place[s, t - 1][:, right.faces[t][:, j]]
+            if has_action:
+                np.logical_and.outer(
+                    left.fixed[s], right.fixed[t], out=fixed[r0:r1].reshape(ns, nt)
+                )
+        if len(splits) > 1:
+            order = np.argsort(key, kind="stable")
+            rows, key, face, fixed = rows[order], key[order], face[order], fixed[order]
+            pos = np.empty(len(order), dtype=np.int64)
+            pos[order] = np.arange(len(order))
+        else:
+            pos = np.arange(len(key))
+        hits = np.flatnonzero(fixed) if has_action and witness is None else ()
+        if len(hits):
+            witness = (d, tuple(int(v) for v in rows[hits[0]]))
+        place = {
+            split: pos[r0:r1].reshape(shape)
+            for split, shape, r0, r1 in zip(splits, shapes, bounds, bounds[1:])
+        }
+        cells[d], keys[d] = rows, key
+        if d:
+            faces[d] = face
+    labels = a.labels + b.labels if a.labels is not None and b.labels is not None else None
     jf = None
     if a.join_factors is not None and b.join_factors is not None:
         jf = a.join_factors + b.join_factors
-    return SimplicialComplex(
-        na + b.n_vertices, merged, action, a.p, labels=labels, join_factors=jf
-    )
+    action = np.concatenate([a.action, b.action + a.n_vertices]) if has_action else None
+    return SimplicialComplex._from_table(a.p, n, cells, keys, faces, action, witness, labels, jf)
 
 
 def standard_join_model(p: int, copies: int) -> SimplicialComplex:
@@ -542,6 +679,14 @@ class CubicalComplex(CellComplex):
             r = np.arange(len(rows))
             face[r, axis] = (face[r, axis] + 1) % self.q
         return face
+
+    def _face_pairs(self, d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        # dropping set bits s < t with choices e, f in either order: bit t is
+        # bit t-1 once bit s is gone, while bit s keeps its place
+        return [
+            ((2 * s + e, 2 * (t - 1) + f), (2 * t + f, 2 * s + e))
+            for t in range(d) for s in range(t) for e in (0, 1) for f in (0, 1)
+        ]
 
     # -- queries ---------------------------------------------------------------
 

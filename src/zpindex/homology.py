@@ -3,8 +3,18 @@
 One assembler serves simplicial and cubical complexes alike: the boundary
 leaving dimension d is a sparse matrix whose column j lists the faces of
 d-cell j, read from the face indices and sign pattern the complex found
-once at validation.  The composition of consecutive boundaries is
-verified to vanish at construction, one block of columns at a time.
+once at validation.  Its entries are stored in the narrowest signed
+integer type that holds ell - 1.
+
+Every chain complex is checked at construction: boundary o boundary and
+augmentation o boundary must vanish.  For boundaries assembled from a
+complex, ``boundary_matrices`` proves this from the complex's face
+identities (``CellComplex._check_boundary_square``): integer-array
+equalities on the stored faces plus a check of the fixed sign pattern,
+which give zero over the integers without forming any product.  Boundaries
+handed to ``ChainComplexFp`` directly are checked by expanding the product
+column by column, grouping its entries by row and summing them mod ell, one
+block of columns at a time.
 
 rank(boundary_d) is computed as the rank of its transpose, the coboundary
 delta^{d-1}, whose column i lists the cofaces of (d-1)-cell i in ascending
@@ -77,12 +87,26 @@ class ChainComplexFp:
     """Boundary matrices of one complex over F_ell, composition-checked."""
 
     def __init__(self, ell: int, n_cells: tuple[int, ...], boundaries: list[_Csc]):
+        self._store(ell, n_cells, boundaries)
+        self._check_compositions()
+
+    @classmethod
+    def _of_complex(
+        cls, c: CellComplex, ell: int, n_cells: tuple[int, ...], boundaries: list[_Csc]
+    ) -> ChainComplexFp:
+        """The chain complex of boundaries assembled from c's stored faces and
+        signs; their compositions are checked by c's face identities."""
+        c._check_boundary_square()
+        cc = cls.__new__(cls)
+        cc._store(ell, n_cells, boundaries)
+        return cc
+
+    def _store(self, ell: int, n_cells: tuple[int, ...], boundaries: list[_Csc]) -> None:
         if not _is_prime(ell):
             raise ShapeError(f"homology field order must be prime, got {ell}")
         self.ell = ell
         self.n_cells = n_cells
         self.boundaries = boundaries  # index d-1 holds the boundary C_d -> C_{d-1}
-        self._check_compositions()
         self._pivot_rows: dict[int, np.ndarray] = {}
         # per dimension d: cleared, live, apparent and colliding columns of
         # delta^{d-1}, and the reduction steps the colliding ones took
@@ -255,12 +279,17 @@ def boundary_matrices(c, ell: int) -> ChainComplexFp:
     """Assemble and composition-check all boundary matrices of a complex.
 
     Column j of the boundary leaving dimension d lists the faces of d-cell j
-    found at validation; its row indices are a view of the face array.
+    found at validation; its row indices are a view of the face array.  The
+    compositions are checked by the complex's face identities.
     """
     if not _is_prime(ell):
         raise ShapeError(f"homology field order must be prime, got {ell}")
     if not isinstance(c, CellComplex):
         raise ShapeError(f"cannot assemble boundaries for {type(c).__name__}")
+    # signed, so that products with int64 stay integers (int64 * uint64 is float64)
+    data_type = next(
+        t for t in (np.int8, np.int16, np.int32, np.int64) if ell - 1 <= np.iinfo(t).max
+    )
     bnds = []
     for d in range(1, c.dim + 1):
         faces = c.faces[d]
@@ -272,11 +301,11 @@ def boundary_matrices(c, ell: int) -> ChainComplexFp:
                 n_cols=n,
                 indptr=np.arange(n + 1, dtype=np.int64) * k,
                 indices=faces.reshape(-1),
-                data=np.tile(signs, n),
+                data=np.tile(signs.astype(data_type), n),
             )
         )
     counts = tuple(c.n_cells(d) for d in range(c.dim + 1))
-    return ChainComplexFp(ell, counts, bnds)
+    return ChainComplexFp._of_complex(c, ell, counts, bnds)
 
 
 def betti(cc: ChainComplexFp) -> BettiVector:

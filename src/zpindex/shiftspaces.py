@@ -44,6 +44,8 @@ DEFAULT_NODE_CAP = 10**7
 _WORD_LETTER_CAP = 10**7
 # Python writes no int of more than 4300 digits as text (sys.get_int_max_str_digits)
 _COUNT_DIGIT_CAP = 4300
+# letter pairs compared by exact metric (about 19 us each): S^3:q=8 (512^2) fits
+_PAIR_TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ class SubshiftSpec:
         if method not in ("auto", "direct", "recoded"):
             raise ShapeError(f"unknown enumeration method {method!r}")
         cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
-        elements = self.alphabet.all_elements()
+        elements = self._letters()
 
         if isinstance(self.family, Separation):
             d = self.family.step % p
@@ -186,7 +188,7 @@ class SubshiftSpec:
             raise ShapeError("transfer-matrix counting applies to separation families only")
         if p < 1:
             raise ShapeError(f"period must be >= 1, got {p}")
-        elements = self.alphabet.all_elements()
+        elements = self._letters()
         ok = self._pair_table(elements)
         n = len(elements)
         a = [[1 if ok[i][j] else 0 for j in range(n)] for i in range(n)]
@@ -203,6 +205,17 @@ class SubshiftSpec:
         return t**g
 
     # -- internals ---------------------------------------------------------------
+
+    def _letters(self) -> list[Element]:
+        """All letters, for a search or count that compares every pair of them;
+        refused with ResourceCapError when those pairs pass the pair table cap."""
+        n = self.alphabet.order
+        if n * n > _PAIR_TABLE_CAP:
+            raise ResourceCapError(
+                f"the letter-pair table of {n} letters would hold {n * n} pairs, "
+                f"above the pair table cap ({_PAIR_TABLE_CAP}); nothing was compared"
+            )
+        return self.alphabet.all_elements()
 
     def _pair_table(self, elements: list[Element]) -> list[list[bool]]:
         return [[self._gap_ok(a, b) for b in elements] for a in elements]

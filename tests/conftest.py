@@ -3,8 +3,9 @@
 These deliberately re-derive results with different machinery than the
 package: dense row-echelon elimination and a left-to-right column
 reduction of the boundary itself instead of the package's coboundary
-reduction with clearing, and plain itertools scans instead of
-backtracking enumeration.
+reduction with clearing, plain itertools scans instead of backtracking
+enumeration, and joins validated from scratch by the general simplicial
+constructor instead of built from their factors.
 """
 from __future__ import annotations
 
@@ -123,6 +124,90 @@ def dense_betti(complex_obj, ell: int) -> tuple[int, ...]:
     return tuple(
         cc.n_cells[d] - ranks[d] - ranks[d + 1] for d in range(len(cc.n_cells))
     )
+
+
+def general_join(a, b):
+    """The join of two simplicial complexes, validated from scratch: every
+    pair of cells is spelled out as a vertex row and handed to the general
+    ``SimplicialComplex`` constructor, which sorts the rows by key and finds
+    faces, action images and the freeness witness by binary search."""
+    from zpindex.complexes import SimplicialComplex, join_cell_count
+    from zpindex.errors import ShapeError
+
+    if a.p != b.p:
+        raise ShapeError(f"cannot join complexes over different primes {a.p} and {b.p}")
+    join_cell_count([a.total_cells(), b.total_cells()])
+    if a.is_empty:
+        return b
+    if b.is_empty:
+        return a
+    na = a.n_vertices
+    cells: dict[int, list[np.ndarray]] = {}
+    for d, arr in a.cells.items():
+        cells.setdefault(d, []).append(arr)
+    for d, arr in b.cells.items():
+        cells.setdefault(d, []).append(arr + na)
+    for da, arra in a.cells.items():
+        for db, arrb in b.cells.items():
+            d = da + db + 1
+            left = np.repeat(arra, len(arrb), axis=0)
+            right = np.tile(arrb + na, (len(arra), 1))
+            cells.setdefault(d, []).append(np.hstack([left, right]))
+    merged = {
+        d: np.vstack(parts) if len(parts) > 1 else parts[0] for d, parts in cells.items()
+    }
+    if a.action is None or b.action is None:
+        action = None
+    else:
+        action = np.concatenate([a.action, b.action + na])
+    labels = None
+    if a.labels is not None and b.labels is not None:
+        labels = a.labels + b.labels
+    jf = None
+    if a.join_factors is not None and b.join_factors is not None:
+        jf = a.join_factors + b.join_factors
+    return SimplicialComplex(
+        na + b.n_vertices, merged, action, a.p, labels=labels, join_factors=jf
+    )
+
+
+def assert_same_complex(x, y) -> None:
+    """Two simplicial complexes agree byte for byte: cells, keys, faces and
+    their dtypes, sign patterns, action, witness, labels and factor sizes."""
+    fields = ("p", "n_vertices", "labels", "join_factors")
+    assert [getattr(x, f) for f in fields] == [getattr(y, f) for f in fields]
+    for table in ("cells", "keys", "faces"):
+        xs, ys = getattr(x, table), getattr(y, table)
+        assert list(xs) == list(ys), table
+        for d in xs:
+            assert xs[d].dtype == ys[d].dtype and xs[d].shape == ys[d].shape, (table, d)
+            assert np.array_equal(xs[d], ys[d]), (table, d)
+            assert not xs[d].flags.writeable, (table, d)
+    assert x.face_signs == y.face_signs
+    if y.action is None:
+        assert x.action is None
+    else:
+        assert x.action.dtype == y.action.dtype and np.array_equal(x.action, y.action)
+        assert not x.action.flags.writeable
+        assert x.free_witness() == y.free_witness()
+
+
+def projective_plane_6(p: int):
+    """The 6-vertex real projective plane, with no action."""
+    from zpindex.complexes import SimplicialComplex
+
+    return SimplicialComplex.from_maximal(
+        6, [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+            (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)], None, p)
+
+
+def torus_7(p: int):
+    """The 7-vertex torus, with no action."""
+    from zpindex.complexes import SimplicialComplex
+
+    return SimplicialComplex.from_maximal(
+        7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+        + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)], None, p)
 
 
 # -- independent word-level predicates -----------------------------------------

@@ -201,6 +201,16 @@ def test_verify_window_cap_refuses_before_the_first_trial(capsys):
         assert "2540160" in doc["error"]["reason"] and "1000000" in doc["error"]["reason"]
 
 
+def test_letter_pair_table_cap_refuses_before_comparing(capsys):
+    # S^5:q=8 has 32768 letters: about 1.07e9 exact metric comparisons
+    for command in ("count", "enumerate", "orbits"):
+        t0 = time.perf_counter()
+        code, doc = run(capsys, command, "--family", "XS", "--N", "5", "--q", "8", "--p", "5")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and doc["error"]["type"] == "resource-cap", command
+        assert "1073741824" in doc["error"]["reason"] and "(1048576)" in doc["error"]["reason"]
+
+
 def test_deep_period_searches_refuse_before_filling_memory(capsys):
     # each once printed a RecursionError traceback; orbits of a composite p enumerate
     for argv in (["enumerate", "--family", "Sigma", "--m", "1", "--p", "1500"],

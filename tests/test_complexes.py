@@ -1,9 +1,12 @@
+import re
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import assert_same_complex, general_join, projective_plane_6, torus_7
 
 from zpindex.complexes import (
     CubicalComplex,
@@ -292,3 +295,78 @@ def test_stored_faces_match_plain_python():
         for d, b in enumerate(cc.boundaries, start=1):
             assert not c.faces[d].flags.writeable
             assert np.shares_memory(b.indices, c.faces[d])  # a view, not a copy
+
+
+# -- the join built from its factors against the general constructor ----------------
+
+
+def _factors(p):
+    """Factors of the joins the tests build, over Z/p: discrete sets with and
+    without an action, free and not, joins of those, cycles, the empty complex,
+    and (for p = 3) two surfaces with no action."""
+    if p == 5:  # the period-5 points of the mismatch shift, as in the acceptance joins
+        base = periodic_point_complex(mismatch_shift(1), 5)
+        return {"P5": base, "P5*P5": general_join(base, base)}
+    cyc = [(i + 1) % p for i in range(p)]
+    out = {
+        "empty": SimplicialComplex.empty(p),
+        "point": SimplicialComplex.discrete(1, None, p),
+        "orbit": SimplicialComplex.discrete(p, cyc, p, labels=[f"g{i}" for i in range(p)]),
+        "orbit+fixed": SimplicialComplex.discrete(p + 1, cyc + [p], p),
+        "plain-4": SimplicialComplex.discrete(4, None, p),
+        f"model({p},2)": standard_join_model(p, 2),
+        f"model({p},3)": standard_join_model(p, 3),
+        "cycle": cycle_complex(2 * p, [(j + 2) % (2 * p) for j in range(2 * p)], p),
+        "orbit-simplex": SimplicialComplex.from_maximal(p, [range(p)], cyc, p),  # top cell fixed
+    }
+    if p == 3:
+        out["RP2"] = projective_plane_6(3)
+        out["T7"] = torus_7(3)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_join_matches_general_constructor(p):
+    factors = _factors(p)
+    for (na, a), (nb, b) in product(factors.items(), repeat=2):
+        try:
+            assert_same_complex(join_complex(a, b), general_join(a, b))
+        except AssertionError as e:
+            raise AssertionError(f"{na} * {nb}: {e}") from e
+
+
+def test_join_key_overflow_is_refused_like_the_general_constructor():
+    # two 7-simplices: the 15-cell of the join has 16 vertices among 16, 16^16 >= 2^63
+    simplex = SimplicialComplex.from_maximal(8, [range(8)], None, 2)
+    for build in (join_complex, general_join):
+        with pytest.raises(ShapeError, match=re.escape(f"radices {[16] * 16} would reach 2^63")):
+            build(simplex, simplex)
+
+
+@st.composite
+def acted_complexes(draw, p):
+    """A random complex closed under faces and under a vertex permutation of
+    order p made of p-cycles and fixed points; the action is sometimes dropped."""
+    cycles, fixed = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    n = cycles * p + fixed
+    action = [v - v % p + (v + 1) % p if v < cycles * p else v for v in range(n)]
+    cells = set()
+    for c in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=4)):
+        for _ in range(p):
+            cells.add(tuple(sorted(c)))
+            c = {action[v] for v in c}
+    kept = action if draw(st.booleans()) else None
+    return SimplicialComplex.from_maximal(n, sorted(cells), kept, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda p: st.tuples(acted_complexes(p), acted_complexes(p))))
+@example((SimplicialComplex.discrete(2, [1, 0], 2), SimplicialComplex.discrete(2, [1, 0], 2)))
+@example((SimplicialComplex.discrete(2, [1, 0], 2),
+          SimplicialComplex(2, {1: np.array([[0, 1]])}, [1, 0], 2)))
+def test_join_matches_general_constructor_on_random_factors(pair):
+    a, b = pair
+    joined = join_complex(a, b)
+    assert_same_complex(joined, general_join(a, b))
+    if joined.action is not None:  # free exactly when both factors are
+        assert joined.is_free == (a.is_free and b.is_free)

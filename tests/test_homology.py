@@ -12,7 +12,10 @@ from conftest import (
     dense_betti,
     dense_rank_mod,
     dense_rank_np,
+    projective_plane_6,
+    torus_7,
 )
+from zpindex import homology
 from zpindex.complexes import (
     CubicalComplex,
     SimplicialComplex,
@@ -34,6 +37,24 @@ from zpindex.homology import (
 )
 from zpindex.shiftspaces import AdjacentGap
 from zpindex.torusgrid import TorusGridSpec, build_approx, separated_torus_spec, z_torus_spec
+
+
+@pytest.fixture(autouse=True, scope="module")
+def sort_check_every_assembly():
+    """Every chain complex this file assembles from a complex, whose
+    compositions the face identities vouched for, must also pass the
+    sort-based check that boundaries handed in directly get."""
+    assemble = homology.boundary_matrices
+
+    def checked(c, ell):
+        cc = assemble(c, ell)
+        ChainComplexFp(ell, cc.n_cells, cc.boundaries)  # _composition_vanishes, augmentation
+        return cc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "boundary_matrices", checked)
+        mp.setitem(globals(), "boundary_matrices", checked)
+        yield
 
 
 def discrete(n, p=2):
@@ -278,6 +299,61 @@ def test_composition_check_rejects_bad_column_in_a_later_block():
         ChainComplexFp(3, cc.n_cells, [lo, bad])
 
 
+# -- the composition check by face identities ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: join_of(3, 3, 3, p=3), full_torus_q4], ids=["join", "torus"]
+)
+def test_face_identity_check_refuses_a_corrupted_face_index(build):
+    c = build()
+    faces = c.faces[2].copy()
+    faces[0, 0] = (faces[0, 0] + 1) % c.n_cells(1)  # still an edge, but the wrong one
+    c.faces[2] = faces
+    for ell in (2, 3):
+        with pytest.raises(ShapeError, match=r"between dimensions 2 and 0: face \d of face \d differs"):
+            boundary_matrices(c, ell)
+
+
+def test_face_identity_check_refuses_corrupted_sign_patterns():
+    c = join_of(3, 3, 3, p=3)
+    c.face_signs[2] = (1, 1, 1)
+    with pytest.raises(ShapeError, match="equal signs"):
+        boundary_matrices(c, 3)
+    torus = full_torus_q4()
+    torus.face_signs[2] = (1, -1, 1, -1)  # the base and far faces of axis 1 swapped
+    with pytest.raises(ShapeError, match="equal signs"):
+        boundary_matrices(torus, 3)
+    # over F_2 the edge column sums of (1, 1) vanish; over the integers they do not
+    edges = join_of(3, 3, p=3)
+    edges.face_signs[1] = (1, 1)
+    for ell in (2, 3):
+        with pytest.raises(ShapeError, match="augmentation"):
+            boundary_matrices(edges, ell)
+
+
+@pytest.mark.parametrize("damage", ["drop", "repeat"])
+def test_face_identity_check_refuses_a_pairing_that_is_not_a_perfect_matching(damage, monkeypatch):
+    honest = SimplicialComplex._face_pairs
+
+    def broken(self, d):
+        pairs = honest(self, d)
+        return pairs[1:] if damage == "drop" else pairs + pairs[:1]
+
+    monkeypatch.setattr(SimplicialComplex, "_face_pairs", broken)
+    with pytest.raises(ShapeError, match="perfect matching"):
+        boundary_matrices(join_of(2, 2, 2), 3)
+
+
+@pytest.mark.parametrize("ell, dtype", [(2, np.int8), (127, np.int8), (131, np.int16),
+                                        (32749, np.int16), (32771, np.int32)])
+def test_boundary_data_is_the_narrowest_signed_type(ell, dtype):
+    for c in (join_of(2, 3, 5), RP2_6, full_torus_q4()):
+        cc = boundary_matrices(c, ell)  # also composition-checked by sorting
+        assert all(b.data.dtype == dtype for b in cc.boundaries)
+        assert engine_ranks(cc) == [dense_rank_np(b, ell) for b in cc.boundaries]
+
+
 # -- Kunneth formula for joins of non-discrete factors ----------------------------
 
 Z3_CYCLE6 = cycle_complex(6, [2, 3, 4, 5, 0, 1], 3)
@@ -287,12 +363,8 @@ Z3_POINTS = SimplicialComplex.discrete(3, [1, 2, 0], 3)
 # two surfaces without an action, whose coboundaries have colliding lows: the
 # 6-vertex projective plane (b~ = (0,1,1) over F_2, acyclic over odd fields)
 # and the 7-vertex torus
-RP2_6 = SimplicialComplex.from_maximal(
-    6, [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)], None, 3)
-TORUS_7 = SimplicialComplex.from_maximal(
-    7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
-    + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)], None, 3)
+RP2_6 = projective_plane_6(3)
+TORUS_7 = torus_7(3)
 
 
 def kunneth(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -217,3 +217,15 @@ def test_periodic_point_complex():
     # the action is the shift on the labels
     w = parse_word(c.labels[0])
     assert parse_word(c.labels[int(c.action[0])]) == w.shift(1)
+
+
+def test_letter_pair_table_cap():
+    from zpindex.alphabets import parse_alphabet
+
+    # S^3:q=8 has 512 letters (262144 pairs) and stays under the cap
+    spec = SubshiftSpec(parse_alphabet("S^3:q=8"), Separation(1, Fraction(1, 2)))
+    assert len(spec._letters()) == 512
+    big = SubshiftSpec(parse_alphabet("S^4:q=8"), Separation(1, Fraction(1, 2)))
+    for call in (lambda: big.count_periodic(5), lambda: big.enumerate_periodic(5)):
+        with pytest.raises(ResourceCapError, match=r"4096 letters .* 16777216 pairs.*\(1048576\)"):
+            call()
