@@ -46,7 +46,6 @@ from .homology import (
     betti,
     betti_numbers,
     boundary_matrices,
-    connectivity,
 )
 from .seqmaps import (
     AnchorSeq,

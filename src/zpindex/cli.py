@@ -124,11 +124,13 @@ def _emit(doc: dict, output: str | None) -> None:
             fh.write(text)
 
 
-def _envelope(command: str, inputs: dict, results: dict, provenance: list[str], seed: int) -> dict:
+def _envelope(args, results: dict, provenance: list[str]) -> dict:
+    """The output document; its inputs are the parsed arguments other than
+    the seed, the output path and the parser's own entries."""
     return {
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
+        "command": args.command,
+        "inputs": {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed", "output")},
+        "seed": args.seed,
         "results": results,
         "provenance": provenance,
         "versions": {
@@ -189,7 +191,7 @@ def _cmd_count(args) -> tuple[dict, int]:
     ]
     if args.csv:
         prov.append(f"csv written to {args.csv}")
-    return _envelope("count", _inputs(args, ["family", "m", "p", "p_list", "q", "N", "delta", "csv"]), results, prov, args.seed), 0
+    return _envelope(args, results, prov), 0
 
 
 def _cmd_enumerate(args) -> tuple[dict, int]:
@@ -197,7 +199,7 @@ def _cmd_enumerate(args) -> tuple[dict, int]:
     words = spec.enumerate_periodic(args.p, method=args.method)
     results = {"count": len(words), "words": [w.text() for w in words]}
     prov = ["depth-first enumeration with exact rational constraint checks; lexicographic order"]
-    return _envelope("enumerate", _inputs(args, ["family", "m", "p", "q", "N", "delta", "method"]), results, prov, args.seed), 0
+    return _envelope(args, results, prov), 0
 
 
 def _cmd_orbits(args) -> tuple[dict, int]:
@@ -213,7 +215,7 @@ def _cmd_orbits(args) -> tuple[dict, int]:
     if dec.witness is not None:
         results["short_orbit_witness"] = dec.witness.text()
     prov = ["orbits from explicit shift closure of the enumerated period-p set"]
-    return _envelope("orbits", _inputs(args, ["family", "m", "p", "q", "N", "delta"]), results, prov, args.seed), 0
+    return _envelope(args, results, prov), 0
 
 
 def _cmd_verify_lemma(args) -> tuple[dict, int]:
@@ -231,7 +233,7 @@ def _cmd_verify_lemma(args) -> tuple[dict, int]:
         ell=args.field or None,
     )
     prov = [f"property suite for statement {args.id} with seed {args.seed}"]
-    doc = _envelope("verify-lemma", _inputs(args, ["id", "m", "alphabet", "delta", "trials", "p", "q", "copies", "field"]), res.to_json(), prov, args.seed)
+    doc = _envelope(args, res.to_json(), prov)
     return doc, 0 if res.passed else 2
 
 
@@ -273,7 +275,7 @@ def _cmd_homology(args) -> tuple[dict, int]:
         **bv.to_json(),
     }
     prov.append(f"reduced Betti numbers by exact column reduction over F_{field}")
-    return _envelope("homology", _inputs(args, ["join_of", "copies", "input", "field"]), results, prov, args.seed), 0
+    return _envelope(args, results, prov), 0
 
 
 def _cmd_index(args) -> tuple[dict, int]:
@@ -284,7 +286,7 @@ def _cmd_index(args) -> tuple[dict, int]:
     if report.exact:
         results["exact"] = report.coind_lower
     prov = list(report.provenance)
-    return _envelope("index", _inputs(args, ["join_of", "copies"]), results, prov, args.seed), 0
+    return _envelope(args, results, prov), 0
 
 
 def _torus_spec_from_args(args) -> TorusGridSpec:
@@ -316,7 +318,7 @@ def _cmd_approx_z(args) -> tuple[dict, int]:
         rep = stability_check(spec, field, cell_cap=args.cap)
         results["stability"] = rep.to_json()
         prov.append("stability: profiles at q and 2q compared, never merged")
-    return _envelope("approx-z", _inputs(args, ["family", "p", "q", "N", "delta", "field", "stability", "cap"]), results, prov, args.seed), 0
+    return _envelope(args, results, prov), 0
 
 
 def _cmd_certify(args) -> tuple[dict, int]:
@@ -351,15 +353,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         with open(args.save_cert, "w") as fh:
             json.dump(cert.to_json(), fh, sort_keys=True, indent=2)
         prov.append(f"certificate written to {args.save_cert}")
-    return _envelope("certify", _inputs(args, ["q", "cert", "target", "save_cert"]), results, prov, args.seed), code
-
-
-def _inputs(args, keys: list[str]) -> dict:
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        out[k] = v
-    return out
+    return _envelope(args, results, prov), code
 
 
 def build_parser() -> _Parser:

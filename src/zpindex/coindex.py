@@ -188,11 +188,6 @@ class MapEvidence:
             detail="sliding-block stencil; equivariant by construction",
         )
 
-    @staticmethod
-    def identity() -> MapEvidence:
-        return MapEvidence(kind="structural", name="identity map", verified=True)
-
-
 def coindex_transport(
     evidence: MapEvidence, source: IndexReport, target: IndexReport
 ) -> IndexReport:

@@ -53,7 +53,6 @@ __all__ = [
     "boundary_matrices",
     "betti",
     "betti_numbers",
-    "connectivity",
     "connectivity_from_betti",
 ]
 
@@ -346,8 +345,3 @@ def connectivity_from_betti(reduced: tuple[int, ...], dim: int) -> int:
             return i - 1
         k = i
     return dim if k == len(reduced) - 1 else k
-
-
-def connectivity(c, ell: int | None = None) -> int:
-    bv = betti_numbers(c, ell)
-    return connectivity_from_betti(bv.reduced, c.dim)

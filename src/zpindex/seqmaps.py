@@ -85,11 +85,6 @@ class AnchorSeq:
         return alphabet.element(self.rule(k))
 
     @staticmethod
-    def constant(alphabet: Alphabet, value: ElementLike | None = None) -> AnchorSeq:
-        v = alphabet.identity if value is None else alphabet.element(value)
-        return AnchorSeq(lambda k: v)
-
-    @staticmethod
     def seeded(alphabet: Alphabet, seed: int) -> AnchorSeq:
         """Deterministic pseudo-random anchor; the same (seed, k) always agrees."""
 

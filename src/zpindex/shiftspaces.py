@@ -12,8 +12,14 @@ studies:
   adjacent letter gaps meets the bar (``>= bar``, or ``== bar`` in the
   exact variant).
 
-Enumeration is depth-first search with constraint propagation; counting
-uses a transfer matrix and is cross-checkable against enumeration.
+Each spec decides its letter-pair relation once, in ``pair_table``: an
+(n, n) read-only bool array with one exact ``Fraction`` comparison per
+pair, refused above 2^20 pairs before any letter is listed.  Enumeration
+(depth-first search with constraint propagation), counting (the trace of a
+power of that table as a transfer matrix, in exact Python ints, refused
+above 10^9 multiply-adds before the table is built) and the torus-grid
+vertex mask all read it; ``satisfies`` checks single words pair by pair.
+Counts are cross-checkable against enumeration.
 """
 from __future__ import annotations
 
@@ -21,7 +27,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd
+
+import numpy as np
 
 from .alphabets import Alphabet, Element, cyclic_group, parse_alphabet
 from .errors import ResourceCapError, ShapeError
@@ -46,6 +55,8 @@ _WORD_LETTER_CAP = 10**7
 _COUNT_DIGIT_CAP = 4300
 # letter pairs compared by exact metric (about 19 us each): S^3:q=8 (512^2) fits
 _PAIR_TABLE_CAP = 1 << 20
+# multiply-adds of one transfer-matrix power: S^3:q=8 at p = 5 (3 * 512^3) fits
+_POWER_WORK_CAP = 10**9
 
 
 @dataclass(frozen=True)
@@ -150,13 +161,13 @@ class SubshiftSpec:
         if method not in ("auto", "direct", "recoded"):
             raise ShapeError(f"unknown enumeration method {method!r}")
         cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
-        elements = self._letters()
+        ok = self.pair_table.tolist()
 
         if isinstance(self.family, Separation):
             d = self.family.step % p
             recodable = d != 0 and gcd(self.family.step, p) == 1
             if method in ("auto", "recoded") and recodable and d != 1:
-                raw = self._dfs_pairs(elements, p, 1, cap)
+                raw = self._dfs_pairs(ok, p, 1, cap)
                 words = []
                 for y in raw:
                     x = [0] * p
@@ -164,36 +175,46 @@ class SubshiftSpec:
                         x[(k * self.family.step) % p] = y[k]
                     words.append(tuple(x))
             else:
-                words = self._dfs_pairs(elements, p, d, cap)
+                words = self._dfs_pairs(ok, p, d, cap)
         else:
-            words = self._dfs_adjacent(elements, p, cap)
+            words = self._dfs_adjacent(ok, p, cap)
 
         out = sorted(set(words))
+        elements = self.alphabet.all_elements()
         return tuple(CyclicWord(self.alphabet, tuple(elements[i] for i in w)) for w in out)
 
     def count_periodic(self, p: int) -> int:
         """Number of period-p points via the transfer matrix, exact.
 
-        The 0/1 letter matrix A has A[a][b] = 1 iff the pair (a, b) meets
-        the separation bar.  With g = gcd(m!, p) the index cycle splits
-        into g independent cycles of length p/g, so the count is
-        trace(A^(p/g))**g.  For g = p (m! a multiple of p) each cycle is a
+        The letter matrix A is ``pair_table`` read as 0/1: A[a][b] = 1 iff
+        the pair (a, b) meets the separation bar.  With g = gcd(m!, p) the
+        index cycle splits into g independent cycles of length p/g, so the
+        count is trace(A^(p/g))**g.  For g = p (m! a multiple of p) each cycle is a
         self-loop and the count is 0, matching the empty enumeration.
 
         With n letters and largest row sum r, trace(A^k) <= n * r^k, so the
         count is at most n^g * r^p; a count that could pass the digit cap is
-        refused with ResourceCapError before any matrix power.
+        refused with ResourceCapError before any matrix power.  So is a power
+        whose n^3 multiply-adds per product, times its products, pass the
+        work cap; that is predicted before the table is built.  The power
+        runs on exact Python ints.
         """
         if not isinstance(self.family, Separation):
             raise ShapeError("transfer-matrix counting applies to separation families only")
         if p < 1:
             raise ShapeError(f"period must be >= 1, got {p}")
-        elements = self._letters()
-        ok = self._pair_table(elements)
-        n = len(elements)
-        a = [[1 if ok[i][j] else 0 for j in range(n)] for i in range(n)]
+        n = self._letter_count()
         g = gcd(self.family.step, p)
-        r = max(sum(row) for row in a)
+        k = p // g
+        products = k.bit_length() + k.bit_count() - 2  # squarings, then multiplies
+        if n**3 * products > _POWER_WORK_CAP:
+            raise ResourceCapError(
+                f"the period-{p} count needs {products} products of {n}x{n} matrices "
+                f"({n**3 * products} multiply-adds), above the transfer-matrix work cap "
+                f"({_POWER_WORK_CAP}); nothing was computed"
+            )
+        table = self.pair_table
+        r = int(table.sum(axis=1).max())
         limit = 10**_COUNT_DIGIT_CAP
         if _saturating_pow(n, g, limit) * _saturating_pow(r, p, limit) >= limit:
             raise ResourceCapError(
@@ -201,28 +222,36 @@ class SubshiftSpec:
                 f"(bound {n}^{g}*{r}^{p} >= 10^{_COUNT_DIGIT_CAP}), above the count digit "
                 f"cap ({_COUNT_DIGIT_CAP}); nothing was computed"
             )
-        t = _int_matrix_trace_power(a, p // g)
-        return t**g
+        t = np.linalg.matrix_power(table.astype(object), k).trace()
+        return int(t) ** g
 
     # -- internals ---------------------------------------------------------------
 
-    def _letters(self) -> list[Element]:
-        """All letters, for a search or count that compares every pair of them;
-        refused with ResourceCapError when those pairs pass the pair table cap."""
+    @cached_property
+    def pair_table(self) -> np.ndarray:
+        """The letter-pair relation, read-only and built once per spec:
+        [i, j] is True iff letters i and j, in ``all_elements`` order, meet
+        the family's bar.  Each pair is decided by one exact comparison."""
+        self._letter_count()
+        letters = self.alphabet.all_elements()
+        table = np.array([[self._gap_ok(a, b) for b in letters] for a in letters], dtype=bool)
+        table.flags.writeable = False
+        return table
+
+    def _letter_count(self) -> int:
+        """The number of letters; refused with ResourceCapError, before any
+        letter is listed, when their pairs pass the pair table cap."""
         n = self.alphabet.order
         if n * n > _PAIR_TABLE_CAP:
             raise ResourceCapError(
                 f"the letter-pair table of {n} letters would hold {n * n} pairs, "
                 f"above the pair table cap ({_PAIR_TABLE_CAP}); nothing was compared"
             )
-        return self.alphabet.all_elements()
+        return n
 
-    def _pair_table(self, elements: list[Element]) -> list[list[bool]]:
-        return [[self._gap_ok(a, b) for b in elements] for a in elements]
-
-    def _dfs_pairs(self, elements, L, d, cap):
-        """Backtracking over letter indices with the pair constraint (n, n+d mod L)."""
-        ok = self._pair_table(elements)
+    def _dfs_pairs(self, ok, L, d, cap):
+        """Backtracking over letter indices with the pair constraint (n, n+d mod L);
+        ok is the pair table as nested lists."""
         if d == 0:
             return []  # the pair (n, n) can never meet a positive bar
         checks_at = [[] for _ in range(L)]
@@ -239,11 +268,10 @@ class SubshiftSpec:
             j, i = t
             return ok[word[j]][word[i]]
 
-        return _run_dfs_general(len(elements), L, checks_at, accept, cap)
+        return _run_dfs_general(len(ok), L, checks_at, accept, cap)
 
-    def _dfs_adjacent(self, elements, L, cap):
+    def _dfs_adjacent(self, ok, L, cap):
         """Backtracking for the disjunctive adjacent-gap constraint."""
-        ok = self._pair_table(elements)
         # constraint at n involves (n-1, n, n+1); trigger once all three are set
         triples = [((n - 1) % L, n, (n + 1) % L) for n in range(L)]
         checks_at = [[] for _ in range(L)]
@@ -254,7 +282,7 @@ class SubshiftSpec:
             a, b, c = t
             return ok[word[a]][word[b]] or ok[word[b]][word[c]]
 
-        return _run_dfs_general(len(elements), L, checks_at, accept, cap)
+        return _run_dfs_general(len(ok), L, checks_at, accept, cap)
 
 
 def _run_dfs_general(n_letters, L, checks_at, accept, cap):
@@ -307,29 +335,6 @@ def _saturating_pow(base: int, exp: int, limit: int) -> int:
         if exp:
             base = min(base * base, limit)
     return out
-
-
-def _int_matrix_trace_power(a: list[list[int]], k: int) -> int:
-    """trace(a^k) with exact Python ints (k >= 1)."""
-    n = len(a)
-
-    def mul(x, y):
-        return [
-            [sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    result = None
-    base = [row[:] for row in a]
-    e = k
-    while e:
-        if e & 1:
-            result = base if result is None else mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    assert result is not None
-    return sum(result[i][i] for i in range(n))
 
 
 # -- cyclic words ------------------------------------------------------------

@@ -11,6 +11,9 @@ doubled resolution, never as a homotopy-equivalence claim.
 
 Thresholds must be exact multiples of the grid step 2/q so that every
 comparison is decided exactly; 4 | q keeps 1/2 and 1 on grid boundaries.
+The vertex mask reads the letter-pair table of the spec's subshift, so the
+pair table cap guards it too.  Before anything is allocated, a grid of more
+than 2^24 points, q^(p*N), is refused with ResourceCapError.
 """
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 2_000_000
+# grid points of one vertex mask: Z p=5 q=16 (2^20) fits, Z p=5 q=32 does not
+_GRID_POINT_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -100,33 +105,26 @@ def separated_torus_spec(p: int, q: int, n_circles: int, delta: Fraction) -> Tor
 
 
 def _vertex_mask(spec: TorusGridSpec) -> np.ndarray:
-    """Boolean grid over (q,)*n_axes marking vertices that satisfy the family."""
-    q, p, n = spec.q, spec.p, spec.n_circles
-    alpha = spec.letter_alphabet()
-    sub = spec.subshift()
-    R = alpha.order
-    elements = alpha.all_elements()
-    table = np.zeros((R, R), dtype=bool)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = sub._gap_ok(a, b)
+    """Boolean grid over (q,)*n_axes marking vertices that satisfy the family.
 
-    idx = np.indices((q,) * spec.n_axes)
+    Slot j's letter index is its n circle coordinates read in radix q, formed
+    on open axes (one arange per axis) that broadcast; each pair condition
+    reads the subshift's pair table at two such indices, so only the final
+    grid is full-size.
+    """
+    q, p, n, D = spec.q, spec.p, spec.n_circles, spec.n_axes
+    table = spec.subshift().pair_table
+    axes = [np.arange(q).reshape((q,) + (1,) * (D - 1 - a)) for a in range(D)]
     letters = []
     for j in range(p):
-        li = np.zeros((q,) * spec.n_axes, dtype=np.int64)
+        li = 0
         for t in range(n):
-            li = li * q + idx[j * n + t]
+            li = li * q + axes[j * n + t]
         letters.append(li)
     edges = [table[letters[j], letters[(j + 1) % p]] for j in range(p)]
-    if isinstance(spec.family, Separation):
-        ok = edges[0].copy()
-        for e in edges[1:]:
-            ok &= e
-    else:
-        ok = edges[-1] | edges[0]
-        for j in range(1, p):
-            ok &= edges[j - 1] | edges[j]
+    ok = np.ones((q,) * D, dtype=bool)
+    for j in range(p):
+        ok &= edges[j] if isinstance(spec.family, Separation) else edges[j - 1] | edges[j]
     return ok
 
 
@@ -141,6 +139,11 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
     D = spec.n_axes
     q = spec.q
+    if q**D > _GRID_POINT_CAP:
+        raise ResourceCapError(
+            f"approximation for {spec.token()} would have {q**D} grid points ({q}^{D}), "
+            f"above the grid point cap ({_GRID_POINT_CAP}); nothing was allocated"
+        )
     vertex_ok = _vertex_mask(spec)
     total = 0
     cells: dict[int, list[np.ndarray]] = {}

@@ -4,8 +4,11 @@ These deliberately re-derive results with different machinery than the
 package: dense row-echelon elimination and a left-to-right column
 reduction of the boundary itself instead of the package's coboundary
 reduction with clearing, plain itertools scans instead of backtracking
-enumeration, and joins validated from scratch by the general simplicial
-constructor instead of built from their factors.
+enumeration, joins validated from scratch by the general simplicial
+constructor instead of built from their factors, a transfer-matrix power
+by hand-written Python list products instead of numpy object arrays, and
+torus vertex masks from a double loop over letter pairs and full index grids
+instead of the spec's pair table on open axes.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from itertools import product
 from math import factorial
 
 import numpy as np
+import pytest
 
 
 def dense_rank_mod(rows: list[list[int]], ell: int) -> int:
@@ -247,3 +251,85 @@ def brute_separated_words(q: int, L: int, step: int, delta: Fraction) -> list[tu
         for w in product(range(q), repeat=L)
         if all(grid_dist(q, w[i], w[(i + step) % L]) >= delta for i in range(L))
     ]
+
+
+# -- transfer-matrix counts and torus vertex masks -----------------------------
+
+
+def int_matrix_trace_power(a: list[list[int]], k: int) -> int:
+    """trace(a^k) with exact Python ints (k >= 1)."""
+    n = len(a)
+
+    def mul(x, y):
+        return [
+            [sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+
+    result = None
+    base = [row[:] for row in a]
+    e = k
+    while e:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    assert result is not None
+    return sum(result[i][i] for i in range(n))
+
+
+def loop_vertex_mask(spec) -> np.ndarray:
+    """Boolean grid over (q,)*n_axes marking vertices that satisfy the family."""
+    from zpindex.shiftspaces import Separation
+
+    q, p, n = spec.q, spec.p, spec.n_circles
+    alpha = spec.letter_alphabet()
+    sub = spec.subshift()
+    R = alpha.order
+    elements = alpha.all_elements()
+    table = np.zeros((R, R), dtype=bool)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            table[i, j] = sub._gap_ok(a, b)
+
+    idx = np.indices((q,) * spec.n_axes)
+    letters = []
+    for j in range(p):
+        li = np.zeros((q,) * spec.n_axes, dtype=np.int64)
+        for t in range(n):
+            li = li * q + idx[j * n + t]
+        letters.append(li)
+    edges = [table[letters[j], letters[(j + 1) % p]] for j in range(p)]
+    if isinstance(spec.family, Separation):
+        ok = edges[0].copy()
+        for e in edges[1:]:
+            ok &= e
+    else:
+        ok = edges[-1] | edges[0]
+        for j in range(1, p):
+            ok &= edges[j - 1] | edges[j]
+    return ok
+
+
+def assert_same_mask(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_vertex_mask_matches_the_loop_oracle():
+    """Every torus vertex mask any test builds, through the library, the CLI
+    or a demo, must equal the loop oracle's byte for byte."""
+    from zpindex import torusgrid
+
+    fast = torusgrid._vertex_mask
+
+    def checked(spec):
+        got = fast(spec)
+        assert_same_mask(got, loop_vertex_mask(spec))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torusgrid, "_vertex_mask", checked)
+        yield

@@ -211,6 +211,24 @@ def test_letter_pair_table_cap_refuses_before_comparing(capsys):
         assert "1073741824" in doc["error"]["reason"] and "(1048576)" in doc["error"]["reason"]
 
 
+def test_grid_cap_refuses_before_the_mask(capsys):
+    # 40^5 = 1.024e8 grid points; the mask alone once held about 8 GB of index arrays
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "approx-z", "--p", "5", "--q", "40")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and doc["error"]["type"] == "resource-cap"
+    assert "102400000" in doc["error"]["reason"] and "(16777216)" in doc["error"]["reason"]
+
+
+def test_power_work_cap_refuses_before_the_pair_table(capsys):
+    # 17 products of 512x512 matrices, 2281701376 multiply-adds; p = 5 needs 3
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "count", "--family", "XS", "--N", "3", "--q", "8", "--p", "1021")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and doc["error"]["type"] == "resource-cap"
+    assert "2281701376" in doc["error"]["reason"] and "(1000000000)" in doc["error"]["reason"]
+
+
 def test_deep_period_searches_refuse_before_filling_memory(capsys):
     # each once printed a RecursionError traceback; orbits of a composite p enumerate
     for argv in (["enumerate", "--family", "Sigma", "--m", "1", "--p", "1500"],
@@ -245,6 +263,33 @@ def test_determinism_up_to_timestamp(capsys):
     _, c = run(capsys, "approx-z", "--p", "2", "--q", "8")
     _, d = run(capsys, "approx-z", "--p", "2", "--q", "8")
     assert canon(c) == canon(d)
+
+
+def test_inputs_echo_every_argument_but_seed_and_output(capsys, tmp_path):
+    cases = [
+        ("count --family Sigma --m 1 --p 7",
+         {"N": 1, "csv": "", "delta": "1/2", "family": "Sigma", "m": 1, "p": 7, "p_list": "", "q": 8}),
+        ("enumerate --family Sigma --m 2 --p 7",
+         {"N": 1, "delta": "1/2", "family": "Sigma", "m": 2, "method": "auto", "p": 7, "q": 8}),
+        ("orbits --family Sigma --m 1 --p 11",
+         {"N": 1, "delta": "1/2", "family": "Sigma", "m": 1, "p": 11, "q": 8}),
+        ("verify-lemma --id 4.1 --m 2 --p 7",
+         {"alphabet": "", "copies": 2, "delta": "1/2", "field": 0, "id": "4.1", "m": 2, "p": 7,
+          "q": 8, "trials": 500}),
+        ("homology --join-of Sigma:m=1,p=5 --copies 3",
+         {"copies": 3, "field": 0, "input": "", "join_of": "Sigma:m=1,p=5"}),
+        ("index --join-of Sigma:m=2,p=7 --copies 3", {"copies": 3, "join_of": "Sigma:m=2,p=7"}),
+        ("approx-z --family Z --p 3 --q 16",
+         {"N": 1, "cap": None, "delta": "1/2", "family": "Z", "field": 0, "p": 3, "q": 16,
+          "stability": False}),
+        ("certify --q 8", {"cert": "", "q": 8, "save_cert": "", "target": ""}),
+    ]
+    for argv, inputs in cases:
+        path = tmp_path / "out.json"
+        assert main([*argv.split(), "--seed", "4", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["command"] == argv.split()[0] and doc["seed"] == 4
+        assert doc["inputs"] == inputs, argv
 
 
 def test_output_file(capsys, tmp_path):

@@ -83,13 +83,13 @@ def test_transport():
     assert moved.coind_lower == 2 and moved.ind_lower == 2
     assert any("transport" in s for s in moved.provenance)
 
-    same = coindex_transport(MapEvidence.identity(), tgt, tgt)
+    same = coindex_transport(MapEvidence("structural", "identity map", verified=True), tgt, tgt)
     assert same.coind_lower == tgt.coind_lower  # no change beyond provenance
 
     with pytest.raises(ShapeError):
         coindex_transport(MapEvidence("structural", "unchecked", verified=False), src, tgt)
     with pytest.raises(ShapeError):
-        coindex_transport(MapEvidence.identity(), src, IndexReport.nonempty_free(7))
+        coindex_transport(MapEvidence("structural", "identity map", verified=True), src, IndexReport.nonempty_free(7))
 
 
 def test_report_invariants():
@@ -176,7 +176,7 @@ def test_ind_upper_by_dimension():
 def test_acceptance_chain_consistency_after_rules():
     # rules keep the inequality chain intact
     rep = IndexReport.nonempty_free(5)
-    rep = coindex_transport(MapEvidence.identity(), IndexReport.exact_value(5, 1, "t"), rep)
+    rep = coindex_transport(MapEvidence("structural", "identity map", verified=True), IndexReport.exact_value(5, 1, "t"), rep)
     rep = apply_dimension_bound(rep, join_complex(P(5), P(5)))
     assert rep.coind_lower <= rep.coind_upper <= rep.ind_upper
     assert rep.coind_lower <= rep.ind_lower <= rep.ind_upper

@@ -32,7 +32,6 @@ from zpindex.homology import (
     betti,
     betti_numbers,
     boundary_matrices,
-    connectivity,
     connectivity_from_betti,
 )
 from zpindex.shiftspaces import AdjacentGap
@@ -100,7 +99,7 @@ def test_k33_rank_and_betti():
 def test_single_vertex_trivial():
     c = discrete(1)
     assert betti_numbers(c, 2).reduced == (0,)
-    assert connectivity(c, 2) == 0  # everything vanishes: report the dimension
+    assert connectivity_from_betti(betti_numbers(c, 2).reduced, c.dim) == 0  # everything vanishes: report the dimension
 
 
 def test_six_points_squared():
@@ -137,6 +136,9 @@ def test_field_independence_on_join_corpus():
 
 
 def test_connectivity_examples():
+    def connectivity(c, ell):
+        return connectivity_from_betti(betti_numbers(c, ell).reduced, c.dim)
+
     assert connectivity(join_of(3, 3), 3) == 0
     pt = discrete(1, 3)
     cone = join_complex(pt, join_of(3, 3, p=3))

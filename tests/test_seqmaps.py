@@ -79,7 +79,7 @@ def test_block_sum_constraint_transport():
 
 
 def test_section_example_m2():
-    y = section_apply(2, AnchorSeq.constant(Z3), zw(0, 1), 0, 1)
+    y = section_apply(2, AnchorSeq(lambda k: (0,)), zw(0, 1), 0, 1)
     assert [v[0] for v in y.letters] == [0, 1]
 
 
@@ -97,12 +97,12 @@ def test_section_input_ranges():
                 if rng_need is None:
                     continue
                 x = Window(Z3, rng_need[0], tuple((0,) for _ in range(rng_need[1] - rng_need[0] + 1)))
-                section_apply(m, AnchorSeq.constant(Z3), x, lo, lo + width)
+                section_apply(m, AnchorSeq(lambda k: (0,)), x, lo, lo + width)
 
 
 def test_section_missing_input_error():
     with pytest.raises(NeededRangeError) as ei:
-        section_apply(2, AnchorSeq.constant(Z3), zw(0, 1), 2, 3)  # needs x_2 as well
+        section_apply(2, AnchorSeq(lambda k: (0,)), zw(0, 1), 2, 3)  # needs x_2 as well
     assert ei.value.missing == (1, 2)
 
 
@@ -130,7 +130,7 @@ def test_section_suites_report_the_first_failed_trial(monkeypatch):
 
 def test_roundtrip_anchor_independence():
     rng = random.Random(3)
-    for anchor in (AnchorSeq.constant(Z3), AnchorSeq.constant(Z3, 2), AnchorSeq.seeded(Z3, 99)):
+    for anchor in (AnchorSeq(lambda k: (0,)), AnchorSeq(lambda k: 2), AnchorSeq.seeded(Z3, 99)):
         x = _random_separated_window(rng, Z3, HALF, 1, 0, 10)
         y = section_apply(2, anchor, x, 0, 9)
         back = block_sum_step(2, y)

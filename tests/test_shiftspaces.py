@@ -4,8 +4,8 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_sigma_words, brute_z_words
-from zpindex.alphabets import circle_grid, cyclic_group
+from conftest import brute_sigma_words, brute_z_words, int_matrix_trace_power
+from zpindex.alphabets import Alphabet, circle_grid, cyclic_group, parse_alphabet
 from zpindex.errors import ResourceCapError, ShapeError
 from zpindex.shiftspaces import (
     AdjacentGap,
@@ -18,6 +18,7 @@ from zpindex.shiftspaces import (
     parse_word,
     periodic_point_complex,
 )
+from zpindex.torusgrid import build_approx, separated_torus_spec
 
 Z3 = cyclic_group(3)
 S8 = circle_grid(8)
@@ -219,13 +220,61 @@ def test_periodic_point_complex():
     assert parse_word(c.labels[int(c.action[0])]) == w.shift(1)
 
 
-def test_letter_pair_table_cap():
-    from zpindex.alphabets import parse_alphabet
-
-    # S^3:q=8 has 512 letters (262144 pairs) and stays under the cap
+def test_letter_pair_table_cap(monkeypatch):
+    # S^3:q=8 has 512 letters (262144 pairs) and stays under the cap; a cheap
+    # stand-in for the exact comparison keeps the table fast to build here
+    monkeypatch.setattr(SubshiftSpec, "_gap_ok", lambda self, a, b: a != b)
     spec = SubshiftSpec(parse_alphabet("S^3:q=8"), Separation(1, Fraction(1, 2)))
-    assert len(spec._letters()) == 512
+    assert spec.pair_table.shape == (512, 512)
     big = SubshiftSpec(parse_alphabet("S^4:q=8"), Separation(1, Fraction(1, 2)))
-    for call in (lambda: big.count_periodic(5), lambda: big.enumerate_periodic(5)):
+
+    def no_letters(self):
+        raise AssertionError("letters were listed")
+
+    monkeypatch.setattr(Alphabet, "all_elements", no_letters)
+    # the torus mask reads the same table: 8^(2*4) = 2^24 grid points meet the
+    # grid cap, the 4096 letters of (S^1)^4 do not
+    torus = separated_torus_spec(2, 8, 4, Fraction(1, 2))
+    for call in (lambda: big.pair_table, lambda: big.count_periodic(5),
+                 lambda: big.enumerate_periodic(5), lambda: build_approx(torus)):
         with pytest.raises(ResourceCapError, match=r"4096 letters .* 16777216 pairs.*\(1048576\)"):
             call()
+
+
+PAIR_SPECS = [
+    SIGMA1, SIGMA2, mismatch_shift(3),
+    SubshiftSpec(S8, Separation(1, Fraction(1, 2))),
+    SubshiftSpec(S8, Separation(2, Fraction(1, 4))),
+    SubshiftSpec(parse_alphabet("S^2:q=8"), Separation(1, Fraction(1, 2))),
+    ZQ8,
+    neighbor_gap_shift(S8, Fraction(1), exact=True),
+    neighbor_gap_shift(circle_grid(16), Fraction(1, 2)),
+]
+
+
+def spec_id(spec):
+    f = spec.family
+    if isinstance(f, Separation):
+        return f"{spec.alphabet.token()}:m={f.m},delta={f.delta}"
+    return f"{spec.alphabet.token()}:bar={f.bar}" + (",exact" if f.exact else "")
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS, ids=spec_id)
+def test_pair_table_is_the_exact_pair_relation(spec):
+    table = spec.pair_table
+    letters = spec.alphabet.all_elements()
+    assert table.dtype == bool and table.shape == (len(letters),) * 2
+    assert not table.flags.writeable
+    assert spec.pair_table is table  # built once per spec
+    for i, a in enumerate(letters):
+        for j, b in enumerate(letters):
+            assert table[i, j] == spec._gap_ok(a, b)
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS[:6], ids=spec_id)
+def test_count_matches_the_list_power_oracle(spec):
+    letters = spec.alphabet.all_elements()
+    a = [[1 if spec._gap_ok(x, y) else 0 for y in letters] for x in letters]
+    for p in range(1, 14):
+        g = gcd(spec.family.step, p)
+        assert spec.count_periodic(p) == int_matrix_trace_power(a, p // g) ** g

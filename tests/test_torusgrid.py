@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_separated_words, brute_z_words, dense_betti
+from conftest import assert_same_mask, brute_separated_words, brute_z_words, dense_betti, loop_vertex_mask
+from zpindex import torusgrid
 from zpindex.coindex import EquivariantMapCert, IndexReport, apply_certificate, verify_certificate
 from zpindex.errors import ResourceCapError, ShapeError
 from zpindex.shiftspaces import AdjacentGap
@@ -93,6 +94,29 @@ def test_inclusion_monotonicity_under_refinement():
 def test_cell_cap():
     with pytest.raises(ResourceCapError):
         build_approx(z_torus_spec(2, 8), cell_cap=10)
+
+
+@pytest.mark.parametrize("spec", [
+    z_torus_spec(5, 16), z_torus_spec(2, 64),
+    separated_torus_spec(3, 8, 2, Fraction(1, 2)), separated_torus_spec(5, 8, 1, Fraction(1, 4)),
+    TorusGridSpec(3, 8, family=AdjacentGap(Fraction(1), exact=True)),
+], ids=lambda spec: spec.token())
+def test_vertex_mask_matches_the_loop_oracle(spec):
+    # the session fixture checks every mask the tests build; these specs no other test builds
+    assert_same_mask(torusgrid._vertex_mask(spec), loop_vertex_mask(spec))
+
+
+def test_grid_cap_refuses_before_the_mask(monkeypatch):
+    def no_mask(spec):
+        raise AssertionError("the vertex mask was built")
+
+    monkeypatch.setattr(torusgrid, "_vertex_mask", no_mask)
+    for spec, points in ((z_torus_spec(5, 40), "102400000 grid points (40^5)"),
+                         (z_torus_spec(5, 16).refined(), "33554432 grid points (32^5)"),
+                         (separated_torus_spec(3, 8, 3, Fraction(1, 2)), "134217728 grid points (8^9)")):
+        with pytest.raises(ResourceCapError) as err:
+            build_approx(spec)
+        assert f"{points}, above the grid point cap (16777216)" in str(err.value)
 
 
 def test_canonical_certificate_accepted():
