@@ -8,7 +8,12 @@ as ``dist >= delta`` are decided exactly, with no tolerance anywhere.
 
 Elements are tuples of integer residues, one per factor, always reduced
 into ``[0, order)``.  Single-factor alphabets accept and print bare ints
-for convenience.
+for convenience.  Inner loops may instead name a letter by its mixed-radix
+index (``index``/``unindex``, the ``all_elements`` order): ``letter_table``
+builds the (n, n) sum or difference table of indices, or one row of it, by
+digit arithmetic, and ``distances_to_identity`` lists d(a, 0) for every
+letter.  Because the metric is translation invariant, d(a, b) = d(a - b, 0),
+so a threshold table of n exact comparisons decides every letter pair.
 """
 from __future__ import annotations
 
@@ -17,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Iterable, Union
+
+import numpy as np
 
 from .errors import ShapeError
 
@@ -157,6 +164,31 @@ class Alphabet:
             coords.append(i % f.order)
             i //= f.order
         return tuple(reversed(coords))
+
+    # -- letter tables -------------------------------------------------------
+
+    def letter_table(self, op: str, a: int | None = None) -> np.ndarray:
+        """Letter indices of sums ("add") or differences ("sub"), by digit
+        arithmetic one factor at a time: the (n, n) table whose [i, j] is the
+        index of letter i +/- letter j, or with ``a`` given its row a.  The
+        table holds n^2 entries; callers bound n before asking for it."""
+        if op not in ("add", "sub"):
+            raise ShapeError(f"unknown letter table {op!r}")
+        right = np.arange(self.order, dtype=np.int64)
+        left = right[:, None] if a is None else a
+        out = 0
+        stride = 1
+        for f in reversed(self.factors):
+            x, y = left // stride % f.order, right // stride % f.order
+            out = out + (x + y if op == "add" else x - y) % f.order * stride
+            stride *= f.order
+        return out
+
+    def distances_to_identity(self) -> list[Fraction]:
+        """d(letter i, identity) for every letter index i, exact; by translation
+        invariance the distance of letters i and j is entry ``sub[i][j]``."""
+        zero = self.identity
+        return [self.metric(e, zero) for e in self.all_elements()]
 
     # -- text form -----------------------------------------------------------
 

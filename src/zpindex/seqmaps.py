@@ -9,6 +9,17 @@ words (images of periodic points need not be periodic).
 
 All index arithmetic is absolute: a Window knows its offset, and every
 operation reports the exact missing indices when given too little input.
+
+Inside, letters are mixed-radix indices (``Alphabet.index``) and the group
+operations are reads of exact tables (``_LetterOps``), filled row by row on
+first read: int lists built by digit arithmetic when the alphabet's n^2 pairs
+fit the pair table cap, and otherwise rows that apply the ``Alphabet``
+operations to unindexed letters.  Distance thresholds are one exact
+comparison per letter difference, by translation invariance.  The section walks
+each residue class mod m! out from its base block by
+y(k + m!) = y(k) + x(k + (m-1)!) - x(k), and the input range it reads has a
+closed form.  The public functions convert windows of tuples to indices and
+back around these kernels, which the verify suites call directly.
 """
 from __future__ import annotations
 
@@ -20,7 +31,7 @@ from typing import Callable
 
 from .alphabets import Alphabet, Element, ElementLike, product_alphabet
 from .errors import NeededRangeError, ShapeError
-from .shiftspaces import CyclicWord
+from .shiftspaces import _PAIR_TABLE_CAP, CyclicWord
 
 __all__ = [
     "Window",
@@ -75,6 +86,22 @@ class Window:
         return Window(self.alphabet, self.offset - s, self.letters)
 
 
+class _SeededRule:
+    """The rule of ``AnchorSeq.seeded``; ``index`` draws the letter index itself."""
+
+    __slots__ = ("alphabet", "seed")
+
+    def __init__(self, alphabet: Alphabet, seed: int):
+        self.alphabet = alphabet
+        self.seed = seed
+
+    def index(self, k: int) -> int:
+        return random.Random(f"{self.seed}|{k}").randrange(self.alphabet.order)
+
+    def __call__(self, k: int) -> Element:
+        return self.alphabet.unindex(self.index(k))
+
+
 @dataclass(frozen=True)
 class AnchorSeq:
     """A pure, total rule index -> letter, fixed before applying the section."""
@@ -87,12 +114,94 @@ class AnchorSeq:
     @staticmethod
     def seeded(alphabet: Alphabet, seed: int) -> AnchorSeq:
         """Deterministic pseudo-random anchor; the same (seed, k) always agrees."""
+        return AnchorSeq(_SeededRule(alphabet, seed))
 
-        def rule(k: int) -> Element:
-            r = random.Random(f"{seed}|{k}")
-            return alphabet.unindex(r.randrange(alphabet.order))
 
-        return AnchorSeq(rule)
+# -- letter indices and their tables ---------------------------------------------
+
+
+class _LazyRow:
+    """Row a of a letter table too large to build: entry b applies the exact
+    Alphabet operation to the unindexed letters and indexes the result."""
+
+    __slots__ = ("alphabet", "op", "a")
+
+    def __init__(self, alphabet: Alphabet, op, a: Element):
+        self.alphabet, self.op, self.a = alphabet, op, a
+
+    def __getitem__(self, b: int) -> int:
+        return self.alphabet.index(self.op(self.a, self.alphabet.unindex(b)))
+
+
+class _Rows(dict):
+    """The (n, n) letter table of ``op`` ("add" or "sub"), read as ``table[a][b]``.
+
+    Row a is made on first read: a list of n indices by digit arithmetic when
+    all n^2 pairs fit the pair table cap, and otherwise a ``_LazyRow``.
+    """
+
+    __slots__ = ("alphabet", "op", "tabled")
+
+    def __init__(self, alphabet: Alphabet, op: str):
+        super().__init__()
+        self.alphabet, self.op = alphabet, op
+        self.tabled = alphabet.order**2 <= _PAIR_TABLE_CAP
+
+    def __missing__(self, a: int):
+        alpha = self.alphabet
+        if self.tabled:
+            row = alpha.letter_table(self.op, a).tolist()
+        else:
+            row = _LazyRow(alpha, getattr(alpha, self.op), alpha.unindex(a))
+        self[a] = row
+        return row
+
+
+class _Far(dict):
+    """``far[d]``: is letter d at distance >= delta from the identity?  One
+    exact comparison per letter, made on first read.  By translation
+    invariance ``far[sub[a][b]]`` decides d(a, b) >= delta."""
+
+    __slots__ = ("alphabet", "delta")
+
+    def __init__(self, alphabet: Alphabet, delta: Fraction):
+        super().__init__()
+        self.alphabet, self.delta = alphabet, delta
+
+    def __missing__(self, d: int) -> bool:
+        a = self.alphabet
+        ok = self[d] = a.metric(a.unindex(d), a.identity) >= self.delta
+        return ok
+
+
+class _LetterOps:
+    """Group operations on the letter indices of one alphabet, as tables read
+    ``add[a][b]`` and ``sub[a][b]``, with the conversions at the window boundary."""
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
+        self.add = _Rows(alphabet, "add")
+        self.sub = _Rows(alphabet, "sub")
+
+    def indices(self, w: Window) -> list[int]:
+        return [self.alphabet.index(e) for e in w.letters]
+
+    def window(self, offset: int, letters: list[int]) -> Window:
+        return Window(self.alphabet, offset, tuple(map(self.alphabet.unindex, letters)))
+
+
+def _block_sums(add, m: int, xs: list[int]) -> list[int]:
+    """Forward code on letter indices: output t sums xs[t + i*(m-1)!] for i < m."""
+    gap = factorial(m - 1)
+    out = xs[: len(xs) - (m - 1) * gap]
+    for i in range(1, m):
+        out = [add[a][b] for a, b in zip(out, xs[i * gap :])]
+    return out
+
+
+def _violations(sub, far, ys: list[int], step: int) -> list[int]:
+    """Positions t with d(ys[t], ys[t + step]) below the bar of ``far``."""
+    return [t for t, (a, b) in enumerate(zip(ys, ys[step:])) if not far[sub[a][b]]]
 
 
 def block_sum_step(m: int, w: Window) -> Window:
@@ -102,10 +211,8 @@ def block_sum_step(m: int, w: Window) -> Window:
     """
     if m < 2:
         raise ShapeError(f"block-sum step needs m >= 2, got {m}")
-    gap = factorial(m - 1)
-    span = (m - 1) * gap
-    out_len = len(w) - span
-    if out_len <= 0:
+    span = (m - 1) * factorial(m - 1)
+    if len(w) <= span:
         needed = (w.start, w.start + span)
         missing = tuple(range(w.stop, w.start + span + 1))
         raise NeededRangeError(
@@ -114,34 +221,122 @@ def block_sum_step(m: int, w: Window) -> Window:
             needed=needed,
             missing=missing,
         )
-    alpha = w.alphabet
-    out = []
-    for k in range(w.start, w.start + out_len):
-        acc = alpha.identity
-        for i in range(m):
-            acc = alpha.add(acc, w[k + i * gap])
-        out.append(acc)
-    return Window(alpha, w.start, tuple(out))
+    ops = _LetterOps(w.alphabet)
+    return ops.window(w.start, _block_sums(ops.add, m, ops.indices(w)))
 
 
 # -- the anchored section -------------------------------------------------------
 
 
-def _needed_x_indices(m: int, k: int) -> set[int]:
-    """Absolute input indices the section's case formula reads to produce output k."""
+def _section_shape(m: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(gap, block, head) = ((m-1)!, m!, (m-1)*(m-1)!) after checking the arguments;
+    outputs at 0 <= k < head are anchor letters only."""
+    if m < 2:
+        raise ShapeError(f"section needs m >= 2, got {m}")
+    if lo > hi:
+        raise ShapeError(f"empty requested range [{lo}, {hi}]")
     gap = factorial(m - 1)
-    block = factorial(m)
-    head = (m - 1) * gap  # anchor-only prefix of the base block
-    if 0 <= k < head:
-        return set()
-    if head <= k < block:
-        return {k - head}
-    n, j = divmod(k, block)
-    if n > 0:
-        idx = {i * block + j for i in range(n)} | {i * block + gap + j for i in range(n)}
+    return gap, m * gap, (m - 1) * gap
+
+
+def _needed_range(m: int, lo: int, hi: int) -> tuple[int, int] | None:
+    """Least and largest input index the section reads on [lo, hi], or None.
+
+    With B = m!, h = (m-1)*(m-1)! and j = k mod B, output k reads the inputs
+    from k up to j - h when k < 0, nothing when 0 <= k < h, and from
+    j - h (j >= h) or j (j < h) up to k - h when k >= h.  The bounds over
+    [lo, hi] follow from the residues the range covers.
+    """
+    gap, block, head = _section_shape(m, lo, hi)
+    lows, highs = [], []
+    neg_hi = min(hi, -1)
+    if lo <= neg_hi:
+        a, b = lo % block, neg_hi % block
+        every = neg_hi - lo + 1 >= block or a > b  # the residues reach B - 1
+        lows.append(lo)
+        highs.append((block - 1 if every else b) - head)
+    pos_lo = max(lo, head)
+    if pos_lo <= hi:
+        a, b = pos_lo % block, hi % block
+        if hi - pos_lo + 1 >= block or a > b or a < head <= b:
+            lows.append(0)  # residue 0 or h is covered
+        else:
+            lows.append(a - head if a >= head else a)
+        highs.append(hi - head)
+    return (min(lows), max(highs)) if highs else None
+
+
+def _needed_indices(m: int, lo: int, hi: int) -> set[int]:
+    """Every input index the section reads on [lo, hi], residue class by class."""
+    gap, block, head = _section_shape(m, lo, hi)
+    out = set()
+    for first in range(lo, min(hi, lo + block - 1) + 1):
+        j = first % block
+        if j >= head:
+            out.add(j - head)
+        for i in range(min((first - j) // block, 0), max((hi - j) // block, 0)):
+            out.update((i * block + j, i * block + gap + j))
+    return out
+
+
+def _section_letters(
+    m: int, anchor: AnchorSeq, ops: _LetterOps, xs: list[int], start: int, lo: int, hi: int
+) -> list[int]:
+    """The section on [lo, hi] as letter indices; xs[i] is the input at start + i.
+
+    Raises NeededRangeError naming the exact missing indices when xs does not
+    cover what the outputs read.  Anchor letters are drawn once per index.
+    """
+    need = _needed_range(m, lo, hi)
+    stop = start + len(xs)
+    if need is not None and not (start <= need[0] and need[1] < stop):
+        missing = tuple(sorted(i for i in _needed_indices(m, lo, hi) if not start <= i < stop))
+        raise NeededRangeError(
+            f"section input window [{start}, {stop}) is missing indices {missing}",
+            needed=need,
+            missing=missing,
+        )
+    gap, block, head = _section_shape(m, lo, hi)
+    alpha, add, sub = ops.alphabet, ops.add, ops.sub
+    rule = anchor.rule
+    if isinstance(rule, _SeededRule) and rule.alphabet == alpha:
+        draw = rule.index
     else:
-        idx = {i * block + j for i in range(n, 0)} | {i * block + gap + j for i in range(n, 0)}
-    return idx | _needed_x_indices(m, j)
+        def draw(k):
+            return alpha.index(rule(k))
+    anchors: dict[int, int] = {}
+
+    def letter(k: int) -> int:
+        if k not in anchors:
+            anchors[k] = draw(k)
+        return anchors[k]
+
+    out = [0] * (hi - lo + 1)
+    for first in range(lo, min(hi, lo + block - 1) + 1):
+        j = first % block
+        if j < head:
+            base = letter(j)
+        else:
+            base = xs[j - head - start]
+            for i in range(1, m):
+                base = sub[base][letter(j - i * gap)]
+        n_lo, n_hi = (first - j) // block, (hi - j) // block
+        if n_lo <= 0 <= n_hi:
+            out[j - lo] = base
+        # walk y(k + m!) = y(k) + x(k + (m-1)!) - x(k) away from k = j
+        y, p = base, j - start
+        for n in range(1, n_hi + 1):
+            y = add[y][sub[xs[p + gap]][xs[p]]]
+            p += block
+            if n >= n_lo:
+                out[n * block + j - lo] = y
+        y, p = base, j - start
+        for n in range(-1, n_lo - 1, -1):
+            p -= block
+            y = sub[y][sub[xs[p + gap]][xs[p]]]
+            if n <= n_hi:
+                out[n * block + j - lo] = y
+    return out
 
 
 def section_input_range(m: int, lo: int, hi: int) -> tuple[int, int] | None:
@@ -150,16 +345,7 @@ def section_input_range(m: int, lo: int, hi: int) -> tuple[int, int] | None:
     Returns None when no input letter is read at all (the requested range
     sits inside the anchor-only prefix of the base block).
     """
-    if m < 2:
-        raise ShapeError(f"section needs m >= 2, got {m}")
-    if lo > hi:
-        raise ShapeError(f"empty requested range [{lo}, {hi}]")
-    needed: set[int] = set()
-    for k in range(lo, hi + 1):
-        needed |= _needed_x_indices(m, k)
-    if not needed:
-        return None
-    return (min(needed), max(needed))
+    return _needed_range(m, lo, hi)
 
 
 def section_apply(m: int, anchor: AnchorSeq, x: Window, lo: int, hi: int) -> Window:
@@ -170,53 +356,8 @@ def section_apply(m: int, anchor: AnchorSeq, x: Window, lo: int, hi: int) -> Win
     input differences (one direction per sign of the block index) added to
     the base value elsewhere.
     """
-    if m < 2:
-        raise ShapeError(f"section needs m >= 2, got {m}")
-    if lo > hi:
-        raise ShapeError(f"empty requested range [{lo}, {hi}]")
-    alpha = x.alphabet
-    needed = set()
-    for k in range(lo, hi + 1):
-        needed |= _needed_x_indices(m, k)
-    missing = tuple(sorted(i for i in needed if not x.start <= i < x.stop))
-    if missing:
-        raise NeededRangeError(
-            f"section input window [{x.start}, {x.stop}) is missing indices {missing}",
-            needed=(min(needed), max(needed)),
-            missing=missing,
-        )
-
-    gap = factorial(m - 1)
-    block = factorial(m)
-    head = (m - 1) * gap
-    base: dict[int, Element] = {}
-
-    def y_base(j: int) -> Element:
-        if j in base:
-            return base[j]
-        if j < head:
-            v = anchor.letter(alpha, j)
-        else:
-            v = x[j - head]
-            for i in range(1, m):
-                v = alpha.sub(v, anchor.letter(alpha, j - i * gap))
-        base[j] = v
-        return v
-
-    def y_at(k: int) -> Element:
-        n, j = divmod(k, block)
-        if n == 0:
-            return y_base(j)
-        acc = y_base(j)
-        if n > 0:
-            for i in range(n):
-                acc = alpha.add(acc, alpha.sub(x[i * block + gap + j], x[i * block + j]))
-        else:
-            for i in range(n, 0):
-                acc = alpha.add(acc, alpha.sub(x[i * block + j], x[i * block + gap + j]))
-        return acc
-
-    return Window(alpha, lo, tuple(y_at(k) for k in range(lo, hi + 1)))
+    ops = _LetterOps(x.alphabet)
+    return ops.window(lo, _section_letters(m, anchor, ops, ops.indices(x), x.start, lo, hi))
 
 
 # -- embeddings and checks -------------------------------------------------------
@@ -243,8 +384,7 @@ def pair_embed_cyclic(word: CyclicWord) -> CyclicWord:
 
 def separation_violations(w: Window, step: int, delta: Fraction) -> list[int]:
     """Indices k with both ends visible where dist(x_k, x_{k+step}) < delta."""
-    bad = []
-    for k in range(w.start, w.stop - step):
-        if w.alphabet.metric(w[k], w[k + step]) < delta:
-            bad.append(k)
-    return bad
+    if step < 0:
+        w[w.start + step]  # raises NeededRangeError: the first partner lies left of w
+    ops = _LetterOps(w.alphabet)
+    return [w.start + t for t in _violations(ops.sub, _Far(w.alphabet, delta), ops.indices(w), step)]

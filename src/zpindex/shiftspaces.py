@@ -13,11 +13,13 @@ studies:
   exact variant).
 
 Each spec decides its letter-pair relation once, in ``pair_table``: an
-(n, n) read-only bool array with one exact ``Fraction`` comparison per
-pair, refused above 2^20 pairs before any letter is listed.  Enumeration
+(n, n) read-only bool array, refused above 2^20 pairs before any letter is
+listed.  The metric is translation invariant, so it takes one exact
+``Fraction`` comparison per letter difference, n in all.  Enumeration
 (depth-first search with constraint propagation), counting (the trace of a
-power of that table as a transfer matrix, in exact Python ints, refused
-above 10^9 multiply-adds before the table is built) and the torus-grid
+power of that table as a transfer matrix, in int64 where a bound proves it
+exact and in Python ints otherwise, refused above 10^9 multiply-adds before
+the table is built) and the torus-grid
 vertex mask all read it; ``satisfies`` checks single words pair by pair.
 Counts are cross-checkable against enumeration.
 """
@@ -53,7 +55,7 @@ DEFAULT_NODE_CAP = 10**7
 _WORD_LETTER_CAP = 10**7
 # Python writes no int of more than 4300 digits as text (sys.get_int_max_str_digits)
 _COUNT_DIGIT_CAP = 4300
-# letter pairs compared by exact metric (about 19 us each): S^3:q=8 (512^2) fits
+# letter pairs one table may hold: S^3:q=8 (512^2) fits
 _PAIR_TABLE_CAP = 1 << 20
 # multiply-adds of one transfer-matrix power: S^3:q=8 at p = 5 (3 * 512^3) fits
 _POWER_WORK_CAP = 10**9
@@ -119,11 +121,14 @@ class SubshiftSpec:
 
     # -- predicates ----------------------------------------------------------
 
-    def _gap_ok(self, a: Element, b: Element) -> bool:
-        d = self.alphabet.metric(a, b)
+    def _meets_bar(self, d: Fraction) -> bool:
+        """Does a letter gap of exact distance d meet the family's bar?"""
         if isinstance(self.family, Separation):
             return d >= self.family.delta
         return d == self.family.bar if self.family.exact else d >= self.family.bar
+
+    def _gap_ok(self, a: Element, b: Element) -> bool:
+        return self._meets_bar(self.alphabet.metric(a, b))
 
     def satisfies(self, w: CyclicWord) -> bool:
         """Does the defining constraint hold at every index of the cyclic word?"""
@@ -196,8 +201,10 @@ class SubshiftSpec:
         count is at most n^g * r^p; a count that could pass the digit cap is
         refused with ResourceCapError before any matrix power.  So is a power
         whose n^3 multiply-adds per product, times its products, pass the
-        work cap; that is predicted before the table is built.  The power
-        runs on exact Python ints.
+        work cap; that is predicted before the table is built.  Every entry
+        and partial sum of the power is at most r^k, so the power runs on
+        int64 when n * r^k < 2^63, which keeps it exact, and on Python ints
+        otherwise.
         """
         if not isinstance(self.family, Separation):
             raise ShapeError("transfer-matrix counting applies to separation families only")
@@ -222,7 +229,10 @@ class SubshiftSpec:
                 f"(bound {n}^{g}*{r}^{p} >= 10^{_COUNT_DIGIT_CAP}), above the count digit "
                 f"cap ({_COUNT_DIGIT_CAP}); nothing was computed"
             )
-        t = np.linalg.matrix_power(table.astype(object), k).trace()
+        # entries are non-negative, so every partial sum of every product in
+        # the power is at most r^k and the trace at most n * r^k
+        dtype = np.int64 if n * r**k < 2**63 else object
+        t = np.linalg.matrix_power(table.astype(dtype), k).trace()
         return int(t) ** g
 
     # -- internals ---------------------------------------------------------------
@@ -231,10 +241,12 @@ class SubshiftSpec:
     def pair_table(self) -> np.ndarray:
         """The letter-pair relation, read-only and built once per spec:
         [i, j] is True iff letters i and j, in ``all_elements`` order, meet
-        the family's bar.  Each pair is decided by one exact comparison."""
+        the family's bar.  The metric is translation invariant, so the pair
+        is decided by the difference i - j: one exact comparison per letter,
+        read through the alphabet's difference table."""
         self._letter_count()
-        letters = self.alphabet.all_elements()
-        table = np.array([[self._gap_ok(a, b) for b in letters] for a in letters], dtype=bool)
+        meets = [self._meets_bar(d) for d in self.alphabet.distances_to_identity()]
+        table = np.array(meets, dtype=bool)[self.alphabet.letter_table("sub")]
         table.flags.writeable = False
         return table
 

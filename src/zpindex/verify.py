@@ -6,6 +6,12 @@ counterexample.  The suites are part of the shipped surface (reachable
 from the command line), not only of the test suite: the point of the
 artifact is auditable reproduction, so the verifiers must be rerunnable by
 a reader with one command and one seed.
+
+The section suites 3.1 and 3.2 run their trials on letter indices through
+the seqmaps kernels, with one set of exact letter tables per call, and
+build letter tuples only for a failure record.  They draw from the random
+stream exactly as the tuple-based public functions do, so a seed gives the
+same trials either way.
 """
 from __future__ import annotations
 
@@ -29,11 +35,15 @@ from .homology import betti_numbers
 from .seqmaps import (
     AnchorSeq,
     Window,
-    block_sum_step,
+    _block_sums,
+    _Far,
+    _LetterOps,
+    _needed_range,
+    _section_letters,
+    _violations,
     pair_embed_cyclic,
     section_apply,
     section_input_range,
-    separation_violations,
 )
 from .shiftspaces import (
     Separation,
@@ -82,20 +92,27 @@ class VerifyResult:
         return doc
 
 
+def _separated_letters(rng: random.Random, ops: _LetterOps, far, gap: int, length: int) -> list[int]:
+    """Letter indices t = 0..length-1 with letters t and t + gap delta-separated,
+    drawn by rejection: one ``rng.randrange(n)`` per candidate letter."""
+    letters: list[int] = []
+    order = ops.alphabet.order
+    for t in range(length):
+        row = ops.sub[letters[t - gap]] if t >= gap else None
+        while True:
+            e = rng.randrange(order)
+            if row is None or far[row[e]]:
+                letters.append(e)
+                break
+    return letters
+
+
 def _random_separated_window(
     rng: random.Random, alphabet: Alphabet, delta: Fraction, gap: int, lo: int, hi: int
 ) -> Window:
     """A window on [lo, hi] whose letters at distance `gap` are delta-separated."""
-    letters: list = []
-    order = alphabet.order
-    for k in range(lo, hi + 1):
-        while True:
-            e = alphabet.unindex(rng.randrange(order))
-            prev = k - gap - lo
-            if prev < 0 or alphabet.metric(letters[prev], e) >= delta:
-                letters.append(e)
-                break
-    return Window(alphabet, lo, tuple(letters))
+    ops = _LetterOps(alphabet)
+    return ops.window(lo, _separated_letters(rng, ops, _Far(alphabet, delta), gap, hi - lo + 1))
 
 
 def _trial_ranges(rng: random.Random, m: int) -> tuple[int, int]:
@@ -106,12 +123,14 @@ def _trial_ranges(rng: random.Random, m: int) -> tuple[int, int]:
 
 
 def _section_suite(lemma, m, alphabet, delta, trials, seed, extend, first_bad) -> VerifyResult:
-    """One trial loop for the section suites 3.1 and 3.2.
+    """One trial loop for the section suites 3.1 and 3.2, on letter indices.
 
     Each trial draws an output range [lo, hi], a delta-separated input
     window covering what the section reads on [lo, hi + extend] and a seeded
-    anchor, then evaluates the section there.  ``first_bad(lo, hi, x, y)``
-    returns the failure fields of the trial, or None when it passes.
+    anchor, then evaluates the section there.  One set of letter tables
+    serves every trial.  ``first_bad(ops, far, lo, hi, nlo, xs, ys)``, with the
+    inputs xs from nlo and the outputs ys from lo, returns the failure fields
+    of the trial, or None when it passes.
     """
     window = 7 * factorial(m)  # outputs lie in [-2 m!, 5 m!)
     if window > _WINDOW_CAP:
@@ -121,16 +140,19 @@ def _section_suite(lemma, m, alphabet, delta, trials, seed, extend, first_bad) -
         )
     rng = random.Random(seed)
     gap = factorial(m - 1)
+    ops = _LetterOps(alphabet)
+    far = _Far(alphabet, delta)
     failures = 0
     first = None
     for t in range(trials):
         lo, hi = _trial_ranges(rng, m)
-        need = section_input_range(m, lo, hi + extend)
+        need = _needed_range(m, lo, hi + extend)
         nlo, nhi = need if need is not None else (0, 0)
-        x = _random_separated_window(rng, alphabet, delta, gap, nlo, nhi)
+        xs = _separated_letters(rng, ops, far, gap, nhi - nlo + 1)
         anchor_seed = rng.randrange(10**9)
-        y = section_apply(m, AnchorSeq.seeded(alphabet, anchor_seed), x, lo, hi + extend)
-        bad = first_bad(lo, hi, x, y)
+        anchor = AnchorSeq.seeded(alphabet, anchor_seed)
+        ys = _section_letters(m, anchor, ops, xs, nlo, lo, hi + extend)
+        bad = first_bad(ops, far, lo, hi, nlo, xs, ys)
         if bad is not None:
             failures += 1
             if first is None:
@@ -139,8 +161,8 @@ def _section_suite(lemma, m, alphabet, delta, trials, seed, extend, first_bad) -
                     "m": m,
                     "alphabet": alphabet.token(),
                     "anchor_seed": anchor_seed,
-                    "window": [list(e) for e in x.letters],
-                    "offset": x.offset,
+                    "window": [list(alphabet.unindex(e)) for e in xs],
+                    "offset": nlo,
                     **bad,
                 }
     return VerifyResult(
@@ -155,9 +177,10 @@ def check_roundtrip(
     """Forward code after the section is the identity, bit-exact, on random
     valid windows and random anchors."""
 
-    def first_bad(lo, hi, x, y):
-        back = block_sum_step(m, y)
-        bad = [k for k in range(lo, hi + 1) if back[k] != x[k]]
+    def first_bad(ops, far, lo, hi, nlo, xs, ys):
+        # the section reads every input it inverts, so xs covers [lo, hi]
+        back = _block_sums(ops.add, m, ys)
+        bad = [k for k in range(lo, hi + 1) if back[k - lo] != xs[k - nlo]]
         return {"first_bad_index": bad[0]} if bad else None
 
     span = (m - 1) * factorial(m - 1)
@@ -170,9 +193,9 @@ def check_section_containment(
     """Section outputs satisfy the level-m pair constraint at every checkable pair."""
     block = factorial(m)
 
-    def first_bad(lo, hi, x, y):
-        bad = separation_violations(y, block, delta)
-        return {"first_bad_pair": [bad[0], bad[0] + block]} if bad else None
+    def first_bad(ops, far, lo, hi, nlo, xs, ys):
+        bad = _violations(ops.sub, far, ys, block)
+        return {"first_bad_pair": [lo + bad[0], lo + bad[0] + block]} if bad else None
 
     # extending by m! makes at least one (k, k + m!) pair visible
     return _section_suite("3.1", m, alphabet, delta, trials, seed, block, first_bad)

@@ -8,7 +8,10 @@ enumeration, joins validated from scratch by the general simplicial
 constructor instead of built from their factors, a transfer-matrix power
 by hand-written Python list products instead of numpy object arrays, and
 torus vertex masks from a double loop over letter pairs and full index grids
-instead of the spec's pair table on open axes.
+instead of the spec's pair table on open axes, and the block-sum code, its
+section and the section suites on windows of letter tuples through the exact
+``Alphabet`` operations, with the needed input set spelled out index by index,
+instead of letter indices, exact tables and a closed-form range.
 """
 from __future__ import annotations
 
@@ -310,6 +313,191 @@ def loop_vertex_mask(spec) -> np.ndarray:
         for j in range(1, p):
             ok &= edges[j - 1] | edges[j]
     return ok
+
+
+# -- the block-sum code and its section on windows of letter tuples ------------
+
+
+def tuple_block_sum_step(m: int, w):
+    """One step of the forward code: output at k sums inputs k + i*(m-1)! for i < m."""
+    from zpindex.errors import NeededRangeError, ShapeError
+    from zpindex.seqmaps import Window
+
+    if m < 2:
+        raise ShapeError(f"block-sum step needs m >= 2, got {m}")
+    gap = factorial(m - 1)
+    span = (m - 1) * gap
+    out_len = len(w) - span
+    if out_len <= 0:
+        needed = (w.start, w.start + span)
+        missing = tuple(range(w.stop, w.start + span + 1))
+        raise NeededRangeError(
+            f"window [{w.start}, {w.stop}) too short: output at {w.start} needs inputs "
+            f"{needed[0]}..{needed[1]}; missing {missing[0]}..{missing[-1]}",
+            needed=needed,
+            missing=missing,
+        )
+    alpha = w.alphabet
+    out = []
+    for k in range(w.start, w.start + out_len):
+        acc = alpha.identity
+        for i in range(m):
+            acc = alpha.add(acc, w[k + i * gap])
+        out.append(acc)
+    return Window(alpha, w.start, tuple(out))
+
+
+def needed_x_indices(m: int, k: int) -> set[int]:
+    """Absolute input indices the section's case formula reads to produce output k."""
+    gap = factorial(m - 1)
+    block = factorial(m)
+    head = (m - 1) * gap  # anchor-only prefix of the base block
+    if 0 <= k < head:
+        return set()
+    if head <= k < block:
+        return {k - head}
+    n, j = divmod(k, block)
+    if n > 0:
+        idx = {i * block + j for i in range(n)} | {i * block + gap + j for i in range(n)}
+    else:
+        idx = {i * block + j for i in range(n, 0)} | {i * block + gap + j for i in range(n, 0)}
+    return idx | needed_x_indices(m, j)
+
+
+def tuple_section_input_range(m: int, lo: int, hi: int):
+    """Minimal absolute input range needed to produce every output in [lo, hi]."""
+    from zpindex.errors import ShapeError
+
+    if m < 2:
+        raise ShapeError(f"section needs m >= 2, got {m}")
+    if lo > hi:
+        raise ShapeError(f"empty requested range [{lo}, {hi}]")
+    needed: set[int] = set()
+    for k in range(lo, hi + 1):
+        needed |= needed_x_indices(m, k)
+    if not needed:
+        return None
+    return (min(needed), max(needed))
+
+
+def tuple_section_apply(m: int, anchor, x, lo: int, hi: int):
+    """Evaluate the section of the level-(m-1) -> level-m code on [lo, hi]."""
+    from zpindex.errors import NeededRangeError, ShapeError
+    from zpindex.seqmaps import Window
+
+    if m < 2:
+        raise ShapeError(f"section needs m >= 2, got {m}")
+    if lo > hi:
+        raise ShapeError(f"empty requested range [{lo}, {hi}]")
+    alpha = x.alphabet
+    needed = set()
+    for k in range(lo, hi + 1):
+        needed |= needed_x_indices(m, k)
+    missing = tuple(sorted(i for i in needed if not x.start <= i < x.stop))
+    if missing:
+        raise NeededRangeError(
+            f"section input window [{x.start}, {x.stop}) is missing indices {missing}",
+            needed=(min(needed), max(needed)),
+            missing=missing,
+        )
+
+    gap = factorial(m - 1)
+    block = factorial(m)
+    head = (m - 1) * gap
+    base: dict = {}
+
+    def y_base(j: int):
+        if j in base:
+            return base[j]
+        if j < head:
+            v = anchor.letter(alpha, j)
+        else:
+            v = x[j - head]
+            for i in range(1, m):
+                v = alpha.sub(v, anchor.letter(alpha, j - i * gap))
+        base[j] = v
+        return v
+
+    def y_at(k: int):
+        n, j = divmod(k, block)
+        if n == 0:
+            return y_base(j)
+        acc = y_base(j)
+        if n > 0:
+            for i in range(n):
+                acc = alpha.add(acc, alpha.sub(x[i * block + gap + j], x[i * block + j]))
+        else:
+            for i in range(n, 0):
+                acc = alpha.add(acc, alpha.sub(x[i * block + j], x[i * block + gap + j]))
+        return acc
+
+    return Window(alpha, lo, tuple(y_at(k) for k in range(lo, hi + 1)))
+
+
+def tuple_separation_violations(w, step: int, delta: Fraction) -> list[int]:
+    """Indices k with both ends visible where dist(x_k, x_{k+step}) < delta."""
+    bad = []
+    for k in range(w.start, w.stop - step):
+        if w.alphabet.metric(w[k], w[k + step]) < delta:
+            bad.append(k)
+    return bad
+
+
+def tuple_separated_window(rng, alphabet, delta: Fraction, gap: int, lo: int, hi: int):
+    """A window on [lo, hi] whose letters at distance `gap` are delta-separated."""
+    from zpindex.seqmaps import Window
+
+    letters: list = []
+    order = alphabet.order
+    for k in range(lo, hi + 1):
+        while True:
+            e = alphabet.unindex(rng.randrange(order))
+            prev = k - gap - lo
+            if prev < 0 or alphabet.metric(letters[prev], e) >= delta:
+                letters.append(e)
+                break
+    return Window(alphabet, lo, tuple(letters))
+
+
+def tuple_section_suite(lemma: str, m: int, alphabet, delta: Fraction, trials: int, seed: int) -> dict:
+    """The ``to_json()`` of verify suite 3.1 or 3.2, rerun trial by trial on
+    letter tuples with the same random stream: the output range, the
+    separated window, the anchor seed, the section and the final check."""
+    import random
+
+    from zpindex.seqmaps import AnchorSeq
+
+    block, gap = factorial(m), factorial(m - 1)
+    extend = block if lemma == "3.1" else (m - 1) * gap
+    rng = random.Random(seed)
+    failures, first = 0, None
+    for t in range(trials):
+        lo = rng.randrange(-2 * block, block)
+        hi = lo + rng.randrange(1, 3 * block + 1)
+        nlo, nhi = tuple_section_input_range(m, lo, hi + extend) or (0, 0)
+        x = tuple_separated_window(rng, alphabet, delta, gap, nlo, nhi)
+        anchor_seed = rng.randrange(10**9)
+        anchor = AnchorSeq(lambda k: alphabet.unindex(
+            random.Random(f"{anchor_seed}|{k}").randrange(alphabet.order)))
+        y = tuple_section_apply(m, anchor, x, lo, hi + extend)
+        if lemma == "3.1":
+            v = tuple_separation_violations(y, block, delta)
+            bad = {"first_bad_pair": [v[0], v[0] + block]} if v else None
+        else:
+            back = tuple_block_sum_step(m, y)
+            v = [k for k in range(lo, hi + 1) if back[k] != x[k]]
+            bad = {"first_bad_index": v[0]} if v else None
+        if bad is not None:
+            failures += 1
+            if first is None:
+                first = {"trial": t, "m": m, "alphabet": alphabet.token(),
+                         "anchor_seed": anchor_seed, "window": [list(e) for e in x.letters],
+                         "offset": x.offset, **bad}
+    doc = {"lemma": lemma, "passed": failures == 0, "trials": trials, "failures": failures,
+           "details": {"m": m, "alphabet": alphabet.token(), "seed": seed}}
+    if first is not None:
+        doc["first_counterexample"] = first
+    return doc
 
 
 def assert_same_mask(got: np.ndarray, want: np.ndarray) -> None:

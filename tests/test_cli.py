@@ -201,6 +201,26 @@ def test_verify_window_cap_refuses_before_the_first_trial(capsys):
         assert "2540160" in doc["error"]["reason"] and "1000000" in doc["error"]["reason"]
 
 
+def test_section_suites_above_the_pair_table_cap_keep_their_output(capsys):
+    # 4096 letters have 2^24 pairs, past the pair table cap: the suites then run
+    # on the Alphabet operations, and print what they printed on letter tuples
+    for lemma in ("3.1", "3.2"):
+        _, doc = run(capsys, "verify-lemma", "--id", lemma, "--m", "2", "--alphabet",
+                     "S:q=4096", "--trials", "200")
+        doc.pop("timestamp")
+        doc["versions"] = {"zpindex": doc["versions"]["zpindex"]}
+        assert doc == {
+            "command": "verify-lemma",
+            "inputs": {"alphabet": "S:q=4096", "copies": 2, "delta": "1/2", "field": 0,
+                       "id": lemma, "m": 2, "p": 5, "q": 8, "trials": 200},
+            "provenance": [f"property suite for statement {lemma} with seed 0"],
+            "results": {"details": {"alphabet": "S:q=4096", "m": 2, "seed": 0}, "failures": 0,
+                        "lemma": lemma, "passed": True, "trials": 200},
+            "seed": 0,
+            "versions": {"zpindex": "0.1.0"},
+        }
+
+
 def test_letter_pair_table_cap_refuses_before_comparing(capsys):
     # S^5:q=8 has 32768 letters: about 1.07e9 exact metric comparisons
     for command in ("count", "enumerate", "orbits"):

@@ -3,8 +3,18 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zpindex.alphabets import circle_grid, cyclic_group
+from conftest import (
+    tuple_block_sum_step,
+    tuple_section_apply,
+    tuple_section_input_range,
+    tuple_section_suite,
+    tuple_separated_window,
+    tuple_separation_violations,
+)
+from zpindex import seqmaps
+from zpindex.alphabets import circle_grid, cyclic_group, parse_alphabet
 from zpindex.errors import NeededRangeError, ShapeError
 from zpindex.seqmaps import (
     AnchorSeq,
@@ -27,7 +37,9 @@ from zpindex.verify import (
 Z3 = cyclic_group(3)
 S8 = circle_grid(8)
 S12 = circle_grid(12)
+S2_8 = parse_alphabet("S^2:q=8")
 HALF = Fraction(1, 2)
+ORACLE_ALPHABETS = (Z3, S12, S2_8)
 
 
 def zw(offset, *letters):
@@ -118,14 +130,24 @@ def test_section_suites_report_the_first_failed_trial(monkeypatch):
     # break each suite's final check: every trial fails, and the record names trial 0
     import zpindex.verify as verify
 
-    monkeypatch.setattr(verify, "block_sum_step", lambda m, y: Window(Z3, y.offset, ((1,),) * len(y)))
-    monkeypatch.setattr(verify, "separation_violations", lambda y, step, delta: [y.start])
-    for check, key in ((check_roundtrip, "first_bad_index"), (check_section_containment, "first_bad_pair")):
+    monkeypatch.setattr(verify, "_block_sums", lambda add, m, ys: [Z3.index((1,))] * len(ys))
+    monkeypatch.setattr(verify, "_violations", lambda sub, far, ys, step: [0])
+    for check, key, extend in ((check_roundtrip, "first_bad_index", 1),
+                               (check_section_containment, "first_bad_pair", 2)):
         r = check(2, Z3, HALF, trials=5, seed=7)
         assert not r.passed and r.failures == 5
         first = r.first_counterexample
         assert first["trial"] == 0 and first["m"] == 2 and first["alphabet"] == "Z3"
         assert key in first and {"anchor_seed", "window", "offset"} <= set(first)
+        # trial 0 of seed 7 redrawn through the public functions
+        rng = random.Random(7)
+        lo, hi = verify._trial_ranges(rng, 2)
+        nlo, nhi = section_input_range(2, lo, hi + extend)
+        x = _random_separated_window(rng, Z3, HALF, 1, nlo, nhi)
+        assert first["window"] == [list(e) for e in x.letters] and first["offset"] == nlo
+        assert first["anchor_seed"] == rng.randrange(10**9)
+        if key == "first_bad_pair":
+            assert first[key] == [lo, lo + 2]
 
 
 def test_roundtrip_anchor_independence():
@@ -188,3 +210,131 @@ def test_window_helpers():
     assert w[4] == (1,)
     with pytest.raises(NeededRangeError):
         w[6]
+
+
+# -- the letter-index kernels against the tuple oracles in conftest -------------
+
+
+def outcome(call):
+    """What a call gives: its value (a window by alphabet, offset and letters),
+    or the type, text and fields of its error."""
+    try:
+        out = call()
+    except NeededRangeError as e:
+        return ("needed-range", str(e), e.needed, e.missing)
+    except ShapeError as e:
+        return ("shape", str(e))
+    if isinstance(out, Window):
+        return ("window", out.alphabet, out.offset, out.letters)
+    return ("value", out)
+
+
+def random_window(alpha, start, stop, seed):
+    rng = random.Random(seed)
+    return Window(alpha, start, tuple(alpha.unindex(rng.randrange(alpha.order))
+                                      for _ in range(stop - start + 1)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_section_input_range_matches_the_needed_sets(m):
+    block = factorial(m)
+    widths = sorted({0, 1, 2, block - 1, block, block + 1, 2 * block + 3, 3 * block})
+    for lo in range(-3 * block - 1, 3 * block + 2):
+        for width in widths:
+            assert section_input_range(m, lo, lo + width) == tuple_section_input_range(m, lo, lo + width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from([2, 3, 4]),
+    alpha=st.sampled_from(ORACLE_ALPHABETS),
+    lo=st.integers(-80, 80),
+    width=st.integers(-1, 80),
+    slack=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    seed=st.integers(0, 2**32),
+    seeded=st.booleans(),
+)
+def test_section_matches_the_tuple_oracle(m, alpha, lo, width, slack, seed, seeded):
+    # windows around the needed range, missing up to three inputs on either side
+    hi = lo + width
+    need = tuple_section_input_range(m, lo, hi) if width >= 0 else None
+    nlo, nhi = need or (lo, lo)
+    start, stop = nlo + slack[0], max(nlo + slack[0], nhi + slack[1])
+    x = random_window(alpha, start, stop, seed)
+    if seeded:
+        anchor = AnchorSeq.seeded(alpha, seed)
+    else:
+        anchor = AnchorSeq(lambda k: alpha.unindex((3 * k + seed) % alpha.order))
+    assert outcome(lambda: section_apply(m, anchor, x, lo, hi)) == outcome(
+        lambda: tuple_section_apply(m, anchor, x, lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 3, 4]),
+    alpha=st.sampled_from(ORACLE_ALPHABETS),
+    offset=st.integers(-60, 60),
+    length=st.integers(1, 60),
+    seed=st.integers(0, 2**32),
+)
+def test_block_sum_step_matches_the_tuple_oracle(m, alpha, offset, length, seed):
+    w = random_window(alpha, offset, offset + length - 1, seed)
+    assert outcome(lambda: block_sum_step(m, w)) == outcome(lambda: tuple_block_sum_step(m, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.sampled_from(ORACLE_ALPHABETS),
+    offset=st.integers(-30, 30),
+    length=st.integers(1, 30),
+    step=st.integers(-2, 8),
+    delta=st.sampled_from([Fraction(1, 6), Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1)]),
+    seed=st.integers(0, 2**32),
+)
+def test_separation_violations_match_the_tuple_oracle(alpha, offset, length, step, delta, seed):
+    w = random_window(alpha, offset, offset + length - 1, seed)
+    assert outcome(lambda: separation_violations(w, step, delta)) == outcome(
+        lambda: tuple_separation_violations(w, step, delta))
+
+
+SUITES = [(2, Z3, HALF, 80), (2, S12, HALF, 80), (3, S12, Fraction(5, 6), 30), (2, S2_8, Fraction(1), 40)]
+
+
+@pytest.mark.parametrize("m,alpha,delta,trials", SUITES,
+                         ids=[f"m={m}-{a.token()}-delta={d}" for m, a, d, _ in SUITES])
+def test_section_suites_match_the_tuple_oracle_loop(m, alpha, delta, trials):
+    for seed in range(5):
+        for lemma, check in (("3.1", check_section_containment), ("3.2", check_roundtrip)):
+            got = check(m, alpha, delta, trials, seed).to_json()
+            assert got == tuple_section_suite(lemma, m, alpha, delta, trials, seed), (lemma, seed)
+
+
+@pytest.mark.parametrize("alpha", [Z3, S12], ids=lambda a: a.token())
+def test_section_suites_without_tables_agree(monkeypatch, alpha):
+    # above the pair table cap the letters go through the Alphabet operations
+    with_tables = [check(m, alpha, HALF, 60, seed).to_json()
+                   for check in (check_section_containment, check_roundtrip)
+                   for m in (2, 3) for seed in (0, 1)]
+    monkeypatch.setattr(seqmaps, "_PAIR_TABLE_CAP", 0)
+    assert not seqmaps._LetterOps(alpha).add.tabled
+    without = [check(m, alpha, HALF, 60, seed).to_json()
+               for check in (check_section_containment, check_roundtrip)
+               for m in (2, 3) for seed in (0, 1)]
+    assert without == with_tables
+
+
+def test_large_alphabet_windows_match_the_tuple_oracle():
+    # S:q=4096 is past the pair table cap, so its rows apply the Alphabet operations
+    big = circle_grid(4096)
+    assert not seqmaps._LetterOps(big).add.tabled
+    for m, seed in ((2, 0), (3, 1), (2, 2)):
+        lo, hi = -factorial(m), 2 * factorial(m)
+        nlo, nhi = section_input_range(m, lo, hi)
+        x = _random_separated_window(random.Random(seed), big, HALF, factorial(m - 1), nlo, nhi)
+        assert x == tuple_separated_window(random.Random(seed), big, HALF, factorial(m - 1), nlo, nhi)
+        anchor = AnchorSeq.seeded(big, seed)
+        y = section_apply(m, anchor, x, lo, hi)
+        assert y == tuple_section_apply(m, anchor, x, lo, hi)
+        assert block_sum_step(m, y) == tuple_block_sum_step(m, y)
+        assert separation_violations(y, factorial(m), HALF) == tuple_separation_violations(
+            y, factorial(m), HALF)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import factorial, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -221,11 +222,11 @@ def test_periodic_point_complex():
 
 
 def test_letter_pair_table_cap(monkeypatch):
-    # S^3:q=8 has 512 letters (262144 pairs) and stays under the cap; a cheap
-    # stand-in for the exact comparison keeps the table fast to build here
-    monkeypatch.setattr(SubshiftSpec, "_gap_ok", lambda self, a, b: a != b)
+    # S^3:q=8 has 512 letters (262144 pairs) and stays under the cap
     spec = SubshiftSpec(parse_alphabet("S^3:q=8"), Separation(1, Fraction(1, 2)))
     assert spec.pair_table.shape == (512, 512)
+    assert spec.pair_table[0].tolist() == [
+        spec._gap_ok((0, 0, 0), b) for b in spec.alphabet.all_elements()]
     big = SubshiftSpec(parse_alphabet("S^4:q=8"), Separation(1, Fraction(1, 2)))
 
     def no_letters(self):
@@ -266,9 +267,8 @@ def test_pair_table_is_the_exact_pair_relation(spec):
     assert table.dtype == bool and table.shape == (len(letters),) * 2
     assert not table.flags.writeable
     assert spec.pair_table is table  # built once per spec
-    for i, a in enumerate(letters):
-        for j, b in enumerate(letters):
-            assert table[i, j] == spec._gap_ok(a, b)
+    loop = np.array([[spec._gap_ok(a, b) for b in letters] for a in letters], dtype=bool)
+    assert table.tobytes() == loop.tobytes()
 
 
 @pytest.mark.parametrize("spec", PAIR_SPECS[:6], ids=spec_id)
@@ -278,3 +278,26 @@ def test_count_matches_the_list_power_oracle(spec):
     for p in range(1, 14):
         g = gcd(spec.family.step, p)
         assert spec.count_periodic(p) == int_matrix_trace_power(a, p // g) ** g
+
+
+@pytest.mark.parametrize("spec,k", [(SIGMA1, 61), (SIGMA1, 62), (SIGMA2, 61), (SIGMA2, 62),
+                                    (PAIR_SPECS[5], 9), (PAIR_SPECS[5], 10)])
+def test_count_power_is_int64_only_below_the_exactness_bound(monkeypatch, spec, k):
+    # n * r^k < 2^63 bounds every entry and partial sum of the power: int64 then,
+    # Python ints from the first k past it (3 * 2^61 < 2^63 <= 3 * 2^62 over Z3, and
+    # 64 * 55^9 < 2^63 <= 64 * 55^10 over S^2:q=8)
+    n, r = len(spec.pair_table), int(spec.pair_table.sum(axis=1).max())
+    dtypes = []
+    power = np.linalg.matrix_power
+
+    def spy(a, e):
+        dtypes.append(a.dtype)
+        return power(a, e)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", spy)
+    p = k * spec.family.step  # g = gcd(m!, p) = m!, so the power is k
+    g = gcd(spec.family.step, p)
+    assert p // g == k
+    a = spec.pair_table.astype(int).tolist()
+    assert spec.count_periodic(p) == int_matrix_trace_power(a, k) ** g
+    assert dtypes == [np.dtype(np.int64) if n * r**k < 2**63 else np.dtype(object)]
