@@ -9,11 +9,12 @@ as ``dist >= delta`` are decided exactly, with no tolerance anywhere.
 Elements are tuples of integer residues, one per factor, always reduced
 into ``[0, order)``.  Single-factor alphabets accept and print bare ints
 for convenience.  Inner loops may instead name a letter by its mixed-radix
-index (``index``/``unindex``, the ``all_elements`` order): ``letter_table``
-builds the (n, n) sum or difference table of indices, or one row of it, by
-digit arithmetic, and ``distances_to_identity`` lists d(a, 0) for every
-letter.  Because the metric is translation invariant, d(a, b) = d(a - b, 0),
-so a threshold table of n exact comparisons decides every letter pair.
+index (``index``/``unindex``, the ``all_elements`` order): ``letter_op``
+gives the index of a sum or difference by digit arithmetic, on single
+indices or on numpy arrays of them, which builds whole tables.  Because the
+metric is translation invariant, d(a, b) = d(a - b, 0), so a ``DistanceBar``
+of at most n exact comparisons, read at the difference index, decides a
+distance test on every letter pair.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -32,6 +33,7 @@ ElementLike = Union[int, Iterable[int]]
 
 __all__ = [
     "Alphabet",
+    "DistanceBar",
     "Element",
     "cyclic_group",
     "circle_grid",
@@ -167,28 +169,20 @@ class Alphabet:
 
     # -- letter tables -------------------------------------------------------
 
-    def letter_table(self, op: str, a: int | None = None) -> np.ndarray:
-        """Letter indices of sums ("add") or differences ("sub"), by digit
-        arithmetic one factor at a time: the (n, n) table whose [i, j] is the
-        index of letter i +/- letter j, or with ``a`` given its row a.  The
-        table holds n^2 entries; callers bound n before asking for it."""
+    def letter_op(self, op: str, a, b):
+        """Index of letter a + b ("add") or a - b ("sub"), by digit arithmetic
+        one factor at a time.  a and b are letter indices: ints, or int64
+        arrays that broadcast, so ``letter_op(op, i[:, None], i)`` over
+        ``i = arange(n)`` is the (n, n) table."""
         if op not in ("add", "sub"):
-            raise ShapeError(f"unknown letter table {op!r}")
-        right = np.arange(self.order, dtype=np.int64)
-        left = right[:, None] if a is None else a
+            raise ShapeError(f"unknown letter operation {op!r}")
         out = 0
         stride = 1
         for f in reversed(self.factors):
-            x, y = left // stride % f.order, right // stride % f.order
+            x, y = a // stride % f.order, b // stride % f.order
             out = out + (x + y if op == "add" else x - y) % f.order * stride
             stride *= f.order
         return out
-
-    def distances_to_identity(self) -> list[Fraction]:
-        """d(letter i, identity) for every letter index i, exact; by translation
-        invariance the distance of letters i and j is entry ``sub[i][j]``."""
-        zero = self.identity
-        return [self.metric(e, zero) for e in self.all_elements()]
 
     # -- text form -----------------------------------------------------------
 
@@ -204,6 +198,24 @@ class Alphabet:
     def letter_text(self, a: Element) -> str:
         """Text of a normalized element, as stored in words."""
         return str(a[0]) if self.n_factors == 1 else "[" + ",".join(map(str, a)) + "]"
+
+
+class DistanceBar(dict):
+    """``bar[d]``: does the distance from letter index d to the identity pass
+    ``test``?  One exact comparison per letter, made on first read.  By
+    translation invariance ``bar[i - j]``, read at the index of the difference
+    of letters i and j, decides ``test(d(i, j))``."""
+
+    __slots__ = ("alphabet", "test")
+
+    def __init__(self, alphabet: Alphabet, test: Callable[[Fraction], bool]):
+        super().__init__()
+        self.alphabet, self.test = alphabet, test
+
+    def __missing__(self, d: int) -> bool:
+        a = self.alphabet
+        ok = self[d] = self.test(a.metric(a.unindex(d), a.identity))
+        return ok
 
 
 def cyclic_group(n: int) -> Alphabet:

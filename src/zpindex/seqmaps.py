@@ -11,15 +11,15 @@ All index arithmetic is absolute: a Window knows its offset, and every
 operation reports the exact missing indices when given too little input.
 
 Inside, letters are mixed-radix indices (``Alphabet.index``) and the group
-operations are reads of exact tables (``_LetterOps``), filled row by row on
-first read: int lists built by digit arithmetic when the alphabet's n^2 pairs
-fit the pair table cap, and otherwise rows that apply the ``Alphabet``
-operations to unindexed letters.  Distance thresholds are one exact
-comparison per letter difference, by translation invariance.  The section walks
-each residue class mod m! out from its base block by
-y(k + m!) = y(k) + x(k + (m-1)!) - x(k), and the input range it reads has a
-closed form.  The public functions convert windows of tuples to indices and
-back around these kernels, which the verify suites call directly.
+operations are reads of exact tables (``_LetterOps``), row by row.  For the
+many trials of the verify suites (``_SectionTrials``) rows are int lists,
+built while both tables fit the bytes of the pair table cap; otherwise, and
+in single public calls, which read only a few entries, each read computes
+its entry.  Both use the digit arithmetic of ``Alphabet.letter_op``.  Distance
+thresholds are one exact comparison per letter difference (``DistanceBar``),
+by translation invariance.  The section walks each residue class mod m! out
+from its base block by y(k + m!) = y(k) + x(k + (m-1)!) - x(k).  The public
+functions convert windows of tuples to indices and back around these kernels.
 """
 from __future__ import annotations
 
@@ -29,7 +29,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from .alphabets import Alphabet, Element, ElementLike, product_alphabet
+import numpy as np
+
+from .alphabets import Alphabet, DistanceBar, Element, ElementLike, product_alphabet
 from .errors import NeededRangeError, ShapeError
 from .shiftspaces import _PAIR_TABLE_CAP, CyclicWord
 
@@ -86,22 +88,6 @@ class Window:
         return Window(self.alphabet, self.offset - s, self.letters)
 
 
-class _SeededRule:
-    """The rule of ``AnchorSeq.seeded``; ``index`` draws the letter index itself."""
-
-    __slots__ = ("alphabet", "seed")
-
-    def __init__(self, alphabet: Alphabet, seed: int):
-        self.alphabet = alphabet
-        self.seed = seed
-
-    def index(self, k: int) -> int:
-        return random.Random(f"{self.seed}|{k}").randrange(self.alphabet.order)
-
-    def __call__(self, k: int) -> Element:
-        return self.alphabet.unindex(self.index(k))
-
-
 @dataclass(frozen=True)
 class AnchorSeq:
     """A pure, total rule index -> letter, fixed before applying the section."""
@@ -114,74 +100,64 @@ class AnchorSeq:
     @staticmethod
     def seeded(alphabet: Alphabet, seed: int) -> AnchorSeq:
         """Deterministic pseudo-random anchor; the same (seed, k) always agrees."""
-        return AnchorSeq(_SeededRule(alphabet, seed))
+
+        def rule(k: int) -> Element:
+            r = random.Random(f"{seed}|{k}")
+            return alphabet.unindex(r.randrange(alphabet.order))
+
+        return AnchorSeq(rule)
 
 
 # -- letter indices and their tables ---------------------------------------------
 
 
 class _LazyRow:
-    """Row a of a letter table too large to build: entry b applies the exact
-    Alphabet operation to the unindexed letters and indexes the result."""
+    """Row a of a letter table that is not built: entry b is computed on each read."""
 
     __slots__ = ("alphabet", "op", "a")
 
-    def __init__(self, alphabet: Alphabet, op, a: Element):
+    def __init__(self, alphabet: Alphabet, op: str, a: int):
         self.alphabet, self.op, self.a = alphabet, op, a
 
     def __getitem__(self, b: int) -> int:
-        return self.alphabet.index(self.op(self.a, self.alphabet.unindex(b)))
+        return self.alphabet.letter_op(self.op, self.a, b)
 
 
 class _Rows(dict):
     """The (n, n) letter table of ``op`` ("add" or "sub"), read as ``table[a][b]``.
 
-    Row a is made on first read: a list of n indices by digit arithmetic when
-    all n^2 pairs fit the pair table cap, and otherwise a ``_LazyRow``.
+    Row a is made on first read: with ``tabled``, a list of n indices, and
+    otherwise a ``_LazyRow``.  Both come from ``Alphabet.letter_op``.
     """
 
     __slots__ = ("alphabet", "op", "tabled")
 
-    def __init__(self, alphabet: Alphabet, op: str):
+    def __init__(self, alphabet: Alphabet, op: str, tabled: bool):
         super().__init__()
-        self.alphabet, self.op = alphabet, op
-        self.tabled = alphabet.order**2 <= _PAIR_TABLE_CAP
+        self.alphabet, self.op, self.tabled = alphabet, op, tabled
 
     def __missing__(self, a: int):
         alpha = self.alphabet
         if self.tabled:
-            row = alpha.letter_table(self.op, a).tolist()
+            row = alpha.letter_op(self.op, a, np.arange(alpha.order, dtype=np.int64)).tolist()
         else:
-            row = _LazyRow(alpha, getattr(alpha, self.op), alpha.unindex(a))
+            row = _LazyRow(alpha, self.op, a)
         self[a] = row
         return row
 
 
-class _Far(dict):
-    """``far[d]``: is letter d at distance >= delta from the identity?  One
-    exact comparison per letter, made on first read.  By translation
-    invariance ``far[sub[a][b]]`` decides d(a, b) >= delta."""
-
-    __slots__ = ("alphabet", "delta")
-
-    def __init__(self, alphabet: Alphabet, delta: Fraction):
-        super().__init__()
-        self.alphabet, self.delta = alphabet, delta
-
-    def __missing__(self, d: int) -> bool:
-        a = self.alphabet
-        ok = self[d] = a.metric(a.unindex(d), a.identity) >= self.delta
-        return ok
-
-
 class _LetterOps:
-    """Group operations on the letter indices of one alphabet, as tables read
-    ``add[a][b]`` and ``sub[a][b]``, with the conversions at the window boundary."""
+    """Group operations on the letter indices of one alphabet, read
+    ``add[a][b]`` and ``sub[a][b]``, with the conversions at the window boundary.
 
-    def __init__(self, alphabet: Alphabet):
+    Rows are built only with ``tabled``: a single call reads a few entries,
+    which digit arithmetic gives faster than a row build.
+    """
+
+    def __init__(self, alphabet: Alphabet, tabled: bool = False):
         self.alphabet = alphabet
-        self.add = _Rows(alphabet, "add")
-        self.sub = _Rows(alphabet, "sub")
+        self.add = _Rows(alphabet, "add", tabled)
+        self.sub = _Rows(alphabet, "sub", tabled)
 
     def indices(self, w: Window) -> list[int]:
         return [self.alphabet.index(e) for e in w.letters]
@@ -202,6 +178,30 @@ def _block_sums(add, m: int, xs: list[int]) -> list[int]:
 def _violations(sub, far, ys: list[int], step: int) -> list[int]:
     """Positions t with d(ys[t], ys[t + step]) below the bar of ``far``."""
     return [t for t, (a, b) in enumerate(zip(ys, ys[step:])) if not far[sub[a][b]]]
+
+
+def _separated_letters(rng: random.Random, ops: _LetterOps, far, gap: int, length: int) -> list[int]:
+    """Letter indices t = 0..length-1 with letters t and t + gap passing ``far``,
+    drawn by rejection: one ``rng.randrange(n)`` per candidate letter."""
+    letters: list[int] = []
+    order = ops.alphabet.order
+    for t in range(length):
+        row = ops.sub[letters[t - gap]] if t >= gap else None
+        while True:
+            e = rng.randrange(order)
+            if row is None or far[row[e]]:
+                letters.append(e)
+                break
+    return letters
+
+
+def _random_separated_window(
+    rng: random.Random, alphabet: Alphabet, delta: Fraction, gap: int, lo: int, hi: int
+) -> Window:
+    """A window on [lo, hi] whose letters at distance `gap` are delta-separated."""
+    ops = _LetterOps(alphabet)
+    far = DistanceBar(alphabet, lambda d: d >= delta)
+    return ops.window(lo, _separated_letters(rng, ops, far, gap, hi - lo + 1))
 
 
 def block_sum_step(m: int, w: Window) -> Window:
@@ -239,33 +239,6 @@ def _section_shape(m: int, lo: int, hi: int) -> tuple[int, int, int]:
     return gap, m * gap, (m - 1) * gap
 
 
-def _needed_range(m: int, lo: int, hi: int) -> tuple[int, int] | None:
-    """Least and largest input index the section reads on [lo, hi], or None.
-
-    With B = m!, h = (m-1)*(m-1)! and j = k mod B, output k reads the inputs
-    from k up to j - h when k < 0, nothing when 0 <= k < h, and from
-    j - h (j >= h) or j (j < h) up to k - h when k >= h.  The bounds over
-    [lo, hi] follow from the residues the range covers.
-    """
-    gap, block, head = _section_shape(m, lo, hi)
-    lows, highs = [], []
-    neg_hi = min(hi, -1)
-    if lo <= neg_hi:
-        a, b = lo % block, neg_hi % block
-        every = neg_hi - lo + 1 >= block or a > b  # the residues reach B - 1
-        lows.append(lo)
-        highs.append((block - 1 if every else b) - head)
-    pos_lo = max(lo, head)
-    if pos_lo <= hi:
-        a, b = pos_lo % block, hi % block
-        if hi - pos_lo + 1 >= block or a > b or a < head <= b:
-            lows.append(0)  # residue 0 or h is covered
-        else:
-            lows.append(a - head if a >= head else a)
-        highs.append(hi - head)
-    return (min(lows), max(highs)) if highs else None
-
-
 def _needed_indices(m: int, lo: int, hi: int) -> set[int]:
     """Every input index the section reads on [lo, hi], residue class by class."""
     gap, block, head = _section_shape(m, lo, hi)
@@ -282,33 +255,16 @@ def _needed_indices(m: int, lo: int, hi: int) -> set[int]:
 def _section_letters(
     m: int, anchor: AnchorSeq, ops: _LetterOps, xs: list[int], start: int, lo: int, hi: int
 ) -> list[int]:
-    """The section on [lo, hi] as letter indices; xs[i] is the input at start + i.
-
-    Raises NeededRangeError naming the exact missing indices when xs does not
-    cover what the outputs read.  Anchor letters are drawn once per index.
-    """
-    need = _needed_range(m, lo, hi)
-    stop = start + len(xs)
-    if need is not None and not (start <= need[0] and need[1] < stop):
-        missing = tuple(sorted(i for i in _needed_indices(m, lo, hi) if not start <= i < stop))
-        raise NeededRangeError(
-            f"section input window [{start}, {stop}) is missing indices {missing}",
-            needed=need,
-            missing=missing,
-        )
+    """The section on [lo, hi] as letter indices; xs[i] is the input at start + i
+    and covers ``section_input_range(m, lo, hi)``.  Anchor letters are drawn
+    once per index."""
     gap, block, head = _section_shape(m, lo, hi)
     alpha, add, sub = ops.alphabet, ops.add, ops.sub
-    rule = anchor.rule
-    if isinstance(rule, _SeededRule) and rule.alphabet == alpha:
-        draw = rule.index
-    else:
-        def draw(k):
-            return alpha.index(rule(k))
     anchors: dict[int, int] = {}
 
     def letter(k: int) -> int:
         if k not in anchors:
-            anchors[k] = draw(k)
+            anchors[k] = alpha.index(anchor.rule(k))
         return anchors[k]
 
     out = [0] * (hi - lo + 1)
@@ -345,7 +301,8 @@ def section_input_range(m: int, lo: int, hi: int) -> tuple[int, int] | None:
     Returns None when no input letter is read at all (the requested range
     sits inside the anchor-only prefix of the base block).
     """
-    return _needed_range(m, lo, hi)
+    need = _needed_indices(m, lo, hi)
+    return (min(need), max(need)) if need else None
 
 
 def section_apply(m: int, anchor: AnchorSeq, x: Window, lo: int, hi: int) -> Window:
@@ -354,10 +311,66 @@ def section_apply(m: int, anchor: AnchorSeq, x: Window, lo: int, hi: int) -> Win
     The four defining cases: anchor letters on the head of the base block,
     a shifted input minus anchor sums on its tail, and telescoping sums of
     input differences (one direction per sign of the block index) added to
-    the base value elsewhere.
+    the base value elsewhere.  Raises NeededRangeError naming the exact
+    missing indices when x does not cover what the outputs read.
     """
+    need = _needed_indices(m, lo, hi)
+    missing = tuple(sorted(i for i in need if not x.start <= i < x.stop))
+    if missing:
+        raise NeededRangeError(
+            f"section input window [{x.start}, {x.stop}) is missing indices {missing}",
+            needed=(min(need), max(need)),
+            missing=missing,
+        )
     ops = _LetterOps(x.alphabet)
     return ops.window(lo, _section_letters(m, anchor, ops, ops.indices(x), x.start, lo, hi))
+
+
+class _SectionTrials:
+    """Random trials of the level-m section on letter indices, the work of the
+    section suites 3.1 and 3.2.
+
+    One set of letter tables and one distance bar serve every trial.  The
+    tables are built while both, fully read, fit the bytes of the pair table
+    cap: 2 n^2 list slots of 8 bytes, every index below 257 being one of
+    Python's shared small ints.  A trial draws from the random stream exactly
+    as ``_random_separated_window`` and then ``rng.randrange(10**9)`` for the
+    anchor seed; it returns (input offset, input letter indices, anchor seed,
+    first failing index or None).
+    """
+
+    def __init__(self, m: int, alphabet: Alphabet, delta: Fraction):
+        self.m = m
+        self.gap, self.block, self.span = _section_shape(m, 0, 0)
+        n = alphabet.order
+        self.ops = _LetterOps(alphabet, tabled=16 * n * n <= _PAIR_TABLE_CAP)
+        self.far = DistanceBar(alphabet, lambda d: d >= delta)
+
+    def _draw(self, rng: random.Random, lo: int, hi: int):
+        need = section_input_range(self.m, lo, hi)
+        start, stop = need if need is not None else (0, 0)
+        xs = _separated_letters(rng, self.ops, self.far, self.gap, stop - start + 1)
+        seed = rng.randrange(10**9)
+        anchor = AnchorSeq.seeded(self.ops.alphabet, seed)
+        return start, xs, seed, _section_letters(self.m, anchor, self.ops, xs, start, lo, hi)
+
+    def roundtrip(self, rng: random.Random, lo: int, hi: int):
+        """The first k in [lo, hi] where the forward code of the section differs
+        from the input; the section is evaluated far enough right to cover it."""
+        start, xs, seed, ys = self._draw(rng, lo, hi + self.span)
+        back = _block_sums(self.ops.add, self.m, ys)
+        bad = next((k for k in range(lo, hi + 1) if back[k - lo] != xs[k - start]), None)
+        return start, xs, seed, bad
+
+    def containment(self, rng: random.Random, lo: int, hi: int):
+        """The first k with section letters k and k + m! not delta-separated,
+        evaluated on [lo, hi + m!] so at least one such pair is visible."""
+        start, xs, seed, ys = self._draw(rng, lo, hi + self.block)
+        bad = _violations(self.ops.sub, self.far, ys, self.block)
+        return start, xs, seed, (lo + bad[0] if bad else None)
+
+    def letters(self, xs: list[int]) -> list[Element]:
+        return [self.ops.alphabet.unindex(e) for e in xs]
 
 
 # -- embeddings and checks -------------------------------------------------------
@@ -387,4 +400,5 @@ def separation_violations(w: Window, step: int, delta: Fraction) -> list[int]:
     if step < 0:
         w[w.start + step]  # raises NeededRangeError: the first partner lies left of w
     ops = _LetterOps(w.alphabet)
-    return [w.start + t for t in _violations(ops.sub, _Far(w.alphabet, delta), ops.indices(w), step)]
+    far = DistanceBar(w.alphabet, lambda d: d >= delta)
+    return [w.start + t for t in _violations(ops.sub, far, ops.indices(w), step)]

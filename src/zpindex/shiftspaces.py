@@ -34,7 +34,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .alphabets import Alphabet, Element, cyclic_group, parse_alphabet
+from .alphabets import Alphabet, DistanceBar, Element, cyclic_group, parse_alphabet
 from .errors import ResourceCapError, ShapeError
 
 __all__ = [
@@ -244,9 +244,11 @@ class SubshiftSpec:
         the family's bar.  The metric is translation invariant, so the pair
         is decided by the difference i - j: one exact comparison per letter,
         read through the alphabet's difference table."""
-        self._letter_count()
-        meets = [self._meets_bar(d) for d in self.alphabet.distances_to_identity()]
-        table = np.array(meets, dtype=bool)[self.alphabet.letter_table("sub")]
+        n = self._letter_count()
+        bar = DistanceBar(self.alphabet, self._meets_bar)
+        meets = np.array([bar[d] for d in range(n)], dtype=bool)
+        letters = np.arange(n, dtype=np.int64)
+        table = meets[self.alphabet.letter_op("sub", letters[:, None], letters)]
         table.flags.writeable = False
         return table
 

@@ -8,10 +8,10 @@ artifact is auditable reproduction, so the verifiers must be rerunnable by
 a reader with one command and one seed.
 
 The section suites 3.1 and 3.2 run their trials on letter indices through
-the seqmaps kernels, with one set of exact letter tables per call, and
-build letter tuples only for a failure record.  They draw from the random
-stream exactly as the tuple-based public functions do, so a seed gives the
-same trials either way.
+``seqmaps._SectionTrials``, with one set of exact letter tables per call,
+and build letter tuples only for a failure record.  They draw from the
+random stream exactly as the tuple-based public functions do, so a seed
+gives the same trials either way.
 """
 from __future__ import annotations
 
@@ -34,13 +34,8 @@ from .errors import ResourceCapError, ShapeError
 from .homology import betti_numbers
 from .seqmaps import (
     AnchorSeq,
-    Window,
-    _block_sums,
-    _Far,
-    _LetterOps,
-    _needed_range,
-    _section_letters,
-    _violations,
+    _random_separated_window,
+    _SectionTrials,
     pair_embed_cyclic,
     section_apply,
     section_input_range,
@@ -92,29 +87,6 @@ class VerifyResult:
         return doc
 
 
-def _separated_letters(rng: random.Random, ops: _LetterOps, far, gap: int, length: int) -> list[int]:
-    """Letter indices t = 0..length-1 with letters t and t + gap delta-separated,
-    drawn by rejection: one ``rng.randrange(n)`` per candidate letter."""
-    letters: list[int] = []
-    order = ops.alphabet.order
-    for t in range(length):
-        row = ops.sub[letters[t - gap]] if t >= gap else None
-        while True:
-            e = rng.randrange(order)
-            if row is None or far[row[e]]:
-                letters.append(e)
-                break
-    return letters
-
-
-def _random_separated_window(
-    rng: random.Random, alphabet: Alphabet, delta: Fraction, gap: int, lo: int, hi: int
-) -> Window:
-    """A window on [lo, hi] whose letters at distance `gap` are delta-separated."""
-    ops = _LetterOps(alphabet)
-    return ops.window(lo, _separated_letters(rng, ops, _Far(alphabet, delta), gap, hi - lo + 1))
-
-
 def _trial_ranges(rng: random.Random, m: int) -> tuple[int, int]:
     block = factorial(m)
     lo = rng.randrange(-2 * block, block)
@@ -122,16 +94,15 @@ def _trial_ranges(rng: random.Random, m: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _section_suite(lemma, m, alphabet, delta, trials, seed, extend, first_bad) -> VerifyResult:
-    """One trial loop for the section suites 3.1 and 3.2, on letter indices.
+def _section_suite(lemma, m, alphabet, delta, trials, seed, check, record) -> VerifyResult:
+    """One trial loop for the section suites 3.1 and 3.2.
 
-    Each trial draws an output range [lo, hi], a delta-separated input
-    window covering what the section reads on [lo, hi + extend] and a seeded
-    anchor, then evaluates the section there.  One set of letter tables
-    serves every trial.  ``first_bad(ops, far, lo, hi, nlo, xs, ys)``, with the
-    inputs xs from nlo and the outputs ys from lo, returns the failure fields
-    of the trial, or None when it passes.
+    Each trial draws an output range [lo, hi], then ``check`` (a method of
+    ``_SectionTrials``) draws a delta-separated input window and a seeded
+    anchor, evaluates the section and returns the first failing index, which
+    ``record`` turns into the failure fields of the trial.
     """
+    kernel = _SectionTrials(m, alphabet, delta)
     window = 7 * factorial(m)  # outputs lie in [-2 m!, 5 m!)
     if window > _WINDOW_CAP:
         raise ResourceCapError(
@@ -139,20 +110,11 @@ def _section_suite(lemma, m, alphabet, delta, trials, seed, extend, first_bad) -
             f"above the window cap ({_WINDOW_CAP}); no trial was run"
         )
     rng = random.Random(seed)
-    gap = factorial(m - 1)
-    ops = _LetterOps(alphabet)
-    far = _Far(alphabet, delta)
     failures = 0
     first = None
     for t in range(trials):
         lo, hi = _trial_ranges(rng, m)
-        need = _needed_range(m, lo, hi + extend)
-        nlo, nhi = need if need is not None else (0, 0)
-        xs = _separated_letters(rng, ops, far, gap, nhi - nlo + 1)
-        anchor_seed = rng.randrange(10**9)
-        anchor = AnchorSeq.seeded(alphabet, anchor_seed)
-        ys = _section_letters(m, anchor, ops, xs, nlo, lo, hi + extend)
-        bad = first_bad(ops, far, lo, hi, nlo, xs, ys)
+        offset, xs, anchor_seed, bad = check(kernel, rng, lo, hi)
         if bad is not None:
             failures += 1
             if first is None:
@@ -161,9 +123,9 @@ def _section_suite(lemma, m, alphabet, delta, trials, seed, extend, first_bad) -
                     "m": m,
                     "alphabet": alphabet.token(),
                     "anchor_seed": anchor_seed,
-                    "window": [list(alphabet.unindex(e)) for e in xs],
-                    "offset": nlo,
-                    **bad,
+                    "window": [list(e) for e in kernel.letters(xs)],
+                    "offset": offset,
+                    **record(bad),
                 }
     return VerifyResult(
         lemma, failures == 0, trials, failures, first,
@@ -176,29 +138,16 @@ def check_roundtrip(
 ) -> VerifyResult:
     """Forward code after the section is the identity, bit-exact, on random
     valid windows and random anchors."""
-
-    def first_bad(ops, far, lo, hi, nlo, xs, ys):
-        # the section reads every input it inverts, so xs covers [lo, hi]
-        back = _block_sums(ops.add, m, ys)
-        bad = [k for k in range(lo, hi + 1) if back[k - lo] != xs[k - nlo]]
-        return {"first_bad_index": bad[0]} if bad else None
-
-    span = (m - 1) * factorial(m - 1)
-    return _section_suite("3.2", m, alphabet, delta, trials, seed, span, first_bad)
+    return _section_suite("3.2", m, alphabet, delta, trials, seed, _SectionTrials.roundtrip,
+                          lambda k: {"first_bad_index": k})
 
 
 def check_section_containment(
     m: int, alphabet: Alphabet, delta: Fraction, trials: int, seed: int
 ) -> VerifyResult:
     """Section outputs satisfy the level-m pair constraint at every checkable pair."""
-    block = factorial(m)
-
-    def first_bad(ops, far, lo, hi, nlo, xs, ys):
-        bad = _violations(ops.sub, far, ys, block)
-        return {"first_bad_pair": [lo + bad[0], lo + bad[0] + block]} if bad else None
-
-    # extending by m! makes at least one (k, k + m!) pair visible
-    return _section_suite("3.1", m, alphabet, delta, trials, seed, block, first_bad)
+    return _section_suite("3.1", m, alphabet, delta, trials, seed, _SectionTrials.containment,
+                          lambda k: {"first_bad_pair": [k, k + factorial(m)]})
 
 
 def check_periodic_finite(m: int, p: int) -> VerifyResult:

@@ -11,7 +11,8 @@ torus vertex masks from a double loop over letter pairs and full index grids
 instead of the spec's pair table on open axes, and the block-sum code, its
 section and the section suites on windows of letter tuples through the exact
 ``Alphabet`` operations, with the needed input set spelled out index by index,
-instead of letter indices, exact tables and a closed-form range.
+instead of letter indices and exact tables, with the set walked residue class
+by residue class.
 """
 from __future__ import annotations
 

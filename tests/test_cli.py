@@ -4,6 +4,7 @@ import io
 import json
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,6 +267,14 @@ def test_composite_period_is_a_shape_error(capsys):
     code, doc = run(capsys, "index", "--join-of", "Sigma:m=1,p=4", "--copies", "2")
     assert code == 1 and doc["error"]["type"] == "shape"
     assert "results" not in doc
+
+
+@pytest.mark.parametrize("lemma,m", [("3.1", "1"), ("3.2", "0"), ("3.1", "-1")])
+def test_section_suites_below_level_two_are_shape_errors(capsys, lemma, m):
+    code, doc = run(capsys, "verify-lemma", "--id", lemma, "--m", m, "--alphabet", "Z3",
+                    "--trials", "5")
+    assert code == 1 and doc["error"]["type"] == "shape"
+    assert doc["error"]["reason"] == f"section needs m >= 2, got {m}"
 
 
 def test_determinism_up_to_timestamp(capsys):

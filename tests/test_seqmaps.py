@@ -130,8 +130,8 @@ def test_section_suites_report_the_first_failed_trial(monkeypatch):
     # break each suite's final check: every trial fails, and the record names trial 0
     import zpindex.verify as verify
 
-    monkeypatch.setattr(verify, "_block_sums", lambda add, m, ys: [Z3.index((1,))] * len(ys))
-    monkeypatch.setattr(verify, "_violations", lambda sub, far, ys, step: [0])
+    monkeypatch.setattr(seqmaps, "_block_sums", lambda add, m, ys: [Z3.index((1,))] * len(ys))
+    monkeypatch.setattr(seqmaps, "_violations", lambda sub, far, ys, step: [0])
     for check, key, extend in ((check_roundtrip, "first_bad_index", 1),
                                (check_section_containment, "first_bad_pair", 2)):
         r = check(2, Z3, HALF, trials=5, seed=7)
@@ -311,12 +311,13 @@ def test_section_suites_match_the_tuple_oracle_loop(m, alpha, delta, trials):
 
 @pytest.mark.parametrize("alpha", [Z3, S12], ids=lambda a: a.token())
 def test_section_suites_without_tables_agree(monkeypatch, alpha):
-    # above the pair table cap the letters go through the Alphabet operations
+    # above the pair table cap every read computes its entry
     with_tables = [check(m, alpha, HALF, 60, seed).to_json()
                    for check in (check_section_containment, check_roundtrip)
                    for m in (2, 3) for seed in (0, 1)]
+    assert seqmaps._SectionTrials(2, alpha, HALF).ops.add.tabled
     monkeypatch.setattr(seqmaps, "_PAIR_TABLE_CAP", 0)
-    assert not seqmaps._LetterOps(alpha).add.tabled
+    assert not seqmaps._SectionTrials(2, alpha, HALF).ops.add.tabled
     without = [check(m, alpha, HALF, 60, seed).to_json()
                for check in (check_section_containment, check_roundtrip)
                for m in (2, 3) for seed in (0, 1)]
@@ -324,9 +325,9 @@ def test_section_suites_without_tables_agree(monkeypatch, alpha):
 
 
 def test_large_alphabet_windows_match_the_tuple_oracle():
-    # S:q=4096 is past the pair table cap, so its rows apply the Alphabet operations
+    # S:q=4096 is past the pair table cap, so every read computes its entry
     big = circle_grid(4096)
-    assert not seqmaps._LetterOps(big).add.tabled
+    assert not seqmaps._SectionTrials(2, big, HALF).ops.add.tabled
     for m, seed in ((2, 0), (3, 1), (2, 2)):
         lo, hi = -factorial(m), 2 * factorial(m)
         nlo, nhi = section_input_range(m, lo, hi)
@@ -338,3 +339,31 @@ def test_large_alphabet_windows_match_the_tuple_oracle():
         assert block_sum_step(m, y) == tuple_block_sum_step(m, y)
         assert separation_violations(y, factorial(m), HALF) == tuple_separation_violations(
             y, factorial(m), HALF)
+
+
+@pytest.mark.parametrize("token,tabled", [("Z3", True), ("S^2:q=16", True), ("S:q=1024", False),
+                                          ("S^2:q=32", False)])
+def test_suite_tables_fit_the_bytes_of_the_pair_table_cap(token, tabled):
+    # 256 letters: two full tables of 256^2 small-int slots, 8 bytes each, are 2^20 bytes
+    assert seqmaps._SectionTrials(2, parse_alphabet(token), HALF).ops.sub.tabled is tabled
+
+
+def test_single_public_calls_build_no_rows(monkeypatch):
+    # one call computes the few entries it reads; no row is built
+    from zpindex.alphabets import Alphabet
+
+    letter_op = Alphabet.letter_op
+
+    def one_entry(self, op, a, b):
+        assert isinstance(a, int) and isinstance(b, int), "a single public call built a row"
+        return letter_op(self, op, a, b)
+
+    monkeypatch.setattr(Alphabet, "letter_op", one_entry)
+    for alpha in ORACLE_ALPHABETS:
+        x = _random_separated_window(random.Random(4), alpha, HALF, 1, -4, 12)
+        assert x == tuple_separated_window(random.Random(4), alpha, HALF, 1, -4, 12)
+        anchor = AnchorSeq.seeded(alpha, 4)
+        y = section_apply(2, anchor, x, -3, 9)
+        assert y == tuple_section_apply(2, anchor, x, -3, 9)
+        assert block_sum_step(2, y) == tuple_block_sum_step(2, y)
+        assert separation_violations(y, 2, HALF) == tuple_separation_violations(y, 2, HALF)
