@@ -15,6 +15,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -147,15 +148,25 @@ def _add_common(sub):
 
 
 def _orbit_count(spec: SubshiftSpec, p: int, count: int) -> int:
+    """Shift orbits of the period-p points by Burnside's lemma, from counts
+    only.  The k-th shift power fixes exactly the points whose period divides
+    gcd(k, p), and phi(p/d) of the k in [0, p) have gcd d, so the orbits
+    number (1/p) * sum over d | p of phi(p/d) * count(d)."""
     if count == 0:
-        return 0
-    if _is_prime(p):
-        # a shift-fixed word is constant, which no positive-threshold family allows
-        if count % p:
-            raise ShapeError(f"count {count} not divisible by prime period {p}")
-        return count // p
-    words = spec.enumerate_periodic(p)
-    return orbit_decompose(words, p).n_orbits
+        return 0  # each period-d point, d | p, repeated is a period-p point
+    divisors = [d for d in range(1, isqrt(p) + 1) if p % d == 0]
+    divisors += [p // d for d in divisors if d * d != p]
+    primes = [d for d in divisors if _is_prime(d)]
+    total = 0
+    for d in divisors:
+        phi = k = p // d
+        for r in primes:
+            if k % r == 0:
+                phi -= phi // r
+        total += phi * (count if d == p else spec.count_periodic(d))
+    if total % p:
+        raise ShapeError(f"orbit sum {total} not divisible by period {p}")
+    return total // p
 
 
 # -- subcommand implementations ----------------------------------------------------
@@ -219,6 +230,8 @@ def _cmd_orbits(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_lemma(args) -> tuple[dict, int]:
+    if args.trials < 0:
+        raise _UsageError(f"--trials must be >= 0, got {args.trials}")
     alphabet = parse_alphabet(args.alphabet) if args.alphabet else None
     res = run_lemma_check(
         args.id,
@@ -238,6 +251,8 @@ def _cmd_verify_lemma(args) -> tuple[dict, int]:
 
 
 def _join_complex_from_args(args) -> tuple[SimplicialComplex, SubshiftSpec, int, list[str]]:
+    if args.copies < 1:
+        raise _UsageError(f"--copies must be >= 1, got {args.copies}")
     spec, p = _parse_join_token(args.join_of)
     base = periodic_point_complex(spec, p)
     prov = [

@@ -92,8 +92,7 @@ class IndexReport:
         return cls(p, 0, INF, 0, INF, False, (rule,))
 
     def updated(self, rule: str, **changes) -> IndexReport:
-        rep = replace(self, provenance=self.provenance + (rule,), **changes)
-        return rep
+        return replace(self, provenance=self.provenance + (rule,), **changes)
 
     def to_json(self) -> dict:
         return {
@@ -202,15 +201,9 @@ def coindex_transport(
             f"transport along {evidence.name}: no improvement "
             f"(source coind_lower {_fmt(source.coind_lower)})"
         )
-    return IndexReport(
-        target.p,
-        new_lo,
-        target.coind_upper,
-        max(target.ind_lower, new_lo),
-        target.ind_upper,
-        False,
-        target.provenance
-        + (f"transport along {evidence.name}: coind_lower raised to {new_lo}",),
+    return target.updated(
+        f"transport along {evidence.name}: coind_lower raised to {new_lo}",
+        coind_lower=new_lo, ind_lower=max(target.ind_lower, new_lo), exact=False,
     )
 
 
@@ -317,44 +310,38 @@ def verify_certificate(cert: EquivariantMapCert, target) -> CertReport:
     two actions.  Rejection carries the first violated vertex or cell.
     """
     checks: list[str] = []
+
+    def reject(reason: str, witness: tuple | None = None) -> CertReport:
+        return CertReport(False, cert.n, tuple(checks), reason=reason, witness=witness)
+
     try:
         dom, note = _domain_complex(cert)
     except (ShapeError, NonFreeActionError) as e:
-        return CertReport(False, cert.n, tuple(checks), reason=str(e),
-                          witness=getattr(e, "witness", None))
+        return reject(str(e), getattr(e, "witness", None))
     checks.append(note)
 
     if target.p != cert.p:
-        return CertReport(False, cert.n, tuple(checks),
-                          reason=f"target prime {target.p} != certificate prime {cert.p}")
+        return reject(f"target prime {target.p} != certificate prime {cert.p}")
     if getattr(target, "action", None) is None:
-        return CertReport(False, cert.n, tuple(checks), reason="target carries no action")
+        return reject("target carries no action")
     witness = target.free_witness()
     if witness is not None:
-        return CertReport(False, cert.n, tuple(checks),
-                          reason="target action is not free", witness=witness)
+        return reject("target action is not free", witness)
     checks.append("target: free action verified")
 
     vmap = cert.vertex_map
     if len(vmap) != dom.n_vertices:
-        return CertReport(False, cert.n, tuple(checks),
-                          reason=f"vertex map has {len(vmap)} entries for "
-                                 f"{dom.n_vertices} domain vertices")
+        return reject(f"vertex map has {len(vmap)} entries for {dom.n_vertices} domain vertices")
     n_tgt = target.n_vertices
     for v, w in enumerate(vmap):
         if not 0 <= w < n_tgt:
-            return CertReport(False, cert.n, tuple(checks),
-                              reason=f"vertex {v} maps outside the target", witness=(v, w))
+            return reject(f"vertex {v} maps outside the target", (v, w))
     checks.append("vertex map: total on domain vertices")
 
     tgt_action = target.action
     for v in range(dom.n_vertices):
         if vmap[int(dom.action[v])] != int(tgt_action[vmap[v]]):
-            return CertReport(
-                False, cert.n, tuple(checks),
-                reason=f"equivariance fails at domain vertex {v}",
-                witness=(v, vmap[v]),
-            )
+            return reject(f"equivariance fails at domain vertex {v}", (v, vmap[v]))
     checks.append("equivariance: map commutes with both actions on vertices")
 
     for d in sorted(dom.cells):
@@ -363,11 +350,10 @@ def verify_certificate(cert: EquivariantMapCert, target) -> CertReport:
         for row in dom.cells[d]:
             image = {vmap[int(v)] for v in row}
             if target.carrier_cell(image) is None:
-                return CertReport(
-                    False, cert.n, tuple(checks),
-                    reason=f"cell {tuple(int(v) for v in row)} maps to {sorted(image)}, "
-                           "which lies in no single target cell",
-                    witness=tuple(int(v) for v in row),
+                cell = tuple(int(v) for v in row)
+                return reject(
+                    f"cell {cell} maps to {sorted(image)}, which lies in no single target cell",
+                    cell,
                 )
     checks.append("continuity: every domain cell lands inside one target cell")
 
@@ -383,9 +369,8 @@ def apply_certificate(report: CertReport, target_report: IndexReport) -> IndexRe
         name=f"verified vertex-map certificate (n = {report.n})",
         verified=True,
     )
-    source = IndexReport(
-        target_report.p, report.n, report.n, report.n, report.n, True,
-        (f"certificate domain is an E_{report.n} model",),
+    source = IndexReport.exact_value(
+        target_report.p, report.n, f"certificate domain is an E_{report.n} model"
     )
     return coindex_transport(evidence, source, target_report)
 
@@ -406,14 +391,8 @@ def ind_upper_by_dimension(c) -> int:
 
 def apply_dimension_bound(report: IndexReport, c) -> IndexReport:
     n = ind_upper_by_dimension(c)
-    new_ind_upper = min(report.ind_upper, n)
-    return IndexReport(
-        report.p,
-        report.coind_lower,
-        min(report.coind_upper, new_ind_upper),
-        report.ind_lower,
-        new_ind_upper,
-        report.exact,
-        report.provenance
-        + (f"ind_upper <= dim = {n} (standard-theory bound, not verified internally)",),
+    ind_upper = min(report.ind_upper, n)
+    return report.updated(
+        f"ind_upper <= dim = {n} (standard-theory bound, not verified internally)",
+        coind_upper=min(report.coind_upper, ind_upper), ind_upper=ind_upper,
     )

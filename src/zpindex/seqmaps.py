@@ -180,6 +180,15 @@ def _violations(sub, far, ys: list[int], step: int) -> list[int]:
     return [t for t, (a, b) in enumerate(zip(ys, ys[step:])) if not far[sub[a][b]]]
 
 
+def _sampler_bar(alphabet: Alphabet, delta: Fraction) -> DistanceBar:
+    """The bar d >= delta of the rejection sampler.  Every alphabet attains its
+    diameter, so up to it each letter has a letter that far away; above it none
+    does and the sampler would draw forever, so such a delta is refused."""
+    if delta > alphabet.diameter:
+        raise ShapeError(f"delta {delta} exceeds alphabet diameter {alphabet.diameter}")
+    return DistanceBar(alphabet, lambda d: d >= delta)
+
+
 def _separated_letters(rng: random.Random, ops: _LetterOps, far, gap: int, length: int) -> list[int]:
     """Letter indices t = 0..length-1 with letters t and t + gap passing ``far``,
     drawn by rejection: one ``rng.randrange(n)`` per candidate letter."""
@@ -199,8 +208,8 @@ def _random_separated_window(
     rng: random.Random, alphabet: Alphabet, delta: Fraction, gap: int, lo: int, hi: int
 ) -> Window:
     """A window on [lo, hi] whose letters at distance `gap` are delta-separated."""
+    far = _sampler_bar(alphabet, delta)
     ops = _LetterOps(alphabet)
-    far = DistanceBar(alphabet, lambda d: d >= delta)
     return ops.window(lo, _separated_letters(rng, ops, far, gap, hi - lo + 1))
 
 
@@ -344,7 +353,7 @@ class _SectionTrials:
         self.gap, self.block, self.span = _section_shape(m, 0, 0)
         n = alphabet.order
         self.ops = _LetterOps(alphabet, tabled=16 * n * n <= _PAIR_TABLE_CAP)
-        self.far = DistanceBar(alphabet, lambda d: d >= delta)
+        self.far = _sampler_bar(alphabet, delta)
 
     def _draw(self, rng: random.Random, lo: int, hi: int):
         need = section_input_range(self.m, lo, hi)

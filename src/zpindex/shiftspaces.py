@@ -12,15 +12,17 @@ studies:
   adjacent letter gaps meets the bar (``>= bar``, or ``== bar`` in the
   exact variant).
 
+``SubshiftSpec.clauses(L)`` states a family's constraint on a cyclic word
+once, as one clause of index pairs per index.  ``satisfies`` checks single
+words on it pair by pair, the depth-first search files each clause under the
+depth that completes it, and the torus-grid vertex mask ANDs its clauses.
 Each spec decides its letter-pair relation once, in ``pair_table``: an
 (n, n) read-only bool array, refused above 2^20 pairs before any letter is
 listed.  The metric is translation invariant, so it takes one exact
-``Fraction`` comparison per letter difference, n in all.  Enumeration
-(depth-first search with constraint propagation), counting (the trace of a
-power of that table as a transfer matrix, in int64 where a bound proves it
-exact and in Python ints otherwise, refused above 10^9 multiply-adds before
-the table is built) and the torus-grid
-vertex mask all read it; ``satisfies`` checks single words pair by pair.
+``Fraction`` comparison per letter difference, n in all.  The search, the
+count (the trace of a power of that table as a transfer matrix, in int64
+where a bound proves it exact and in Python ints otherwise, refused above
+10^9 multiply-adds before the table is built) and the vertex mask read it.
 Counts are cross-checkable against enumeration.
 """
 from __future__ import annotations
@@ -130,18 +132,26 @@ class SubshiftSpec:
     def _gap_ok(self, a: Element, b: Element) -> bool:
         return self._meets_bar(self.alphabet.metric(a, b))
 
+    def clauses(self, L: int) -> list[tuple[tuple[int, int], ...]]:
+        """The defining constraint on a cyclic word of length L: one clause per
+        index n, a tuple of index pairs.  A word passes when, in every clause,
+        the letters at some pair meet the family's bar.  Separation asks the
+        pair (n, n + m!) mod L; AdjacentGap asks one of (n-1, n) and (n, n+1)
+        mod L.  The search, ``satisfies`` and the torus vertex mask all read
+        this list."""
+        if isinstance(self.family, Separation):
+            d = self.family.step
+            return [((n, (n + d) % L),) for n in range(L)]
+        return [(((n - 1) % L, n), (n, (n + 1) % L)) for n in range(L)]
+
     def satisfies(self, w: CyclicWord) -> bool:
-        """Does the defining constraint hold at every index of the cyclic word?"""
+        """Does every clause hold on the cyclic word?  Each pair is decided by
+        one exact metric comparison, so no pair table is built."""
         if w.alphabet != self.alphabet:
             raise ShapeError("word alphabet does not match the spec alphabet")
-        L = w.period
         x = w.letters
-        if isinstance(self.family, Separation):
-            d = self.family.step % L
-            return all(self._gap_ok(x[n], x[(n + d) % L]) for n in range(L))
         return all(
-            self._gap_ok(x[(n - 1) % L], x[n]) or self._gap_ok(x[n], x[(n + 1) % L])
-            for n in range(L)
+            any(self._gap_ok(x[a], x[b]) for a, b in clause) for clause in self.clauses(w.period)
         )
 
     # -- enumeration -----------------------------------------------------------
@@ -154,39 +164,28 @@ class SubshiftSpec:
     ) -> tuple[CyclicWord, ...]:
         """All period-p points, sorted lexicographically on letter indices.
 
-        For the separation family with gcd(m!, p) = 1 the search recodes
-        indices by k -> k*m! mod p, which turns the constraint into a
-        nearest-neighbour one, enumerates by backtracking, and inverts the
-        recoding.  ``method`` is "auto", "direct" or "recoded"; a recoded
-        request falls back to direct search when the recoding does not
-        apply.
+        The search sets positions in the order 0, 1, ..., p-1.  For the
+        separation family with gcd(m!, p) = 1 it may instead set them in the
+        order 0, m!, 2*m!, ... mod p (the recoding k -> k*m! mod p), which
+        puts the two positions of each clause at neighbouring depths.
+        ``method`` is "auto", "direct" or "recoded"; a recoded request falls
+        back to direct search when the recoding does not apply.
         """
         if p < 1:
             raise ShapeError(f"period must be >= 1, got {p}")
         if method not in ("auto", "direct", "recoded"):
             raise ShapeError(f"unknown enumeration method {method!r}")
         cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
-        ok = self.pair_table.tolist()
-
-        if isinstance(self.family, Separation):
+        order = list(range(p))
+        if method != "direct" and isinstance(self.family, Separation):
             d = self.family.step % p
-            recodable = d != 0 and gcd(self.family.step, p) == 1
-            if method in ("auto", "recoded") and recodable and d != 1:
-                raw = self._dfs_pairs(ok, p, 1, cap)
-                words = []
-                for y in raw:
-                    x = [0] * p
-                    for k in range(p):
-                        x[(k * self.family.step) % p] = y[k]
-                    words.append(tuple(x))
-            else:
-                words = self._dfs_pairs(ok, p, d, cap)
-        else:
-            words = self._dfs_adjacent(ok, p, cap)
-
-        out = sorted(set(words))
+            if d > 1 and gcd(d, p) == 1:
+                order = [k * d % p for k in range(p)]
+        words = _search(self.pair_table.tolist(), order, self.clauses(p), cap)
         elements = self.alphabet.all_elements()
-        return tuple(CyclicWord(self.alphabet, tuple(elements[i] for i in w)) for w in out)
+        return tuple(
+            CyclicWord(self.alphabet, tuple(elements[i] for i in w)) for w in sorted(words)
+        )
 
     def count_periodic(self, p: int) -> int:
         """Number of period-p points via the transfer matrix, exact.
@@ -263,52 +262,29 @@ class SubshiftSpec:
             )
         return n
 
-    def _dfs_pairs(self, ok, L, d, cap):
-        """Backtracking over letter indices with the pair constraint (n, n+d mod L);
-        ok is the pair table as nested lists."""
-        if d == 0:
-            return []  # the pair (n, n) can never meet a positive bar
-        checks_at = [[] for _ in range(L)]
-        seen = set()
-        for n in range(L):
-            pair = frozenset((n, (n + d) % L))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            j, i = sorted(pair)
-            checks_at[i].append((j, i))
 
-        def accept(word, t):
-            j, i = t
-            return ok[word[j]][word[i]]
+def _search(ok, order, clauses, cap):
+    """Backtracking over letter indices; ok is the pair table as nested lists.
 
-        return _run_dfs_general(len(ok), L, checks_at, accept, cap)
-
-    def _dfs_adjacent(self, ok, L, cap):
-        """Backtracking for the disjunctive adjacent-gap constraint."""
-        # constraint at n involves (n-1, n, n+1); trigger once all three are set
-        triples = [((n - 1) % L, n, (n + 1) % L) for n in range(L)]
-        checks_at = [[] for _ in range(L)]
-        for t in triples:
-            checks_at[max(t)].append(t)
-
-        def accept(word, t):
-            a, b, c = t
-            return ok[word[a]][word[b]] or ok[word[b]][word[c]]
-
-        return _run_dfs_general(len(ok), L, checks_at, accept, cap)
-
-
-def _run_dfs_general(n_letters, L, checks_at, accept, cap):
-    """Backtracking over letter indices; checks_at[i] are the checks that
-    become decidable once letter i is set, each passed to accept(word, check).
-
-    The search keeps an explicit stack (the next letter to try at each
-    position), so its depth is not bounded by Python's recursion limit.
-    Every letter tried counts as one node.  The words found may hold at most
-    the word letter cap, so a deep period is refused before its words fill
-    memory.
+    Depth i sets position order[i].  Each distinct clause is checked once, at
+    the depth that sets the last of its positions, by reading ok at its
+    pairs.  The search keeps an explicit stack (the next letter to try at each
+    depth), so its depth is not bounded by Python's recursion limit.  Every
+    letter tried counts as one node.  The words found may hold at most the
+    word letter cap, so a deep period is refused before its words fill memory.
     """
+    L = len(order)
+    depth = [0] * L
+    for i, n in enumerate(order):
+        depth[n] = i
+    checks_at = [[] for _ in range(L)]
+    seen = set()
+    for clause in clauses:
+        key = frozenset(frozenset(pair) for pair in clause)  # the table is symmetric
+        if key not in seen:
+            seen.add(key)
+            checks_at[max(depth[n] for pair in clause for n in pair)].append(clause)
+    n_letters = len(ok)
     out = []
     word = [0] * L
     nxt = [0] * L
@@ -333,8 +309,14 @@ def _run_dfs_general(n_letters, L, checks_at, accept, cap):
         nodes += 1
         if nodes > cap:
             raise ResourceCapError(f"enumeration exceeded the node cap ({cap})")
-        word[i] = u
-        if all(accept(word, t) for t in checks_at[i]):
+        word[order[i]] = u
+        for clause in checks_at[i]:
+            for a, b in clause:
+                if ok[word[a]][word[b]]:
+                    break
+            else:
+                break  # no pair of this clause meets the bar
+        else:
             i += 1
     return out
 

@@ -11,14 +11,17 @@ doubled resolution, never as a homotopy-equivalence claim.
 
 Thresholds must be exact multiples of the grid step 2/q so that every
 comparison is decided exactly; 4 | q keeps 1/2 and 1 on grid boundaries.
-The vertex mask reads the letter-pair table of the spec's subshift, so the
-pair table cap guards it too.  Before anything is allocated, a grid of more
-than 2^24 points, q^(p*N), is refused with ResourceCapError.
+The vertex mask ANDs the clauses of the spec's subshift over the p letter
+slots, reading its letter-pair table, so the pair table cap guards it too.
+Before anything is allocated, a grid of more than 2^24 points, q^(p*N), is
+refused with ResourceCapError.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -108,12 +111,14 @@ def _vertex_mask(spec: TorusGridSpec) -> np.ndarray:
     """Boolean grid over (q,)*n_axes marking vertices that satisfy the family.
 
     Slot j's letter index is its n circle coordinates read in radix q, formed
-    on open axes (one arange per axis) that broadcast; each pair condition
-    reads the subshift's pair table at two such indices, so only the final
-    grid is full-size.
+    on open axes (one arange per axis) that broadcast.  The grid is the AND,
+    over the subshift's clauses on the p slots, of the OR of the pair table
+    read at each clause pair's two slot indices, so only the final grid is
+    full-size.
     """
     q, p, n, D = spec.q, spec.p, spec.n_circles, spec.n_axes
-    table = spec.subshift().pair_table
+    sub = spec.subshift()
+    table = sub.pair_table
     axes = [np.arange(q).reshape((q,) + (1,) * (D - 1 - a)) for a in range(D)]
     letters = []
     for j in range(p):
@@ -121,10 +126,9 @@ def _vertex_mask(spec: TorusGridSpec) -> np.ndarray:
         for t in range(n):
             li = li * q + axes[j * n + t]
         letters.append(li)
-    edges = [table[letters[j], letters[(j + 1) % p]] for j in range(p)]
     ok = np.ones((q,) * D, dtype=bool)
-    for j in range(p):
-        ok &= edges[j] if isinstance(spec.family, Separation) else edges[j - 1] | edges[j]
+    for clause in sub.clauses(p):
+        ok &= reduce(operator.or_, (table[letters[a], letters[b]] for a, b in clause))
     return ok
 
 

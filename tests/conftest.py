@@ -236,13 +236,18 @@ def brute_sigma_words(m: int, L: int) -> list[tuple[int, ...]]:
     ]
 
 
-def brute_z_words(q: int, L: int) -> list[tuple[int, ...]]:
-    half = Fraction(1, 2)
+def brute_z_words(q: int, L: int, bar: Fraction = Fraction(1, 2), exact: bool = False):
+    """Period-L words on the q-point circle with, at every index, one adjacent
+    gap at least the bar (the Z family), or exactly the bar when ``exact``
+    (the Y family with bar 1)."""
+
+    def meets(d: Fraction) -> bool:
+        return d == bar if exact else d >= bar
+
     out = []
     for w in product(range(q), repeat=L):
         if all(
-            grid_dist(q, w[(n - 1) % L], w[n]) >= half
-            or grid_dist(q, w[n], w[(n + 1) % L]) >= half
+            meets(grid_dist(q, w[(n - 1) % L], w[n])) or meets(grid_dist(q, w[n], w[(n + 1) % L]))
             for n in range(L)
         ):
             out.append(w)

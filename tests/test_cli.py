@@ -3,12 +3,16 @@ import csv
 import io
 import json
 import time
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpindex.alphabets import parse_alphabet
 from zpindex.cli import main
+from zpindex.shiftspaces import Separation, SubshiftSpec, mismatch_shift, orbit_decompose
 
 
 def run(capsys, *argv):
@@ -163,6 +167,13 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     code, doc = run(capsys, "certify", "--cert", str(bad), "--target", "Z:p=2,q=8")
     assert code == 1 and doc["error"]["type"] == "shape"
 
+    # each once printed an answer: the homology of one copy, and "passed" on -3 trials
+    code, doc = run(capsys, "homology", "--join-of", "Sigma:m=1,p=5", "--copies", "0")
+    assert code == 1 and doc["error"] == {"type": "usage", "reason": "--copies must be >= 1, got 0"}
+
+    code, doc = run(capsys, "verify-lemma", "--id", "3.2", "--alphabet", "Z3", "--trials", "-3")
+    assert code == 1 and doc["error"] == {"type": "usage", "reason": "--trials must be >= 0, got -3"}
+
 
 def test_join_cell_cap_refuses_before_building(capsys):
     # 2046 period-11 points, three copies: about 8.6e9 cells predicted
@@ -251,15 +262,58 @@ def test_power_work_cap_refuses_before_the_pair_table(capsys):
 
 
 def test_deep_period_searches_refuse_before_filling_memory(capsys):
-    # each once printed a RecursionError traceback; orbits of a composite p enumerate
+    # each once printed a RecursionError traceback
     for argv in (["enumerate", "--family", "Sigma", "--m", "1", "--p", "1500"],
-                 ["orbits", "--family", "Z", "--p", "997", "--q", "8"],
-                 ["count", "--family", "Sigma", "--m", "1", "--p", "1024"]):
+                 ["orbits", "--family", "Z", "--p", "997", "--q", "8"]):
         t0 = time.perf_counter()
         code, doc = run(capsys, *argv)
         assert time.perf_counter() - t0 < 1.0
         assert code == 1 and doc["error"]["type"] == "resource-cap", argv
         assert "word letter cap" in doc["error"]["reason"]
+
+
+@pytest.mark.parametrize("argv,spec", [
+    ("--family Sigma --m 1", mismatch_shift(1)),
+    ("--family Sigma --m 2", mismatch_shift(2)),
+    ("--family Sigma --m 3", mismatch_shift(3)),
+    ("--family XS --q 8", SubshiftSpec(parse_alphabet("S:q=8"), Separation(1, Fraction(1, 2)))),
+    ("--family XS --N 2 --q 4",
+     SubshiftSpec(parse_alphabet("S^2:q=4"), Separation(1, Fraction(1, 2)))),
+])
+def test_orbit_counts_of_composite_periods_match_orbit_decompose(capsys, argv, spec):
+    ps = [1, 4, 6, 8, 9, 10, 12]
+    code, doc = run(capsys, "count", *argv.split(), "--p-list", ",".join(map(str, ps)))
+    assert code == 0
+    for p, row in zip(ps, doc["results"]["counts"], strict=True):
+        assert row["count"] == spec.count_periodic(p)
+        if row["count"] <= 20000:
+            assert row["orbits"] == orbit_decompose(spec.enumerate_periodic(p), p).n_orbits, p
+
+
+@pytest.mark.parametrize("p", [24, 1024])
+def test_count_of_a_composite_period_enumerates_nothing(capsys, p):
+    # the 2^p + 2 period-p points pass the word letter cap, which once refused both
+    # runs; Burnside's lemma needs only the counts of the divisors of p
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "count", "--family", "Sigma", "--m", "1", "--p", str(p))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    divisors = [d for d in range(1, p + 1) if p % d == 0]
+    phi = {k: sum(1 for j in range(k) if gcd(j, k) == 1) for k in divisors}
+    orbits = sum(phi[p // d] * (2**d + 2 * (-1) ** d) for d in divisors) // p
+    assert doc["results"]["counts"] == [
+        {"family": "Sigma", "m": 1, "p": p, "count": 2**p + 2, "orbits": orbits}]
+
+
+def test_section_suites_refuse_a_delta_above_the_diameter(capsys):
+    # no two letters of Z3 are 2 apart: the rejection sampler once drew forever
+    for lemma in ("3.1", "3.2"):
+        t0 = time.perf_counter()
+        code, doc = run(capsys, "verify-lemma", "--id", lemma, "--m", "2", "--alphabet", "Z3",
+                        "--delta", "2")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and doc["error"] == {
+            "type": "shape", "reason": "delta 2 exceeds alphabet diameter 1"}
 
 
 def test_composite_period_is_a_shape_error(capsys):
@@ -335,6 +389,7 @@ VALID_ARGVS = [
     ["enumerate", "--family", "Sigma", "--p", "3"],
     ["orbits", "--family", "Sigma", "--p", "3"],
     ["verify-lemma", "--id", "4.1", "--m", "1", "--p", "3"],
+    ["verify-lemma", "--id", "3.2", "--m", "2", "--alphabet", "Z3", "--trials", "5"],
     ["homology", "--join-of", "Sigma:m=1,p=3", "--copies", "2"],
     ["index", "--join-of", "Sigma:m=1,p=3", "--copies", "2"],
     ["approx-z", "--p", "2", "--q", "8"],

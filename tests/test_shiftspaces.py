@@ -1,11 +1,17 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_sigma_words, brute_z_words, int_matrix_trace_power
+from conftest import (
+    brute_separated_words,
+    brute_sigma_words,
+    brute_z_words,
+    int_matrix_trace_power,
+)
 from zpindex.alphabets import Alphabet, circle_grid, cyclic_group, parse_alphabet
 from zpindex.errors import ResourceCapError, ShapeError
 from zpindex.shiftspaces import (
@@ -41,6 +47,37 @@ def test_satisfies_examples():
     assert not SIGMA1.satisfies(w3(0, 0, 1))
     assert ZQ8.satisfies(w8(0, 4))  # gap 1 >= 1/2
     assert not ZQ8.satisfies(w8(0, 1))  # gap 1/4
+
+
+def test_clauses_state_each_family_once_per_index():
+    assert SIGMA1.clauses(3) == [((0, 1),), ((1, 2),), ((2, 0),)]
+    assert mismatch_shift(3).clauses(4) == [((0, 2),), ((1, 3),), ((2, 0),), ((3, 1),)]
+    assert SIGMA2.clauses(1) == [((0, 0),)]
+    assert ZQ8.clauses(3) == [((2, 0), (0, 1)), ((0, 1), (1, 2)), ((1, 2), (2, 0))]
+    assert ZQ8.clauses(1) == [((0, 0), (0, 0))]
+
+
+BRUTE_SPECS = [
+    pytest.param(SIGMA1, range(1, 8), lambda L: brute_sigma_words(1, L), id="Sigma-m1"),
+    pytest.param(SIGMA2, range(1, 8), lambda L: brute_sigma_words(2, L), id="Sigma-m2"),
+    pytest.param(mismatch_shift(3), range(1, 8), lambda L: brute_sigma_words(3, L), id="Sigma-m3"),
+    pytest.param(SubshiftSpec(S8, Separation(2, Fraction(1, 4))), range(1, 5),
+                 lambda L: brute_separated_words(8, L, 2, Fraction(1, 4)), id="XS-m2-q8"),
+    pytest.param(ZQ8, range(1, 5), lambda L: brute_z_words(8, L), id="Z-q8"),
+    pytest.param(neighbor_gap_shift(S8, Fraction(1), exact=True), range(1, 5),
+                 lambda L: brute_z_words(8, L, Fraction(1), exact=True), id="Y-q8"),
+]
+
+
+@pytest.mark.parametrize("spec,periods,brute", BRUTE_SPECS)
+def test_satisfies_matches_the_brute_predicates_on_every_word(spec, periods, brute):
+    # Sigma covers L = 1, 2 and the L dividing m! (1, 2, 3, 6), where letters m!
+    # apart are the same letter and no word passes
+    q = spec.alphabet.order
+    for L in periods:
+        want = set(brute(L))
+        for w in product(range(q), repeat=L):
+            assert spec.satisfies(CyclicWord(spec.alphabet, tuple((x,) for x in w))) == (w in want)
 
 
 def test_shift_examples():
@@ -81,6 +118,15 @@ def test_enumerate_recoding_matches_direct_and_brute():
         assert len(rec) == len(brute_sigma_words(2, p))
     # non-coprime with recoding requested falls back to direct search
     assert SIGMA2.enumerate_periodic(2, method="recoded") == ()
+    # every method finds the same words, where the recoding applies and where
+    # it does not (m! = 0 or 1 mod p, or gcd(m!, p) > 1)
+    for spec, periods in ((SIGMA1, range(1, 10)), (SIGMA2, range(1, 10)),
+                          (mismatch_shift(3), range(1, 10)),
+                          (SubshiftSpec(S8, Separation(2, Fraction(1, 4))), range(1, 5))):
+        for p in periods:
+            words = spec.enumerate_periodic(p)
+            assert words == spec.enumerate_periodic(p, method="direct")
+            assert words == spec.enumerate_periodic(p, method="recoded")
 
 
 def test_enumerate_z_family_matches_brute():
