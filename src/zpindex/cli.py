@@ -67,6 +67,8 @@ def _fraction(text: str) -> Fraction:
 
 
 def _word_spec(family: str, m: int, q: int, n: int, delta: Fraction) -> SubshiftSpec:
+    if n < 1:
+        raise _UsageError(f"N must be >= 1, got {n}")
     if family == "Sigma":
         return mismatch_shift(m)
     if family == "Z":

@@ -1,24 +1,18 @@
 """Reduced Betti numbers over a prime field by exact boundary-matrix ranks.
 
-One assembler serves simplicial and cubical complexes alike: the boundary
-leaving dimension d is a sparse matrix whose column j lists the faces of
-d-cell j, read from the face indices and sign pattern the complex found
-once at validation.  Its entries are stored in the narrowest signed
-integer type that holds ell - 1.
-
-Every chain complex is checked at construction: boundary o boundary and
-augmentation o boundary must vanish.  For boundaries assembled from a
-complex, ``boundary_matrices`` proves this from the complex's face
-identities (``CellComplex._check_boundary_square``): integer-array
-equalities on the stored faces plus a check of the fixed sign pattern,
-which give zero over the integers without forming any product.  Boundaries
-handed to ``ChainComplexFp`` directly are checked by expanding the product
-column by column, grouping its entries by row and summing them mod ell, one
-block of columns at a time.
+The boundary leaving dimension d of a simplicial or cubical complex is its
+face table: column j lists the faces of d-cell j that validation found
+(``faces[d]``), with the dimension's sign pattern (``face_signs[d]``).
+``ChainComplexFp`` takes only the boundaries of one complex, still read from
+its table, and checks boundary o boundary = 0 and augmentation o boundary = 0
+one way: by the complex's face identities (``_check_boundary_square``),
+integer-array equalities on the stored faces plus a check of the sign
+pattern, which give zero over the integers without forming any product.
 
 rank(boundary_d) is computed as the rank of its transpose, the coboundary
 delta^{d-1}, whose column i lists the cofaces of (d-1)-cell i in ascending
-order.  The "low" of a column is its largest row.  Working up from
+order, with the signs mod ell in the narrowest signed type that holds
+ell - 1.  The "low" of a column is its largest row.  Working up from
 dimension 0, three steps keep the exact reduction small:
 
 * Clearing.  A (d-1)-cell that was a pivot row (a low) of the reduced
@@ -73,36 +67,64 @@ class BettiVector:
         }
 
 
-@dataclass
-class _Csc:
-    n_rows: int
-    n_cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray  # already reduced mod ell, nonzero
+@dataclass(frozen=True, eq=False)
+class _Boundary:
+    """The boundary leaving dimension d of a complex: column j has the rows
+    faces[j] with coefficients signs, where faces and signs are the complex's
+    own read-only faces[d] and face_signs[d].  The CSC triple is derived on read."""
+
+    complex: CellComplex
+    d: int
+    faces: np.ndarray
+    signs: tuple[int, ...]
+
+    @property
+    def n_rows(self) -> int:
+        return self.complex.n_cells(self.d - 1)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.faces)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        n, k = self.faces.shape
+        return np.arange(n + 1, dtype=np.int64) * k
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.faces.reshape(-1)
+
+    @property
+    def data(self) -> np.ndarray:
+        return np.tile(np.array(self.signs, dtype=np.int64), self.n_cols)
 
 
 class ChainComplexFp:
-    """Boundary matrices of one complex over F_ell, composition-checked."""
+    """The boundaries of one complex over F_ell, checked by its face identities."""
 
-    def __init__(self, ell: int, n_cells: tuple[int, ...], boundaries: list[_Csc]):
-        self._store(ell, n_cells, boundaries)
-        self._check_compositions()
-
-    @classmethod
-    def _of_complex(
-        cls, c: CellComplex, ell: int, n_cells: tuple[int, ...], boundaries: list[_Csc]
-    ) -> ChainComplexFp:
-        """The chain complex of boundaries assembled from c's stored faces and
-        signs; their compositions are checked by c's face identities."""
-        c._check_boundary_square()
-        cc = cls.__new__(cls)
-        cc._store(ell, n_cells, boundaries)
-        return cc
-
-    def _store(self, ell: int, n_cells: tuple[int, ...], boundaries: list[_Csc]) -> None:
+    def __init__(self, ell: int, n_cells: tuple[int, ...], boundaries: list[_Boundary]):
+        """Refuse with ShapeError unless ell is prime, ``boundaries`` are those of
+        one complex from d = 1 up, still its own faces and signs, and ``n_cells``
+        are its cell counts; then check the complex's face identities."""
         if not _is_prime(ell):
             raise ShapeError(f"homology field order must be prime, got {ell}")
+        if boundaries:
+            c = getattr(boundaries[0], "complex", None)
+            if not (
+                isinstance(c, CellComplex) and len(boundaries) == c.dim
+                and tuple(n_cells) == tuple(c.n_cells(d) for d in range(c.dim + 1))
+                and all(isinstance(b, _Boundary) and b.complex is c and b.d == d
+                        and b.faces is c.faces.get(d) and b.signs is c.face_signs.get(d)
+                        for d, b in enumerate(boundaries, start=1))
+            ):
+                raise ShapeError(
+                    "a chain complex takes the boundaries of one complex, read from its "
+                    "current face table, and that complex's cell counts"
+                )
+            c._check_boundary_square()
+        elif len(n_cells) > 1:
+            raise ShapeError(f"cell counts {tuple(n_cells)} given without boundaries")
         self.ell = ell
         self.n_cells = n_cells
         self.boundaries = boundaries  # index d-1 holds the boundary C_d -> C_{d-1}
@@ -114,22 +136,6 @@ class ChainComplexFp:
     @property
     def top_dim(self) -> int:
         return len(self.n_cells) - 1
-
-    def _check_compositions(self):
-        ell = self.ell
-        # augmentation after the edge boundary: column sums of the d=1 matrix
-        if self.boundaries:
-            b1 = self.boundaries[0]
-            sums = np.zeros(b1.n_cols, dtype=np.int64)
-            np.add.at(sums, np.repeat(np.arange(b1.n_cols), np.diff(b1.indptr)), b1.data)
-            if np.any(sums % ell):
-                raise ShapeError("augmentation composed with the edge boundary is nonzero")
-        for d in range(1, len(self.boundaries)):
-            lo, hi = self.boundaries[d - 1], self.boundaries[d]
-            if not _composition_vanishes(lo, hi, ell):
-                raise ShapeError(
-                    f"boundary composition does not vanish between dimensions {d + 1} and {d - 1}"
-                )
 
     def rank(self, d: int) -> int:
         """Rank of the boundary leaving dimension d (d = 0 is the augmentation)."""
@@ -154,61 +160,29 @@ class ChainComplexFp:
         return piv
 
 
-_COMPOSE_BLOCK = 1 << 16  # columns of the upper boundary expanded at once by the composition check
-
-
-def _composition_vanishes(lo: _Csc, hi: _Csc, ell: int) -> bool:
-    """Does lo @ hi vanish mod ell?  Entries are expanded, grouped and summed,
-    one block of hi columns at a time."""
-    if hi.n_cols == 0 or lo.n_cols == 0:
-        return True
-    per_col = np.diff(lo.indptr)
-    if np.any(per_col != per_col[0]):
-        raise ShapeError("boundary columns of unequal width cannot be composition-checked")
-    c1 = int(per_col[0])
-    rows_mat = lo.indices.reshape(lo.n_cols, c1)
-    vals_mat = lo.data.reshape(lo.n_cols, c1)
-    hi_width = np.diff(hi.indptr)
-    for j0 in range(0, hi.n_cols, _COMPOSE_BLOCK):
-        j1 = min(j0 + _COMPOSE_BLOCK, hi.n_cols)
-        s, e = int(hi.indptr[j0]), int(hi.indptr[j1])
-        cols = np.repeat(np.arange(j1 - j0, dtype=np.int64), hi_width[j0:j1])
-        mids = hi.indices[s:e]
-        key = (cols[:, None] * lo.n_rows + rows_mat[mids]).reshape(-1)
-        val = (hi.data[s:e].astype(np.int64)[:, None] * vals_mat[mids]).reshape(-1)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.concatenate([[0], np.nonzero(key[1:] != key[:-1])[0] + 1])
-        if np.any(np.add.reduceat(val[order], starts) % ell):
-            return False
-    return True
-
-
-def _coboundary_pivots(b: _Csc, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
+def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
     """Pivot rows of the coboundary delta = b^T over F_ell, reduced exactly.
 
     Column i of delta lists the cofaces of row-cell i of b.  Columns in
     ``cleared`` are skipped; every other column whose low (largest row) no
     other column shares is a pivot as it stands; the rest are reduced by
     ``_reduce_colliding``.  Returns the pivot rows (the lows), one per rank.
-    """
-    rows, data = b.indices, b.data
-    # int32 column ids where they fit: the transpose sets the peak RSS of the largest joins
-    col_type = np.int32 if b.n_cols < 1 << 31 else np.int64
-    cols = np.repeat(np.arange(b.n_cols, dtype=col_type), np.diff(b.indptr))
-    nz = data % ell != 0
-    if not nz.all():
-        rows, data, cols = rows[nz], data[nz], cols[nz]
-    # one stable sort by row turns b into delta with rows ascending in each column
-    order = np.argsort(rows, kind="stable")
-    t_rows = cols[order]
-    del cols, nz
-    t_data = data[order]
-    del order
-    t_data %= ell
-    t_ptr = np.zeros(b.n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=b.n_rows), out=t_ptr[1:])
 
+    Raveled face-table entry e lies in column e // k of b, with coefficient
+    signs[e % k] mod ell, never 0 since the signs are +-1; one stable sort
+    of the entries by row turns b into delta.
+    """
+    k = b.faces.shape[1]
+    # int32 column ids where they fit: the transpose sets the peak RSS of the largest joins
+    order = np.argsort(b.indices, kind="stable")
+    t_rows = np.empty(len(order), dtype=np.int32 if b.n_cols < 1 << 31 else np.int64)
+    np.floor_divide(order, k, out=t_rows, casting="unsafe")
+    order %= k
+    coef_type = next(t for t in (np.int8, np.int16, np.int32, np.int64) if ell - 1 <= np.iinfo(t).max)
+    t_data = (np.array(b.signs, dtype=np.int64) % ell).astype(coef_type)[order]
+    del order
+    t_ptr = np.zeros(b.n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(b.indices, minlength=b.n_rows), out=t_ptr[1:])
     live = np.ones(b.n_rows, dtype=bool)
     live[cleared] = False
     counts["cleared"] = b.n_rows - int(live.sum())
@@ -275,36 +249,12 @@ def _normalized(col: dict[int, int], low: int, ell: int) -> list[tuple[int, int]
 
 
 def boundary_matrices(c, ell: int) -> ChainComplexFp:
-    """Assemble and composition-check all boundary matrices of a complex.
-
-    Column j of the boundary leaving dimension d lists the faces of d-cell j
-    found at validation; its row indices are a view of the face array.  The
-    compositions are checked by the complex's face identities.
-    """
-    if not _is_prime(ell):
-        raise ShapeError(f"homology field order must be prime, got {ell}")
+    """The chain complex of a complex over F_ell: the boundary leaving dimension
+    d reads the faces and signs validation found, checked by face identities."""
     if not isinstance(c, CellComplex):
         raise ShapeError(f"cannot assemble boundaries for {type(c).__name__}")
-    # signed, so that products with int64 stay integers (int64 * uint64 is float64)
-    data_type = next(
-        t for t in (np.int8, np.int16, np.int32, np.int64) if ell - 1 <= np.iinfo(t).max
-    )
-    bnds = []
-    for d in range(1, c.dim + 1):
-        faces = c.faces[d]
-        n, k = faces.shape
-        signs = np.array(c.face_signs[d], dtype=np.int64) % ell
-        bnds.append(
-            _Csc(
-                n_rows=c.n_cells(d - 1),
-                n_cols=n,
-                indptr=np.arange(n + 1, dtype=np.int64) * k,
-                indices=faces.reshape(-1),
-                data=np.tile(signs.astype(data_type), n),
-            )
-        )
-    counts = tuple(c.n_cells(d) for d in range(c.dim + 1))
-    return ChainComplexFp._of_complex(c, ell, counts, bnds)
+    bnds = [_Boundary(c, d, c.faces[d], c.face_signs[d]) for d in range(1, c.dim + 1)]
+    return ChainComplexFp(ell, tuple(c.n_cells(d) for d in range(c.dim + 1)), bnds)
 
 
 def betti(cc: ChainComplexFp) -> BettiVector:

@@ -169,12 +169,18 @@ class SubshiftSpec:
         order 0, m!, 2*m!, ... mod p (the recoding k -> k*m! mod p), which
         puts the two positions of each clause at neighbouring depths.
         ``method`` is "auto", "direct" or "recoded"; a recoded request falls
-        back to direct search when the recoding does not apply.
+        back to direct search when the recoding does not apply.  A period
+        above the word letter cap, which one word would break, is refused first.
         """
         if p < 1:
             raise ShapeError(f"period must be >= 1, got {p}")
         if method not in ("auto", "direct", "recoded"):
             raise ShapeError(f"unknown enumeration method {method!r}")
+        if p > _WORD_LETTER_CAP:
+            raise ResourceCapError(
+                f"a period-{p} word has {p} letters, above the word letter cap "
+                f"({_WORD_LETTER_CAP} letters); nothing was enumerated"
+            )
         cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
         order = list(range(p))
         if method != "direct" and isinstance(self.family, Separation):

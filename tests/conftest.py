@@ -3,7 +3,8 @@
 These deliberately re-derive results with different machinery than the
 package: dense row-echelon elimination and a left-to-right column
 reduction of the boundary itself instead of the package's coboundary
-reduction with clearing, plain itertools scans instead of backtracking
+reduction with clearing, boundary compositions expanded and summed instead
+of the complex's face identities, plain itertools scans instead of backtracking
 enumeration, joins validated from scratch by the general simplicial
 constructor instead of built from their factors, a transfer-matrix power
 by hand-written Python list products instead of numpy object arrays, and
@@ -108,6 +109,51 @@ def column_reduction_rank(b, ell: int) -> int:
                 else:
                     work.pop(r, None)
     return rank
+
+
+COMPOSE_BLOCK = 1 << 16  # columns of the upper boundary expanded at once by the composition check
+
+
+def composition_vanishes(lo, hi, ell: int) -> bool:
+    """Does lo @ hi vanish mod ell?  Entries are expanded, grouped and summed,
+    one block of hi columns at a time."""
+    from zpindex.errors import ShapeError
+
+    if hi.n_cols == 0 or lo.n_cols == 0:
+        return True
+    per_col = np.diff(lo.indptr)
+    if np.any(per_col != per_col[0]):
+        raise ShapeError("boundary columns of unequal width cannot be composition-checked")
+    c1 = int(per_col[0])
+    rows_mat = lo.indices.reshape(lo.n_cols, c1)
+    vals_mat = lo.data.reshape(lo.n_cols, c1)
+    hi_width = np.diff(hi.indptr)
+    for j0 in range(0, hi.n_cols, COMPOSE_BLOCK):
+        j1 = min(j0 + COMPOSE_BLOCK, hi.n_cols)
+        s, e = int(hi.indptr[j0]), int(hi.indptr[j1])
+        cols = np.repeat(np.arange(j1 - j0, dtype=np.int64), hi_width[j0:j1])
+        mids = hi.indices[s:e]
+        key = (cols[:, None] * lo.n_rows + rows_mat[mids]).reshape(-1)
+        val = (hi.data[s:e].astype(np.int64)[:, None] * vals_mat[mids]).reshape(-1)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.concatenate([[0], np.nonzero(key[1:] != key[:-1])[0] + 1])
+        if np.any(np.add.reduceat(val[order], starts) % ell):
+            return False
+    return True
+
+
+def compositions_vanish(boundaries: list, ell: int) -> bool:
+    """Do augmentation o boundary_1 and every boundary_d o boundary_{d+1}
+    vanish mod ell?  The first by column sums, the rest by
+    ``composition_vanishes``: products formed, not face identities."""
+    if boundaries:
+        b1 = boundaries[0]
+        sums = np.zeros(b1.n_cols, dtype=np.int64)
+        np.add.at(sums, np.repeat(np.arange(b1.n_cols), np.diff(b1.indptr)), b1.data)
+        if np.any(sums % ell):
+            return False
+    return all(composition_vanishes(lo, hi, ell) for lo, hi in zip(boundaries, boundaries[1:]))
 
 
 def csc_to_dense(b) -> list[list[int]]:

@@ -2,9 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +177,14 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     code, doc = run(capsys, "verify-lemma", "--id", "3.2", "--alphabet", "Z3", "--trials", "-3")
     assert code == 1 and doc["error"] == {"type": "usage", "reason": "--trials must be >= 0, got -3"}
 
+    # each once printed the N = 1 count, 96, while echoing the N it was given
+    for n in ("0", "-2"):
+        code, doc = run(capsys, "count", "--family", "XS", "--N", n, "--q", "8", "--p", "3")
+        assert code == 1 and doc["error"] == {"type": "usage", "reason": f"N must be >= 1, got {n}"}
+
+    code, doc = run(capsys, "homology", "--join-of", "XS:N=0,p=3", "--copies", "2")
+    assert code == 1 and doc["error"] == {"type": "usage", "reason": "N must be >= 1, got 0"}
+
 
 def test_join_cell_cap_refuses_before_building(capsys):
     # 2046 period-11 points, three copies: about 8.6e9 cells predicted
@@ -262,9 +273,11 @@ def test_power_work_cap_refuses_before_the_pair_table(capsys):
 
 
 def test_deep_period_searches_refuse_before_filling_memory(capsys):
-    # each once printed a RecursionError traceback
+    # the first two once printed a RecursionError traceback; the third, a period
+    # above the word letter cap, once built lists of p entries before any cap
     for argv in (["enumerate", "--family", "Sigma", "--m", "1", "--p", "1500"],
-                 ["orbits", "--family", "Z", "--p", "997", "--q", "8"]):
+                 ["orbits", "--family", "Z", "--p", "997", "--q", "8"],
+                 ["enumerate", "--family", "XS", "--q", "8", "--delta", "1", "--p", "100000007"]):
         t0 = time.perf_counter()
         code, doc = run(capsys, *argv)
         assert time.perf_counter() - t0 < 1.0
@@ -440,3 +453,20 @@ def test_mutated_argv_gives_one_json_document(argv, ops):
     doc = json.loads(buf.getvalue())
     assert isinstance(doc, dict), argv
     assert ("error" in doc) == (code == 1), argv
+
+
+def test_benchmark_child_runs_and_traces_the_homology_layer():
+    """The benchmark's child process drives the CLI and wraps library functions by
+    name; a renamed one must fail here, not only in a traced benchmark run."""
+    root = Path(__file__).resolve().parent.parent
+    argvs = [["homology", "--join-of", "Sigma:m=1,p=3", "--copies", "2"],
+             ["approx-z", "--family", "Z", "--p", "2", "--q", "8"]]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(root / "src"), "1", json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert [job["exit"] for job in out["jobs"]] == [0, 0]
+    names = {span[0] for span in out["spans"]}
+    assert {"homology.boundary_matrices", "homology.rank_d1", "homology.compose_check"} <= names

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    COMPOSE_BLOCK,
     column_reduction_rank,
+    composition_vanishes,
+    compositions_vanish,
     csc_to_dense,
     dense_betti,
     dense_rank_mod,
@@ -25,10 +29,8 @@ from zpindex.complexes import (
 )
 from zpindex.errors import ShapeError
 from zpindex.homology import (
-    _COMPOSE_BLOCK,
     BettiVector,
     ChainComplexFp,
-    _Csc,
     betti,
     betti_numbers,
     boundary_matrices,
@@ -42,12 +44,12 @@ from zpindex.torusgrid import TorusGridSpec, build_approx, separated_torus_spec,
 def sort_check_every_assembly():
     """Every chain complex this file assembles from a complex, whose
     compositions the face identities vouched for, must also pass the
-    sort-based check that boundaries handed in directly get."""
+    oracle that expands the products and sums them by sorting."""
     assemble = homology.boundary_matrices
 
     def checked(c, ell):
         cc = assemble(c, ell)
-        ChainComplexFp(ell, cc.n_cells, cc.boundaries)  # _composition_vanishes, augmentation
+        assert compositions_vanish(cc.boundaries, ell)
         return cc
 
     with pytest.MonkeyPatch.context() as mp:
@@ -181,11 +183,10 @@ def test_betti_vector_json():
 
 
 def test_composition_check_rejects_bad_chain():
-    # d1 maps the single edge to one endpoint only: augmentation test fails
-    bad = _Csc(n_rows=2, n_cols=1, indptr=np.array([0, 1]), indices=np.array([0]),
-               data=np.array([1]))
-    with pytest.raises(ShapeError):
-        ChainComplexFp(2, (2, 1), [bad])
+    # d1 maps the single edge to one endpoint only: the oracle's augmentation test fails
+    bad = SimpleNamespace(n_rows=2, n_cols=1, indptr=np.array([0, 1]), indices=np.array([0]),
+                          data=np.array([1]))
+    assert not compositions_vanish([bad], 2)
 
 
 def test_nonprime_field_rejected():
@@ -293,12 +294,52 @@ def test_composition_check_rejects_bad_column_in_a_later_block():
     c = join_of(41, 41, 41, p=3)  # 68921 triangles: more than one block
     cc = boundary_matrices(c, 3)
     lo, hi = cc.boundaries
-    assert hi.n_cols > _COMPOSE_BLOCK
+    assert hi.n_cols > COMPOSE_BLOCK
     data = hi.data.copy()
     data[-1] = (data[-1] + 1) % 3  # one sign of the last triangle is wrong
-    bad = _Csc(hi.n_rows, hi.n_cols, hi.indptr, hi.indices, data)
-    with pytest.raises(ShapeError):
-        ChainComplexFp(3, cc.n_cells, [lo, bad])
+    bad = SimpleNamespace(n_rows=hi.n_rows, n_cols=hi.n_cols, indptr=hi.indptr,
+                          indices=hi.indices, data=data)
+    assert not composition_vanishes(lo, bad, 3)
+
+
+# -- the one constructor: the boundaries of one complex, read from its face table ----
+
+
+def test_constructor_rebuilds_a_chain_complex_from_its_boundaries():
+    cc = boundary_matrices(join_of(3, 3, 3, p=3), 3)
+    again = ChainComplexFp(3, cc.n_cells, cc.boundaries)  # as the benchmark's probe does
+    assert engine_ranks(again) == engine_ranks(cc) == [8, 19]
+
+
+@pytest.mark.parametrize(
+    "case", ["foreign", "two-complexes", "out-of-order", "missing-dimension", "n_cells",
+             "no-boundaries"])
+def test_constructor_refuses_what_is_not_one_complexs_boundaries(case):
+    cc = boundary_matrices(join_of(3, 3, 3, p=3), 3)
+    b1, b2 = cc.boundaries
+    n0, n1, n2 = cc.n_cells
+    csc = SimpleNamespace(**{f: getattr(b1, f) for f in ("n_rows", "n_cols", "indptr", "indices", "data")})
+    twin = boundary_matrices(join_of(3, 3, 3, p=3), 3).boundaries[1]  # equal, but another complex's
+    n_cells, boundaries = {
+        "foreign": (cc.n_cells, [csc, b2]),
+        "two-complexes": (cc.n_cells, [b1, twin]),
+        "out-of-order": (cc.n_cells, [b2, b1]),
+        "missing-dimension": ((n0, n1), [b1]),
+        "n_cells": ((n0, n1, n2 + 1), [b1, b2]),
+        "no-boundaries": ((n0, n1), []),
+    }[case]
+    with pytest.raises(ShapeError, match="boundaries"):
+        ChainComplexFp(3, n_cells, boundaries)
+
+
+@pytest.mark.parametrize("table", ["faces", "face_signs"])
+def test_constructor_refuses_a_face_table_replaced_after_assembly(table):
+    c = join_of(3, 3, 3, p=3)
+    cc = boundary_matrices(c, 3)
+    tables = getattr(c, table)
+    tables[2] = tables[2].copy() if table == "faces" else tuple(list(tables[2]))  # equal, not the one read
+    with pytest.raises(ShapeError, match="current face table"):
+        ChainComplexFp(3, cc.n_cells, cc.boundaries)
 
 
 # -- the composition check by face identities ---------------------------------------
@@ -349,11 +390,19 @@ def test_face_identity_check_refuses_a_pairing_that_is_not_a_perfect_matching(da
 
 @pytest.mark.parametrize("ell, dtype", [(2, np.int8), (127, np.int8), (131, np.int16),
                                         (32749, np.int16), (32771, np.int32)])
-def test_boundary_data_is_the_narrowest_signed_type(ell, dtype):
+def test_boundary_data_is_the_narrowest_signed_type(ell, dtype, monkeypatch):
+    reduce = homology._reduce_colliding
+    seen = []
+
+    def spy(colliding, owner, t_ptr, t_rows, t_data, *rest):
+        seen.append(t_data.dtype)  # the transposed coefficients the reduction reads
+        return reduce(colliding, owner, t_ptr, t_rows, t_data, *rest)
+
+    monkeypatch.setattr(homology, "_reduce_colliding", spy)
     for c in (join_of(2, 3, 5), RP2_6, full_torus_q4()):
         cc = boundary_matrices(c, ell)  # also composition-checked by sorting
-        assert all(b.data.dtype == dtype for b in cc.boundaries)
         assert engine_ranks(cc) == [dense_rank_np(b, ell) for b in cc.boundaries]
+    assert seen and set(seen) == {np.dtype(dtype)}
 
 
 # -- Kunneth formula for joins of non-discrete factors ----------------------------
