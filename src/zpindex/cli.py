@@ -315,6 +315,8 @@ def _torus_spec_from_args(args) -> TorusGridSpec:
 
 
 def _cmd_approx_z(args) -> tuple[dict, int]:
+    if args.cap is not None and args.cap < 1:
+        raise _UsageError(f"--cap must be >= 1, got {args.cap}")
     spec = _torus_spec_from_args(args)
     c = build_approx(spec, cell_cap=args.cap)
     field = args.field if args.field else spec.p

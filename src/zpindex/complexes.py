@@ -8,12 +8,16 @@ the mask), and the rows are stored sorted by key, which is their
 lexicographic order.  Every lookup is a binary search among the keys; a
 complex whose keys would reach 2^63 is refused, never wrapped.
 
-Validation checks that the group order p is prime, that the action is a
-permutation of exact order p mapping cells to cells, and face closure.
-Closure finds every face of every cell once and keeps the face indices
-with their sign pattern, which is all boundary assembly needs.  A
-setwise-invariant cell, found during the action check, is reported as a
-freeness counterexample.  ``_check_boundary_square`` proves that the
+Validation of given simplices checks that the group order p is prime,
+that the action is a permutation of exact order p mapping cells to cells,
+and face closure.  Closure finds every face of every cell once and keeps
+the face indices with their sign pattern, which is all boundary assembly
+needs.  A setwise-invariant cell, found during the action check, is
+reported as a freeness counterexample.  Cubical tables are not searched:
+``torusgrid.build_approx`` lays their cells, keys, faces and fixed cells
+out by index arithmetic on the grid, and the general cubical validation
+(keys, binary-search face lookup, per-cell action images) is the oracle
+the tests compare it with.  ``_check_boundary_square`` proves that the
 boundary squares to zero from the stored faces alone: each kind of
 complex names which face of a face equals which (the simplicial identities
 d_i d_j = d_{j-1} d_i for i < j, and their cubical analogue), and the
@@ -94,12 +98,13 @@ def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
 class CellComplex:
     """Cells per dimension sorted by key, their faces, and the action's fixed cell.
 
-    A subclass sets ``p`` through ``_set_order``, hands its normalized rows
-    to ``_set_cells`` and calls ``_finish``.  It supplies only its own rules:
-    ``_radices(d)`` (the key radices of a d-cell row), ``_action_rows(rows)``
-    (the image rows under the action, normalized), ``_face_signs(d)`` /
-    ``_face_rows(d, rows, i)`` (the i-th face of each d-cell and its sign)
-    and ``_face_pairs(d)`` (its face identities).
+    A subclass supplies its own rules: ``_radices(d)`` (the key radices of
+    a d-cell row), ``_face_signs(d)`` (the sign of each face slot) and
+    ``_face_pairs(d)`` (its face identities).  One that validates given rows
+    sets ``p`` through ``_set_order``, hands the normalized rows to
+    ``_set_cells``, supplies ``_action_rows(rows)`` (the image rows under the
+    action, normalized) and ``_face_rows(d, rows, i)`` (the i-th face of
+    each d-cell) and calls ``_finish``.
 
     After validation ``faces[d]`` is a read-only (n_d, k) array: entry
     (j, i) is the index among the (d-1)-cells of the i-th face of d-cell j,
@@ -160,6 +165,21 @@ class CellComplex:
         for table in (self.cells, self.keys, self.faces):
             for a in table.values():
                 a.setflags(write=False)
+
+    @classmethod
+    def _from_table(cls, p, cells, keys, faces, action, witness, **attrs):
+        """A complex from tables already known to be valid (sorted, closed,
+        action of order p with the given witness), plus the subclass's own
+        attributes; nothing is checked."""
+        c = cls.__new__(cls)
+        c.p, c.cells, c.keys, c.faces = p, cells, keys, faces
+        c.__dict__.update(attrs)
+        c.face_signs = {d: c._face_signs(d) for d in faces}
+        c.action, c._has_action, c._witness = action, action is not None, witness
+        if action is not None:
+            action.setflags(write=False)
+        c._freeze()
+        return c
 
     def _check_order(self, perm: np.ndarray, n: int, what: str, items: str) -> None:
         """perm permutes range(n), perm^p = id, and perm is not the identity
@@ -352,20 +372,6 @@ class SimplicialComplex(CellComplex):
     def _face_pairs(self, d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         # d_i d_j = d_{j-1} d_i for i < j: both drop vertices i and j
         return [((j, i), (i, j - 1)) for j in range(d + 1) for i in range(j)]
-
-    @classmethod
-    def _from_table(cls, p, n_vertices, cells, keys, faces, action, witness, labels, join_factors):
-        """A complex from tables already known to be valid (sorted, closed,
-        action of order p with the given witness); nothing is checked."""
-        c = cls.__new__(cls)
-        c.p, c.n_vertices, c.labels, c.join_factors = p, n_vertices, labels, join_factors
-        c.cells, c.keys, c.faces = cells, keys, faces
-        c.face_signs = {d: c._face_signs(d) for d in faces}
-        c.action, c._has_action, c._witness = action, action is not None, witness
-        if action is not None:
-            action.setflags(write=False)
-        c._freeze()
-        return c
 
     # -- queries ------------------------------------------------------------------------
 
@@ -566,7 +572,8 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     if a.join_factors is not None and b.join_factors is not None:
         jf = a.join_factors + b.join_factors
     action = np.concatenate([a.action, b.action + a.n_vertices]) if has_action else None
-    return SimplicialComplex._from_table(a.p, n, cells, keys, faces, action, witness, labels, jf)
+    return SimplicialComplex._from_table(a.p, cells, keys, faces, action, witness, n_vertices=n,
+                                         labels=labels, join_factors=jf)
 
 
 def standard_join_model(p: int, copies: int) -> SimplicialComplex:
@@ -597,88 +604,25 @@ def cycle_complex(q: int, action: Sequence[int], p: int) -> SimplicialComplex:
 # -- cubical complexes -----------------------------------------------------------
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    v = x.copy()
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
-
-
 class CubicalComplex(CellComplex):
     """Cells (base corner, extent mask) on a periodic grid, q points per axis.
 
     A mask bit set at axis t extends the cell one grid step along t; a
     k-cell has k bits set.  The action is an axis permutation: image base
-    coordinate t is drawn from source axis axis_map[t].
+    coordinate t is drawn from source axis axis_map[t].  Its tables are laid
+    out on the grid by ``torusgrid.build_approx``, with ``action`` the
+    vertex permutation that the axis permutation induces.
     """
-
-    def __init__(
-        self,
-        q: int,
-        n_axes: int,
-        cells: dict[int, np.ndarray],
-        axis_map: Sequence[int],
-        p: int,
-    ):
-        self.q = int(q)
-        self.n_axes = int(n_axes)
-        self._set_order(p)
-        if self.q < 3:
-            raise ShapeError("grid needs q >= 3 so cell corners stay distinct")
-        self.axis_map = np.asarray(axis_map, dtype=np.int64).reshape(-1)
-
-        D = self.n_axes
-        norm: dict[int, np.ndarray] = {}
-        for d, arr in cells.items():
-            a = np.asarray(arr, dtype=np.int32).reshape(-1, D + 1)
-            if len(a) == 0:
-                continue
-            base, mask = a[:, :D], a[:, D].astype(np.int64)
-            if base.min() < 0 or base.max() >= self.q:
-                raise ShapeError("cell base corner outside the grid")
-            if mask.min() < 0 or mask.max() >= 1 << D:
-                raise ShapeError(f"cell mask outside 0..2^{D}-1")
-            if np.any(_popcount(mask) != d):
-                raise ShapeError(f"mask popcount does not match dimension {d}")
-            norm[d] = a
-        self._set_cells(norm)
-        self._check_order(self.axis_map, self.n_axes, "axis_map", "axes")
-        self._finish(True)
 
     # -- cell rules -------------------------------------------------------------------
 
     def _radices(self, d: int) -> list[int]:
         return [self.q] * self.n_axes + [1 << self.n_axes]
 
-    def _action_rows(self, rows: np.ndarray) -> np.ndarray:
-        D = self.n_axes
-        mask = rows[:, D].astype(np.int64)
-        new_mask = np.zeros_like(mask)
-        for t in range(D):
-            new_mask |= ((mask >> int(self.axis_map[t])) & 1) << t
-        out = np.empty_like(rows)
-        out[:, :D] = rows[:, :D][:, self.axis_map]
-        out[:, D] = new_mask
-        return out
-
     def _face_signs(self, d: int) -> tuple[int, ...]:
-        # per set mask bit s (in axis order): the far face, then the base face
+        # per set mask bit s (in axis order): the far face, which steps the
+        # base across that axis, then the base face
         return tuple(sign for s in range(d) for sign in ((-1) ** s, -((-1) ** s)))
-
-    def _face_rows(self, d: int, rows: np.ndarray, i: int) -> np.ndarray:
-        """Drop the (i // 2)-th set mask bit; even i steps the base across it."""
-        D = self.n_axes
-        mask = rows[:, D].astype(np.int64)
-        bits = (mask[:, None] >> np.arange(D)) & 1
-        axis = np.argmax(np.cumsum(bits, axis=1) == i // 2 + 1, axis=1)
-        face = rows.copy()
-        face[:, D] = mask & ~(1 << axis)
-        if i % 2 == 0:
-            r = np.arange(len(rows))
-            face[r, axis] = (face[r, axis] + 1) % self.q
-        return face
 
     def _face_pairs(self, d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         # dropping set bits s < t with choices e, f in either order: bit t is
@@ -703,12 +647,6 @@ class CubicalComplex(CellComplex):
         if idx < 0:
             raise ShapeError(f"grid point {tuple(coords)} is not a vertex of the complex")
         return idx
-
-    @property
-    def action(self) -> np.ndarray:
-        """The vertex permutation induced by the axis permutation."""
-        img = self._action_rows(self.cells[0])
-        return self._index_of_keys(0, _row_keys(img, self._radices(0)))
 
     def vertex_label(self, v: int) -> str:
         return ",".join(str(int(x)) for x in self.cells[0][v, : self.n_axes])

@@ -26,7 +26,12 @@ dimension 0, three steps keep the exact reduction small:
 * Fallback.  Only the columns that share a low are reduced, by a column
   reduction that keeps one normalized pivot column per pivot row.  A low
   owned by an apparent column is served by normalizing that column on
-  first use.
+  first use.  The working column is a dict of its entries plus a max-heap
+  of its rows with lazy deletion, the working-column scheme of Ripser
+  (Bauer, J. Appl. Comput. Topol. 2021, arXiv:1908.02518): a row is pushed
+  when it enters the dict, an entry that cancels stays in the heap, and a
+  heap top no longer in the dict is popped as stale.  The low is then the
+  heap top, found without scanning the column.
 
 The rank is the number of pivot rows.  All arithmetic is exact over F_ell:
 no floating point, no randomization.  The augmentation to the ground field
@@ -35,6 +40,7 @@ is the implicit dimension-0 boundary, so all Betti numbers are reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -130,7 +136,8 @@ class ChainComplexFp:
         self.boundaries = boundaries  # index d-1 holds the boundary C_d -> C_{d-1}
         self._pivot_rows: dict[int, np.ndarray] = {}
         # per dimension d: cleared, live, apparent and colliding columns of
-        # delta^{d-1}, and the reduction steps the colliding ones took
+        # delta^{d-1}, the reduction steps the colliding ones took, the most
+        # entries a working column held and the stale heap tops popped
         self.reduction_counts: dict[int, dict[str, int]] = {}
 
     @property
@@ -193,7 +200,7 @@ def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict
     colliding = cand[~apparent]
     counts["apparent"] = int(apparent.sum())
     counts["colliding"] = len(colliding)
-    counts["steps"] = 0
+    counts["steps"] = counts["max_work"] = counts["stale_pops"] = 0
     if not len(colliding):
         return lows
     owner = dict(zip(lows[apparent].tolist(), cand[apparent].tolist()))
@@ -205,17 +212,28 @@ def _reduce_colliding(colliding, owner, t_ptr, t_rows, t_data, ell, counts) -> l
     """Column reduction over F_ell of the colliding columns; returns their new pivot rows.
 
     ``pivots`` keeps one normalized column per pivot row, without its low
-    entry.  A low owned by an apparent column (``owner``: low -> column) is
+    entry, as a list of rows and a list of values.  A low owned by an apparent column (``owner``: low -> column) is
     normalized on first use; such a column is already counted in the rank.
+    ``heap`` holds the negated rows of ``work``, and stale rows that
+    cancelled, so its live top is the low.
     """
-    pivots: dict[int, list[tuple[int, int]]] = {}
+    pivots: dict[int, tuple[list[int], list[int]]] = {}
     found: list[int] = []
-    steps = 0
+    steps = stale = max_work = 0
     get_piv = pivots.get
     for s, e in zip(t_ptr[colliding].tolist(), t_ptr[colliding + 1].tolist()):
-        work = dict(zip(t_rows[s:e].tolist(), t_data[s:e].tolist()))
+        rows = t_rows[s:e].tolist()
+        work = dict(zip(rows, t_data[s:e].tolist()))
+        get = work.get
+        heap = [-r for r in rows]
+        heapify(heap)
         while work:
-            low = max(work)
+            low = -heap[0]
+            if low not in work:
+                heappop(heap)
+                stale += 1
+                continue
+            max_work = max(max_work, len(work))
             piv = get_piv(low)
             if piv is None:
                 a = owner.pop(low, None)
@@ -228,24 +246,29 @@ def _reduce_colliding(colliding, owner, t_ptr, t_rows, t_data, ell, counts) -> l
                 found.append(low)
                 break
             f = work.pop(low)
+            heappop(heap)
             steps += 1
-            for r, v in piv:
-                nv = (work.get(r, 0) - f * v) % ell
-                if nv:
+            for r, v in zip(*piv):
+                old = get(r)
+                if old is None:  # f and v are units mod the prime ell, so f * v is too
+                    work[r] = -f * v % ell
+                    heappush(heap, -r)
+                elif nv := (old - f * v) % ell:
                     work[r] = nv
                 else:
-                    work.pop(r, None)
-    counts["steps"] = steps
+                    del work[r]
+    counts["steps"], counts["max_work"], counts["stale_pops"] = steps, max_work, stale
     return found
 
 
-def _normalized(col: dict[int, int], low: int, ell: int) -> list[tuple[int, int]]:
-    """The column scaled so its low entry is 1, with that entry removed."""
+def _normalized(col: dict[int, int], low: int, ell: int) -> tuple[list[int], list[int]]:
+    """The column scaled so its low entry is 1, with that entry removed, as
+    parallel lists of rows and values (no tuple per entry)."""
     f = col.pop(low)
     if f == 1:
-        return list(col.items())
+        return list(col), list(col.values())
     inv = pow(f, ell - 2, ell)
-    return [(r, v * inv % ell) for r, v in col.items()]
+    return list(col), [v * inv % ell for v in col.values()]
 
 
 def boundary_matrices(c, ell: int) -> ChainComplexFp:

@@ -15,6 +15,13 @@ The vertex mask ANDs the clauses of the spec's subshift over the p letter
 slots, reading its letter-pair table, so the pair table cap guards it too.
 Before anything is allocated, a grid of more than 2^24 points, q^(p*N), is
 refused with ResourceCapError.
+
+The cubical table is laid out by index arithmetic on the grid, as in
+Wagner, Chen and Vucini, *Efficient computation of persistent homology for
+cubical data* (2012): a cell's position, faces and image under the letter
+rotation follow from its grid point and extent mask, with no search.  The
+general cubical validation (keys sorted, every face and image found by
+binary search) is the tests' oracle, compared byte for byte.
 """
 from __future__ import annotations
 
@@ -47,6 +54,8 @@ __all__ = [
 DEFAULT_CELL_CAP = 2_000_000
 # grid points of one vertex mask: Z p=5 q=16 (2^20) fits, Z p=5 q=32 does not
 _GRID_POINT_CAP = 1 << 24
+# bytes of position grids the build holds at once: Z p=5 q=16 needs 40 MiB
+_GRID_BYTE_CAP = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,16 @@ def _vertex_mask(spec: TorusGridSpec) -> np.ndarray:
     return ok
 
 
+def _cell_bases(vertex_ok: np.ndarray, mask: int) -> np.ndarray:
+    """Boolean grid of the base corners x whose cell (x, mask) has every
+    corner in the vertex mask."""
+    ok = vertex_ok
+    for t in range(vertex_ok.ndim):
+        if mask >> t & 1:
+            ok = ok & np.roll(ok, -1, axis=t)
+    return ok
+
+
 def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalComplex:
     """The inner cubical approximation with the letter-rotation action.
 
@@ -139,24 +158,36 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     rotation action is free on every valid approximation: a rotation-fixed
     cell would contain a rotation-fixed corner, i.e. a constant word, and
     constant words violate every positive-threshold family.
+
+    The table is laid out on the grid (point x in C order, key x * 2^D + M).
+    Cells are counted mask by mask against the cell cap before any table
+    exists; in dimension d the sorted runs of the masks of popcount d merge
+    into key order.  Face t of (x, M) is one read of the int32 position grid
+    of M - e_t, at x (base face) or x + e_t (far face), and a read that finds
+    no cell is refused; the grids' bytes are checked against a cap first.
+    The action maps cells to cells exactly when the vertex mask is invariant
+    under the letter rotation, which is checked.
     """
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
     D = spec.n_axes
     q = spec.q
-    if q**D > _GRID_POINT_CAP:
+    size = q**D
+    if size > _GRID_POINT_CAP:
         raise ResourceCapError(
-            f"approximation for {spec.token()} would have {q**D} grid points ({q}^{D}), "
+            f"approximation for {spec.token()} would have {size} grid points ({q}^{D}), "
             f"above the grid point cap ({_GRID_POINT_CAP}); nothing was allocated"
         )
     vertex_ok = _vertex_mask(spec)
+    # image axis t reads source axis t + n: the rotation of the p letter slots
+    axis_map = np.array([(t + spec.n_circles) % D for t in range(D)], dtype=np.int64)
+    if not np.array_equal(vertex_ok, vertex_ok.transpose(axis_map)):
+        raise ShapeError(f"vertex mask of {spec.token()} is not invariant under the letter rotation")
+    bases: dict[int, np.ndarray] = {}  # mask -> flat grid indices of its cells' bases
+    by_dim: dict[int, list[int]] = {}  # popcount -> masks with cells, ascending
     total = 0
-    cells: dict[int, list[np.ndarray]] = {}
     for mask in range(1 << D):
-        ok = vertex_ok
-        for d in range(D):
-            if mask >> d & 1:
-                ok = ok & np.roll(ok, -1, axis=d)
-        count = int(ok.sum())
+        ok = _cell_bases(vertex_ok, mask)
+        count = int(np.count_nonzero(ok))
         if count == 0:
             continue
         total += count
@@ -165,14 +196,69 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
                 f"approximation for {spec.token()} exceeds the cell cap ({cap}); "
                 "no partial complex is returned"
             )
-        bases = np.argwhere(ok).astype(np.int32)
-        rows = np.hstack([bases, np.full((count, 1), mask, dtype=np.int32)])
-        cells.setdefault(bin(mask).count("1"), []).append(rows)
-    merged = {
-        d: np.vstack(parts) if len(parts) > 1 else parts[0] for d, parts in cells.items()
-    }
-    axis_map = [(t + spec.n_circles) % D for t in range(D)]
-    return CubicalComplex(q, D, merged, axis_map, spec.p)
+        bases[mask] = np.flatnonzero(ok).astype(np.int32)  # the grid point cap is below 2^31
+        by_dim.setdefault(bin(mask).count("1"), []).append(mask)
+    del ok
+    top = max(by_dim, default=-1)
+    # one int32 position per grid point and mask of dimension d < top, held one
+    # dimension at a time; the cap also keeps positions below 2^31
+    grid_bytes = 4 * size * max((len(by_dim.get(d, ())) for d in range(top)), default=0)
+    if grid_bytes > _GRID_BYTE_CAP:
+        raise ResourceCapError(
+            f"approximation for {spec.token()} would hold {grid_bytes} bytes of position "
+            f"grids at once, above the grid byte cap ({_GRID_BYTE_CAP}); no grid was allocated"
+        )
+    strides = [q ** (D - 1 - t) for t in range(D)]
+    cells, keys, faces = {}, {}, {}
+    column = pos = None  # of dimension d-1: each mask's row of pos, its cells' positions
+    for d in range(max(top, 0) + 1):
+        masks = by_dim.get(d, [])
+        # (grid point, mask column) pairs, one sorted run per mask; merging the
+        # runs puts the cells in key order
+        runs = np.concatenate([bases[mask] * np.int64(len(masks)) + j for j, mask in enumerate(masks)]
+                              or [np.zeros(0, dtype=np.int64)])
+        order = np.argsort(runs, kind="stable")
+        flat = runs[order]
+        x, j = np.divmod(flat, max(len(masks), 1))
+        m = np.array(masks, dtype=np.int64)[j]
+        rows = np.empty((len(flat), D + 1), dtype=np.int32)
+        x32 = x.astype(np.int32)
+        for t in range(D):
+            rows[:, t] = x32 // strides[t] % q
+        rows[:, D] = m
+        if d == 0:
+            image = rows[:, axis_map].astype(np.int64) @ np.array(strides)
+            action = np.searchsorted(flat, image)
+            # a fixed cell's base corner is a fixed vertex: the first fixed cell is one
+            fixed = np.flatnonzero(image == x)
+            witness = (0, tuple(int(v) for v in rows[fixed[0]])) if len(fixed) else None
+        else:
+            # run by run, each face slot is one read of a position row at the
+            # bases or at the bases stepped across the slot's axis
+            by_mask = np.empty((len(flat), 2 * d), dtype=np.int64)
+            start = 0
+            for mask in masks:
+                at = bases.pop(mask)
+                stop = start + len(at)
+                for s, t in enumerate(t for t in range(D) if mask >> t & 1):
+                    row = pos[column[mask ^ 1 << t]]  # M - e_t has cells, as M's lie among them
+                    far = at + strides[t]
+                    far[at // strides[t] % q == q - 1] -= q * strides[t]
+                    by_mask[start:stop, 2 * s] = row[far]
+                    by_mask[start:stop, 2 * s + 1] = row[at]
+                start = stop
+            if len(by_mask) and by_mask.min() < 0:
+                raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
+            faces[d] = by_mask[order]
+        if len(flat):
+            cells[d], keys[d] = rows, x * (1 << D) + m
+        pos = None  # freed before the next grid exists
+        if d < top:
+            column = dict(zip(masks, range(len(masks))))
+            pos = np.full((len(masks), size), -1, dtype=np.int32)
+            pos[j, x] = np.arange(len(flat), dtype=np.int32)
+    return CubicalComplex._from_table(spec.p, cells, keys, faces, action, witness, q=q, n_axes=D,
+                                      axis_map=axis_map)
 
 
 def betti_profile(spec: TorusGridSpec, ell: int, cell_cap: int | None = None) -> BettiVector:

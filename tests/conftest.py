@@ -9,7 +9,10 @@ enumeration, joins validated from scratch by the general simplicial
 constructor instead of built from their factors, a transfer-matrix power
 by hand-written Python list products instead of numpy object arrays, and
 torus vertex masks from a double loop over letter pairs and full index grids
-instead of the spec's pair table on open axes, and the block-sum code, its
+instead of the spec's pair table on open axes, torus approximations validated
+by the general cubical constructor (binary-search face lookup, per-cell action
+images) instead of laid out on the grid, colliding columns reduced with a
+``max`` scan of the working column instead of a heap, and the block-sum code, its
 section and the section suites on windows of letter tuples through the exact
 ``Alphabet`` operations, with the needed input set spelled out index by index,
 instead of letter indices and exact tables, with the set walked residue class
@@ -23,6 +26,9 @@ from math import factorial
 
 import numpy as np
 import pytest
+
+from zpindex.complexes import CubicalComplex, _row_keys
+from zpindex.errors import ShapeError
 
 
 def dense_rank_mod(rows: list[list[int]], ell: int) -> int:
@@ -109,6 +115,45 @@ def column_reduction_rank(b, ell: int) -> int:
                 else:
                     work.pop(r, None)
     return rank
+
+
+def reduce_colliding_by_max(colliding, owner, t_ptr, t_rows, t_data, ell, counts) -> list[int]:
+    """``homology._reduce_colliding`` with each low found by scanning the
+    working column with ``max`` instead of reading a heap."""
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    found: list[int] = []
+    steps = 0
+
+    def normalized(col, low):
+        f = col.pop(low)
+        inv = pow(f, ell - 2, ell)
+        return [(r, v * inv % ell) for r, v in col.items()]
+
+    for s, e in zip(t_ptr[colliding].tolist(), t_ptr[colliding + 1].tolist()):
+        work = dict(zip(t_rows[s:e].tolist(), t_data[s:e].tolist()))
+        while work:
+            low = max(work)
+            piv = pivots.get(low)
+            if piv is None:
+                a = owner.pop(low, None)
+                if a is not None:
+                    a_s, a_e = int(t_ptr[a]), int(t_ptr[a + 1])
+                    entries = dict(zip(t_rows[a_s:a_e].tolist(), t_data[a_s:a_e].tolist()))
+                    piv = pivots[low] = normalized(entries, low)
+            if piv is None:
+                pivots[low] = normalized(work, low)
+                found.append(low)
+                break
+            f = work.pop(low)
+            steps += 1
+            for r, v in piv:
+                nv = (work.get(r, 0) - f * v) % ell
+                if nv:
+                    work[r] = nv
+                else:
+                    work.pop(r, None)
+    counts["steps"] = steps
+    return found
 
 
 COMPOSE_BLOCK = 1 << 16  # columns of the upper boundary expanded at once by the composition check
@@ -225,10 +270,120 @@ def general_join(a, b):
     )
 
 
+def _popcount(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    v = x.copy()
+    while np.any(v):
+        out += v & 1
+        v >>= 1
+    return out
+
+
+class GeneralCubicalComplex(CubicalComplex):
+    """A cubical complex validated from given rows: keys sorted, every face
+    found by binary search among the keys, the action checked by looking up
+    every cell's image, and the freeness witness found there."""
+
+    def __init__(self, q, n_axes, cells, axis_map, p):
+        self.q = int(q)
+        self.n_axes = int(n_axes)
+        self._set_order(p)
+        if self.q < 3:
+            raise ShapeError("grid needs q >= 3 so cell corners stay distinct")
+        self.axis_map = np.asarray(axis_map, dtype=np.int64).reshape(-1)
+        D = self.n_axes
+        norm: dict[int, np.ndarray] = {}
+        for d, arr in cells.items():
+            a = np.asarray(arr, dtype=np.int32).reshape(-1, D + 1)
+            if len(a) == 0:
+                continue
+            base, mask = a[:, :D], a[:, D].astype(np.int64)
+            if base.min() < 0 or base.max() >= self.q:
+                raise ShapeError("cell base corner outside the grid")
+            if mask.min() < 0 or mask.max() >= 1 << D:
+                raise ShapeError(f"cell mask outside 0..2^{D}-1")
+            if np.any(_popcount(mask) != d):
+                raise ShapeError(f"mask popcount does not match dimension {d}")
+            norm[d] = a
+        self._set_cells(norm)
+        self._check_order(self.axis_map, self.n_axes, "axis_map", "axes")
+        self._finish(True)
+
+    def _action_rows(self, rows):
+        D = self.n_axes
+        mask = rows[:, D].astype(np.int64)
+        new_mask = np.zeros_like(mask)
+        for t in range(D):
+            new_mask |= ((mask >> int(self.axis_map[t])) & 1) << t
+        out = np.empty_like(rows)
+        out[:, :D] = rows[:, :D][:, self.axis_map]
+        out[:, D] = new_mask
+        return out
+
+    def _face_rows(self, d, rows, i):
+        """Drop the (i // 2)-th set mask bit; even i steps the base across it."""
+        D = self.n_axes
+        mask = rows[:, D].astype(np.int64)
+        bits = (mask[:, None] >> np.arange(D)) & 1
+        axis = np.argmax(np.cumsum(bits, axis=1) == i // 2 + 1, axis=1)
+        face = rows.copy()
+        face[:, D] = mask & ~(1 << axis)
+        if i % 2 == 0:
+            r = np.arange(len(rows))
+            face[r, axis] = (face[r, axis] + 1) % self.q
+        return face
+
+    @property
+    def action(self):
+        """The vertex permutation, each image looked up among the vertex keys."""
+        img = self._action_rows(self.cells[0])
+        return self._index_of_keys(0, _row_keys(img, self._radices(0)))
+
+
+def general_approx(spec, cell_cap=None):
+    """The torus approximation through the general cubical constructor: every
+    mask's cells listed by ``argwhere`` on the rolled vertex mask, then
+    validated from scratch."""
+    from zpindex import torusgrid
+    from zpindex.errors import ResourceCapError
+
+    cap = torusgrid.DEFAULT_CELL_CAP if cell_cap is None else cell_cap
+    D, q = spec.n_axes, spec.q
+    if q**D > torusgrid._GRID_POINT_CAP:
+        raise ResourceCapError(f"{q**D} grid points")
+    vertex_ok = torusgrid._vertex_mask(spec)
+    total = 0
+    cells: dict[int, list[np.ndarray]] = {}
+    for mask in range(1 << D):
+        ok = vertex_ok
+        for d in range(D):
+            if mask >> d & 1:
+                ok = ok & np.roll(ok, -1, axis=d)
+        count = int(ok.sum())
+        if count == 0:
+            continue
+        total += count
+        if total > cap:
+            raise ResourceCapError(f"more than {cap} cells")
+        bases = np.argwhere(ok).astype(np.int32)
+        rows = np.hstack([bases, np.full((count, 1), mask, dtype=np.int32)])
+        cells.setdefault(bin(mask).count("1"), []).append(rows)
+    merged = {
+        d: np.vstack(parts) if len(parts) > 1 else parts[0] for d, parts in cells.items()
+    }
+    axis_map = [(t + spec.n_circles) % D for t in range(D)]
+    return GeneralCubicalComplex(q, D, merged, axis_map, spec.p)
+
+
 def assert_same_complex(x, y) -> None:
-    """Two simplicial complexes agree byte for byte: cells, keys, faces and
-    their dtypes, sign patterns, action, witness, labels and factor sizes."""
-    fields = ("p", "n_vertices", "labels", "join_factors")
+    """Two complexes of one kind agree byte for byte: cells, keys, faces and
+    their dtypes, sign patterns, action, witness, and for simplicial complexes
+    labels and factor sizes, for cubical ones the grid and the axis map."""
+    if hasattr(y, "axis_map"):
+        fields = ("p", "q", "n_axes", "n_vertices")
+        assert np.array_equal(x.axis_map, y.axis_map)
+    else:
+        fields = ("p", "n_vertices", "labels", "join_factors")
     assert [getattr(x, f) for f in fields] == [getattr(y, f) for f in fields]
     for table in ("cells", "keys", "faces"):
         xs, ys = getattr(x, table), getattr(y, table)
@@ -238,7 +393,10 @@ def assert_same_complex(x, y) -> None:
             assert np.array_equal(xs[d], ys[d]), (table, d)
             assert not xs[d].flags.writeable, (table, d)
     assert x.face_signs == y.face_signs
-    if y.action is None:
+    if not x.cells:  # the oracle's cubical action reads the vertex table, which is absent
+        assert x.action is None or len(x.action) == 0
+        assert x.free_witness() is None
+    elif y.action is None:
         assert x.action is None
     else:
         assert x.action.dtype == y.action.dtype and np.array_equal(x.action, y.action)
@@ -572,4 +730,49 @@ def every_vertex_mask_matches_the_loop_oracle():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torusgrid, "_vertex_mask", checked)
+        yield
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_colliding_reduction_matches_the_max_scan():
+    """Every reduction of colliding columns any test runs must find the same
+    pivot rows, in the same order and in as many steps, as the ``max`` scan."""
+    from zpindex import homology
+
+    fast = homology._reduce_colliding
+
+    def checked(colliding, owner, t_ptr, t_rows, t_data, ell, counts):
+        want_counts: dict[str, int] = {}
+        want = reduce_colliding_by_max(colliding, dict(owner), t_ptr, t_rows, t_data, ell, want_counts)
+        got = fast(colliding, owner, t_ptr, t_rows, t_data, ell, counts)
+        assert got == want and counts["steps"] == want_counts["steps"]
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_reduce_colliding", checked)
+        yield
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_approximation_matches_the_general_constructor():
+    """Every torus approximation any test builds, through the library, the CLI
+    or a demo, must equal the general constructor's byte for byte."""
+    import sys
+
+    from zpindex import torusgrid
+
+    fast = torusgrid.build_approx
+
+    def checked(spec, cell_cap=None):
+        got = fast(spec, cell_cap=cell_cap)
+        assert_same_complex(got, general_approx(spec, cell_cap))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        # test modules bound the name at import, so every binding is replaced
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith(("zpindex", "test_")):
+                for name, value in list(vars(mod).items()):
+                    if value is fast:
+                        mp.setattr(mod, name, checked)
         yield

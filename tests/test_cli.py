@@ -185,6 +185,13 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     code, doc = run(capsys, "homology", "--join-of", "XS:N=0,p=3", "--copies", "2")
     assert code == 1 and doc["error"] == {"type": "usage", "reason": "N must be >= 1, got 0"}
 
+    # each was once refused as a resource cap that "exceeds the cell cap (-5)"
+    for cap in ("0", "-5"):
+        code, doc = run(capsys, "approx-z", "--p", "2", "--q", "8", "--cap", cap)
+        assert code == 1 and doc["error"] == {"type": "usage", "reason": f"--cap must be >= 1, got {cap}"}
+    code, doc = run(capsys, "approx-z", "--p", "2", "--q", "8", "--cap", "128")
+    assert code == 0 and doc["results"]["vertices"] == 40  # 128 cells: the cap is inclusive
+
 
 def test_join_cell_cap_refuses_before_building(capsys):
     # 2046 period-11 points, three copies: about 8.6e9 cells predicted

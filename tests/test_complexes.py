@@ -6,10 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_complex, general_join, projective_plane_6, torus_7
+from conftest import (
+    GeneralCubicalComplex,
+    assert_same_complex,
+    general_join,
+    projective_plane_6,
+    torus_7,
+)
 
 from zpindex.complexes import (
-    CubicalComplex,
     _row_keys,
     SimplicialComplex,
     cycle_complex,
@@ -20,6 +25,7 @@ from zpindex.complexes import (
 )
 from zpindex.errors import ResourceCapError, ShapeError
 from zpindex.shiftspaces import mismatch_shift, periodic_point_complex
+from zpindex.torusgrid import build_approx, z_torus_spec
 
 Z3PTS = SimplicialComplex.discrete(3, [1, 2, 0], 3)
 
@@ -190,9 +196,9 @@ def test_maximal_cells_are_the_cells_in_no_other_cell(case):
 def test_cubical_validation():
     # a lone square without its edges breaks closure
     with pytest.raises(ShapeError):
-        CubicalComplex(8, 2, {2: np.array([[0, 0, 3]])}, [1, 0], 2)
+        GeneralCubicalComplex(8, 2, {2: np.array([[0, 0, 3]])}, [1, 0], 2)
     with pytest.raises(ShapeError):
-        CubicalComplex(8, 2, {1: np.array([[0, 0, 3]])}, [1, 0], 2)  # popcount 2 != 1
+        GeneralCubicalComplex(8, 2, {1: np.array([[0, 0, 3]])}, [1, 0], 2)  # popcount 2 != 1
 
 
 def test_composite_order_rejected():
@@ -200,7 +206,7 @@ def test_composite_order_rejected():
     with pytest.raises(ShapeError, match="prime"):
         SimplicialComplex.discrete(2, [1, 0], 4)
     with pytest.raises(ShapeError, match="prime"):
-        CubicalComplex(8, 2, {0: np.array([[0, 0, 0]])}, [1, 0], 4)
+        GeneralCubicalComplex(8, 2, {0: np.array([[0, 0, 0]])}, [1, 0], 4)
 
 
 # -- the cell table ----------------------------------------------------------------
@@ -213,7 +219,7 @@ def full_torus(q=4, D=2):
         for mask in range(1 << D):
             cells.setdefault(bin(mask).count("1"), []).append(list(base) + [mask])
     axis_map = [(t + 1) % D for t in range(D)]
-    return CubicalComplex(q, D, {d: np.array(v) for d, v in cells.items()}, axis_map, D)
+    return GeneralCubicalComplex(q, D, {d: np.array(v) for d, v in cells.items()}, axis_map, D)
 
 
 def test_keys_sort_rows_like_lexsort():
@@ -240,7 +246,7 @@ def test_keys_sort_rows_like_lexsort():
 def test_key_overflow_guard_refuses():
     # 16^16 * 2^16 = 2^80 possible cells: refused before any key is formed
     with pytest.raises(ShapeError, match="2\\^63"):
-        CubicalComplex(16, 16, {0: np.zeros((1, 17), dtype=np.int32)}, list(range(1, 16)) + [0], 2)
+        GeneralCubicalComplex(16, 16, {0: np.zeros((1, 17), dtype=np.int32)}, list(range(1, 16)) + [0], 2)
     with pytest.raises(ShapeError, match="2\\^63"):
         _row_keys(np.array([[1, 1]]), [1 << 32, 1 << 31])
     # just below the limit the largest row keeps a positive, exact key
@@ -272,21 +278,22 @@ def test_stored_faces_match_plain_python():
         assert m.faces[d].tolist() == expected
         assert m.face_signs[d] == tuple((-1) ** i for i in range(d + 1))
 
-    t = full_torus()
-    D = t.n_axes
-    for d in range(1, t.dim + 1):
-        index = {_corners(t, r): j for j, r in enumerate(t.cells[d - 1])}
-        expected = []
-        for row in t.cells[d]:
-            cube = _corners(t, row)
-            faces = []
-            for a in [a for a in range(D) if int(row[D]) >> a & 1]:
-                far = (int(row[a]) + 1) % t.q
-                faces.append(index[frozenset(x for x in cube if x[a] == far)])
-                faces.append(index[frozenset(x for x in cube if x[a] == row[a])])
-            expected.append(faces)
-        assert t.faces[d].tolist() == expected
-        assert t.face_signs[d] == tuple(s for k in range(d) for s in ((-1) ** k, -((-1) ** k)))
+    # the general constructor's full torus, and an approximation laid out on the grid
+    for t in (full_torus(), build_approx(z_torus_spec(3, 8))):
+        D = t.n_axes
+        for d in range(1, t.dim + 1):
+            index = {_corners(t, r): j for j, r in enumerate(t.cells[d - 1])}
+            expected = []
+            for row in t.cells[d]:
+                cube = _corners(t, row)
+                faces = []
+                for a in [a for a in range(D) if int(row[D]) >> a & 1]:
+                    far = (int(row[a]) + 1) % t.q
+                    faces.append(index[frozenset(x for x in cube if x[a] == far)])
+                    faces.append(index[frozenset(x for x in cube if x[a] == row[a])])
+                expected.append(faces)
+            assert t.faces[d].tolist() == expected
+            assert t.face_signs[d] == tuple(s for k in range(d) for s in ((-1) ** k, -((-1) ** k)))
 
     from zpindex.homology import boundary_matrices
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     COMPOSE_BLOCK,
+    GeneralCubicalComplex,
     column_reduction_rank,
     composition_vanishes,
     compositions_vanish,
@@ -21,7 +22,6 @@ from conftest import (
 )
 from zpindex import homology
 from zpindex.complexes import (
-    CubicalComplex,
     SimplicialComplex,
     cycle_complex,
     join_complex,
@@ -164,7 +164,7 @@ def full_torus_q4():
             d = bin(mask).count("1")
             cells.setdefault(d, []).append(list(base) + [mask])
     cells = {d: np.array(v, dtype=np.int32) for d, v in cells.items()}
-    return CubicalComplex(q, D, cells, [1, 0], 2)
+    return GeneralCubicalComplex(q, D, cells, [1, 0], 2)
 
 
 def test_full_torus_homology():
@@ -288,6 +288,24 @@ def test_live_columns_are_the_uncleared_ones(name):
         assert counts["cleared"] == ranks[d - 1]
         assert counts["apparent"] + counts["colliding"] <= counts["live"]
         assert counts["apparent"] <= ranks[d]
+
+
+def test_reduction_counts_are_pinned_on_the_z3_torus():
+    # the first five are those of the max scan the heap replaced; the pivots it
+    # finds are checked against that scan on every call (see conftest)
+    c = LARGE_TEST_COMPLEXES["Z:p=3,q=16"]()
+    fields = ("cleared", "live", "apparent", "colliding", "steps", "max_work", "stale_pops")
+    want = {
+        1: (1, 2927, 2599, 328, 184, 20, 0),
+        2: (2927, 5233, 4923, 310, {2: 940, 3: 946}, 50, 655),
+        3: (5230, 2258, 2254, 4, 22, 2, 0),
+    }
+    for ell in (2, 3):
+        cc = boundary_matrices(c, ell)
+        assert engine_ranks(cc) == [2927, 5230, 2256]
+        for d, row in want.items():
+            row = tuple(v[ell] if isinstance(v, dict) else v for v in row)
+            assert tuple(cc.reduction_counts[d][f] for f in fields) == row, (ell, d)
 
 
 def test_composition_check_rejects_bad_column_in_a_later_block():

@@ -1,0 +1,71 @@
+"""Size ladders over the CLI, each value run in a memory-limited child process.
+
+A ladder walks one size parameter of one subcommand upward, about 8x a
+step.  Each value runs alone in a fresh child that limits its own address
+space to 1 GiB before it starts, with one BLAS thread and a timeout of a few
+seconds.  The run must print one JSON document and either exit 0 or exit 1
+refusing with ``resource-cap``, ``shape`` or ``usage``: a traceback, a
+``MemoryError`` or a timeout fails the test.  A ladder stops at its first
+refusal, and the step where it stops is pinned, so a cap that moves shows.
+"""
+from __future__ import annotations
+
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_SPACE = 1 << 30
+TIMEOUT_S = 8
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run_limited(argv: list[str]) -> str | None:
+    """Run the CLI on argv in a limited child; None when it answered, else the
+    type of its refusal."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zpindex.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_limit_address_space, timeout=TIMEOUT_S,
+    )
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stdout, (argv, proc.stderr[-2000:])
+    doc = json.loads(proc.stdout)
+    if proc.returncode == 0:
+        assert "results" in doc, argv
+        return None
+    assert proc.returncode == 1, (argv, proc.returncode)
+    assert doc["error"]["type"] in {"resource-cap", "shape", "usage"}, (argv, doc)
+    return doc["error"]["type"]
+
+
+APPROX = ["approx-z", "--family"]
+# (fixed arguments, the walked parameter, its values, the outcome of each step)
+LADDERS = {
+    "Z:p=2 --q": (APPROX + ["Z", "--p", "2"], "--q", ["8", "64", "512", "4096"],
+                  [None, None, None, "resource-cap"]),  # 4096^2 letter pairs
+    "Z:p=3 --q": (APPROX + ["Z", "--p", "3"], "--q", ["8", "64", "512"],
+                  [None, None, "resource-cap"]),  # 512^3 grid points
+    "Z:p=5 --q": (APPROX + ["Z", "--p", "5"], "--q", ["8", "64"],
+                  [None, "resource-cap"]),  # 64^5 grid points
+    "XSN:p=2,q=8 --N": (APPROX + ["XSN", "--p", "2", "--q", "8"], "--N", ["1", "2", "3", "4"],
+                        [None, None, "resource-cap"]),  # the cell cap at N = 3
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_approximation_ladder_answers_or_refuses_within_memory(name):
+    fixed, param, values, want = LADDERS[name]
+    got = []
+    for value in values:
+        got.append(run_limited(fixed + [param, value]))
+        if got[-1] is not None:
+            break
+    assert got == want

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import assert_same_mask, brute_separated_words, brute_z_words, dense_betti, loop_vertex_mask
@@ -106,6 +107,18 @@ def test_vertex_mask_matches_the_loop_oracle(spec):
     assert_same_mask(torusgrid._vertex_mask(spec), loop_vertex_mask(spec))
 
 
+@pytest.mark.parametrize("spec", [
+    z_torus_spec(5, 8),
+    TorusGridSpec(3, 8, family=AdjacentGap(Fraction(1), exact=True)),
+    TorusGridSpec(5, 8, family=AdjacentGap(Fraction(1), exact=True)),
+    separated_torus_spec(3, 8, 2, Fraction(1)), separated_torus_spec(5, 8, 1, Fraction(1, 4)),
+], ids=lambda spec: spec.token())
+def test_grid_build_matches_the_general_constructor(spec):
+    # the session fixture compares every approximation the tests build with the
+    # general constructor's; these specs no other test builds
+    assert build_approx(spec).is_free
+
+
 def test_grid_cap_refuses_before_the_mask(monkeypatch):
     def no_mask(spec):
         raise AssertionError("the vertex mask was built")
@@ -117,6 +130,51 @@ def test_grid_cap_refuses_before_the_mask(monkeypatch):
         with pytest.raises(ResourceCapError) as err:
             build_approx(spec)
         assert f"{points}, above the grid point cap (16777216)" in str(err.value)
+
+
+def test_grid_build_refuses_a_vertex_mask_the_rotation_moves(monkeypatch):
+    spec = z_torus_spec(3, 8)
+    mask = torusgrid._vertex_mask(spec).copy()
+    assert mask[0, 2, 4] == mask[2, 4, 0]
+    mask[0, 2, 4] = not mask[0, 2, 4]  # its rotation (2, 4, 0) keeps the old value
+    monkeypatch.setattr(torusgrid, "_vertex_mask", lambda spec: mask)
+    with pytest.raises(ShapeError, match="not invariant under the letter rotation"):
+        build_approx(spec)
+
+
+def test_grid_build_refuses_a_face_read_that_finds_no_cell(monkeypatch):
+    cell_bases = torusgrid._cell_bases
+
+    def damaged(vertex_ok, mask):
+        ok = cell_bases(vertex_ok, mask)
+        if mask == 1:
+            ok = ok.copy()
+            ok[0, 0, 0] = True  # the constant word is no vertex, so this edge has no base face
+        return ok
+
+    monkeypatch.setattr(torusgrid, "_cell_bases", damaged)
+    with pytest.raises(ShapeError, match="face closure fails between dimensions 1 and 0"):
+        build_approx(z_torus_spec(3, 8))
+
+
+def test_grid_build_reports_the_fixed_cell_of_a_mask_with_constant_words(monkeypatch):
+    # every grid point is a vertex, so the diagonal cells are rotation-fixed; the
+    # session fixture checks the witness and the whole table against the oracle
+    monkeypatch.setattr(torusgrid, "_vertex_mask", lambda spec: np.ones((spec.q,) * spec.n_axes, dtype=bool))
+    c = build_approx(z_torus_spec(3, 8))
+    assert c.total_cells() == 8**3 * 2**3
+    assert c.free_witness() == (0, (0, 0, 0, 0)) and not c.is_free
+
+
+def test_grid_byte_cap_refuses_before_any_grid(monkeypatch):
+    # Z:p=3,q=8 at most holds the int32 positions of its 3 edge or 3 square masks
+    with monkeypatch.context() as mp:
+        mp.setattr(torusgrid, "_GRID_BYTE_CAP", 4 * 512 * 3 - 1)
+        mp.setattr(np, "full", lambda *a, **k: pytest.fail("a position grid was allocated"))
+        with pytest.raises(ResourceCapError, match=r"6144 bytes .* above the grid byte cap \(6143\)"):
+            build_approx(z_torus_spec(3, 8))
+    monkeypatch.setattr(torusgrid, "_GRID_BYTE_CAP", 4 * 512 * 3)
+    assert build_approx(z_torus_spec(3, 8)).n_vertices == 408
 
 
 def test_canonical_certificate_accepted():
