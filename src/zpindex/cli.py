@@ -252,11 +252,15 @@ def _cmd_verify_lemma(args) -> tuple[dict, int]:
     return doc, 0 if res.passed else 2
 
 
-def _join_complex_from_args(args) -> tuple[SimplicialComplex, SubshiftSpec, int, list[str]]:
+def _join_factor(args) -> tuple[SimplicialComplex, int]:
     if args.copies < 1:
         raise _UsageError(f"--copies must be >= 1, got {args.copies}")
     spec, p = _parse_join_token(args.join_of)
-    base = periodic_point_complex(spec, p)
+    return periodic_point_complex(spec, p), p
+
+
+def _join_complex_from_args(args) -> tuple[SimplicialComplex, int, list[str]]:
+    base, p = _join_factor(args)
     prov = [
         f"factor: period-{p} point set of {args.join_of} with {base.n_vertices} points"
     ]
@@ -266,7 +270,7 @@ def _join_complex_from_args(args) -> tuple[SimplicialComplex, SubshiftSpec, int,
         joined = join_complex(joined, base)
     if args.copies > 1:
         prov.append(f"join of {args.copies} copies: {joined.total_cells()} cells")
-    return joined, spec, p, prov
+    return joined, p, prov
 
 
 def _cmd_homology(args) -> tuple[dict, int]:
@@ -280,7 +284,7 @@ def _cmd_homology(args) -> tuple[dict, int]:
     else:
         if not args.join_of:
             raise _UsageError("homology needs --join-of or --input")
-        c, _, p, prov = _join_complex_from_args(args)
+        c, p, prov = _join_complex_from_args(args)
     field = args.field if args.field else p
     bv = betti_numbers(c, field)
     free: bool | None = None
@@ -296,8 +300,7 @@ def _cmd_homology(args) -> tuple[dict, int]:
 
 
 def _cmd_index(args) -> tuple[dict, int]:
-    spec, p = _parse_join_token(args.join_of)
-    base = periodic_point_complex(spec, p)
+    base, p = _join_factor(args)
     report = index_of_join_of_finite([base] * args.copies)
     results = {"report": report.to_json()}
     if report.exact:
@@ -310,6 +313,8 @@ def _torus_spec_from_args(args) -> TorusGridSpec:
     if args.family == "Z":
         return z_torus_spec(args.p, args.q)
     if args.family == "XSN":
+        if args.N < 1:
+            raise _UsageError(f"N must be >= 1, got {args.N}")
         return separated_torus_spec(args.p, args.q, args.N, _fraction(args.delta))
     raise _UsageError(f"unknown torus family {args.family!r}; known: Z, XSN")
 

@@ -16,10 +16,10 @@ many trials of the verify suites (``_SectionTrials``) rows are int lists,
 built while both tables fit the bytes of the pair table cap; otherwise, and
 in single public calls, which read only a few entries, each read computes
 its entry.  Both use the digit arithmetic of ``Alphabet.letter_op``.  Distance
-thresholds are one exact comparison per letter difference (``DistanceBar``),
-by translation invariance.  The section walks each residue class mod m! out
-from its base block by y(k + m!) = y(k) + x(k + (m-1)!) - x(k).  The public
-functions convert windows of tuples to indices and back around these kernels.
+thresholds are the ``bar`` of ``SubshiftSpec(alphabet, Separation(m, delta))``.
+The section walks each residue class mod m! out from its base block by
+y(k + m!) = y(k) + x(k + (m-1)!) - x(k).  The public functions convert
+windows of tuples to indices and back around these kernels.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from .alphabets import Alphabet, DistanceBar, Element, ElementLike, product_alphabet
+from .alphabets import Alphabet, Element, ElementLike, product_alphabet
 from .errors import NeededRangeError, ShapeError
-from .shiftspaces import _PAIR_TABLE_CAP, CyclicWord
+from .shiftspaces import _PAIR_TABLE_CAP, CyclicWord, Separation, SubshiftSpec
 
 __all__ = [
     "Window",
@@ -180,18 +180,10 @@ def _violations(sub, far, ys: list[int], step: int) -> list[int]:
     return [t for t, (a, b) in enumerate(zip(ys, ys[step:])) if not far[sub[a][b]]]
 
 
-def _sampler_bar(alphabet: Alphabet, delta: Fraction) -> DistanceBar:
-    """The bar d >= delta of the rejection sampler.  Every alphabet attains its
-    diameter, so up to it each letter has a letter that far away; above it none
-    does and the sampler would draw forever, so such a delta is refused."""
-    if delta > alphabet.diameter:
-        raise ShapeError(f"delta {delta} exceeds alphabet diameter {alphabet.diameter}")
-    return DistanceBar(alphabet, lambda d: d >= delta)
-
-
 def _separated_letters(rng: random.Random, ops: _LetterOps, far, gap: int, length: int) -> list[int]:
     """Letter indices t = 0..length-1 with letters t and t + gap passing ``far``,
-    drawn by rejection: one ``rng.randrange(n)`` per candidate letter."""
+    drawn by rejection: one ``rng.randrange(n)`` per candidate letter.  It ends:
+    a separation bar is at most the diameter, which every alphabet attains."""
     letters: list[int] = []
     order = ops.alphabet.order
     for t in range(length):
@@ -208,7 +200,7 @@ def _random_separated_window(
     rng: random.Random, alphabet: Alphabet, delta: Fraction, gap: int, lo: int, hi: int
 ) -> Window:
     """A window on [lo, hi] whose letters at distance `gap` are delta-separated."""
-    far = _sampler_bar(alphabet, delta)
+    far = SubshiftSpec(alphabet, Separation(1, delta)).bar
     ops = _LetterOps(alphabet)
     return ops.window(lo, _separated_letters(rng, ops, far, gap, hi - lo + 1))
 
@@ -353,7 +345,7 @@ class _SectionTrials:
         self.gap, self.block, self.span = _section_shape(m, 0, 0)
         n = alphabet.order
         self.ops = _LetterOps(alphabet, tabled=16 * n * n <= _PAIR_TABLE_CAP)
-        self.far = _sampler_bar(alphabet, delta)
+        self.far = SubshiftSpec(alphabet, Separation(m, delta)).bar
 
     def _draw(self, rng: random.Random, lo: int, hi: int):
         need = section_input_range(self.m, lo, hi)
@@ -405,9 +397,10 @@ def pair_embed_cyclic(word: CyclicWord) -> CyclicWord:
 
 
 def separation_violations(w: Window, step: int, delta: Fraction) -> list[int]:
-    """Indices k with both ends visible where dist(x_k, x_{k+step}) < delta."""
+    """Indices k with both ends visible where dist(x_k, x_{k+step}) < delta;
+    delta must lie in (0, diameter], as for a separation family."""
     if step < 0:
         w[w.start + step]  # raises NeededRangeError: the first partner lies left of w
+    far = SubshiftSpec(w.alphabet, Separation(1, delta)).bar
     ops = _LetterOps(w.alphabet)
-    far = DistanceBar(w.alphabet, lambda d: d >= delta)
     return [w.start + t for t in _violations(ops.sub, far, ops.indices(w), step)]

@@ -12,17 +12,18 @@ studies:
   adjacent letter gaps meets the bar (``>= bar``, or ``== bar`` in the
   exact variant).
 
-``SubshiftSpec.clauses(L)`` states a family's constraint on a cyclic word
-once, as one clause of index pairs per index.  ``satisfies`` checks single
-words on it pair by pair, the depth-first search files each clause under the
-depth that completes it, and the torus-grid vertex mask ANDs its clauses.
-Each spec decides its letter-pair relation once, in ``pair_table``: an
-(n, n) read-only bool array, refused above 2^20 pairs before any letter is
-listed.  The metric is translation invariant, so it takes one exact
-``Fraction`` comparison per letter difference, n in all.  The search, the
-count (the trace of a power of that table as a transfer matrix, in int64
-where a bound proves it exact and in Python ints otherwise, refused above
-10^9 multiply-adds before the table is built) and the vertex mask read it.
+A family is one clause of index pairs per index of a cyclic word
+(``SubshiftSpec.clauses``) and one distance bar (``SubshiftSpec.bar``): the
+metric is translation invariant, so the bar read at a letter difference
+decides a pair, one exact ``Fraction`` comparison per difference.  The search
+files each clause under the depth that completes it, and the torus-grid vertex
+mask ANDs the clauses.  ``satisfies`` reads the bar at each clause pair of a
+single word; ``pair_table`` is the bar at every letter pair, an (n, n)
+read-only bool array refused above 2^20 pairs before any letter is listed.
+The search, the count (the trace of a power of that table as a transfer
+matrix, in int64 where a bound proves it exact and in Python ints otherwise,
+refused above 10^9 multiply-adds before the table is built) and the vertex
+mask read it.
 Counts are cross-checkable against enumeration.
 """
 from __future__ import annotations
@@ -129,8 +130,11 @@ class SubshiftSpec:
             return d >= self.family.delta
         return d == self.family.bar if self.family.exact else d >= self.family.bar
 
-    def _gap_ok(self, a: Element, b: Element) -> bool:
-        return self._meets_bar(self.alphabet.metric(a, b))
+    @cached_property
+    def bar(self) -> DistanceBar:
+        """The family's one distance test: ``bar[letter_op("sub", i, j)]`` says
+        whether letters i and j meet the bar, one exact comparison per read."""
+        return DistanceBar(self.alphabet, self._meets_bar)
 
     def clauses(self, L: int) -> list[tuple[tuple[int, int], ...]]:
         """The defining constraint on a cyclic word of length L: one clause per
@@ -145,14 +149,13 @@ class SubshiftSpec:
         return [(((n - 1) % L, n), (n, (n + 1) % L)) for n in range(L)]
 
     def satisfies(self, w: CyclicWord) -> bool:
-        """Does every clause hold on the cyclic word?  Each pair is decided by
-        one exact metric comparison, so no pair table is built."""
+        """Does every clause hold on the cyclic word?  Each pair is one read of
+        ``bar`` at its letter difference; no table is built, so no cap applies."""
         if w.alphabet != self.alphabet:
             raise ShapeError("word alphabet does not match the spec alphabet")
-        x = w.letters
-        return all(
-            any(self._gap_ok(x[a], x[b]) for a, b in clause) for clause in self.clauses(w.period)
-        )
+        x = [self.alphabet.index(e) for e in w.letters]
+        sub, bar = self.alphabet.letter_op, self.bar
+        return all(any(bar[sub("sub", x[a], x[b])] for a, b in c) for c in self.clauses(w.period))
 
     # -- enumeration -----------------------------------------------------------
 
@@ -244,14 +247,10 @@ class SubshiftSpec:
 
     @cached_property
     def pair_table(self) -> np.ndarray:
-        """The letter-pair relation, read-only and built once per spec:
-        [i, j] is True iff letters i and j, in ``all_elements`` order, meet
-        the family's bar.  The metric is translation invariant, so the pair
-        is decided by the difference i - j: one exact comparison per letter,
-        read through the alphabet's difference table."""
+        """The letter-pair relation, read-only and built once per spec: [i, j],
+        in ``all_elements`` order, is ``bar`` at the difference of i and j."""
         n = self._letter_count()
-        bar = DistanceBar(self.alphabet, self._meets_bar)
-        meets = np.array([bar[d] for d in range(n)], dtype=bool)
+        meets = np.array([self.bar[d] for d in range(n)], dtype=bool)
         letters = np.arange(n, dtype=np.int64)
         table = meets[self.alphabet.letter_op("sub", letters[:, None], letters)]
         table.flags.writeable = False

@@ -193,8 +193,8 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
         total += count
         if total > cap:
             raise ResourceCapError(
-                f"approximation for {spec.token()} exceeds the cell cap ({cap}); "
-                "no partial complex is returned"
+                f"approximation for {spec.token()} has at least {total} cells, above the "
+                f"cell cap ({cap}); no partial complex is returned"
             )
         bases[mask] = np.flatnonzero(ok).astype(np.int32)  # the grid point cap is below 2^31
         by_dim.setdefault(bin(mask).count("1"), []).append(mask)

@@ -8,8 +8,9 @@ of the complex's face identities, plain itertools scans instead of backtracking
 enumeration, joins validated from scratch by the general simplicial
 constructor instead of built from their factors, a transfer-matrix power
 by hand-written Python list products instead of numpy object arrays, and
-torus vertex masks from a double loop over letter pairs and full index grids
-instead of the spec's pair table on open axes, torus approximations validated
+torus vertex masks from a double loop over letter pairs, each decided by one
+metric call (``gap_ok``) instead of the spec's distance bar, and full index
+grids instead of the spec's pair table on open axes, torus approximations validated
 by the general cubical constructor (binary-search face lookup, per-cell action
 images) instead of laid out on the grid, colliding columns reduced with a
 ``max`` scan of the working column instead of a heap, and the block-sum code, its
@@ -492,6 +493,13 @@ def int_matrix_trace_power(a: list[list[int]], k: int) -> int:
     return sum(result[i][i] for i in range(n))
 
 
+def gap_ok(spec, a, b) -> bool:
+    """Do letters a and b meet the family's bar of ``spec``?  One call of
+    ``Alphabet.metric`` on the pair itself, with no letter difference and no
+    ``DistanceBar``."""
+    return spec._meets_bar(spec.alphabet.metric(a, b))
+
+
 def loop_vertex_mask(spec) -> np.ndarray:
     """Boolean grid over (q,)*n_axes marking vertices that satisfy the family."""
     from zpindex.shiftspaces import Separation
@@ -504,7 +512,7 @@ def loop_vertex_mask(spec) -> np.ndarray:
     table = np.zeros((R, R), dtype=bool)
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
-            table[i, j] = sub._gap_ok(a, b)
+            table[i, j] = gap_ok(sub, a, b)
 
     idx = np.indices((q,) * spec.n_axes)
     letters = []

@@ -185,6 +185,14 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     code, doc = run(capsys, "homology", "--join-of", "XS:N=0,p=3", "--copies", "2")
     assert code == 1 and doc["error"] == {"type": "usage", "reason": "N must be >= 1, got 0"}
 
+    # each was once a shape error, where the same value elsewhere is a usage error
+    for copies in ("0", "-2"):
+        code, doc = run(capsys, "index", "--join-of", "Sigma:m=1,p=5", "--copies", copies)
+        assert code == 1 and doc["error"] == {"type": "usage", "reason": f"--copies must be >= 1, got {copies}"}
+    for n in ("0", "-1"):
+        code, doc = run(capsys, "approx-z", "--family", "XSN", "--p", "2", "--q", "8", "--N", n)
+        assert code == 1 and doc["error"] == {"type": "usage", "reason": f"N must be >= 1, got {n}"}
+
     # each was once refused as a resource cap that "exceeds the cell cap (-5)"
     for cap in ("0", "-5"):
         code, doc = run(capsys, "approx-z", "--p", "2", "--q", "8", "--cap", cap)
@@ -334,6 +342,20 @@ def test_section_suites_refuse_a_delta_above_the_diameter(capsys):
         assert time.perf_counter() - t0 < 1.0
         assert code == 1 and doc["error"] == {
             "type": "shape", "reason": "delta 2 exceeds alphabet diameter 1"}
+
+
+def test_section_suites_refuse_a_delta_of_zero_or_below(capsys):
+    # d >= 0 holds for every pair: --delta 0 once printed "passed": true, while
+    # count --family XS refused it as a separation family
+    for lemma in ("3.1", "3.2"):
+        for delta in ("0", "-1"):
+            code, doc = run(capsys, "verify-lemma", "--id", lemma, "--m", "2", "--alphabet", "Z3",
+                            "--delta", delta)
+            assert code == 1 and doc["error"] == {
+                "type": "shape", "reason": "separation family needs delta > 0"}, (lemma, delta)
+    code, doc = run(capsys, "count", "--family", "XS", "--delta", "0", "--p", "3")
+    assert code == 1 and doc["error"] == {
+        "type": "shape", "reason": "separation family needs delta > 0"}
 
 
 def test_composite_period_is_a_shape_error(capsys):

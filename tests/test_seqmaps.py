@@ -297,6 +297,13 @@ def test_separation_violations_match_the_tuple_oracle(alpha, offset, length, ste
         lambda: tuple_separation_violations(w, step, delta))
 
 
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1)])
+def test_separation_violations_refuse_a_delta_of_zero_or_below(delta):
+    # the bar of the separation family: d >= 0 would pass every pair
+    with pytest.raises(ShapeError, match=r"^separation family needs delta > 0$"):
+        separation_violations(zw(0, 0, 0, 1), 1, delta)
+
+
 SUITES = [(2, Z3, HALF, 80), (2, S12, HALF, 80), (3, S12, Fraction(5, 6), 30), (2, S2_8, Fraction(1), 40)]
 
 

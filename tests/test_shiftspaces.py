@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd
@@ -10,6 +11,7 @@ from conftest import (
     brute_separated_words,
     brute_sigma_words,
     brute_z_words,
+    gap_ok,
     int_matrix_trace_power,
 )
 from zpindex.alphabets import Alphabet, circle_grid, cyclic_group, parse_alphabet
@@ -272,7 +274,7 @@ def test_letter_pair_table_cap(monkeypatch):
     spec = SubshiftSpec(parse_alphabet("S^3:q=8"), Separation(1, Fraction(1, 2)))
     assert spec.pair_table.shape == (512, 512)
     assert spec.pair_table[0].tolist() == [
-        spec._gap_ok((0, 0, 0), b) for b in spec.alphabet.all_elements()]
+        gap_ok(spec, (0, 0, 0), b) for b in spec.alphabet.all_elements()]
     big = SubshiftSpec(parse_alphabet("S^4:q=8"), Separation(1, Fraction(1, 2)))
 
     def no_letters(self):
@@ -286,6 +288,24 @@ def test_letter_pair_table_cap(monkeypatch):
                  lambda: big.enumerate_periodic(5), lambda: build_approx(torus)):
         with pytest.raises(ResourceCapError, match=r"4096 letters .* 16777216 pairs.*\(1048576\)"):
             call()
+
+
+def test_satisfies_reads_the_bar_and_no_pair_table(monkeypatch):
+    # S^2:q=64 has 4096 letters, so its 2^24 pairs pass the pair table cap
+    spec = SubshiftSpec(parse_alphabet("S^2:q=64"), Separation(1, Fraction(1, 2)))
+
+    def refused(self):
+        raise AssertionError("a letter table was read")
+
+    monkeypatch.setattr(SubshiftSpec, "pair_table", property(refused))
+    monkeypatch.setattr(Alphabet, "all_elements", refused)
+    assert spec.satisfies(CyclicWord(spec.alphabet, ((0, 0), (16, 0), (32, 63))))
+    assert not spec.satisfies(CyclicWord(spec.alphabet, ((0, 0), (15, 49), (32, 0))))
+    rng = random.Random(0)
+    for _ in range(200):
+        L = rng.randrange(1, 6)
+        w = CyclicWord(spec.alphabet, tuple((rng.randrange(64), rng.randrange(64)) for _ in range(L)))
+        assert spec.satisfies(w) == all(gap_ok(spec, w[n], w[n + 1]) for n in range(L))
 
 
 PAIR_SPECS = [
@@ -313,14 +333,14 @@ def test_pair_table_is_the_exact_pair_relation(spec):
     assert table.dtype == bool and table.shape == (len(letters),) * 2
     assert not table.flags.writeable
     assert spec.pair_table is table  # built once per spec
-    loop = np.array([[spec._gap_ok(a, b) for b in letters] for a in letters], dtype=bool)
+    loop = np.array([[gap_ok(spec, a, b) for b in letters] for a in letters], dtype=bool)
     assert table.tobytes() == loop.tobytes()
 
 
 @pytest.mark.parametrize("spec", PAIR_SPECS[:6], ids=spec_id)
 def test_count_matches_the_list_power_oracle(spec):
     letters = spec.alphabet.all_elements()
-    a = [[1 if spec._gap_ok(x, y) else 0 for y in letters] for x in letters]
+    a = [[1 if gap_ok(spec, x, y) else 0 for y in letters] for x in letters]
     for p in range(1, 14):
         g = gcd(spec.family.step, p)
         assert spec.count_periodic(p) == int_matrix_trace_power(a, p // g) ** g

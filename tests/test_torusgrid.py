@@ -93,7 +93,8 @@ def test_inclusion_monotonicity_under_refinement():
 
 
 def test_cell_cap():
-    with pytest.raises(ResourceCapError):
+    # the 40 vertices alone pass the cap; the refusal names both
+    with pytest.raises(ResourceCapError, match=r"has at least 40 cells, above the cell cap \(10\)"):
         build_approx(z_torus_spec(2, 8), cell_cap=10)
 
 
