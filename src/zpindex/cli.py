@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -252,9 +253,18 @@ def _cmd_verify_lemma(args) -> tuple[dict, int]:
     return doc, 0 if res.passed else 2
 
 
+# copies a join may take: the index report lists every factor, and a join of
+# nonempty factors passes the join cell cap from 24 copies on
+_JOIN_FACTOR_CAP = 10**5
+
+
 def _join_factor(args) -> tuple[SimplicialComplex, int]:
     if args.copies < 1:
         raise _UsageError(f"--copies must be >= 1, got {args.copies}")
+    if args.copies > _JOIN_FACTOR_CAP:
+        raise ResourceCapError(
+            f"--copies {args.copies} is above the join factor cap ({_JOIN_FACTOR_CAP}); nothing was built"
+        )
     spec, p = _parse_join_token(args.join_of)
     return periodic_point_complex(spec, p), p
 
@@ -380,6 +390,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
     return _envelope(args, results, prov), code
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> _Parser:
     parser = _Parser(prog="zpindex", allow_abbrev=False, description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -466,14 +466,19 @@ class SimplicialComplex(CellComplex):
 
 def join_cell_count(totals: Sequence[int]) -> int:
     """Cells of the join of complexes with these total cell counts,
-    prod(c_i + 1) - 1; refused with ResourceCapError above the join cell cap."""
-    predicted = prod(int(t) + 1 for t in totals) - 1
-    if predicted > _JOIN_CELL_CAP:
-        raise ResourceCapError(
-            f"join of {len(totals)} complexes would have {predicted} cells, "
-            f"above the join cell cap ({_JOIN_CELL_CAP}); nothing was built"
-        )
-    return predicted
+    prod(c_i + 1) - 1; refused with ResourceCapError above the join cell cap.
+    The product stops at the first factor that passes the cap, so the count
+    reported stays a few digits long however many factors there are."""
+    predicted = 1
+    for i, t in enumerate(totals, start=1):
+        predicted *= int(t) + 1
+        if predicted - 1 > _JOIN_CELL_CAP:
+            bound = "" if i == len(totals) else "at least "
+            raise ResourceCapError(
+                f"join of {len(totals)} complexes would have {bound}{predicted - 1} cells, "
+                f"above the join cell cap ({_JOIN_CELL_CAP}); nothing was built"
+            )
+    return predicted - 1
 
 
 class _JoinSide:

@@ -9,17 +9,29 @@ one way: by the complex's face identities (``_check_boundary_square``),
 integer-array equalities on the stored faces plus a check of the sign
 pattern, which give zero over the integers without forming any product.
 
-rank(boundary_d) is computed as the rank of its transpose, the coboundary
-delta^{d-1}, whose column i lists the cofaces of (d-1)-cell i in ascending
-order, with the signs mod ell in the narrowest signed type that holds
-ell - 1.  The "low" of a column is its largest row.  Working up from
-dimension 0, three steps keep the exact reduction small:
+rank(boundary_d) is the number of pivot rows ("lows", largest rows of the
+reduced columns) of one of two matrices, reduced from the smaller end of
+the complex: down from the top dimension when it has fewer cells than
+dimension 0, otherwise up from dimension 0 (ties go up).  The first matrix
+reduced has (almost) nothing cleared, so its end should be the smaller.
 
-* Clearing.  A (d-1)-cell that was a pivot row (a low) of the reduced
-  delta^{d-2} is the largest entry of a coboundary, which delta^{d-1}
-  kills; so its column is a combination of earlier columns and is skipped
-  unread.  For d = 1 the augmentation's all-ones coboundary clears the
-  last vertex.  Pivot rows are memoized per dimension.
+* Down.  The boundary itself: its column j is face-table row j, whose low
+  is its largest face; no transpose is formed.  Ranks go from the top
+  down.  A d-cell that was a low of the reduced boundary_{d+1} is the
+  largest entry of a boundary, which boundary_d kills; so its column is a
+  combination of the columns of smaller d-cells and is skipped unread.
+  Nothing is cleared at the top.
+* Up.  The coboundary delta^{d-1} = boundary_d^T, whose column i lists the
+  cofaces of (d-1)-cell i in ascending order.  Ranks go from dimension 0
+  up.  A (d-1)-cell that was a low of the reduced delta^{d-2} is cleared
+  the same way; for d = 1 the augmentation's all-ones coboundary clears
+  the last vertex.
+
+Both directions then share one tail, with the coefficients mod ell in the
+narrowest signed type that holds ell - 1:
+
+* Clearing.  The cleared columns are the memoized pivot rows of the matrix
+  reduced just before.
 * Apparent pivots.  Of the remaining columns, every one whose low no
   other column shares is a pivot as it stands; columns with distinct lows
   are independent.  This is found in numpy, without a Python loop.
@@ -32,6 +44,13 @@ dimension 0, three steps keep the exact reduction small:
   when it enters the dict, an entry that cancels stays in the heap, and a
   heap top no longer in the dict is popped as stale.  The low is then the
   heap top, found without scanning the column.
+
+Clearing works in both directions (Chen & Kerber, "Persistent homology
+computation with a twist", EuroCG 2011; de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
+Problems 2011).  ``ChainComplexFp.rank_order`` gives the order in which
+each rank(d) reduces one matrix, and ``reduction_counts[d]`` describes the
+matrix reduced for rank d, whichever direction that was.
 
 The rank is the number of pivot rows.  All arithmetic is exact over F_ell:
 no floating point, no randomization.  The augmentation to the ground field
@@ -134,15 +153,25 @@ class ChainComplexFp:
         self.ell = ell
         self.n_cells = n_cells
         self.boundaries = boundaries  # index d-1 holds the boundary C_d -> C_{d-1}
+        # reduce from the smaller end: down from the top when it has fewer cells than dimension 0
+        self.top_down = bool(n_cells) and n_cells[-1] < n_cells[0]
         self._pivot_rows: dict[int, np.ndarray] = {}
-        # per dimension d: cleared, live, apparent and colliding columns of
-        # delta^{d-1}, the reduction steps the colliding ones took, the most
+        # per dimension d, for the matrix reduced for rank d (the boundary going
+        # down, the coboundary delta^{d-1} going up): cleared, live, apparent and
+        # colliding columns, the reduction steps the colliding ones took, the most
         # entries a working column held and the stale heap tops popped
         self.reduction_counts: dict[int, dict[str, int]] = {}
 
     @property
     def top_dim(self) -> int:
         return len(self.n_cells) - 1
+
+    @property
+    def rank_order(self) -> tuple[int, ...]:
+        """The dimensions 0 .. top_dim + 1 in the order the reduction reaches
+        them; asking for rank(d) in this order reduces one matrix per call."""
+        dims = tuple(range(self.top_dim + 2))
+        return dims[::-1] if self.top_down else dims
 
     def rank(self, d: int) -> int:
         """Rank of the boundary leaving dimension d (d = 0 is the augmentation)."""
@@ -153,16 +182,24 @@ class ChainComplexFp:
         return len(self._pivots(d))
 
     def _pivots(self, d: int) -> np.ndarray:
-        """Pivot rows (d-cells) of the reduced coboundary delta^{d-1}, memoized."""
+        """Pivot rows of the matrix reduced for rank d, memoized: going up, the
+        d-cells that clear delta^d; going down, the (d-1)-cells that clear
+        boundary_{d-1}."""
         piv = self._pivot_rows.get(d)
         if piv is None:
             if d == 0:
-                # the augmentation's coboundary is the all-ones column: its low is the last vertex
+                # going up, the augmentation's coboundary is the all-ones column: its low is the last vertex
                 n0 = self.n_cells[0] if self.n_cells else 0
                 piv = np.arange(max(n0 - 1, 0), n0)
+            elif d > self.top_dim:  # going down, nothing is cleared at the top
+                piv = np.empty(0, dtype=np.int64)
             else:
                 counts = self.reduction_counts[d] = {}
-                piv = _coboundary_pivots(self.boundaries[d - 1], self._pivots(d - 1), self.ell, counts)
+                b = self.boundaries[d - 1]
+                if self.top_down:
+                    piv = _boundary_pivots(b, self._pivots(d + 1), self.ell, counts)
+                else:
+                    piv = _coboundary_pivots(b, self._pivots(d - 1), self.ell, counts)
             self._pivot_rows[d] = piv
         return piv
 
@@ -170,14 +207,10 @@ class ChainComplexFp:
 def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
     """Pivot rows of the coboundary delta = b^T over F_ell, reduced exactly.
 
-    Column i of delta lists the cofaces of row-cell i of b.  Columns in
-    ``cleared`` are skipped; every other column whose low (largest row) no
-    other column shares is a pivot as it stands; the rest are reduced by
-    ``_reduce_colliding``.  Returns the pivot rows (the lows), one per rank.
-
-    Raveled face-table entry e lies in column e // k of b, with coefficient
-    signs[e % k] mod ell, never 0 since the signs are +-1; one stable sort
-    of the entries by row turns b into delta.
+    Column i of delta lists the cofaces of row-cell i of b, ascending, so its
+    low is its last entry.  Raveled face-table entry e lies in column e // k
+    of b, with coefficient signs[e % k] mod ell; one stable sort of the
+    entries by row turns b into delta.
     """
     k = b.faces.shape[1]
     # int32 column ids where they fit: the transpose sets the peak RSS of the largest joins
@@ -185,18 +218,48 @@ def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict
     t_rows = np.empty(len(order), dtype=np.int32 if b.n_cols < 1 << 31 else np.int64)
     np.floor_divide(order, k, out=t_rows, casting="unsafe")
     order %= k
-    coef_type = next(t for t in (np.int8, np.int16, np.int32, np.int64) if ell - 1 <= np.iinfo(t).max)
-    t_data = (np.array(b.signs, dtype=np.int64) % ell).astype(coef_type)[order]
+    t_data = _coefficients(b, ell)[order]
     del order
     t_ptr = np.zeros(b.n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(b.indices, minlength=b.n_rows), out=t_ptr[1:])
-    live = np.ones(b.n_rows, dtype=bool)
+    nonempty = t_ptr[1:] > t_ptr[:-1]
+    lows = np.full(b.n_rows, -1, dtype=np.int64)
+    lows[nonempty] = t_rows[t_ptr[1:][nonempty] - 1]
+    return _reduced_pivots(t_ptr, t_rows, t_data, lows, cleared, ell, counts)
+
+
+def _boundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
+    """Pivot rows of the boundary b itself over F_ell, reduced exactly.
+
+    Column j is face-table row j, whose low is its largest face; no
+    transpose is formed.
+    """
+    data = np.tile(_coefficients(b, ell), b.n_cols)
+    return _reduced_pivots(b.indptr, b.indices, data, b.faces.max(axis=1), cleared, ell, counts)
+
+
+def _coefficients(b: _Boundary, ell: int) -> np.ndarray:
+    """The sign pattern of b mod ell, never 0 since the signs are +-1, in the
+    narrowest signed type that holds ell - 1."""
+    coef_type = next(t for t in (np.int8, np.int16, np.int32, np.int64) if ell - 1 <= np.iinfo(t).max)
+    return (np.array(b.signs, dtype=np.int64) % ell).astype(coef_type)
+
+
+def _reduced_pivots(ptr, indices, data, lows, cleared, ell, counts) -> np.ndarray:
+    """Pivot rows of the CSC matrix (ptr, indices, data) over F_ell, one per rank;
+    ``lows`` holds each column's largest row, or -1 when it is empty.
+
+    Columns in ``cleared`` are skipped; every other column whose low no other
+    column shares is a pivot as it stands; the rest are reduced by
+    ``_reduce_colliding``.
+    """
+    live = np.ones(len(lows), dtype=bool)
     live[cleared] = False
-    counts["cleared"] = b.n_rows - int(live.sum())
-    counts["live"] = int(live.sum())
-    cand = np.flatnonzero(live & (t_ptr[1:] > t_ptr[:-1]))
-    lows = t_rows[t_ptr[cand + 1] - 1]
-    apparent = np.bincount(lows, minlength=b.n_cols)[lows] == 1
+    n_live = int(live.sum())
+    counts["cleared"], counts["live"] = len(lows) - n_live, n_live
+    cand = np.flatnonzero(live & (lows >= 0))
+    lows = lows[cand]
+    apparent = np.bincount(lows)[lows] == 1
     colliding = cand[~apparent]
     counts["apparent"] = int(apparent.sum())
     counts["colliding"] = len(colliding)
@@ -204,11 +267,11 @@ def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict
     if not len(colliding):
         return lows
     owner = dict(zip(lows[apparent].tolist(), cand[apparent].tolist()))
-    found = _reduce_colliding(colliding, owner, t_ptr, t_rows, t_data, ell, counts)
+    found = _reduce_colliding(colliding, owner, ptr, indices, data, ell, counts)
     return np.concatenate([lows[apparent], np.array(found, dtype=np.int64)])
 
 
-def _reduce_colliding(colliding, owner, t_ptr, t_rows, t_data, ell, counts) -> list[int]:
+def _reduce_colliding(colliding, owner, ptr, indices, data, ell, counts) -> list[int]:
     """Column reduction over F_ell of the colliding columns; returns their new pivot rows.
 
     ``pivots`` keeps one normalized column per pivot row, without its low
@@ -221,9 +284,9 @@ def _reduce_colliding(colliding, owner, t_ptr, t_rows, t_data, ell, counts) -> l
     found: list[int] = []
     steps = stale = max_work = 0
     get_piv = pivots.get
-    for s, e in zip(t_ptr[colliding].tolist(), t_ptr[colliding + 1].tolist()):
-        rows = t_rows[s:e].tolist()
-        work = dict(zip(rows, t_data[s:e].tolist()))
+    for s, e in zip(ptr[colliding].tolist(), ptr[colliding + 1].tolist()):
+        rows = indices[s:e].tolist()
+        work = dict(zip(rows, data[s:e].tolist()))
         get = work.get
         heap = [-r for r in rows]
         heapify(heap)
@@ -238,8 +301,8 @@ def _reduce_colliding(colliding, owner, t_ptr, t_rows, t_data, ell, counts) -> l
             if piv is None:
                 a = owner.pop(low, None)
                 if a is not None:
-                    a_s, a_e = int(t_ptr[a]), int(t_ptr[a + 1])
-                    entries = dict(zip(t_rows[a_s:a_e].tolist(), t_data[a_s:a_e].tolist()))
+                    a_s, a_e = int(ptr[a]), int(ptr[a + 1])
+                    entries = dict(zip(indices[a_s:a_e].tolist(), data[a_s:a_e].tolist()))
                     piv = pivots[low] = _normalized(entries, low, ell)
             if piv is None:
                 pivots[low] = _normalized(work, low, ell)
@@ -285,7 +348,7 @@ def betti(cc: ChainComplexFp) -> BettiVector:
     standing in for the dimension-0 boundary."""
     if not cc.n_cells:
         return BettiVector(cc.ell, ())
-    ranks = [cc.rank(d) for d in range(cc.top_dim + 2)]
+    ranks = {d: cc.rank(d) for d in cc.rank_order}
     reduced = []
     for d in range(cc.top_dim + 1):
         b = cc.n_cells[d] - ranks[d] - ranks[d + 1]

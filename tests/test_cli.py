@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpindex.alphabets import parse_alphabet
-from zpindex.cli import main
+from zpindex.cli import build_parser, main
 from zpindex.shiftspaces import Separation, SubshiftSpec, mismatch_shift, orbit_decompose
 
 
@@ -208,6 +208,22 @@ def test_join_cell_cap_refuses_before_building(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and doc["error"]["type"] == "resource-cap"
     assert "8577357822" in doc["error"]["reason"] and "10000000" in doc["error"]["reason"]
+    # a join of 30-point factors passes the cap at the fifth; the count stops there,
+    # where the product over all factors would have too many digits to print
+    code, doc = run(capsys, "homology", "--join-of", "Sigma:m=1,p=5", "--copies", "100000")
+    assert code == 1 and doc["error"]["type"] == "resource-cap"
+    assert doc["error"]["reason"].startswith("join of 100000 complexes would have at least 28629150 cells")
+
+
+def test_join_factor_cap_refuses_before_listing_the_factors(capsys):
+    code, doc = run(capsys, "index", "--join-of", "Sigma:m=1,p=5", "--copies", "100000")
+    assert code == 0 and doc["results"]["exact"] == 99999  # the cap is inclusive
+    for command, copies in [("index", "100001"), ("homology", "100001"), ("index", str(10**12))]:
+        t0 = time.perf_counter()
+        code, doc = run(capsys, command, "--join-of", "Sigma:m=1,p=5", "--copies", copies)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and doc["error"]["type"] == "resource-cap"
+        assert f"--copies {copies} is above the join factor cap (100000)" in doc["error"]["reason"]
 
 
 def test_count_digit_cap_refuses_before_the_matrix_power(capsys, tmp_path):
@@ -388,6 +404,38 @@ def test_determinism_up_to_timestamp(capsys):
     _, c = run(capsys, "approx-z", "--p", "2", "--q", "8")
     _, d = run(capsys, "approx-z", "--p", "2", "--q", "8")
     assert canon(c) == canon(d)
+
+
+def test_consecutive_calls_print_what_fresh_calls_print(capsys):
+    """``main`` builds its parser once per process: usage errors after a
+    successful job, and jobs after those, print what they print on a parser
+    built afresh for the call."""
+    argvs = [
+        ["count", "--family", "Sigma", "--p", "7", "--seed", "3"],
+        ["count", "--family", "Sigma", "--p", "7", "--bogus"],
+        ["approx-z", "--p", "2"],
+        ["frobnicate"],
+        [],
+        ["approx-z", "--p", "2", "--q", "8"],
+        ["count", "--family", "Sigma", "--p", "5"],
+        ["verify-lemma", "--id", "9.9"],
+    ]
+
+    def call(argv):
+        code, doc = run(capsys, *argv)
+        doc.pop("timestamp")
+        return code, doc
+
+    build_parser.cache_clear()
+    consecutive = [call(argv) for argv in argvs]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert consecutive == fresh
+    assert [code for code, _ in consecutive] == [0, 1, 1, 1, 1, 0, 0, 1]
+    assert consecutive[6][1]["seed"] == 0
 
 
 def test_inputs_echo_every_argument_but_seed_and_output(capsys, tmp_path):

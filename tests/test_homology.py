@@ -36,7 +36,7 @@ from zpindex.homology import (
     boundary_matrices,
     connectivity_from_betti,
 )
-from zpindex.shiftspaces import AdjacentGap
+from zpindex.shiftspaces import AdjacentGap, mismatch_shift, periodic_point_complex
 from zpindex.torusgrid import TorusGridSpec, build_approx, separated_torus_spec, z_torus_spec
 
 
@@ -281,31 +281,109 @@ def test_rank_order_does_not_matter(name):
 def test_live_columns_are_the_uncleared_ones(name):
     c = {**TEST_COMPLEXES, **LARGE_TEST_COMPLEXES}[name]()
     cc = boundary_matrices(c, 3)
-    ranks = [cc.rank(d) for d in range(cc.top_dim + 1)]
+    ranks = [cc.rank(d) for d in range(cc.top_dim + 2)]
     for d in range(1, cc.top_dim + 1):
         counts = cc.reduction_counts[d]
-        assert counts["live"] == cc.n_cells[d - 1] - ranks[d - 1]
-        assert counts["cleared"] == ranks[d - 1]
+        if cc.top_down:  # the columns of boundary_d, cleared by the lows of boundary_{d+1}
+            assert counts["live"] == cc.n_cells[d] - ranks[d + 1]
+            assert counts["cleared"] == ranks[d + 1]
+        else:  # the columns of delta^{d-1}, cleared by the lows of delta^{d-2}
+            assert counts["live"] == cc.n_cells[d - 1] - ranks[d - 1]
+            assert counts["cleared"] == ranks[d - 1]
         assert counts["apparent"] + counts["colliding"] <= counts["live"]
         assert counts["apparent"] <= ranks[d]
+    if cc.top_down:
+        assert cc.reduction_counts[cc.top_dim]["live"] == cc.n_cells[-1]
+
+
+COUNT_FIELDS = ("cleared", "live", "apparent", "colliding", "steps", "max_work", "stale_pops")
+
+
+def assert_counts_pinned(c, want, ranks):
+    for ell in (2, 3):
+        cc = boundary_matrices(c, ell)
+        assert engine_ranks(cc) == ranks[ell]
+        for d, row in want.items():
+            row = tuple(v[ell] if isinstance(v, dict) else v for v in row)
+            assert tuple(cc.reduction_counts[d][f] for f in COUNT_FIELDS) == row, (ell, d)
 
 
 def test_reduction_counts_are_pinned_on_the_z3_torus():
-    # the first five are those of the max scan the heap replaced; the pivots it
-    # finds are checked against that scan on every call (see conftest)
+    # reduced down, boundary_3 first; the max scan the heap replaced takes the
+    # same steps, which conftest checks on every call
     c = LARGE_TEST_COMPLEXES["Z:p=3,q=16"]()
-    fields = ("cleared", "live", "apparent", "colliding", "steps", "max_work", "stale_pops")
     want = {
-        1: (1, 2927, 2599, 328, 184, 20, 0),
-        2: (2927, 5233, 4923, 310, {2: 940, 3: 946}, 50, 655),
-        3: (5230, 2258, 2254, 4, 22, 2, 0),
+        1: (5230, 2930, 2914, 16, 73, 2, 0),
+        2: (2256, 5232, 5162, 70, {2: 1511, 3: 1514}, 80, {2: 1478, 3: 1476}),
+        3: (0, 2256, 2256, 0, 0, 0, 0),
     }
-    for ell in (2, 3):
-        cc = boundary_matrices(c, ell)
-        assert engine_ranks(cc) == [2927, 5230, 2256]
-        for d, row in want.items():
-            row = tuple(v[ell] if isinstance(v, dict) else v for v in row)
-            assert tuple(cc.reduction_counts[d][f] for f in fields) == row, (ell, d)
+    assert_counts_pinned(c, want, {2: [2927, 5230, 2256], 3: [2927, 5230, 2256]})
+
+
+def test_reduction_counts_are_pinned_on_a_join_of_two_surfaces():
+    # 140 top cells against 13 vertices: reduced up, coboundary delta^0 first
+    c = join_complex(RP2_6, TORUS_7)
+    want = {
+        1: (1, 12, 12, 0, 0, 0, 0),
+        2: (12, 66, 61, 5, 9, 36, 2),
+        3: (66, 189, 162, 27, 46, 30, 10),
+        4: (189, 280, 220, 60, 103, 12, {2: 50, 3: 60}),
+        5: ({2: 278, 3: 280}, {2: 142, 3: 140}, {2: 115, 3: 116}, {2: 27, 3: 24},
+            {2: 22, 3: 14}, 2, 0),
+    }
+    assert_counts_pinned(c, want, {2: [12, 66, 189, 278, 139], 3: [12, 66, 189, 280, 140]})
+
+
+@pytest.mark.parametrize("name", sorted(TEST_COMPLEXES))
+def test_both_pivot_helpers_match_dense_elimination(name):
+    # each matrix on its own, with nothing cleared, and then cleared the way
+    # its direction clears it
+    cc = boundary_matrices(TEST_COMPLEXES[name](), 3)
+    none = np.empty(0, dtype=np.int64)
+    dense = [dense_rank_np(b, 3) for b in cc.boundaries]
+    up = [len(homology._coboundary_pivots(b, none, 3, {})) for b in cc.boundaries]
+    down = [len(homology._boundary_pivots(b, none, 3, {})) for b in cc.boundaries]
+    assert up == down == dense
+    cleared = np.arange(max(cc.n_cells[0] - 1, 0), cc.n_cells[0])
+    for b in cc.boundaries:
+        pivots = homology._coboundary_pivots(b, cleared, 3, {})
+        assert len(pivots) == dense[b.d - 1]
+        cleared = pivots
+    cleared = none
+    for b in reversed(cc.boundaries):
+        pivots = homology._boundary_pivots(b, cleared, 3, {})
+        assert len(pivots) == dense[b.d - 1]
+        cleared = pivots
+
+
+def test_the_smaller_end_decides_the_direction():
+    torus = boundary_matrices(LARGE_TEST_COMPLEXES["Z:p=3,q=16"](), 3)
+    assert torus.n_cells[-1] < torus.n_cells[0] and torus.top_down
+    assert torus.rank_order == (4, 3, 2, 1, 0)
+    sigma = periodic_point_complex(mismatch_shift(1), 5)  # the 30 period-5 points of Sigma_1
+    join = boundary_matrices(join_complex(join_complex(sigma, sigma), sigma), 5)
+    assert join.n_cells == (90, 2700, 27000) and not join.top_down
+    assert join.rank_order == (0, 1, 2, 3)
+    assert not boundary_matrices(Z3_CYCLE6, 3).top_down  # 6 edges, 6 vertices: a tie goes up
+
+
+@pytest.mark.parametrize("name, down", [("Z:p=3,q=8", True), ("join(2, 3, 5)", False)])
+def test_betti_asks_for_the_ranks_in_the_order_they_reduce(name, down, monkeypatch):
+    # so that a span around each rank(d) times the reduction of one matrix
+    cc = boundary_matrices(TEST_COMPLEXES[name](), 3)
+    assert cc.top_down == down
+    rank, calls = cc.rank, []
+
+    def spy(d):
+        before = len(cc.reduction_counts)
+        out = rank(d)
+        calls.append((d, len(cc.reduction_counts) - before))
+        return out
+
+    monkeypatch.setattr(cc, "rank", spy)
+    betti(cc)
+    assert [d for d, _ in calls] == list(cc.rank_order)
+    assert [n for _, n in calls] == [int(1 <= d <= cc.top_dim) for d in cc.rank_order]
 
 
 def test_composition_check_rejects_bad_column_in_a_later_block():

@@ -48,15 +48,18 @@ def run_limited(argv: list[str]) -> str | None:
 
 APPROX = ["approx-z", "--family"]
 # (fixed arguments, the walked parameter, its values, the outcome of each step)
+# the --q ladders start above q = 8, which the --p ladder walks
 LADDERS = {
-    "Z:p=2 --q": (APPROX + ["Z", "--p", "2"], "--q", ["8", "64", "512", "4096"],
-                  [None, None, None, "resource-cap"]),  # 4096^2 letter pairs
-    "Z:p=3 --q": (APPROX + ["Z", "--p", "3"], "--q", ["8", "64", "512"],
-                  [None, None, "resource-cap"]),  # 512^3 grid points
-    "Z:p=5 --q": (APPROX + ["Z", "--p", "5"], "--q", ["8", "64"],
-                  [None, "resource-cap"]),  # 64^5 grid points
+    "Z:p=2 --q": (APPROX + ["Z", "--p", "2"], "--q", ["64", "512", "4096"],
+                  [None, None, "resource-cap"]),  # 4096^2 letter pairs
+    "Z:p=3 --q": (APPROX + ["Z", "--p", "3"], "--q", ["64", "512"],
+                  [None, "resource-cap"]),  # 512^3 grid points
+    "Z:p=5 --q": (APPROX + ["Z", "--p", "5"], "--q", ["64"],
+                  ["resource-cap"]),  # 64^5 grid points
     "XSN:p=2,q=8 --N": (APPROX + ["XSN", "--p", "2", "--q", "8"], "--N", ["1", "2", "3", "4"],
                         [None, None, "resource-cap"]),  # the cell cap at N = 3
+    "Z:q=8 --p": (APPROX + ["Z", "--q", "8"], "--p", ["2", "3", "5", "7"],
+                  [None, None, None, "resource-cap"]),  # the cell cap at p = 7
 }
 
 
@@ -75,6 +78,9 @@ COMMAND_LADDERS = {
     "homology Sigma:m=1,p=5 --copies": (["homology", "--join-of", "Sigma:m=1,p=5"], "--copies",
                                         ["1", "3", "9"],
                                         [None, None, "resource-cap"]),  # the join cell cap
+    "index Sigma:m=1,p=5 --copies": (["index", "--join-of", "Sigma:m=1,p=5"], "--copies",
+                                     ["1000", "1000000"],
+                                     [None, "resource-cap"]),  # the join factor cap
     "verify 3.1 --m": (["verify-lemma", "--id", "3.1", "--trials", "2"], "--m", ["2", "16"],
                        [None, "resource-cap"]),  # the section window cap
 }
