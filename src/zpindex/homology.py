@@ -22,10 +22,12 @@ reduced has (almost) nothing cleared, so its end should be the smaller.
   combination of the columns of smaller d-cells and is skipped unread.
   Nothing is cleared at the top.
 * Up.  The coboundary delta^{d-1} = boundary_d^T, whose column i lists the
-  cofaces of (d-1)-cell i in ascending order.  Ranks go from dimension 0
-  up.  A (d-1)-cell that was a low of the reduced delta^{d-2} is cleared
-  the same way; for d = 1 the augmentation's all-ones coboundary clears
-  the last vertex.
+  cofaces of (d-1)-cell i.  Its low is the largest d-cell with i as a
+  face, found by one ``np.maximum.at`` over the face table per face slot;
+  the transpose itself is built, by one stable sort, only when some live
+  column collides.  Ranks go from dimension 0 up.  A (d-1)-cell that was
+  a low of the reduced delta^{d-2} is cleared the same way; for d = 1 the
+  augmentation's all-ones coboundary clears the last vertex.
 
 Both directions then share one tail, with the coefficients mod ell in the
 narrowest signed type that holds ell - 1:
@@ -59,6 +61,7 @@ is the implicit dimension-0 boundary, so all Betti numbers are reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -96,7 +99,9 @@ class BettiVector:
 class _Boundary:
     """The boundary leaving dimension d of a complex: column j has the rows
     faces[j] with coefficients signs, where faces and signs are the complex's
-    own read-only faces[d] and face_signs[d].  The CSC triple is derived on read."""
+    own read-only faces[d] and face_signs[d].  Of the CSC triple, ``indptr``
+    is built once on first read, read-only; ``indices`` and ``data`` are
+    derived on each read."""
 
     complex: CellComplex
     d: int
@@ -111,10 +116,13 @@ class _Boundary:
     def n_cols(self) -> int:
         return len(self.faces)
 
-    @property
+    @cached_property
     def indptr(self) -> np.ndarray:
         n, k = self.faces.shape
-        return np.arange(n + 1, dtype=np.int64) * k
+        end = (n + 1) * k
+        ptr = np.arange(0, end, k, dtype=np.int32 if end < 1 << 31 else np.int64)
+        ptr.flags.writeable = False
+        return ptr
 
     @property
     def indices(self) -> np.ndarray:
@@ -207,10 +215,31 @@ class ChainComplexFp:
 def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
     """Pivot rows of the coboundary delta = b^T over F_ell, reduced exactly.
 
-    Column i of delta lists the cofaces of row-cell i of b, ascending, so its
-    low is its last entry.  Raveled face-table entry e lies in column e // k
-    of b, with coefficient signs[e % k] mod ell; one stable sort of the
-    entries by row turns b into delta.
+    The lows come from the face table alone, by ``np.maximum.at``
+    (``_coboundary_lows``); delta is formed (``_coboundary_transpose``) only
+    when some live column collides.
+    """
+    return _reduced_pivots(_coboundary_lows(b), cleared, ell, counts,
+                           lambda: _coboundary_transpose(b, ell))
+
+
+def _coboundary_lows(b: _Boundary) -> np.ndarray:
+    """The low of each column i of delta = b^T: the largest column of b that
+    has row i, or -1 when there is none; one ``maximum.at`` per face slot."""
+    lows = np.full(b.n_rows, -1, dtype=np.int64)
+    cols = np.arange(b.n_cols, dtype=np.int64)
+    for t in range(b.faces.shape[1]):
+        np.maximum.at(lows, b.faces[:, t], cols)
+    return lows
+
+
+def _coboundary_transpose(b: _Boundary, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """delta = b^T over F_ell as a CSC triple; column i lists the cofaces of
+    row-cell i of b, ascending.
+
+    Raveled face-table entry e lies in column e // k of b, with coefficient
+    signs[e % k] mod ell; one stable sort of the entries by row turns b into
+    delta.
     """
     k = b.faces.shape[1]
     # int32 column ids where they fit: the transpose sets the peak RSS of the largest joins
@@ -222,10 +251,7 @@ def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict
     del order
     t_ptr = np.zeros(b.n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(b.indices, minlength=b.n_rows), out=t_ptr[1:])
-    nonempty = t_ptr[1:] > t_ptr[:-1]
-    lows = np.full(b.n_rows, -1, dtype=np.int64)
-    lows[nonempty] = t_rows[t_ptr[1:][nonempty] - 1]
-    return _reduced_pivots(t_ptr, t_rows, t_data, lows, cleared, ell, counts)
+    return t_ptr, t_rows, t_data
 
 
 def _boundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
@@ -234,8 +260,8 @@ def _boundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[s
     Column j is face-table row j, whose low is its largest face; no
     transpose is formed.
     """
-    data = np.tile(_coefficients(b, ell), b.n_cols)
-    return _reduced_pivots(b.indptr, b.indices, data, b.faces.max(axis=1), cleared, ell, counts)
+    return _reduced_pivots(b.faces.max(axis=1), cleared, ell, counts,
+                           lambda: (b.indptr, b.indices, np.tile(_coefficients(b, ell), b.n_cols)))
 
 
 def _coefficients(b: _Boundary, ell: int) -> np.ndarray:
@@ -245,13 +271,14 @@ def _coefficients(b: _Boundary, ell: int) -> np.ndarray:
     return (np.array(b.signs, dtype=np.int64) % ell).astype(coef_type)
 
 
-def _reduced_pivots(ptr, indices, data, lows, cleared, ell, counts) -> np.ndarray:
-    """Pivot rows of the CSC matrix (ptr, indices, data) over F_ell, one per rank;
-    ``lows`` holds each column's largest row, or -1 when it is empty.
+def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
+    """Pivot rows over F_ell of a matrix whose columns have the largest rows
+    ``lows`` (-1 for an empty column), one per rank.
 
     Columns in ``cleared`` are skipped; every other column whose low no other
     column shares is a pivot as it stands; the rest are reduced by
-    ``_reduce_colliding``.
+    ``_reduce_colliding`` on the CSC triple (ptr, indices, data) that
+    ``matrix()`` returns, called only then.
     """
     live = np.ones(len(lows), dtype=bool)
     live[cleared] = False
@@ -267,7 +294,7 @@ def _reduced_pivots(ptr, indices, data, lows, cleared, ell, counts) -> np.ndarra
     if not len(colliding):
         return lows
     owner = dict(zip(lows[apparent].tolist(), cand[apparent].tolist()))
-    found = _reduce_colliding(colliding, owner, ptr, indices, data, ell, counts)
+    found = _reduce_colliding(colliding, owner, *matrix(), ell, counts)
     return np.concatenate([lows[apparent], np.array(found, dtype=np.int64)])
 
 

@@ -13,7 +13,9 @@ metric call (``gap_ok``) instead of the spec's distance bar, and full index
 grids instead of the spec's pair table on open axes, torus approximations validated
 by the general cubical constructor (binary-search face lookup, per-cell action
 images) instead of laid out on the grid, colliding columns reduced with a
-``max`` scan of the working column instead of a heap, and the block-sum code, its
+``max`` scan of the working column instead of a heap, coboundary lows read off
+a transpose built by one stable sort instead of a ``maximum.at`` over the
+face table, and the block-sum code, its
 section and the section suites on windows of letter tuples through the exact
 ``Alphabet`` operations, with the needed input set spelled out index by index,
 instead of letter indices and exact tables, with the set walked residue class
@@ -155,6 +157,19 @@ def reduce_colliding_by_max(colliding, owner, t_ptr, t_rows, t_data, ell, counts
                     work.pop(r, None)
     counts["steps"] = steps
     return found
+
+
+def sorted_coboundary_lows(b) -> np.ndarray:
+    """The low of each column of the coboundary b^T, or -1 when it is empty:
+    the last entry of each column of the transpose built by one stable sort
+    of the raveled face table by row."""
+    t_rows = np.argsort(b.indices, kind="stable") // b.faces.shape[1]
+    t_ptr = np.zeros(b.n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(b.indices, minlength=b.n_rows), out=t_ptr[1:])
+    nonempty = t_ptr[1:] > t_ptr[:-1]
+    lows = np.full(b.n_rows, -1, dtype=np.int64)
+    lows[nonempty] = t_rows[t_ptr[1:][nonempty] - 1]
+    return lows
 
 
 COMPOSE_BLOCK = 1 << 16  # columns of the upper boundary expanded at once by the composition check
@@ -758,6 +773,25 @@ def every_colliding_reduction_matches_the_max_scan():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "_reduce_colliding", checked)
+        yield
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_coboundary_low_matches_the_sort():
+    """Every coboundary's lows any test reads must equal those of the
+    transpose built by sorting, value for value and in the same type."""
+    from zpindex import homology
+
+    fast = homology._coboundary_lows
+
+    def checked(b):
+        got = fast(b)
+        want = sorted_coboundary_lows(b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_coboundary_lows", checked)
         yield
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from conftest import (
     torus_7,
 )
 from zpindex import homology
+from zpindex.cli import main
 from zpindex.complexes import (
     SimplicialComplex,
     cycle_complex,
@@ -386,6 +388,17 @@ def test_betti_asks_for_the_ranks_in_the_order_they_reduce(name, down, monkeypat
     assert [n for _, n in calls] == [int(1 <= d <= cc.top_dim) for d in cc.rank_order]
 
 
+@pytest.mark.parametrize("name", ["join(2, 3, 5)", "Z:p=3,q=8"])
+def test_indptr_is_one_read_only_array(name):
+    for b in boundary_matrices(TEST_COMPLEXES[name](), 3).boundaries:
+        n, k = b.faces.shape
+        ptr = b.indptr
+        assert np.array_equal(ptr, np.arange(n + 1, dtype=np.int64) * k)
+        assert ptr.dtype == np.int32 and b.indptr is ptr
+        with pytest.raises(ValueError, match="read-only"):
+            ptr[0] = 1
+
+
 def test_composition_check_rejects_bad_column_in_a_later_block():
     c = join_of(41, 41, 41, p=3)  # 68921 triangles: more than one block
     cc = boundary_matrices(c, 3)
@@ -550,3 +563,44 @@ def test_kunneth_formula_for_joins(factors, collides):
         assert betti(cc).reduced == expected
         if collides:  # the fallback reduction, not only apparent pivots, was needed
             assert sum(cc.reduction_counts[d]["colliding"] for d in cc.reduction_counts) > 0
+
+
+# -- the transpose, built only when columns collide ----------------------------------
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    """The (d, ell) of every coboundary transpose built while a test runs."""
+    transpose, calls = homology._coboundary_transpose, []
+
+    def spy(b, ell):
+        calls.append((b.d, ell))
+        return transpose(b, ell)
+
+    monkeypatch.setattr(homology, "_coboundary_transpose", spy)
+    return calls
+
+
+def test_the_transpose_is_not_built_when_no_columns_collide(transposes, capsys):
+    # the 3-fold join of the 30 period-5 points of Sigma_1: 27000 triangles, every
+    # live coboundary column apparent
+    assert main(["homology", "--join-of", "Sigma:m=1,p=5", "--copies", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["reduced_betti"] == [0, 0, 29 ** 3]
+    sigma = periodic_point_complex(mismatch_shift(1), 5)
+    cc = boundary_matrices(join_complex(join_complex(sigma, sigma), sigma), 5)
+    edges, triangles = cc.boundaries
+    # boundary_2 is 2700 x 27000, too large to densify; its own column reduction checks it
+    assert engine_ranks(cc) == [dense_rank_np(edges, 5), column_reduction_rank(triangles, 5)]
+    assert transposes == []
+
+
+@pytest.mark.parametrize("factors", [(RP2_6, Z3_CYCLE6), (TORUS_7, RP2_6)], ids=["RP2*C6", "T7*RP2"])
+def test_the_transpose_is_built_for_each_coboundary_whose_columns_collide(factors, transposes):
+    c = join_complex(*factors)
+    for ell in (2, 3):
+        transposes.clear()
+        cc = boundary_matrices(c, ell)
+        assert not cc.top_down
+        assert engine_ranks(cc) == [dense_rank_np(b, ell) for b in cc.boundaries]
+        colliding = [(d, ell) for d in sorted(cc.reduction_counts) if cc.reduction_counts[d]["colliding"]]
+        assert colliding and transposes == colliding

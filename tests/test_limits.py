@@ -78,6 +78,9 @@ COMMAND_LADDERS = {
     "homology Sigma:m=1,p=5 --copies": (["homology", "--join-of", "Sigma:m=1,p=5"], "--copies",
                                         ["1", "3", "9"],
                                         [None, None, "resource-cap"]),  # the join cell cap
+    "homology Sigma:m=1,p=7 --copies": (["homology", "--join-of", "Sigma:m=1,p=7"], "--copies",
+                                        ["3", "4"],
+                                        [None, "resource-cap"]),  # 2M triangles, then the cap
     "index Sigma:m=1,p=5 --copies": (["index", "--join-of", "Sigma:m=1,p=5"], "--copies",
                                      ["1000", "1000000"],
                                      [None, "resource-cap"]),  # the join factor cap
