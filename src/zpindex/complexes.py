@@ -13,10 +13,10 @@ that the action is a permutation of exact order p mapping cells to cells,
 and face closure.  Closure finds every face of every cell once and keeps
 the face indices with their sign pattern, which is all boundary assembly
 needs.  A setwise-invariant cell, found during the action check, is
-reported as a freeness counterexample.  Cubical tables are not searched:
-``torusgrid.build_approx`` lays their cells, keys, faces and fixed cells
-out by index arithmetic on the grid, and the general cubical validation
-(keys, binary-search face lookup, per-cell action images) is the oracle
+reported as a freeness counterexample.  ``torusgrid.build_approx`` grows
+cubical tables one dimension from the one below, searching only among
+their vertices, and the general cubical validation (keys, binary-search
+face lookup, per-cell action images) is the oracle that
 the tests compare it with.  ``_check_boundary_square`` proves that the
 boundary squares to zero from the stored faces alone: each kind of
 complex names which face of a face equals which (the simplicial identities
@@ -614,9 +614,9 @@ class CubicalComplex(CellComplex):
 
     A mask bit set at axis t extends the cell one grid step along t; a
     k-cell has k bits set.  The action is an axis permutation: image base
-    coordinate t is drawn from source axis axis_map[t].  Its tables are laid
-    out on the grid by ``torusgrid.build_approx``, with ``action`` the
-    vertex permutation that the axis permutation induces.
+    coordinate t is drawn from source axis axis_map[t].  Its tables are
+    grown one dimension from the one below by ``torusgrid.build_approx``,
+    with ``action`` the vertex permutation that the axis permutation induces.
     """
 
     # -- cell rules -------------------------------------------------------------------

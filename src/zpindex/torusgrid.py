@@ -16,12 +16,12 @@ slots, reading its letter-pair table, so the pair table cap guards it too.
 Before anything is allocated, a grid of more than 2^24 points, q^(p*N), is
 refused with ResourceCapError.
 
-The cubical table is laid out by index arithmetic on the grid, as in
-Wagner, Chen and Vucini, *Efficient computation of persistent homology for
-cubical data* (2012): a cell's position, faces and image under the letter
-rotation follow from its grid point and extent mask, with no search.  The
-general cubical validation (keys sorted, every face and image found by
-binary search) is the tests' oracle, compared byte for byte.
+The cubical table grows one dimension from the one below, with the grid
+and face reads of Wagner, Chen and Vucini, *Efficient computation of
+persistent homology for cubical data* (2012), in time and memory that
+follow the cells, not the grid.  The general cubical validation (keys
+sorted, every face and image found by binary search) is the tests' oracle,
+compared byte for byte.
 """
 from __future__ import annotations
 
@@ -54,8 +54,6 @@ __all__ = [
 DEFAULT_CELL_CAP = 2_000_000
 # grid points of one vertex mask: Z p=5 q=16 (2^20) fits, Z p=5 q=32 does not
 _GRID_POINT_CAP = 1 << 24
-# bytes of position grids the build holds at once: Z p=5 q=16 needs 40 MiB
-_GRID_BYTE_CAP = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -141,14 +139,57 @@ def _vertex_mask(spec: TorusGridSpec) -> np.ndarray:
     return ok
 
 
-def _cell_bases(vertex_ok: np.ndarray, mask: int) -> np.ndarray:
-    """Boolean grid of the base corners x whose cell (x, mask) has every
-    corner in the vertex mask."""
-    ok = vertex_ok
-    for t in range(vertex_ok.ndim):
-        if mask >> t & 1:
-            ok = ok & np.roll(ok, -1, axis=t)
-    return ok
+def _check_cell_cap(spec: TorusGridSpec, total: int, cap: int) -> None:
+    if total > cap:
+        raise ResourceCapError(
+            f"approximation for {spec.token()} has at least {total} cells, above the "
+            f"cell cap ({cap}); no partial complex is returned"
+        )
+
+
+def _grow(key, rows, faces, grow, shift):
+    """The (d+1)-cells grown from the d-cells along each axis t where shift
+    holds their move along t.
+
+    Takes the d-cells' key, rows and faces (None for d = 0, else in
+    column-major order), grow (the d-cell each (d-1)-cell grew into along
+    each axis) and shift (each d-cell moved one step along each axis above
+    its top bit), and returns the same five tables of d + 1 in key order.
+    The cell grown from c along t has as faces along t the move of c and c
+    itself, and along a lower bit the t-growth of that face of c, or -1
+    where that growth found no cell.
+    """
+    (D, width), d = shift.shape, 0 if faces is None else faces.shape[1] // 2
+    # the (t, src) pairs, flat in shift and grow: ascending, in one block per axis
+    at = np.flatnonzero(shift >= 0)
+    blocks = np.searchsorted(at, np.arange(D + 1) * width)
+    axis = np.repeat(np.arange(D, dtype=np.int32), np.diff(blocks))
+    src, far = at - axis * width, np.take(shift, at)
+    key = key[src] + (np.int64(1) << axis)
+    order = np.argsort(key, kind="stable")  # merges the blocks into key order
+    n = len(key)
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
+    grow_up = np.full(shift.shape, -1, dtype=np.int32)
+    grow_up.ravel()[at] = pos
+    # moving commutes with growing: the move along u of c grown along t is the
+    # t-growth of c's move.  Later growths read moves only along axes u > t,
+    # which the pairs of the first u blocks have.
+    shift_up = np.full((D, n + 1), -1, dtype=np.int32)
+    for u in range(1, D):
+        k = blocks[u]
+        shift_up[u, pos[:k]] = np.take(grow_up, np.take(shift[u], src[:k]) + axis[:k] * width)
+    axis, src, far, key = axis[order], src[order], far[order], key[order]
+    del at, pos, order
+    rows = np.take(rows, src, axis=0)
+    rows[:, D] |= np.left_shift(1, axis, dtype=np.int32)
+    face = np.empty((n, 2 * d + 2), dtype=np.int64, order="F")
+    face[:, 2 * d], face[:, 2 * d + 1] = far, src
+    if d:
+        lower = axis * grow.shape[1]
+        for j in range(2 * d):
+            face[:, j] = np.take(grow, faces[:, j][src] + lower)
+    return key, rows, face, grow_up, shift_up
 
 
 def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalComplex:
@@ -159,22 +200,20 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     cell would contain a rotation-fixed corner, i.e. a constant word, and
     constant words violate every positive-threshold family.
 
-    The table is laid out on the grid (point x in C order, key x * 2^D + M).
-    Cells are counted mask by mask against the cell cap before any table
-    exists; in dimension d the sorted runs of the masks of popcount d merge
-    into key order.  Face t of (x, M) is one read of the int32 position grid
-    of M - e_t, at x (base face) or x + e_t (far face), and a read that finds
-    no cell is refused; the grids' bytes are checked against a cap first.
-    The action maps cells to cells exactly when the vertex mask is invariant
-    under the letter rotation, which is checked.
+    Keys are x * 2^D + M for grid point x in C order and extent mask M.  The
+    action maps cells to cells exactly when the vertex mask is invariant
+    under the letter rotation, which is checked.  For t above the top bit
+    of M, (x, M + e_t) is a cell iff (x, M) and its move (x + e_t, M) are,
+    so each dimension grows from the one below, its cells counted against
+    the cell cap before any of their tables exists.  Moves and growths are
+    int32 tables, one row per axis, whose last column of -1 is what a flat
+    read at a missing cell (-1) finds.
     """
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
-    D = spec.n_axes
-    q = spec.q
-    size = q**D
-    if size > _GRID_POINT_CAP:
+    D, grid = spec.n_axes, (spec.q,) * spec.n_axes
+    if spec.q**D > _GRID_POINT_CAP:
         raise ResourceCapError(
-            f"approximation for {spec.token()} would have {size} grid points ({q}^{D}), "
+            f"approximation for {spec.token()} would have {spec.q**D} grid points ({spec.q}^{D}), "
             f"above the grid point cap ({_GRID_POINT_CAP}); nothing was allocated"
         )
     vertex_ok = _vertex_mask(spec)
@@ -182,83 +221,41 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     axis_map = np.array([(t + spec.n_circles) % D for t in range(D)], dtype=np.int64)
     if not np.array_equal(vertex_ok, vertex_ok.transpose(axis_map)):
         raise ShapeError(f"vertex mask of {spec.token()} is not invariant under the letter rotation")
-    bases: dict[int, np.ndarray] = {}  # mask -> flat grid indices of its cells' bases
-    by_dim: dict[int, list[int]] = {}  # popcount -> masks with cells, ascending
-    total = 0
-    for mask in range(1 << D):
-        ok = _cell_bases(vertex_ok, mask)
-        count = int(np.count_nonzero(ok))
-        if count == 0:
-            continue
-        total += count
-        if total > cap:
-            raise ResourceCapError(
-                f"approximation for {spec.token()} has at least {total} cells, above the "
-                f"cell cap ({cap}); no partial complex is returned"
-            )
-        bases[mask] = np.flatnonzero(ok).astype(np.int32)  # the grid point cap is below 2^31
-        by_dim.setdefault(bin(mask).count("1"), []).append(mask)
-    del ok
-    top = max(by_dim, default=-1)
-    # one int32 position per grid point and mask of dimension d < top, held one
-    # dimension at a time; the cap also keeps positions below 2^31
-    grid_bytes = 4 * size * max((len(by_dim.get(d, ())) for d in range(top)), default=0)
-    if grid_bytes > _GRID_BYTE_CAP:
-        raise ResourceCapError(
-            f"approximation for {spec.token()} would hold {grid_bytes} bytes of position "
-            f"grids at once, above the grid byte cap ({_GRID_BYTE_CAP}); no grid was allocated"
-        )
-    strides = [q ** (D - 1 - t) for t in range(D)]
+    flat = np.flatnonzero(vertex_ok)
+    del vertex_ok
+    total = len(flat)
+    _check_cell_cap(spec, total, cap)
+    coords = np.array(np.unravel_index(flat, grid))
+    rows = np.zeros((total, D + 1), dtype=np.int32)
+    rows[:, :D] = coords.T
+    image = np.ravel_multi_index(coords[axis_map], grid)
+    action = np.searchsorted(flat, image)
+    # a fixed cell's base corner is a fixed vertex: the first fixed cell is one
+    fixed = np.flatnonzero(image == flat)
+    witness = (0, tuple(int(v) for v in rows[fixed[0]])) if len(fixed) else None
+    shift = np.full((D, total + 1), -1, dtype=np.int32)
+    for t in range(D):
+        coords[t] += 1
+        moved = np.ravel_multi_index(coords, grid, mode="wrap")
+        coords[t] -= 1
+        at = np.searchsorted(flat, moved)  # len(flat) past the last vertex, clipped below
+        shift[t, :-1] = np.where(np.take(flat, at, mode="clip") == moved, at, -1)
     cells, keys, faces = {}, {}, {}
-    column = pos = None  # of dimension d-1: each mask's row of pos, its cells' positions
-    for d in range(max(top, 0) + 1):
-        masks = by_dim.get(d, [])
-        # (grid point, mask column) pairs, one sorted run per mask; merging the
-        # runs puts the cells in key order
-        runs = np.concatenate([bases[mask] * np.int64(len(masks)) + j for j, mask in enumerate(masks)]
-                              or [np.zeros(0, dtype=np.int64)])
-        order = np.argsort(runs, kind="stable")
-        flat = runs[order]
-        x, j = np.divmod(flat, max(len(masks), 1))
-        m = np.array(masks, dtype=np.int64)[j]
-        rows = np.empty((len(flat), D + 1), dtype=np.int32)
-        x32 = x.astype(np.int32)
-        for t in range(D):
-            rows[:, t] = x32 // strides[t] % q
-        rows[:, D] = m
-        if d == 0:
-            image = rows[:, axis_map].astype(np.int64) @ np.array(strides)
-            action = np.searchsorted(flat, image)
-            # a fixed cell's base corner is a fixed vertex: the first fixed cell is one
-            fixed = np.flatnonzero(image == x)
-            witness = (0, tuple(int(v) for v in rows[fixed[0]])) if len(fixed) else None
-        else:
-            # run by run, each face slot is one read of a position row at the
-            # bases or at the bases stepped across the slot's axis
-            by_mask = np.empty((len(flat), 2 * d), dtype=np.int64)
-            start = 0
-            for mask in masks:
-                at = bases.pop(mask)
-                stop = start + len(at)
-                for s, t in enumerate(t for t in range(D) if mask >> t & 1):
-                    row = pos[column[mask ^ 1 << t]]  # M - e_t has cells, as M's lie among them
-                    far = at + strides[t]
-                    far[at // strides[t] % q == q - 1] -= q * strides[t]
-                    by_mask[start:stop, 2 * s] = row[far]
-                    by_mask[start:stop, 2 * s + 1] = row[at]
-                start = stop
-            if len(by_mask) and by_mask.min() < 0:
-                raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
-            faces[d] = by_mask[order]
-        if len(flat):
-            cells[d], keys[d] = rows, x * (1 << D) + m
-        pos = None  # freed before the next grid exists
-        if d < top:
-            column = dict(zip(masks, range(len(masks))))
-            pos = np.full((len(masks), size), -1, dtype=np.int32)
-            pos[j, x] = np.arange(len(flat), dtype=np.int32)
-    return CubicalComplex._from_table(spec.p, cells, keys, faces, action, witness, q=q, n_axes=D,
-                                      axis_map=axis_map)
+    key, grow, d = flat << D, None, 0
+    while len(key):
+        cells[d], keys[d] = rows, key
+        total += int(np.count_nonzero(shift >= 0))
+        _check_cell_cap(spec, total, cap)
+        key, rows, face, grow, shift = _grow(key, rows, faces.get(d), grow, shift)
+        if face.min(initial=0) < 0:
+            raise ShapeError(f"face closure fails between dimensions {d + 1} and {d}")
+        d += 1
+        if len(key):
+            faces[d] = face  # column-major until the last growth has read it
+    for d in faces:
+        faces[d] = np.ascontiguousarray(faces[d])
+    return CubicalComplex._from_table(spec.p, cells, keys, faces, action, witness, q=spec.q,
+                                      n_axes=D, axis_map=axis_map)
 
 
 def betti_profile(spec: TorusGridSpec, ell: int, cell_cap: int | None = None) -> BettiVector:

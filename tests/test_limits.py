@@ -60,6 +60,10 @@ LADDERS = {
                         [None, None, "resource-cap"]),  # the cell cap at N = 3
     "Z:q=8 --p": (APPROX + ["Z", "--q", "8"], "--p", ["2", "3", "5", "7"],
                   [None, None, None, "resource-cap"]),  # the cell cap at p = 7
+    "XSN:p=3,N=2,delta=1 --q": (APPROX + ["XSN", "--p", "3", "--N", "2", "--delta", "1"], "--q",
+                                ["8", "16", "32"], [None, None, "resource-cap"]),  # 32^6 grid points
+    "XSN:p=3,q=8,N=2 --delta": (APPROX + ["XSN", "--p", "3", "--q", "8", "--N", "2"], "--delta",
+                                ["1", "1/2"], [None, "resource-cap"]),  # the cell cap
 }
 
 
@@ -103,6 +107,31 @@ def walk(ladder) -> list[str | None]:
 @pytest.mark.parametrize("name", sorted(LADDERS))
 def test_approximation_ladder_answers_or_refuses_within_memory(name):
     assert walk(LADDERS[name]) == LADDERS[name][3]
+
+
+# a fresh child: the session fixtures would build this 2^24-point grid's
+# approximation again through the general constructor, inside the traced peak
+SPARSE_PEAK = """
+import tracemalloc
+from fractions import Fraction
+from zpindex.torusgrid import build_approx, separated_torus_spec
+spec = separated_torus_spec(3, 16, 2, Fraction(1))
+tracemalloc.start()
+cells = build_approx(spec).total_cells()
+print(cells, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_sparse_approximation_memory_follows_the_cells_not_the_grid():
+    # 47616 cells on 16^6 grid points: the boolean vertex mask takes 16 MiB,
+    # and one int32 table over the grid would take 64 MiB more
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", SPARSE_PEAK], capture_output=True, text=True,
+                          env=env, preexec_fn=_limit_address_space, timeout=TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    cells, peak = map(int, proc.stdout.split())
+    assert cells == 47616
+    assert peak < 48 << 20, peak
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_LADDERS))

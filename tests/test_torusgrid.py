@@ -144,18 +144,21 @@ def test_grid_build_refuses_a_vertex_mask_the_rotation_moves(monkeypatch):
 
 
 def test_grid_build_refuses_a_face_read_that_finds_no_cell(monkeypatch):
-    cell_bases = torusgrid._cell_bases
+    spec = z_torus_spec(3, 8)
+    honest = build_approx(spec)
+    square = honest.cells[2][honest.cells[2][:, 3] == 0b101][0]  # spans axes 0 and 2
+    base = honest.vertex_index(square[:3])
+    grow = torusgrid._grow
 
-    def damaged(vertex_ok, mask):
-        ok = cell_bases(vertex_ok, mask)
-        if mask == 1:
-            ok = ok.copy()
-            ok[0, 0, 0] = True  # the constant word is no vertex, so this edge has no base face
-        return ok
+    def damaged(key, rows, faces, grown, shift):
+        out = grow(key, rows, faces, grown, shift)
+        if faces is None:
+            out[3][2, base] = -1  # the edge from that square's base along axis 2 is lost
+        return out
 
-    monkeypatch.setattr(torusgrid, "_cell_bases", damaged)
-    with pytest.raises(ShapeError, match="face closure fails between dimensions 1 and 0"):
-        build_approx(z_torus_spec(3, 8))
+    monkeypatch.setattr(torusgrid, "_grow", damaged)
+    with pytest.raises(ShapeError, match="face closure fails between dimensions 2 and 1"):
+        build_approx(spec)
 
 
 def test_grid_build_reports_the_fixed_cell_of_a_mask_with_constant_words(monkeypatch):
@@ -165,17 +168,6 @@ def test_grid_build_reports_the_fixed_cell_of_a_mask_with_constant_words(monkeyp
     c = build_approx(z_torus_spec(3, 8))
     assert c.total_cells() == 8**3 * 2**3
     assert c.free_witness() == (0, (0, 0, 0, 0)) and not c.is_free
-
-
-def test_grid_byte_cap_refuses_before_any_grid(monkeypatch):
-    # Z:p=3,q=8 at most holds the int32 positions of its 3 edge or 3 square masks
-    with monkeypatch.context() as mp:
-        mp.setattr(torusgrid, "_GRID_BYTE_CAP", 4 * 512 * 3 - 1)
-        mp.setattr(np, "full", lambda *a, **k: pytest.fail("a position grid was allocated"))
-        with pytest.raises(ResourceCapError, match=r"6144 bytes .* above the grid byte cap \(6143\)"):
-            build_approx(z_torus_spec(3, 8))
-    monkeypatch.setattr(torusgrid, "_GRID_BYTE_CAP", 4 * 512 * 3)
-    assert build_approx(z_torus_spec(3, 8)).n_vertices == 408
 
 
 def test_canonical_certificate_accepted():
