@@ -12,7 +12,7 @@ from zpindex import (
     exact_index_finite_free,
     index_of_join_of_finite,
     is_EnZp,
-    join_complex,
+    join_power,
     mismatch_shift,
     periodic_point_complex,
     standard_join_model,
@@ -40,9 +40,7 @@ print(" ", exact_index_finite_free(base).to_json())
 # the top, of size (N-1)^(K+1).
 # ---------------------------------------------------------------------------
 for copies in (2, 3):
-    joined = base
-    for _ in range(copies - 1):
-        joined = join_complex(joined, base)
+    joined = join_power(base, copies)
     t0 = time.time()
     bv = betti_numbers(joined, p)
     report = index_of_join_of_finite([base] * copies)

@@ -16,7 +16,7 @@ from zpindex import (
     coindex_transport,
     exact_index_finite_free,
     index_of_join_of_finite,
-    join_complex,
+    join_power,
     mismatch_shift,
     periodic_point_complex,
     standard_join_model,
@@ -48,7 +48,7 @@ moved = coindex_transport(MapEvidence.pair_embedding(), triple, target)
 print("\nafter transport:", moved.bounds_text())
 
 # dimension caps the index from above for free complexes
-joined = join_complex(join_complex(base, base), base)
+joined = join_power(base, 3)
 capped = apply_dimension_bound(moved, joined)
 print("after the dimension bound:", capped.bounds_text())
 print("  provenance:", capped.provenance[-1])

@@ -32,6 +32,7 @@ from .complexes import (
     cycle_complex,
     is_EnZp,
     join_complex,
+    join_power,
     standard_join_model,
 )
 from .errors import (

@@ -29,7 +29,7 @@ from .coindex import (
     index_of_join_of_finite,
     verify_certificate,
 )
-from .complexes import SimplicialComplex, _is_prime, join_cell_count, join_complex
+from .complexes import SimplicialComplex, _is_prime, join_power
 from .errors import NeededRangeError, NonFreeActionError, ResourceCapError, ShapeError
 from .homology import betti_numbers
 from .shiftspaces import (
@@ -145,6 +145,16 @@ def _envelope(args, results: dict, provenance: list[str]) -> dict:
     }
 
 
+def _add_word_args(sub, **p_options):
+    """The word spec and period options of count, enumerate and orbits."""
+    sub.add_argument("--family", required=True)
+    sub.add_argument("--m", type=int, default=1)
+    sub.add_argument("--p", type=int, **p_options)
+    sub.add_argument("--q", type=int, default=8)
+    sub.add_argument("--N", type=int, default=1)
+    sub.add_argument("--delta", default="1/2")
+
+
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed recorded in output and used by randomized suites")
     sub.add_argument("--output", default="-", help="output path, or - for stdout")
@@ -183,27 +193,17 @@ def _cmd_count(args) -> tuple[dict, int]:
     rows = []
     for p in ps:
         c = spec.count_periodic(p)
-        rows.append(
-            {
-                "family": args.family,
-                "m": args.m,
-                "p": p,
-                "count": c,
-                "orbits": _orbit_count(spec, p, c),
-            }
-        )
+        rows.append({"family": args.family, "m": args.m, "p": p, "count": c,
+                     "orbits": _orbit_count(spec, p, c)})
+    results: dict = {"counts": rows}
+    if len(rows) == 1:
+        results["count"] = rows[0]["count"]
+    prov = ["count = trace(A^(p/g))^g for the one-step letter matrix A and g = gcd(m!, p); exact integers"]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=["family", "m", "p", "count", "orbits"])
             w.writeheader()
             w.writerows(rows)
-    results: dict = {"counts": rows}
-    if len(rows) == 1:
-        results["count"] = rows[0]["count"]
-    prov = [
-        "count = trace(A^(p/g))^g for the one-step letter matrix A and g = gcd(m!, p); exact integers"
-    ]
-    if args.csv:
         prov.append(f"csv written to {args.csv}")
     return _envelope(args, results, prov), 0
 
@@ -269,40 +269,25 @@ def _join_factor(args) -> tuple[SimplicialComplex, int]:
     return periodic_point_complex(spec, p), p
 
 
-def _join_complex_from_args(args) -> tuple[SimplicialComplex, int, list[str]]:
-    base, p = _join_factor(args)
-    prov = [
-        f"factor: period-{p} point set of {args.join_of} with {base.n_vertices} points"
-    ]
-    join_cell_count([base.total_cells()] * args.copies)
-    joined = base
-    for _ in range(args.copies - 1):
-        joined = join_complex(joined, base)
-    if args.copies > 1:
-        prov.append(f"join of {args.copies} copies: {joined.total_cells()} cells")
-    return joined, p, prov
-
-
 def _cmd_homology(args) -> tuple[dict, int]:
-    prov: list[str]
     if args.input:
         with open(args.input) as fh:
-            doc = json.load(fh)
-        c = SimplicialComplex.from_json(doc)
+            c = SimplicialComplex.from_json(json.load(fh))
         p = c.p
         prov = [f"complex loaded from {args.input}"]
     else:
         if not args.join_of:
             raise _UsageError("homology needs --join-of or --input")
-        c, p, prov = _join_complex_from_args(args)
+        base, p = _join_factor(args)
+        prov = [f"factor: period-{p} point set of {args.join_of} with {base.n_vertices} points"]
+        c = join_power(base, args.copies)
+        if args.copies > 1:
+            prov.append(f"join of {args.copies} copies: {c.total_cells()} cells")
     field = args.field if args.field else p
     bv = betti_numbers(c, field)
-    free: bool | None = None
-    if c.action is not None:
-        free = c.is_free
     results = {
         "cells_by_dim": {str(d): n for d, n in c.cell_counts().items()},
-        "free": free,
+        "free": None if c.action is None else c.is_free,
         **bv.to_json(),
     }
     prov.append(f"reduced Betti numbers by exact column reduction over F_{field}")
@@ -396,35 +381,20 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("count", allow_abbrev=False, help="count periodic points via the transfer matrix")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--p", type=int, default=0)
+    _add_word_args(sp, default=0)
     sp.add_argument("--p-list", dest="p_list", default="")
-    sp.add_argument("--q", type=int, default=8)
-    sp.add_argument("--N", type=int, default=1)
-    sp.add_argument("--delta", default="1/2")
     sp.add_argument("--csv", default="")
     _add_common(sp)
     sp.set_defaults(func=_cmd_count)
 
     sp = subs.add_parser("enumerate", allow_abbrev=False, help="enumerate periodic points")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, default=8)
-    sp.add_argument("--N", type=int, default=1)
-    sp.add_argument("--delta", default="1/2")
+    _add_word_args(sp, required=True)
     sp.add_argument("--method", choices=["auto", "direct", "recoded"], default="auto")
     _add_common(sp)
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = subs.add_parser("orbits", allow_abbrev=False, help="decompose periodic points into shift orbits")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, default=8)
-    sp.add_argument("--N", type=int, default=1)
-    sp.add_argument("--delta", default="1/2")
+    _add_word_args(sp, required=True)
     _add_common(sp)
     sp.set_defaults(func=_cmd_orbits)
 
@@ -486,25 +456,21 @@ def main(argv=None) -> int:
         _emit(doc, args.output)
         return code
     except _UsageError as e:
-        _emit({"error": {"type": "usage", "reason": str(e)}}, None)
-        return 1
+        error = {"type": "usage", "reason": str(e)}
     except NeededRangeError as e:
-        _emit({"error": {"type": "needed-range", "reason": str(e),
-                         "needed": list(e.needed), "missing": list(e.missing)}}, None)
-        return 1
+        error = {"type": "needed-range", "reason": str(e),
+                 "needed": list(e.needed), "missing": list(e.missing)}
     except NonFreeActionError as e:
-        _emit({"error": {"type": "non-free-action", "reason": str(e),
-                         "witness": list(map(str, e.witness)) if e.witness else None}}, None)
-        return 1
+        error = {"type": "non-free-action", "reason": str(e),
+                 "witness": list(map(str, e.witness)) if e.witness else None}
     except ResourceCapError as e:
-        _emit({"error": {"type": "resource-cap", "reason": str(e)}}, None)
-        return 1
+        error = {"type": "resource-cap", "reason": str(e)}
     except (ShapeError, json.JSONDecodeError) as e:
-        _emit({"error": {"type": "shape", "reason": str(e)}}, None)
-        return 1
+        error = {"type": "shape", "reason": str(e)}
     except OSError as e:
-        _emit({"error": {"type": "io", "reason": str(e)}}, None)
-        return 1
+        error = {"type": "io", "reason": str(e)}
+    _emit({"error": error}, None)
+    return 1
 
 
 if __name__ == "__main__":

@@ -35,14 +35,16 @@ key(sigma) * N^|tau| + key(tau + |V(A)|); its faces are (d_i sigma, tau) and the
 (sigma, d_j tau), the Leibniz rule for joins; and it is setwise fixed
 exactly when sigma and tau are (an empty side counts as fixed).  Each
 split (dim sigma, dim tau) of a dimension is already in key order; one
-stable argsort of the keys merges the splits.  A join of discrete
-complexes remembers its factor sizes, which is the one structural
+stable argsort of the keys merges the splits.  ``join_power`` checks the
+caps for a whole k-fold join before it folds the copies.  A join of
+discrete complexes remembers its factor sizes, which is the one structural
 situation where high connectivity is a theorem rather than homological
 evidence.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import prod
 from typing import Iterable, Sequence
 
@@ -55,6 +57,7 @@ __all__ = [
     "SimplicialComplex",
     "CubicalComplex",
     "join_complex",
+    "join_power",
     "join_cell_count",
     "standard_join_model",
     "cycle_complex",
@@ -466,19 +469,32 @@ class SimplicialComplex(CellComplex):
 
 def join_cell_count(totals: Sequence[int]) -> int:
     """Cells of the join of complexes with these total cell counts,
-    prod(c_i + 1) - 1; refused with ResourceCapError above the join cell cap.
-    The product stops at the first factor that passes the cap, so the count
-    reported stays a few digits long however many factors there are."""
+    prod(c_i + 1) - 1; refused with ResourceCapError above the join cell cap."""
+    return _join_cells(len(totals), totals)
+
+
+def _join_cells(factors: int, totals: Iterable[int]) -> int:
+    # the product stops at the first factor that passes the cap, so the count
+    # reported stays a few digits long however many factors there are
     predicted = 1
     for i, t in enumerate(totals, start=1):
         predicted *= int(t) + 1
         if predicted - 1 > _JOIN_CELL_CAP:
-            bound = "" if i == len(totals) else "at least "
+            bound = "" if i == factors else "at least "
             raise ResourceCapError(
-                f"join of {len(totals)} complexes would have {bound}{predicted - 1} cells, "
+                f"join of {factors} complexes would have {bound}{predicted - 1} cells, "
                 f"above the join cell cap ({_JOIN_CELL_CAP}); nothing was built"
             )
     return predicted - 1
+
+
+def _check_join_keys(factors: int, n: int, dim: int) -> None:
+    """Refuse a join on n vertices up to dimension dim whose cell keys would
+    reach 2^63, naming the lowest dimension that would."""
+    d = next((d for d in range(dim + 1) if n ** (d + 1) >= _KEY_LIMIT), None)
+    if d is not None:
+        raise ShapeError(f"join of {factors} complexes: the {d}-cell keys with radices "
+                         f"{[n] * (d + 1)} would reach 2^63; nothing was built")
 
 
 class _JoinSide:
@@ -508,9 +524,10 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
 
     The empty complex is the join identity.  dim(A*B) = dim A + dim B + 1
     and the nonempty-cell counts satisfy (cA+1)(cB+1)-1, which is checked
-    against the join cell cap before anything is allocated.  Cells, keys,
-    faces and the freeness witness are computed from the factors' tables,
-    with no lookup among the join's cells (see the module docstring).
+    against the join cell cap, as the key limit is, before anything is
+    allocated.  Cells, keys, faces and the freeness witness are computed
+    from the factors' tables, with no lookup among the join's cells (see
+    the module docstring).
     """
     if a.p != b.p:
         raise ShapeError(f"cannot join complexes over different primes {a.p} and {b.p}")
@@ -520,6 +537,7 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     if b.is_empty:
         return a
     n = a.n_vertices + b.n_vertices
+    _check_join_keys(2, n, a.dim + b.dim + 1)
     has_action = a.action is not None and b.action is not None
     left, right = _JoinSide(a, 0, n, has_action), _JoinSide(b, a.n_vertices, n, has_action)
     cells: dict[int, np.ndarray] = {}
@@ -530,7 +548,6 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     # position of each of its cells, as an (n_sigma, n_tau) array
     place: dict[tuple[int, int], np.ndarray] = {}
     for d in range(a.dim + b.dim + 2):
-        _check_radices([n] * (d + 1))
         splits = [(s, d - 1 - s) for s in range(max(-1, d - 1 - b.dim), min(a.dim, d) + 1)]
         shapes = [(len(left.keys[s]), len(right.keys[t])) for s, t in splits]
         bounds = np.cumsum([0] + [ns * nt for ns, nt in shapes]).tolist()
@@ -581,16 +598,28 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
                                          labels=labels, join_factors=jf)
 
 
+def join_power(base: SimplicialComplex, copies: int) -> SimplicialComplex:
+    """The join of ``copies`` copies of base, folded from the left by
+    ``join_complex``.  The caps are checked for the whole product first,
+    without listing the copies, so a refusal comes before anything is built."""
+    if copies < 1:
+        raise ShapeError(f"need at least one copy, got {copies}")
+    if base.is_empty:
+        return base  # the empty complex is the join identity
+    _join_cells(copies, repeat(base.total_cells(), copies))
+    _check_join_keys(copies, copies * base.n_vertices, copies * (base.dim + 1) - 1)
+    out = base
+    for _ in range(copies - 1):
+        out = join_complex(out, base)
+    return out
+
+
 def standard_join_model(p: int, copies: int) -> SimplicialComplex:
     """The (copies)-fold join of the p-point free orbit; the reference model
     of maximal-connectivity free complexes in each dimension."""
-    if copies < 1:
-        raise ShapeError(f"need at least one copy, got {copies}")
     cyc = [(i + 1) % p for i in range(p)]
     one = SimplicialComplex.discrete(p, cyc, p, labels=[f"g{i}" for i in range(p)])
-    out = one
-    for _ in range(copies - 1):
-        out = join_complex(out, one)
+    out = join_power(one, copies)
     if out.labels is not None:
         out.labels = [f"{i // p}:{i % p}" for i in range(out.n_vertices)]
     return out

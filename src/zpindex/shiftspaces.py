@@ -454,9 +454,14 @@ def orbit_decompose(words, p: int) -> OrbitDecomposition:
 
 def periodic_point_complex(spec: SubshiftSpec, p: int, node_cap: int | None = None):
     """The period-p point set as a discrete complex with the shift action."""
+    return _word_complex(spec.enumerate_periodic(p, node_cap=node_cap), p)
+
+
+def _word_complex(words: list[CyclicWord], p: int):
+    """A shift-closed list of period-p words as a discrete complex with the
+    shift action, vertices in list order."""
     from .complexes import SimplicialComplex
 
-    words = spec.enumerate_periodic(p, node_cap=node_cap)
     pos = {w: i for i, w in enumerate(words)}
     action = [pos[w.shift(1)] for w in words]
     return SimplicialComplex.discrete(

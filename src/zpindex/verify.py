@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .alphabets import Alphabet, circle_grid, product_alphabet
-from .complexes import join_complex, is_EnZp
+from .complexes import is_EnZp, join_power
 from .coindex import (
     IndexReport,
     MapEvidence,
@@ -43,6 +43,7 @@ from .seqmaps import (
 from .shiftspaces import (
     Separation,
     SubshiftSpec,
+    _word_complex,
     mismatch_shift,
     neighbor_gap_shift,
     orbit_decompose,
@@ -189,9 +190,7 @@ def check_join_model(m: int, p: int, copies: int, ell: int | None = None) -> Ver
     if n == 0:
         failures.append({"check": "nonempty period-p set", "p": p, "m": m})
         return VerifyResult("4.2", False, 1, 1, failures[0], details={"m": m, "p": p})
-    joined = base
-    for _ in range(k):
-        joined = join_complex(joined, base)
+    joined = join_power(base, copies)
     report = index_of_join_of_finite([base] * copies)
     if not (report.exact and report.coind_lower == k):
         failures.append({"check": "exact index of join", "report": report.to_json()})
@@ -240,7 +239,7 @@ def check_pair_embedding(p: int, q: int) -> VerifyResult:
                 first = {"word": w.text(), "predicate": ok_pred, "equivariant": ok_eq}
     transported = None
     if words:
-        src_complex = periodic_point_complex(source, p)
+        src_complex = _word_complex(words, p)
         src_report = exact_index_finite_free(src_complex)
         tgt_report = coindex_transport(
             MapEvidence.pair_embedding(), src_report, IndexReport.nonempty_free(p)

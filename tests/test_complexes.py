@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -21,8 +22,10 @@ from zpindex.complexes import (
     is_EnZp,
     join_cell_count,
     join_complex,
+    join_power,
     standard_join_model,
 )
+from zpindex import complexes
 from zpindex.errors import ResourceCapError, ShapeError
 from zpindex.shiftspaces import mismatch_shift, periodic_point_complex
 from zpindex.torusgrid import build_approx, z_torus_spec
@@ -348,6 +351,64 @@ def test_join_key_overflow_is_refused_like_the_general_constructor():
     for build in (join_complex, general_join):
         with pytest.raises(ShapeError, match=re.escape(f"radices {[16] * 16} would reach 2^63")):
             build(simplex, simplex)
+
+
+def test_join_key_overflow_is_refused_before_dimension_0():
+    # the 15-cells overflow; building the dimensions below them would take
+    # about 7 MB
+    simplex = SimplicialComplex.from_maximal(8, [range(8)], None, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="join of 2 complexes: the 15-cell keys"):
+            join_complex(simplex, simplex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
+
+
+def _left_fold(base, copies):
+    out = base
+    for _ in range(copies - 1):
+        out = join_complex(out, base)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_join_power_is_the_left_fold_of_join_complex(p):
+    cyc = [(i + 1) % p for i in range(p)]
+    bases = {
+        "orbit": SimplicialComplex.discrete(p, cyc, p, labels=[f"g{i}" for i in range(p)]),
+        "empty": SimplicialComplex.empty(p),
+        "no action": SimplicialComplex.discrete(3, None, p),
+    }
+    for (name, base), copies in product(bases.items(), range(1, 5)):
+        try:
+            assert_same_complex(join_power(base, copies), _left_fold(base, copies))
+        except AssertionError as e:
+            raise AssertionError(f"{name}^{copies}: {e}") from e
+    with pytest.raises(ShapeError, match="need at least one copy, got 0"):
+        join_power(bases["orbit"], 0)
+
+
+def test_join_power_checks_the_whole_product_before_the_first_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(complexes, "join_complex", lambda a, b: steps.append((a, b)))
+    sigma7 = periodic_point_complex(mismatch_shift(1), 7)  # 126 points
+    with pytest.raises(ResourceCapError, match="join of 4 complexes would have 260144640 cells"):
+        join_power(sigma7, 4)
+    # under the cell cap (3^14 - 1 cells), but 28^14 >= 2^63 in dimension 13
+    orbit = SimplicialComplex.discrete(2, [1, 0], 2)
+    with pytest.raises(ShapeError, match=re.escape(f"join of 14 complexes: the 13-cell keys with "
+                                                   f"radices {[28] * 14} would reach 2^63")):
+        join_power(orbit, 14)
+    # the standard 20-model, join(Z_2)^21; the count stops at the 15th factor
+    with pytest.raises(ResourceCapError, match="join of 21 complexes would have at least 14348906"):
+        standard_join_model(2, 21)
+    with pytest.raises(ResourceCapError, match="join of 1000000000 complexes"):
+        join_power(orbit, 10**9)
+    assert steps == []
+    assert join_power(SimplicialComplex.empty(2), 10**9).is_empty
 
 
 @st.composite

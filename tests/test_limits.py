@@ -7,12 +7,15 @@ seconds.  The run must print one JSON document and either exit 0 or exit 1
 refusing with ``resource-cap``, ``shape`` or ``usage``: a traceback, a
 ``MemoryError`` or a timeout fails the test.  A ladder stops at its first
 refusal, and the step where it stops is pinned, so a cap that moves shows.
+The child's own peak RSS, read when it is reaped, bounds the steps that
+must be refused before their allocation.
 """
 from __future__ import annotations
 
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -28,22 +31,46 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run_limited(argv: list[str]) -> str | None:
-    """Run the CLI on argv in a limited child; None when it answered, else the
-    type of its refusal."""
+# Forks the CLI child from a bare interpreter (no site) and reports the
+# child's own peak RSS, read by wait4 when it is reaped.  A forked child's
+# ru_maxrss starts at its parent's RSS at the fork, so forking from the test
+# process, whose RSS grows with the tests before, would count that instead.
+LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "zpindex.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+sys.stderr.write(f"\\npeak KiB {usage.ru_maxrss}")
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def run_limited(argv: list[str]) -> tuple[str | None, float]:
+    """Run the CLI on argv in a limited child: None when it answered, else the
+    type of its refusal, and the child's own peak RSS in MiB."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "zpindex.cli", *argv], capture_output=True, text=True,
-        env=env, preexec_fn=_limit_address_space, timeout=TIMEOUT_S,
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-c", LAUNCHER, *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env, preexec_fn=_limit_address_space,
+        start_new_session=True,
     )
-    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stdout, (argv, proc.stderr[-2000:])
-    doc = json.loads(proc.stdout)
+    try:
+        stdout, stderr = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the launcher and the CLI child
+        proc.communicate()
+        raise
+    stderr, _, peak_kib = stderr.rpartition("\npeak KiB ")
+    assert "Traceback" not in stderr and "MemoryError" not in stdout, (argv, stderr[-2000:])
+    doc = json.loads(stdout)
+    peak_mib = int(peak_kib) / 1024
     if proc.returncode == 0:
         assert "results" in doc, argv
-        return None
+        return None, peak_mib
     assert proc.returncode == 1, (argv, proc.returncode)
     assert doc["error"]["type"] in {"resource-cap", "shape", "usage"}, (argv, doc)
-    return doc["error"]["type"]
+    return doc["error"]["type"], peak_mib
 
 
 APPROX = ["approx-z", "--family"]
@@ -90,15 +117,29 @@ COMMAND_LADDERS = {
                                      [None, "resource-cap"]),  # the join factor cap
     "verify 3.1 --m": (["verify-lemma", "--id", "3.1", "--trials", "2"], "--m", ["2", "16"],
                        [None, "resource-cap"]),  # the section window cap
+    "verify 4.2 Sigma:m=1,p=7 --copies": (["verify-lemma", "--id", "4.2", "--m", "1", "--p", "7"],
+                                          "--copies", ["1", "2", "3", "4"],
+                                          [None, None, None, "resource-cap"]),  # the join cell cap
 }
 
 
-def walk(ladder) -> list[str | None]:
-    """The outcome of each step of a ladder, up to its first refusal."""
+# steps refused before their allocation: the child's peak RSS bound, in MiB
+# (an interpreter with numpy and zpindex.cli loaded takes about 32 MiB)
+REFUSAL_PEAKS_MIB = {
+    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 135 MiB
+}
+
+
+def walk(name, ladder) -> list[str | None]:
+    """The outcome of each step of a ladder, up to its first refusal; a step
+    with a peak bound must stay under it."""
     fixed, param, values, _ = ladder
     got = []
     for value in values:
-        got.append(run_limited(fixed + [param, value]))
+        outcome, peak_mib = run_limited(fixed + [param, value])
+        got.append(outcome)
+        bound = REFUSAL_PEAKS_MIB.get(name, {}).get(value)
+        assert bound is None or peak_mib <= bound, (value, peak_mib)
         if got[-1] is not None:
             break
     return got
@@ -106,7 +147,7 @@ def walk(ladder) -> list[str | None]:
 
 @pytest.mark.parametrize("name", sorted(LADDERS))
 def test_approximation_ladder_answers_or_refuses_within_memory(name):
-    assert walk(LADDERS[name]) == LADDERS[name][3]
+    assert walk(name, LADDERS[name]) == LADDERS[name][3]
 
 
 # a fresh child: the session fixtures would build this 2^24-point grid's
@@ -136,4 +177,15 @@ def test_sparse_approximation_memory_follows_the_cells_not_the_grid():
 
 @pytest.mark.parametrize("name", sorted(COMMAND_LADDERS))
 def test_command_ladder_answers_or_refuses_within_memory(name):
-    assert walk(COMMAND_LADDERS[name]) == COMMAND_LADDERS[name][3]
+    assert walk(name, COMMAND_LADDERS[name]) == COMMAND_LADDERS[name][3]
+
+
+def test_standard_model_certificate_is_refused_before_the_join(tmp_path):
+    # join(Z_2)^21 would have 3^21 - 1 cells; building its first 14 factors
+    # would take 894 MiB before their keys overflowed
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"p": 2, "n": 20, "domain": "join(Zp)^{n+1}",
+                                "vertex_map": [0, 1], "target_ref": "Z:p=2,q=8"}))
+    outcome, peak_mib = run_limited(["certify", "--cert", str(cert), "--target", "Z:p=2,q=8"])
+    assert outcome == "resource-cap"
+    assert peak_mib <= 40, peak_mib
