@@ -70,14 +70,21 @@ _KEY_LIMIT = 1 << 63  # keys are int64: the product of a row's radices stays bel
 _JOIN_CELL_CAP = 10**7
 
 
+# Miller-Rabin with these bases decides every n < 2^64 (Jaeschke 1993)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; n of 2^64 or more is refused with ShapeError."""
+    if n >= 1 << 64:
+        raise ShapeError(f"primality is decided only below 2^64, got {n}")
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _PRIME_BASES:  # b^d = 1, or b^(d * 2^k) = -1 for some k < s, if n is prime
+        if pow(b, d, n) != 1 and all(pow(b, d << k, n) != n - 1 for k in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -190,10 +197,10 @@ class CellComplex:
         ident = np.arange(n)
         if len(perm) != n or not np.array_equal(np.sort(perm), ident):
             raise ShapeError(f"{what} is not a permutation of the {items}")
-        cur = perm
-        for _ in range(self.p - 1):
-            cur = perm[cur]
-        if not np.array_equal(cur, ident):
+        power = ident
+        for bit in bin(self.p)[2:]:  # perm^p by repeated squaring, from the top bit down
+            power = power[power] if bit == "0" else perm[power[power]]
+        if not np.array_equal(power, ident):
             raise ShapeError(f"{what} does not satisfy perm^{self.p} = id")
         if self.cells and np.array_equal(perm, ident):
             raise ShapeError(
@@ -598,12 +605,16 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
                                          labels=labels, join_factors=jf)
 
 
+def _check_copies(copies: int) -> None:
+    if copies < 1:
+        raise ShapeError(f"need at least one copy, got {copies}")
+
+
 def join_power(base: SimplicialComplex, copies: int) -> SimplicialComplex:
     """The join of ``copies`` copies of base, folded from the left by
     ``join_complex``.  The caps are checked for the whole product first,
     without listing the copies, so a refusal comes before anything is built."""
-    if copies < 1:
-        raise ShapeError(f"need at least one copy, got {copies}")
+    _check_copies(copies)
     if base.is_empty:
         return base  # the empty complex is the join identity
     _join_cells(copies, repeat(base.total_cells(), copies))
@@ -616,7 +627,11 @@ def join_power(base: SimplicialComplex, copies: int) -> SimplicialComplex:
 
 def standard_join_model(p: int, copies: int) -> SimplicialComplex:
     """The (copies)-fold join of the p-point free orbit; the reference model
-    of maximal-connectivity free complexes in each dimension."""
+    of maximal-connectivity free complexes in each dimension.  The caps of the
+    whole join, p cells a copy, are checked before the orbit is listed."""
+    _check_copies(copies)
+    _join_cells(copies, repeat(p, copies))
+    _check_join_keys(copies, copies * p, copies - 1)
     cyc = [(i + 1) % p for i in range(p)]
     one = SimplicialComplex.discrete(p, cyc, p, labels=[f"g{i}" for i in range(p)])
     out = join_power(one, copies)

@@ -30,7 +30,7 @@ reduced has (almost) nothing cleared, so its end should be the smaller.
   augmentation's all-ones coboundary clears the last vertex.
 
 Both directions then share one tail, with the coefficients mod ell in the
-narrowest signed type that holds ell - 1:
+narrowest signed type that holds ell - 1 (a larger ell is refused):
 
 * Clearing.  The cleared columns are the memoized pivot rows of the matrix
   reduced just before.
@@ -137,11 +137,13 @@ class ChainComplexFp:
     """The boundaries of one complex over F_ell, checked by its face identities."""
 
     def __init__(self, ell: int, n_cells: tuple[int, ...], boundaries: list[_Boundary]):
-        """Refuse with ShapeError unless ell is prime, ``boundaries`` are those of
-        one complex from d = 1 up, still its own faces and signs, and ``n_cells``
-        are its cell counts; then check the complex's face identities."""
+        """Refuse with ShapeError unless ell is a prime below 2^63, ``boundaries``
+        are those of one complex from d = 1 up, still its own faces and signs,
+        and ``n_cells`` are its cell counts; then check its face identities."""
         if not _is_prime(ell):
             raise ShapeError(f"homology field order must be prime, got {ell}")
+        if ell - 1 > np.iinfo(np.int64).max:
+            raise ShapeError(f"homology field order {ell} is too large: {ell - 1} fits no signed numpy type")
         if boundaries:
             c = getattr(boundaries[0], "complex", None)
             if not (

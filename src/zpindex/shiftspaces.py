@@ -15,24 +15,27 @@ studies:
 A family is one clause of index pairs per index of a cyclic word
 (``SubshiftSpec.clauses``) and one distance bar (``SubshiftSpec.bar``): the
 metric is translation invariant, so the bar read at a letter difference
-decides a pair, one exact ``Fraction`` comparison per difference.  The search
-files each clause under the depth that completes it, and the torus-grid vertex
-mask ANDs the clauses.  ``satisfies`` reads the bar at each clause pair of a
-single word; ``pair_table`` is the bar at every letter pair, an (n, n)
-read-only bool array refused above 2^20 pairs before any letter is listed.
-The search, the count (the trace of a power of that table as a transfer
-matrix, in int64 where a bound proves it exact and in Python ints otherwise,
-refused above 10^9 multiply-adds before the table is built) and the vertex
-mask read it.
-Counts are cross-checkable against enumeration.
+decides a pair, one exact ``Fraction`` comparison per difference.
+``satisfies`` reads the bar at each clause pair of a single word;
+``pair_table`` is the bar at every letter pair, an (n, n) read-only bool
+array refused above 2^20 pairs before any letter is listed.  One search,
+level by level, finds the period-p words as an (n_words, p) array of letter
+indices (``periodic_words``), filing each clause under the depth that
+completes it; enumeration and the torus approximations read that array.
+The count is the trace of a power of the pair table as a transfer matrix,
+in int64 where a bound proves it exact and in Python ints otherwise, refused
+above 10^9 multiply-adds before the table is built; counts are
+cross-checkable against enumeration.
 """
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
 from math import factorial, gcd
 
 import numpy as np
@@ -54,8 +57,10 @@ __all__ = [
 ]
 
 DEFAULT_NODE_CAP = 10**7
-# letters the words found by one search may hold: Sigma m=1, p=19 (9,961,510) fits
+# letters the words found by one search may hold: Sigma m=1, p=19 (9,961,434) fits
 _WORD_LETTER_CAP = 10**7
+# letters the prefixes kept at one search level may hold
+_LEVEL_LETTER_CAP = 10**8
 # Python writes no int of more than 4300 digits as text (sys.get_int_max_str_digits)
 _COUNT_DIGIT_CAP = 4300
 # letter pairs one table may hold: S^3:q=8 (512^2) fits
@@ -141,8 +146,7 @@ class SubshiftSpec:
         index n, a tuple of index pairs.  A word passes when, in every clause,
         the letters at some pair meet the family's bar.  Separation asks the
         pair (n, n + m!) mod L; AdjacentGap asks one of (n-1, n) and (n, n+1)
-        mod L.  The search, ``satisfies`` and the torus vertex mask all read
-        this list."""
+        mod L.  The search and ``satisfies`` read this list."""
         if isinstance(self.family, Separation):
             d = self.family.step
             return [((n, (n + d) % L),) for n in range(L)]
@@ -159,13 +163,17 @@ class SubshiftSpec:
 
     # -- enumeration -----------------------------------------------------------
 
-    def enumerate_periodic(
-        self,
-        p: int,
-        method: str = "auto",
-        node_cap: int | None = None,
-    ) -> tuple[CyclicWord, ...]:
-        """All period-p points, sorted lexicographically on letter indices.
+    def enumerate_periodic(self, p: int, method: str = "auto",
+                           node_cap: int | None = None) -> tuple[CyclicWord, ...]:
+        """The rows of ``periodic_words`` as cyclic words, in the same order."""
+        words = self.periodic_words(p, method, node_cap).tolist()
+        elements = self.alphabet.all_elements()
+        return tuple(CyclicWord(self.alphabet, tuple(elements[i] for i in w)) for w in words)
+
+    def periodic_words(self, p: int, method: str = "auto", node_cap: int | None = None) -> np.ndarray:
+        """All period-p points as one (n_words, p) array of letter indices in
+        ``all_elements`` order, uint8 up to 256 letters and int16 above, rows
+        sorted lexicographically.
 
         The search sets positions in the order 0, 1, ..., p-1.  For the
         separation family with gcd(m!, p) = 1 it may instead set them in the
@@ -184,17 +192,13 @@ class SubshiftSpec:
                 f"a period-{p} word has {p} letters, above the word letter cap "
                 f"({_WORD_LETTER_CAP} letters); nothing was enumerated"
             )
-        cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
         order = list(range(p))
         if method != "direct" and isinstance(self.family, Separation):
             d = self.family.step % p
             if d > 1 and gcd(d, p) == 1:
                 order = [k * d % p for k in range(p)]
-        words = _search(self.pair_table.tolist(), order, self.clauses(p), cap)
-        elements = self.alphabet.all_elements()
-        return tuple(
-            CyclicWord(self.alphabet, tuple(elements[i] for i in w)) for w in sorted(words)
-        )
+        cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
+        return _search(self.pair_table, order, self.clauses(p), cap)
 
     def count_periodic(self, p: int) -> int:
         """Number of period-p points via the transfer matrix, exact.
@@ -268,62 +272,68 @@ class SubshiftSpec:
         return n
 
 
-def _search(ok, order, clauses, cap):
-    """Backtracking over letter indices; ok is the pair table as nested lists.
+def _search(table, order, clauses, cap):
+    """The words that pass every clause, found level by level.
 
-    Depth i sets position order[i].  Each distinct clause is checked once, at
-    the depth that sets the last of its positions, by reading ok at its
-    pairs.  The search keeps an explicit stack (the next letter to try at each
-    depth), so its depth is not bounded by Python's recursion limit.  Every
-    letter tried counts as one node.  The words found may hold at most the
-    word letter cap, so a deep period is refused before its words fill memory.
+    Level i sets position order[i] to each of the n letters for every prefix
+    kept by level i - 1, and keeps the rows that pass each distinct clause
+    whose last position that sets, read from the pair table with the
+    prefixes' letters broadcast against the n new ones.  A prefix holds only
+    the letters that later levels read; each level records its rows as
+    (parent, letter), through which the words are read back at the end.
+    Every letter tried is one node, as depth first.  The node cap is checked
+    before each level, the level letter cap before its prefixes and the word
+    letter cap before the words.  Only a recoded order needs a final sort.
     """
-    L = len(order)
+    L, n = len(order), len(table)
     depth = [0] * L
-    for i, n in enumerate(order):
-        depth[n] = i
+    for i, pos in enumerate(order):
+        depth[pos] = i
     checks_at = [[] for _ in range(L)]
+    last = list(range(L))  # the last depth that reads the letter set at each depth
     seen = set()
     for clause in clauses:
         key = frozenset(frozenset(pair) for pair in clause)  # the table is symmetric
         if key not in seen:
             seen.add(key)
-            checks_at[max(depth[n] for pair in clause for n in pair)].append(clause)
-    n_letters = len(ok)
-    out = []
-    word = [0] * L
-    nxt = [0] * L
-    nodes = 0
-    i = 0
-    while i >= 0:
-        if i == L:
-            if (len(out) + 1) * L > _WORD_LETTER_CAP:
-                raise ResourceCapError(
-                    f"enumeration found more than {len(out)} words of {L} letters, above "
-                    f"the word letter cap ({_WORD_LETTER_CAP} letters); nothing is returned"
-                )
-            out.append(tuple(word))
-            i -= 1
-            continue
-        u = nxt[i]
-        if u == n_letters:
-            nxt[i] = 0
-            i -= 1
-            continue
-        nxt[i] = u + 1
-        nodes += 1
+            pairs = [(depth[a], depth[b]) for a, b in clause]
+            at = max(map(max, pairs))
+            checks_at[at].append(pairs)
+            for j in chain.from_iterable(pairs):
+                last[j] = max(last[j], at)
+    dtype = np.uint8 if n <= 256 else np.int16
+    held, prefix = [], np.zeros((1, 0), dtype=dtype)  # depths read later, and their letters
+    levels, nodes = [], 0
+    for i in range(L):
+        nodes += len(prefix) * n
         if nodes > cap:
             raise ResourceCapError(f"enumeration exceeded the node cap ({cap})")
-        word[order[i]] = u
-        for clause in checks_at[i]:
-            for a, b in clause:
-                if ok[word[a]][word[b]]:
-                    break
-            else:
-                break  # no pair of this clause meets the bar
-        else:
-            i += 1
-    return out
+        read = {j: prefix[:, k, None] for k, j in enumerate(held)}
+        read[i] = np.arange(n, dtype=dtype)
+        keep = np.ones((len(prefix), n), dtype=bool)
+        for pairs in checks_at[i]:
+            keep &= reduce(operator.or_, (table[read[a], read[b]] for a, b in pairs))
+        parent, letter = np.divmod(np.flatnonzero(keep), n)
+        levels.append((parent, letter := letter.astype(dtype)))
+        cols = [k for k, j in enumerate(held) if last[j] > i]
+        held = [held[k] for k in cols] + [i] * (last[i] > i)
+        if len(parent) * len(held) > _LEVEL_LETTER_CAP:
+            raise ResourceCapError(
+                f"search level {i} would hold {len(parent)} prefixes of {len(held)} letters "
+                f"({len(parent) * len(held)} letters), above the level letter cap ({_LEVEL_LETTER_CAP})")
+        prefix = np.column_stack([prefix[:, cols][parent], letter][: 1 + (last[i] > i)])
+    if len(prefix) * L > _WORD_LETTER_CAP:
+        raise ResourceCapError(
+            f"enumeration found more than {_WORD_LETTER_CAP // L} words of {L} letters, above "
+            f"the word letter cap ({_WORD_LETTER_CAP} letters); nothing is returned"
+        )
+    words = np.empty((len(prefix), L), dtype=dtype)
+    at = np.arange(len(prefix))
+    for i in range(L - 1, -1, -1):
+        parent, letter = levels[i]
+        words[:, order[i]] = letter[at]
+        at = parent[at]
+    return words if order == sorted(order) else words[np.lexsort(words.T[::-1])]
 
 
 def _saturating_pow(base: int, exp: int, limit: int) -> int:
@@ -452,9 +462,9 @@ def orbit_decompose(words, p: int) -> OrbitDecomposition:
     return OrbitDecomposition(tuple(orbits), free, witness)
 
 
-def periodic_point_complex(spec: SubshiftSpec, p: int, node_cap: int | None = None):
+def periodic_point_complex(spec: SubshiftSpec, p: int):
     """The period-p point set as a discrete complex with the shift action."""
-    return _word_complex(spec.enumerate_periodic(p, node_cap=node_cap), p)
+    return _word_complex(spec.enumerate_periodic(p), p)
 
 
 def _word_complex(words: list[CyclicWord], p: int):

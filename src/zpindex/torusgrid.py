@@ -11,29 +11,27 @@ doubled resolution, never as a homotopy-equivalence claim.
 
 Thresholds must be exact multiples of the grid step 2/q so that every
 comparison is decided exactly; 4 | q keeps 1/2 and 1 on grid boundaries.
-The vertex mask ANDs the clauses of the spec's subshift over the p letter
-slots, reading its letter-pair table, so the pair table cap guards it too.
-Before anything is allocated, a grid of more than 2^24 points, q^(p*N), is
-refused with ResourceCapError.
+The vertices are the period-p words of the spec's subshift, from the same
+search that enumerates them, so its letter-pair, node and word caps guard
+the approximation too.  An approximation whose cell keys could reach 2^63
+is refused before the search.
 
 The cubical table grows one dimension from the one below, with the grid
 and face reads of Wagner, Chen and Vucini, *Efficient computation of
 persistent homology for cubical data* (2012), in time and memory that
-follow the cells, not the grid.  The general cubical validation (keys
-sorted, every face and image found by binary search) is the tests' oracle,
-compared byte for byte.
+follow the cells, not the grid: nothing grid-sized is allocated.  The
+general cubical validation (keys sorted, every face and image found by
+binary search) is the tests' oracle, compared byte for byte.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
 from .alphabets import circle_grid, product_alphabet
-from .complexes import CubicalComplex, _is_prime, cycle_complex
+from .complexes import _KEY_LIMIT, CubicalComplex, _is_prime, cycle_complex
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
 from .homology import BettiVector, betti_numbers
@@ -52,8 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 2_000_000
-# grid points of one vertex mask: Z p=5 q=16 (2^20) fits, Z p=5 q=32 does not
-_GRID_POINT_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -112,31 +108,6 @@ def z_torus_spec(p: int, q: int) -> TorusGridSpec:
 def separated_torus_spec(p: int, q: int, n_circles: int, delta: Fraction) -> TorusGridSpec:
     """Approximation spec for consecutive letters at distance >= delta on (S^1)^N."""
     return TorusGridSpec(p, q, Separation(1, Fraction(delta)), n_circles)
-
-
-def _vertex_mask(spec: TorusGridSpec) -> np.ndarray:
-    """Boolean grid over (q,)*n_axes marking vertices that satisfy the family.
-
-    Slot j's letter index is its n circle coordinates read in radix q, formed
-    on open axes (one arange per axis) that broadcast.  The grid is the AND,
-    over the subshift's clauses on the p slots, of the OR of the pair table
-    read at each clause pair's two slot indices, so only the final grid is
-    full-size.
-    """
-    q, p, n, D = spec.q, spec.p, spec.n_circles, spec.n_axes
-    sub = spec.subshift()
-    table = sub.pair_table
-    axes = [np.arange(q).reshape((q,) + (1,) * (D - 1 - a)) for a in range(D)]
-    letters = []
-    for j in range(p):
-        li = 0
-        for t in range(n):
-            li = li * q + axes[j * n + t]
-        letters.append(li)
-    ok = np.ones((q,) * D, dtype=bool)
-    for clause in sub.clauses(p):
-        ok &= reduce(operator.or_, (table[letters[a], letters[b]] for a, b in clause))
-    return ok
 
 
 def _check_cell_cap(spec: TorusGridSpec, total: int, cap: int) -> None:
@@ -200,9 +171,12 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     cell would contain a rotation-fixed corner, i.e. a constant word, and
     constant words violate every positive-threshold family.
 
-    Keys are x * 2^D + M for grid point x in C order and extent mask M.  The
-    action maps cells to cells exactly when the vertex mask is invariant
-    under the letter rotation, which is checked.  For t above the top bit
+    The vertices are the subshift's period-p words, whose letters' digits are
+    the coordinates.  Keys are x * 2^D + M for grid point x in C order, the
+    word read in radix q^N, and extent mask M; their 2^63 limit is checked
+    before the search.  The action maps cells to cells exactly when every
+    word rotated by one letter slot is again a vertex, which the one lookup
+    that gives the vertex action checks.  For t above the top bit
     of M, (x, M + e_t) is a cell iff (x, M) and its move (x + e_t, M) are,
     so each dimension grows from the one below, its cells counted against
     the cell cap before any of their tables exists.  Moves and growths are
@@ -210,34 +184,32 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     read at a missing cell (-1) finds.
     """
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
-    D, grid = spec.n_axes, (spec.q,) * spec.n_axes
-    if spec.q**D > _GRID_POINT_CAP:
-        raise ResourceCapError(
-            f"approximation for {spec.token()} would have {spec.q**D} grid points ({spec.q}^{D}), "
-            f"above the grid point cap ({_GRID_POINT_CAP}); nothing was allocated"
-        )
-    vertex_ok = _vertex_mask(spec)
+    q, n, D = spec.q, spec.n_circles, spec.n_axes
+    # keys stay below (2q)^D >= 2^(D * (bit_length(2q) - 1)); only a small D forms the power
+    if D * ((2 * q).bit_length() - 1) >= 63 or (2 * q) ** D >= _KEY_LIMIT:
+        raise ShapeError(f"approximation for {spec.token()}: the cell keys x*2^{D} + M on "
+                         f"{q}^{D} grid points would reach 2^63; nothing was built")
+    words = spec.subshift().periodic_words(spec.p)
+    total = len(words)
+    # a word read in radix q^n is its grid point's index in C order
+    flat, image = np.zeros(total, dtype=np.int64), np.zeros(total, dtype=np.int64)
+    for a, b in zip(words.T, np.roll(words, -1, axis=1).T):
+        flat, image = flat * q**n + a, image * q**n + b
     # image axis t reads source axis t + n: the rotation of the p letter slots
-    axis_map = np.array([(t + spec.n_circles) % D for t in range(D)], dtype=np.int64)
-    if not np.array_equal(vertex_ok, vertex_ok.transpose(axis_map)):
-        raise ShapeError(f"vertex mask of {spec.token()} is not invariant under the letter rotation")
-    flat = np.flatnonzero(vertex_ok)
-    del vertex_ok
-    total = len(flat)
-    _check_cell_cap(spec, total, cap)
-    coords = np.array(np.unravel_index(flat, grid))
-    rows = np.zeros((total, D + 1), dtype=np.int32)
-    rows[:, :D] = coords.T
-    image = np.ravel_multi_index(coords[axis_map], grid)
+    axis_map = np.array([(t + n) % D for t in range(D)], dtype=np.int64)
     action = np.searchsorted(flat, image)
+    if not np.array_equal(np.take(flat, action, mode="clip"), image):
+        raise ShapeError(f"vertex set of {spec.token()} is not invariant under the letter rotation")
+    _check_cell_cap(spec, total, cap)
+    rows = np.zeros((total, D + 1), dtype=np.int32)
+    rows[:, :D] = (words[:, :, None] // q ** np.arange(n - 1, -1, -1) % q).reshape(total, D)
     # a fixed cell's base corner is a fixed vertex: the first fixed cell is one
-    fixed = np.flatnonzero(image == flat)
+    fixed = np.flatnonzero(action == np.arange(total))
     witness = (0, tuple(int(v) for v in rows[fixed[0]])) if len(fixed) else None
     shift = np.full((D, total + 1), -1, dtype=np.int32)
     for t in range(D):
-        coords[t] += 1
-        moved = np.ravel_multi_index(coords, grid, mode="wrap")
-        coords[t] -= 1
+        stride = q ** (D - 1 - t)
+        moved = flat + np.where(rows[:, t] == q - 1, (1 - q) * stride, stride)
         at = np.searchsorted(flat, moved)  # len(flat) past the last vertex, clipped below
         shift[t, :-1] = np.where(np.take(flat, at, mode="clip") == moved, at, -1)
     cells, keys, faces = {}, {}, {}

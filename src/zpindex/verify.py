@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .alphabets import Alphabet, circle_grid, product_alphabet
-from .complexes import is_EnZp, join_power
+from .complexes import _check_copies, is_EnZp, join_power
 from .coindex import (
     IndexReport,
     MapEvidence,
@@ -181,8 +181,7 @@ def check_periodic_finite(m: int, p: int) -> VerifyResult:
 def check_join_model(m: int, p: int, copies: int, ell: int | None = None) -> VerifyResult:
     """A join of copies of the period-p set is the expected free model: exact
     index and coindex copies-1, certified structurally, homology agreeing."""
-    if copies < 1:
-        raise ShapeError("need at least one copy")
+    _check_copies(copies)
     k = copies - 1
     base = periodic_point_complex(mismatch_shift(m), p)
     n = base.n_vertices

@@ -4,15 +4,17 @@ These deliberately re-derive results with different machinery than the
 package: dense row-echelon elimination and a left-to-right column
 reduction of the boundary itself instead of the package's coboundary
 reduction with clearing, boundary compositions expanded and summed instead
-of the complex's face identities, plain itertools scans instead of backtracking
-enumeration, joins validated from scratch by the general simplicial
+of the complex's face identities, plain itertools scans instead of the
+search, joins validated from scratch by the general simplicial
 constructor instead of built from their factors, a transfer-matrix power
-by hand-written Python list products instead of numpy object arrays, and
-torus vertex masks from a double loop over letter pairs, each decided by one
-metric call (``gap_ok``) instead of the spec's distance bar, and full index
-grids instead of the spec's pair table on open axes, torus approximations validated
+by hand-written Python list products instead of numpy object arrays, the
+period-p words found depth first, one letter at a time with an explicit
+stack, instead of level by level, torus vertices from masks over the whole
+grid instead of the search's words (one mask from the pair table on open
+axes, checked against one from a double loop over letter pairs, each decided
+by one metric call, ``gap_ok``, on full index grids), torus approximations validated
 by the general cubical constructor (binary-search face lookup, per-cell action
-images) instead of laid out on the grid, colliding columns reduced with a
+images) instead of grown on the grid, colliding columns reduced with a
 ``max`` scan of the working column instead of a heap, coboundary lows read off
 a transpose built by one stable sort instead of a ``maximum.at`` over the
 face table, and the block-sum code, its
@@ -23,7 +25,9 @@ by residue class.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import factorial
 
@@ -356,18 +360,47 @@ class GeneralCubicalComplex(CubicalComplex):
         return self._index_of_keys(0, _row_keys(img, self._radices(0)))
 
 
+# grid points the oracle's vertex mask may cover: Z p=5 q=16 (2^20) fits
+ORACLE_GRID_POINTS = 1 << 24
+
+
+def grid_vertex_mask(spec) -> np.ndarray:
+    """Boolean grid over (q,)*n_axes marking vertices that satisfy the family,
+    checked against ``loop_vertex_mask``.
+
+    Slot j's letter index is its n circle coordinates read in radix q, formed
+    on open axes (one arange per axis) that broadcast.  The grid is the AND,
+    over the subshift's clauses on the p slots, of the OR of the pair table
+    read at each clause pair's two slot indices.
+    """
+    q, p, n, D = spec.q, spec.p, spec.n_circles, spec.n_axes
+    assert q**D <= ORACLE_GRID_POINTS, f"{q}^{D} grid points are too many for the oracle"
+    sub = spec.subshift()
+    table = sub.pair_table
+    axes = [np.arange(q).reshape((q,) + (1,) * (D - 1 - a)) for a in range(D)]
+    letters = []
+    for j in range(p):
+        li = 0
+        for t in range(n):
+            li = li * q + axes[j * n + t]
+        letters.append(li)
+    ok = np.ones((q,) * D, dtype=bool)
+    for clause in sub.clauses(p):
+        ok &= reduce(operator.or_, (table[letters[a], letters[b]] for a, b in clause))
+    assert_same_mask(ok, loop_vertex_mask(spec))
+    return ok
+
+
 def general_approx(spec, cell_cap=None):
     """The torus approximation through the general cubical constructor: every
-    mask's cells listed by ``argwhere`` on the rolled vertex mask, then
+    mask's cells listed by ``argwhere`` on the rolled grid vertex mask, then
     validated from scratch."""
     from zpindex import torusgrid
     from zpindex.errors import ResourceCapError
 
     cap = torusgrid.DEFAULT_CELL_CAP if cell_cap is None else cell_cap
     D, q = spec.n_axes, spec.q
-    if q**D > torusgrid._GRID_POINT_CAP:
-        raise ResourceCapError(f"{q**D} grid points")
-    vertex_ok = torusgrid._vertex_mask(spec)
+    vertex_ok = grid_vertex_mask(spec)
     total = 0
     cells: dict[int, list[np.ndarray]] = {}
     for mask in range(1 << D):
@@ -480,6 +513,54 @@ def brute_separated_words(q: int, L: int, step: int, delta: Fraction) -> list[tu
         for w in product(range(q), repeat=L)
         if all(grid_dist(q, w[i], w[(i + step) % L]) >= delta for i in range(L))
     ]
+
+
+def depth_first_search(table, order, clauses) -> tuple[list[tuple[int, ...]], int]:
+    """The words passing every clause and the nodes it took, by backtracking
+    over letter indices with an explicit stack (the next letter to try at each
+    depth): depth i sets position order[i], each distinct clause is checked at
+    the depth that sets the last of its positions, and every letter tried is
+    one node."""
+    ok = table.tolist()
+    L = len(order)
+    depth = [0] * L
+    for i, n in enumerate(order):
+        depth[n] = i
+    checks_at = [[] for _ in range(L)]
+    seen = set()
+    for clause in clauses:
+        key = frozenset(frozenset(pair) for pair in clause)
+        if key not in seen:
+            seen.add(key)
+            checks_at[max(depth[n] for pair in clause for n in pair)].append(clause)
+    n_letters = len(ok)
+    out = []
+    word = [0] * L
+    nxt = [0] * L
+    nodes = 0
+    i = 0
+    while i >= 0:
+        if i == L:
+            out.append(tuple(word))
+            i -= 1
+            continue
+        u = nxt[i]
+        if u == n_letters:
+            nxt[i] = 0
+            i -= 1
+            continue
+        nxt[i] = u + 1
+        nodes += 1
+        word[order[i]] = u
+        for clause in checks_at[i]:
+            for a, b in clause:
+                if ok[word[a]][word[b]]:
+                    break
+            else:
+                break  # no pair of this clause meets the bar
+        else:
+            i += 1
+    return out, nodes
 
 
 # -- transfer-matrix counts and torus vertex masks -----------------------------
@@ -739,20 +820,29 @@ def assert_same_mask(got: np.ndarray, want: np.ndarray) -> None:
 
 
 @pytest.fixture(autouse=True, scope="session")
-def every_vertex_mask_matches_the_loop_oracle():
-    """Every torus vertex mask any test builds, through the library, the CLI
-    or a demo, must equal the loop oracle's byte for byte."""
-    from zpindex import torusgrid
+def every_word_array_matches_the_depth_first_search():
+    """Every search any test runs to the end, through the library, the CLI or a
+    demo, must find the depth-first search's words, in the same order and
+    type, and finish exactly at its node count: with that many nodes as the
+    cap, and not with one fewer."""
+    from zpindex import shiftspaces
+    from zpindex.errors import ResourceCapError
 
-    fast = torusgrid._vertex_mask
+    fast = shiftspaces._search
 
-    def checked(spec):
-        got = fast(spec)
-        assert_same_mask(got, loop_vertex_mask(spec))
+    def checked(table, order, clauses, cap):
+        got = fast(table, order, clauses, cap)
+        want, nodes = depth_first_search(table, order, clauses)
+        assert got.dtype == (np.uint8 if len(table) <= 256 else np.int16)
+        assert got.shape == (len(want), len(order)) and got.tolist() == sorted(map(list, want))
+        assert nodes <= cap
+        assert np.array_equal(fast(table, order, clauses, nodes), got)
+        with pytest.raises(ResourceCapError, match=rf"node cap \({nodes - 1}\)"):
+            fast(table, order, clauses, nodes - 1)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(torusgrid, "_vertex_mask", checked)
+        mp.setattr(shiftspaces, "_search", checked)
         yield
 
 

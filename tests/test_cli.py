@@ -177,6 +177,11 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     code, doc = run(capsys, "verify-lemma", "--id", "3.2", "--alphabet", "Z3", "--trials", "-3")
     assert code == 1 and doc["error"] == {"type": "usage", "reason": "--trials must be >= 0, got -3"}
 
+    # the k-fold join's own refusal text, given before the period-p set is
+    # enumerated: this period would meet the word letter cap
+    code, doc = run(capsys, "verify-lemma", "--id", "4.2", "--m", "1", "--p", "100000007", "--copies", "0")
+    assert code == 1 and doc["error"] == {"type": "shape", "reason": "need at least one copy, got 0"}
+
     # each once printed the N = 1 count, 96, while echoing the N it was given
     for n in ("0", "-2"):
         code, doc = run(capsys, "count", "--family", "XS", "--N", n, "--q", "8", "--p", "3")
@@ -285,13 +290,32 @@ def test_letter_pair_table_cap_refuses_before_comparing(capsys):
         assert "1073741824" in doc["error"]["reason"] and "(1048576)" in doc["error"]["reason"]
 
 
-def test_grid_cap_refuses_before_the_mask(capsys):
-    # 40^5 = 1.024e8 grid points; the mask alone once held about 8 GB of index arrays
+def test_large_grids_are_refused_at_the_node_cap(capsys):
+    # 40^5 = 1.024e8 grid points; a vertex mask once held about 8 GB of index arrays
     t0 = time.perf_counter()
     code, doc = run(capsys, "approx-z", "--p", "5", "--q", "40")
     assert time.perf_counter() - t0 < 1.0
-    assert code == 1 and doc["error"]["type"] == "resource-cap"
-    assert "102400000" in doc["error"]["reason"] and "(16777216)" in doc["error"]["reason"]
+    assert code == 1 and doc["error"] == {
+        "type": "resource-cap", "reason": "enumeration exceeded the node cap (10000000)"}
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["approx-z", "--p", "1000000000000000003", "--q", "8"], "would reach 2^63"),
+    (["homology", "--join-of", "Sigma:m=1,p=3", "--field", "1000000000000000003"], None),
+    (["homology", "--join-of", "Sigma:m=1,p=3", "--field", "9223372036854775837"],
+     "9223372036854775836 fits no signed numpy type"),
+    (["homology", "--join-of", "Sigma:m=1,p=3", "--field", "18446744073709551629"],
+     "primality is decided only below 2^64"),
+], ids=["approx-prime-p", "field-prime", "field-above-int64", "field-above-2^64"])
+def test_large_primes_are_decided_at_once(capsys, argv, error):
+    # trial division ran past 15 s on the first two, whose number is prime
+    t0 = time.perf_counter()
+    code, doc = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    if error is None:
+        assert code == 0 and doc["results"]["reduced_betti"] == [5]
+    else:
+        assert code == 1 and doc["error"]["type"] == "shape" and error in doc["error"]["reason"]
 
 
 def test_power_work_cap_refuses_before_the_pair_table(capsys):
@@ -304,16 +328,18 @@ def test_power_work_cap_refuses_before_the_pair_table(capsys):
 
 
 def test_deep_period_searches_refuse_before_filling_memory(capsys):
-    # the first two once printed a RecursionError traceback; the third, a period
-    # above the word letter cap, once built lists of p entries before any cap
-    for argv in (["enumerate", "--family", "Sigma", "--m", "1", "--p", "1500"],
-                 ["orbits", "--family", "Z", "--p", "997", "--q", "8"],
-                 ["enumerate", "--family", "XS", "--q", "8", "--delta", "1", "--p", "100000007"]):
+    # the first two once printed a RecursionError traceback and now stop at the
+    # node cap; the third, a period above the word letter cap, once built lists
+    # of p entries before any cap
+    for argv, cap in ((["enumerate", "--family", "Sigma", "--m", "1", "--p", "1500"], "node cap"),
+                      (["orbits", "--family", "Z", "--p", "997", "--q", "8"], "node cap"),
+                      (["enumerate", "--family", "XS", "--q", "8", "--delta", "1", "--p", "100000007"],
+                       "word letter cap")):
         t0 = time.perf_counter()
         code, doc = run(capsys, *argv)
         assert time.perf_counter() - t0 < 1.0
         assert code == 1 and doc["error"]["type"] == "resource-cap", argv
-        assert "word letter cap" in doc["error"]["reason"]
+        assert cap in doc["error"]["reason"]
 
 
 @pytest.mark.parametrize("argv,spec", [

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -210,6 +211,33 @@ def test_composite_order_rejected():
         SimplicialComplex.discrete(2, [1, 0], 4)
     with pytest.raises(ShapeError, match="prime"):
         GeneralCubicalComplex(8, 2, {0: np.array([[0, 0, 0]])}, [1, 0], 4)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_prime_check_matches_trial_division():
+    assert [n for n in range(100000) if complexes._is_prime(n)] == [
+        n for n in range(100000) if trial_division_is_prime(n)]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    assert 3215031751 == 151 * 751 * 28351 and 3825123056546413051 == 149491 * 747451 * 34233211
+    assert not complexes._is_prime(3215031751) and not complexes._is_prime(3825123056546413051)
+    assert complexes._is_prime(9223372036854775783)  # the largest prime below 2^63
+    assert complexes._is_prime(2**64 - 59) and not complexes._is_prime(2**64 - 1)
+    with pytest.raises(ShapeError, match=r"primality is decided only below 2\^64, got 18446744073709551616"):
+        complexes._is_prime(2**64)
+
+
+def test_action_order_is_checked_by_repeated_squaring():
+    # a free orbit of 1000003 points: p - 1 compositions of the permutation
+    # took longer than 20 s, about 20 squarings do not
+    p = 1000003
+    c = SimplicialComplex.discrete(p, np.roll(np.arange(p), -1), p)
+    assert c.is_free and c.n_vertices == p
+    for perm in ([1, 2, 0, 4, 3], [1, 0, 2, 3, 4]):  # orders 6 and 2
+        with pytest.raises(ShapeError, match=r"does not satisfy perm\^5 = id"):
+            SimplicialComplex.discrete(5, perm, 5)
 
 
 # -- the cell table ----------------------------------------------------------------

@@ -3,10 +3,11 @@
 A ladder walks one size parameter of one subcommand upward, about 8x a
 step.  Each value runs alone in a fresh child that limits its own address
 space to 1 GiB before it starts, with one BLAS thread and a timeout of a few
-seconds.  The run must print one JSON document and either exit 0 or exit 1
-refusing with ``resource-cap``, ``shape`` or ``usage``: a traceback, a
-``MemoryError`` or a timeout fails the test.  A ladder stops at its first
-refusal, and the step where it stops is pinned, so a cap that moves shows.
+seconds.  The run must print one JSON document and either exit 0, exit 2
+rejecting a certificate, or exit 1 refusing with ``resource-cap``, ``shape``
+or ``usage``: a traceback, a ``MemoryError`` or a timeout fails the test.  A
+ladder stops at its first refusal, and the step where it stops is pinned, so
+a cap that moves shows.
 The child's own peak RSS, read when it is reaped, bounds the steps that
 must be refused before their allocation.
 """
@@ -47,8 +48,9 @@ sys.exit(os.waitstatus_to_exitcode(status))
 
 
 def run_limited(argv: list[str]) -> tuple[str | None, float]:
-    """Run the CLI on argv in a limited child: None when it answered, else the
-    type of its refusal, and the child's own peak RSS in MiB."""
+    """Run the CLI on argv in a limited child: None when it answered,
+    "rejected" when it rejected a certificate, else the type of its refusal,
+    and the child's own peak RSS in MiB."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
         [sys.executable, "-S", "-c", LAUNCHER, *argv], stdout=subprocess.PIPE,
@@ -65,9 +67,9 @@ def run_limited(argv: list[str]) -> tuple[str | None, float]:
     assert "Traceback" not in stderr and "MemoryError" not in stdout, (argv, stderr[-2000:])
     doc = json.loads(stdout)
     peak_mib = int(peak_kib) / 1024
-    if proc.returncode == 0:
+    if proc.returncode in (0, 2):
         assert "results" in doc, argv
-        return None, peak_mib
+        return (None if proc.returncode == 0 else "rejected"), peak_mib
     assert proc.returncode == 1, (argv, proc.returncode)
     assert doc["error"]["type"] in {"resource-cap", "shape", "usage"}, (argv, doc)
     return doc["error"]["type"], peak_mib
@@ -80,15 +82,15 @@ LADDERS = {
     "Z:p=2 --q": (APPROX + ["Z", "--p", "2"], "--q", ["64", "512", "4096"],
                   [None, None, "resource-cap"]),  # 4096^2 letter pairs
     "Z:p=3 --q": (APPROX + ["Z", "--p", "3"], "--q", ["64", "512"],
-                  [None, "resource-cap"]),  # 512^3 grid points
+                  [None, "resource-cap"]),  # the node cap: 512^3 letters tried at the last level
     "Z:p=5 --q": (APPROX + ["Z", "--p", "5"], "--q", ["64"],
-                  ["resource-cap"]),  # 64^5 grid points
+                  ["resource-cap"]),  # the node cap
     "XSN:p=2,q=8 --N": (APPROX + ["XSN", "--p", "2", "--q", "8"], "--N", ["1", "2", "3", "4"],
                         [None, None, "resource-cap"]),  # the cell cap at N = 3
     "Z:q=8 --p": (APPROX + ["Z", "--q", "8"], "--p", ["2", "3", "5", "7"],
                   [None, None, None, "resource-cap"]),  # the cell cap at p = 7
     "XSN:p=3,N=2,delta=1 --q": (APPROX + ["XSN", "--p", "3", "--N", "2", "--delta", "1"], "--q",
-                                ["8", "16", "32"], [None, None, "resource-cap"]),  # 32^6 grid points
+                                ["8", "16", "32"], [None, None, "resource-cap"]),  # the node cap
     "XSN:p=3,q=8,N=2 --delta": (APPROX + ["XSN", "--p", "3", "--q", "8", "--N", "2"], "--delta",
                                 ["1", "1/2"], [None, "resource-cap"]),  # the cell cap
 }
@@ -164,8 +166,8 @@ print(cells, tracemalloc.get_traced_memory()[1])
 
 
 def test_sparse_approximation_memory_follows_the_cells_not_the_grid():
-    # 47616 cells on 16^6 grid points: the boolean vertex mask takes 16 MiB,
-    # and one int32 table over the grid would take 64 MiB more
+    # 47616 cells on 16^6 grid points: a boolean vertex mask would take 16 MiB,
+    # and one int32 table over the grid 64 MiB more
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", SPARSE_PEAK], capture_output=True, text=True,
                           env=env, preexec_fn=_limit_address_space, timeout=TIMEOUT_S)
@@ -178,6 +180,22 @@ def test_sparse_approximation_memory_follows_the_cells_not_the_grid():
 @pytest.mark.parametrize("name", sorted(COMMAND_LADDERS))
 def test_command_ladder_answers_or_refuses_within_memory(name):
     assert walk(name, COMMAND_LADDERS[name]) == COMMAND_LADDERS[name][3]
+
+
+@pytest.mark.parametrize("p,outcome,bound_mib", [
+    (100000007, "resource-cap", 40),  # the orbit alone once ended in a MemoryError
+    (1000003, "rejected", 256),  # checking perm^p = id once took p - 1 compositions, past 20 s
+])
+def test_standard_model_certificate_domain_at_a_large_prime(tmp_path, p, outcome, bound_mib):
+    # the one-copy model of a p-point orbit: p cells are checked against the
+    # join cell cap before the orbit is listed, and below it the orbit is built
+    # and the certificate rejected against the period-2 target
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"p": p, "n": 0, "domain": "join(Zp)^{n+1}",
+                                "vertex_map": [0, 1], "target_ref": "Z:p=2,q=8"}))
+    got, peak_mib = run_limited(["certify", "--cert", str(cert), "--target", "Z:p=2,q=8"])
+    assert got == outcome
+    assert peak_mib <= bound_mib, peak_mib
 
 
 def test_standard_model_certificate_is_refused_before_the_join(tmp_path):

@@ -14,6 +14,7 @@ from conftest import (
     gap_ok,
     int_matrix_trace_power,
 )
+from zpindex import shiftspaces
 from zpindex.alphabets import Alphabet, circle_grid, cyclic_group, parse_alphabet
 from zpindex.errors import ResourceCapError, ShapeError
 from zpindex.shiftspaces import (
@@ -237,9 +238,51 @@ def test_deep_search_reaches_a_cap_not_the_recursion_limit():
     # one search level per letter: period 1500 is deeper than Python's recursion limit
     with pytest.raises(ResourceCapError, match="node cap"):
         SIGMA1.enumerate_periodic(1500, node_cap=10**4)
-    # 2^1500 words: the search stops once its words would pass 10^7 letters
-    with pytest.raises(ResourceCapError, match=r"6666 words of 1500 letters.*\(10000000 letters\)"):
+    # 2^1500 words: every level triples the prefixes, so the node cap comes first
+    with pytest.raises(ResourceCapError, match=r"node cap \(10000000\)"):
         SIGMA1.enumerate_periodic(1500)
+
+
+def test_word_letter_cap_is_checked_after_the_last_level():
+    # 2^20 + 2 words of 20 letters (20,971,560 letters) take 4,718,586 nodes, and
+    # the words' letters are counted before they are read back from the levels
+    for cap in (None, 4718586):
+        with pytest.raises(ResourceCapError, match=r"500000 words of 20 letters.*\(10000000 letters\)"):
+            SIGMA1.enumerate_periodic(20, node_cap=cap)
+    with pytest.raises(ResourceCapError, match=r"node cap \(4718585\)"):
+        SIGMA1.enumerate_periodic(20, node_cap=4718585)
+    assert SIGMA1.count_periodic(20) * 20 == 20971560
+    assert len(SIGMA1.periodic_words(19)) * 19 == 9961434  # fits
+
+
+def test_level_letter_cap_is_checked_before_the_prefixes(monkeypatch):
+    # Sigma m=3 at period 12 sets 6 letters before its first clause completes,
+    # so level 4 keeps 3^5 prefixes of the 5 letters later clauses read; from
+    # level 6 on, each level doubles the prefixes and keeps one letter fewer,
+    # and levels 9 and 10 hold the most
+    spec = mismatch_shift(3)
+    monkeypatch.setattr(shiftspaces, "_LEVEL_LETTER_CAP", 1214)
+    with pytest.raises(ResourceCapError, match=r"level 4 would hold 243 prefixes of 5 letters \(1215 letters\), "
+                                               r"above the level letter cap \(1214\)"):
+        spec.periodic_words(12)
+    monkeypatch.setattr(shiftspaces, "_LEVEL_LETTER_CAP", 23327)
+    with pytest.raises(ResourceCapError, match=r"level 9 would hold 11664 prefixes of 2 letters"):
+        spec.periodic_words(12)
+    monkeypatch.setattr(shiftspaces, "_LEVEL_LETTER_CAP", 23328)
+    assert len(spec.periodic_words(12)) == spec.count_periodic(12)
+
+
+@pytest.mark.parametrize("spec,p,dtype", [
+    (SIGMA1, 5, np.uint8), (neighbor_gap_shift(circle_grid(256), Fraction(1, 2)), 2, np.uint8),
+    (SubshiftSpec(parse_alphabet("S^2:q=20"), Separation(1, Fraction(1))), 2, np.int16),
+], ids=["Z3", "S:q=256", "S^2:q=20"])
+def test_words_are_letter_indices_in_the_narrowest_type(spec, p, dtype):
+    words = spec.periodic_words(p)
+    assert words.dtype == dtype and words.shape[1] == p and len(words)
+    assert words.tolist() == sorted(words.tolist())
+    elements = spec.alphabet.all_elements()
+    assert [tuple(elements[i] for i in w) for w in words.tolist()] == [
+        w.letters for w in spec.enumerate_periodic(p)]
 
 
 def test_spec_validation():
@@ -281,8 +324,8 @@ def test_letter_pair_table_cap(monkeypatch):
         raise AssertionError("letters were listed")
 
     monkeypatch.setattr(Alphabet, "all_elements", no_letters)
-    # the torus mask reads the same table: 8^(2*4) = 2^24 grid points meet the
-    # grid cap, the 4096 letters of (S^1)^4 do not
+    # the torus approximation's search reads the same table: the 4096 letters
+    # of (S^1)^4 do not fit
     torus = separated_torus_spec(2, 8, 4, Fraction(1, 2))
     for call in (lambda: big.pair_table, lambda: big.count_periodic(5),
                  lambda: big.enumerate_periodic(5), lambda: build_approx(torus)):

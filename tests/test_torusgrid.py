@@ -1,13 +1,16 @@
+import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_mask, brute_separated_words, brute_z_words, dense_betti, loop_vertex_mask
+import conftest
+from conftest import brute_separated_words, brute_z_words, dense_betti, loop_vertex_mask
 from zpindex import torusgrid
 from zpindex.coindex import EquivariantMapCert, IndexReport, apply_certificate, verify_certificate
 from zpindex.errors import ResourceCapError, ShapeError
-from zpindex.shiftspaces import AdjacentGap
+from zpindex.shiftspaces import AdjacentGap, SubshiftSpec
 from zpindex.torusgrid import (
     TorusGridSpec,
     betti_profile,
@@ -98,14 +101,26 @@ def test_cell_cap():
         build_approx(z_torus_spec(2, 8), cell_cap=10)
 
 
+def grid_points(spec, words: np.ndarray) -> np.ndarray:
+    """Each word's grid point in C order: its letters' circle coordinates,
+    slot by slot, read in radix q."""
+    x = np.zeros(len(words), dtype=np.int64)
+    for letter in words.T:
+        for t in range(spec.n_circles - 1, -1, -1):
+            x = x * spec.q + letter // spec.q**t % spec.q
+    return x
+
+
 @pytest.mark.parametrize("spec", [
     z_torus_spec(5, 16), z_torus_spec(2, 64),
     separated_torus_spec(3, 8, 2, Fraction(1, 2)), separated_torus_spec(5, 8, 1, Fraction(1, 4)),
     TorusGridSpec(3, 8, family=AdjacentGap(Fraction(1), exact=True)),
 ], ids=lambda spec: spec.token())
 def test_vertex_mask_matches_the_loop_oracle(spec):
-    # the session fixture checks every mask the tests build; these specs no other test builds
-    assert_same_mask(torusgrid._vertex_mask(spec), loop_vertex_mask(spec))
+    # the approximation's vertices are the search's words; the session fixture
+    # checks every approximation the tests build, and these specs no other test builds
+    words = spec.subshift().periodic_words(spec.p)
+    assert np.array_equal(grid_points(spec, words), np.flatnonzero(loop_vertex_mask(spec)))
 
 
 @pytest.mark.parametrize("spec", [
@@ -120,25 +135,44 @@ def test_grid_build_matches_the_general_constructor(spec):
     assert build_approx(spec).is_free
 
 
-def test_grid_cap_refuses_before_the_mask(monkeypatch):
-    def no_mask(spec):
-        raise AssertionError("the vertex mask was built")
-
-    monkeypatch.setattr(torusgrid, "_vertex_mask", no_mask)
-    for spec, points in ((z_torus_spec(5, 40), "102400000 grid points (40^5)"),
-                         (z_torus_spec(5, 16).refined(), "33554432 grid points (32^5)"),
-                         (separated_torus_spec(3, 8, 3, Fraction(1, 2)), "134217728 grid points (8^9)")):
-        with pytest.raises(ResourceCapError) as err:
+def test_large_grids_are_refused_at_the_node_cap():
+    # 40^5, 32^5 and 8^9 grid points: the search stops at its node cap, so
+    # nothing grid-sized is built
+    for spec in (z_torus_spec(5, 40), z_torus_spec(5, 16).refined(),
+                 separated_torus_spec(3, 8, 3, Fraction(1, 2))):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=r"exceeded the node cap \(10000000\)"):
             build_approx(spec)
-        assert f"{points}, above the grid point cap (16777216)" in str(err.value)
+        assert time.perf_counter() - t0 < 1.0, spec.token()
+
+
+def test_key_limit_is_checked_before_the_search(monkeypatch):
+    # keys x * 2^D + M stay below (2q)^D: 16^15 = 2^60 passes the check, 16^17 = 2^68 does not
+    def no_search(self, p, *args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(SubshiftSpec, "periodic_words", no_search)
+    with pytest.raises(AssertionError, match="the search ran"):
+        build_approx(separated_torus_spec(5, 8, 3, Fraction(1, 2)))
+    for p in (17, 1000000000000000003):
+        with pytest.raises(ShapeError, match=rf"x\*2\^{p} \+ M on 8\^{p} grid points would reach 2\^63"):
+            build_approx(z_torus_spec(p, 8))
+
+
+def inject_vertices(monkeypatch, spec, words: np.ndarray) -> None:
+    """Hand the grid build and its oracle the same vertex set: the words as
+    the search's result, and their grid points as the oracle's mask."""
+    mask = np.zeros(spec.q**spec.n_axes, dtype=bool)
+    mask[grid_points(spec, words)] = True
+    monkeypatch.setattr(SubshiftSpec, "periodic_words", lambda self, p, *args, **kwargs: words)
+    monkeypatch.setattr(conftest, "grid_vertex_mask", lambda spec: mask.reshape((spec.q,) * spec.n_axes))
 
 
 def test_grid_build_refuses_a_vertex_mask_the_rotation_moves(monkeypatch):
     spec = z_torus_spec(3, 8)
-    mask = torusgrid._vertex_mask(spec).copy()
-    assert mask[0, 2, 4] == mask[2, 4, 0]
-    mask[0, 2, 4] = not mask[0, 2, 4]  # its rotation (2, 4, 0) keeps the old value
-    monkeypatch.setattr(torusgrid, "_vertex_mask", lambda spec: mask)
+    words = spec.subshift().periodic_words(3)
+    gone = words.tolist().index([0, 2, 4])  # the vertex [4, 0, 2] rotates onto it
+    inject_vertices(monkeypatch, spec, np.delete(words, gone, axis=0))
     with pytest.raises(ShapeError, match="not invariant under the letter rotation"):
         build_approx(spec)
 
@@ -164,8 +198,9 @@ def test_grid_build_refuses_a_face_read_that_finds_no_cell(monkeypatch):
 def test_grid_build_reports_the_fixed_cell_of_a_mask_with_constant_words(monkeypatch):
     # every grid point is a vertex, so the diagonal cells are rotation-fixed; the
     # session fixture checks the witness and the whole table against the oracle
-    monkeypatch.setattr(torusgrid, "_vertex_mask", lambda spec: np.ones((spec.q,) * spec.n_axes, dtype=bool))
-    c = build_approx(z_torus_spec(3, 8))
+    spec = z_torus_spec(3, 8)
+    inject_vertices(monkeypatch, spec, np.array(list(product(range(8), repeat=3)), dtype=np.uint8))
+    c = build_approx(spec)
     assert c.total_cells() == 8**3 * 2**3
     assert c.free_witness() == (0, (0, 0, 0, 0)) and not c.is_free
 
