@@ -212,7 +212,7 @@ def _cmd_enumerate(args) -> tuple[dict, int]:
     spec = _word_spec(args.family, args.m, args.q, args.N, _fraction(args.delta))
     words = spec.enumerate_periodic(args.p, method=args.method)
     results = {"count": len(words), "words": [w.text() for w in words]}
-    prov = ["depth-first enumeration with exact rational constraint checks; lexicographic order"]
+    prov = ["level-by-level search with exact rational constraint checks; lexicographic order"]
     return _envelope(args, results, prov), 0
 
 

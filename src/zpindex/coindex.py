@@ -307,21 +307,22 @@ def verify_certificate(cert: EquivariantMapCert, target) -> CertReport:
 
     (i) the domain is a valid free n-model, (ii) every domain cell maps
     into a single cell of the target, (iii) the vertex map intertwines the
-    two actions.  Rejection carries the first violated vertex or cell.
+    two actions.  Rejection carries the first violated vertex or cell.  The
+    primes are compared first, so a mismatched domain is never built.
     """
     checks: list[str] = []
 
     def reject(reason: str, witness: tuple | None = None) -> CertReport:
         return CertReport(False, cert.n, tuple(checks), reason=reason, witness=witness)
 
+    if target.p != cert.p:
+        return reject(f"target prime {target.p} != certificate prime {cert.p}")
     try:
         dom, note = _domain_complex(cert)
     except (ShapeError, NonFreeActionError) as e:
         return reject(str(e), getattr(e, "witness", None))
     checks.append(note)
 
-    if target.p != cert.p:
-        return reject(f"target prime {target.p} != certificate prime {cert.p}")
     if getattr(target, "action", None) is None:
         return reject("target carries no action")
     witness = target.free_witness()

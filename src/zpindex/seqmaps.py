@@ -18,8 +18,13 @@ in single public calls, which read only a few entries, each read computes
 its entry.  Both use the digit arithmetic of ``Alphabet.letter_op``.  Distance
 thresholds are the ``bar`` of ``SubshiftSpec(alphabet, Separation(m, delta))``.
 The section walks each residue class mod m! out from its base block by
-y(k + m!) = y(k) + x(k + (m-1)!) - x(k).  The public functions convert
-windows of tuples to indices and back around these kernels.
+y(k + m!) = y(k) + x(k + (m-1)!) - x(k); its needed input range is the span
+of each class's ends, and the set of needed indices is listed only to name
+the missing ones in an error.  The trials draw their seeded anchors as
+letter indices.  The public functions convert windows of tuples to indices
+and back around these kernels.  The pair embedding of cyclic words is one
+index formula on rows of letter indices (``pair_embed_rows``), which the
+embedding suite applies to the whole period-p word array at once.
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ __all__ = [
     "section_apply",
     "pair_embed",
     "pair_embed_cyclic",
+    "pair_embed_rows",
     "separation_violations",
 ]
 
@@ -102,10 +108,14 @@ class AnchorSeq:
         """Deterministic pseudo-random anchor; the same (seed, k) always agrees."""
 
         def rule(k: int) -> Element:
-            r = random.Random(f"{seed}|{k}")
-            return alphabet.unindex(r.randrange(alphabet.order))
+            return alphabet.unindex(_seeded_index(seed, k, alphabet.order))
 
         return AnchorSeq(rule)
+
+
+def _seeded_index(seed: int, k: int, n: int) -> int:
+    """The letter index of the seeded anchor at k over n letters."""
+    return random.Random(f"{seed}|{k}").randrange(n)
 
 
 # -- letter indices and their tables ---------------------------------------------
@@ -254,18 +264,19 @@ def _needed_indices(m: int, lo: int, hi: int) -> set[int]:
 
 
 def _section_letters(
-    m: int, anchor: AnchorSeq, ops: _LetterOps, xs: list[int], start: int, lo: int, hi: int
+    m: int, anchor: Callable[[int], int], ops: _LetterOps, xs: list[int], start: int,
+    lo: int, hi: int,
 ) -> list[int]:
     """The section on [lo, hi] as letter indices; xs[i] is the input at start + i
-    and covers ``section_input_range(m, lo, hi)``.  Anchor letters are drawn
-    once per index."""
+    and covers ``section_input_range(m, lo, hi)``, and ``anchor(k)`` is the
+    anchor's letter index at k, drawn once per index."""
     gap, block, head = _section_shape(m, lo, hi)
-    alpha, add, sub = ops.alphabet, ops.add, ops.sub
+    add, sub = ops.add, ops.sub
     anchors: dict[int, int] = {}
 
     def letter(k: int) -> int:
         if k not in anchors:
-            anchors[k] = alpha.index(anchor.rule(k))
+            anchors[k] = anchor(k)
         return anchors[k]
 
     out = [0] * (hi - lo + 1)
@@ -300,10 +311,20 @@ def section_input_range(m: int, lo: int, hi: int) -> tuple[int, int] | None:
     """Minimal absolute input range needed to produce every output in [lo, hi].
 
     Returns None when no input letter is read at all (the requested range
-    sits inside the anchor-only prefix of the base block).
+    sits inside the anchor-only prefix of the base block).  Each residue class
+    gives its ends as ``_needed_indices`` walks it: the input under the tail
+    of the base block, and the first and last pair of its telescoping sums.
     """
-    need = _needed_indices(m, lo, hi)
-    return (min(need), max(need)) if need else None
+    gap, block, head = _section_shape(m, lo, hi)
+    ends = []
+    for first in range(lo, min(hi, lo + block - 1) + 1):
+        j = first % block
+        if j >= head:
+            ends.append(j - head)
+        a, b = min((first - j) // block, 0), max((hi - j) // block, 0)
+        if a < b:
+            ends += [a * block + j, (b - 1) * block + gap + j]
+    return (min(ends), max(ends)) if ends else None
 
 
 def section_apply(m: int, anchor: AnchorSeq, x: Window, lo: int, hi: int) -> Window:
@@ -315,16 +336,18 @@ def section_apply(m: int, anchor: AnchorSeq, x: Window, lo: int, hi: int) -> Win
     the base value elsewhere.  Raises NeededRangeError naming the exact
     missing indices when x does not cover what the outputs read.
     """
-    need = _needed_indices(m, lo, hi)
-    missing = tuple(sorted(i for i in need if not x.start <= i < x.stop))
-    if missing:
+    need = section_input_range(m, lo, hi)
+    if need is not None and not x.start <= need[0] <= need[1] < x.stop:
+        missing = tuple(sorted(i for i in _needed_indices(m, lo, hi) if not x.start <= i < x.stop))
         raise NeededRangeError(
             f"section input window [{x.start}, {x.stop}) is missing indices {missing}",
-            needed=(min(need), max(need)),
+            needed=need,
             missing=missing,
         )
-    ops = _LetterOps(x.alphabet)
-    return ops.window(lo, _section_letters(m, anchor, ops, ops.indices(x), x.start, lo, hi))
+    alpha, ops = x.alphabet, _LetterOps(x.alphabet)
+    letters = _section_letters(m, lambda k: alpha.index(anchor.rule(k)), ops, ops.indices(x),
+                               x.start, lo, hi)
+    return ops.window(lo, letters)
 
 
 class _SectionTrials:
@@ -351,9 +374,10 @@ class _SectionTrials:
         need = section_input_range(self.m, lo, hi)
         start, stop = need if need is not None else (0, 0)
         xs = _separated_letters(rng, self.ops, self.far, self.gap, stop - start + 1)
-        seed = rng.randrange(10**9)
-        anchor = AnchorSeq.seeded(self.ops.alphabet, seed)
-        return start, xs, seed, _section_letters(self.m, anchor, self.ops, xs, start, lo, hi)
+        seed, n = rng.randrange(10**9), self.ops.alphabet.order
+        ys = _section_letters(self.m, lambda k: _seeded_index(seed, k, n), self.ops, xs, start,
+                              lo, hi)
+        return start, xs, seed, ys
 
     def roundtrip(self, rng: random.Random, lo: int, hi: int):
         """The first k in [lo, hi] where the forward code of the section differs
@@ -388,12 +412,22 @@ def pair_embed(w: Window) -> Window:
     return Window(target, w.offset, letters)
 
 
+def pair_embed_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The pair stencil on each row of a (words, L) array of letter indices of
+    an n-letter alphabet, the successor read cyclically: entry k is the index
+    of the pair (x_k, x_{k+1}) in the product of the alphabet with itself,
+    in int64, whatever the type of the rows."""
+    rows = rows.astype(np.int64)
+    return rows * n + np.roll(rows, -1, axis=1)
+
+
 def pair_embed_cyclic(word: CyclicWord) -> CyclicWord:
     """The same stencil on a cyclic word, reading the successor cyclically."""
-    target = product_alphabet(word.alphabet, word.alphabet)
-    L = word.period
-    letters = tuple(word.letters[i] + word.letters[(i + 1) % L] for i in range(L))
-    return CyclicWord(target, letters)
+    alpha = word.alphabet
+    target = product_alphabet(alpha, alpha)
+    row = np.array([[alpha.index(e) for e in word.letters]])
+    pairs = pair_embed_rows(row, alpha.order)[0].tolist()
+    return CyclicWord(target, tuple(map(target.unindex, pairs)))
 
 
 def separation_violations(w: Window, step: int, delta: Fraction) -> list[int]:

@@ -21,7 +21,10 @@ decides a pair, one exact ``Fraction`` comparison per difference.
 array refused above 2^20 pairs before any letter is listed.  One search,
 level by level, finds the period-p words as an (n_words, p) array of letter
 indices (``periodic_words``), filing each clause under the depth that
-completes it; enumeration and the torus approximations read that array.
+completes it; enumeration, the torus approximations and the word complex
+read that array.  The word complex (``periodic_point_complex``) takes its
+shift action from one lexsort of the rows rolled one column, and its labels
+from one text per letter index.
 The count is the trace of a power of the pair table as a transfer matrix,
 in int64 where a bound proves it exact and in Python ints otherwise, refused
 above 10^9 multiply-adds before the table is built; counts are
@@ -307,7 +310,9 @@ def _search(table, order, clauses, cap):
     for i in range(L):
         nodes += len(prefix) * n
         if nodes > cap:
-            raise ResourceCapError(f"enumeration exceeded the node cap ({cap})")
+            raise ResourceCapError(
+                f"search level {i} would reach {nodes} nodes, above the node cap ({cap}); "
+                "nothing was enumerated")
         read = {j: prefix[:, k, None] for k, j in enumerate(held)}
         read[i] = np.arange(n, dtype=dtype)
         keep = np.ones((len(prefix), n), dtype=bool)
@@ -464,19 +469,28 @@ def orbit_decompose(words, p: int) -> OrbitDecomposition:
 
 def periodic_point_complex(spec: SubshiftSpec, p: int):
     """The period-p point set as a discrete complex with the shift action."""
-    return _word_complex(spec.enumerate_periodic(p), p)
+    return _word_complex(spec.periodic_words(p), spec.alphabet, p)
 
 
-def _word_complex(words: list[CyclicWord], p: int):
-    """A shift-closed list of period-p words as a discrete complex with the
-    shift action, vertices in list order."""
+def _word_complex(words: np.ndarray, alphabet: Alphabet, p: int):
+    """The rows of a shift-closed (n_words, p) letter-index array, sorted
+    lexicographically as ``periodic_words`` returns them, as a discrete complex
+    with the shift action, vertices in row order.
+
+    Shifting a word rolls its row one column left.  One lexsort of the rolled
+    rows sorts them back onto the rows exactly when the set is shift-closed,
+    and the action is the inverse of that sort.  The labels are the words'
+    texts, joined column by column from one text per letter index.
+    """
     from .complexes import SimplicialComplex
 
-    pos = {w: i for i, w in enumerate(words)}
-    action = [pos[w.shift(1)] for w in words]
-    return SimplicialComplex.discrete(
-        len(words),
-        action,
-        p,
-        labels=[w.text() for w in words],
-    )
+    rolled = np.roll(words, -1, axis=1)
+    order = np.lexsort(rolled.T[::-1])
+    if not np.array_equal(rolled[order], words):
+        raise ShapeError("the words are not a sorted shift-closed set")
+    action = np.empty(len(words), dtype=np.int64)
+    action[order] = np.arange(len(words))
+    texts = np.array([alphabet.letter_text(e) for e in alphabet.all_elements()], dtype=object)
+    head = f"{alphabet.token()}:["
+    labels = [head + ",".join(row) + "]" for row in zip(*texts[words.T].tolist())]
+    return SimplicialComplex.discrete(len(words), action, p, labels=labels)

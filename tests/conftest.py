@@ -17,11 +17,15 @@ by the general cubical constructor (binary-search face lookup, per-cell action
 images) instead of grown on the grid, colliding columns reduced with a
 ``max`` scan of the working column instead of a heap, coboundary lows read off
 a transpose built by one stable sort instead of a ``maximum.at`` over the
-face table, and the block-sum code, its
+face table, the block-sum code, its
 section and the section suites on windows of letter tuples through the exact
 ``Alphabet`` operations, with the needed input set spelled out index by index,
-instead of letter indices and exact tables, with the set walked residue class
-by residue class.
+instead of letter indices and exact tables, with the range walked residue class
+by residue class, and the word complex, the pair embedding and the embedding
+suite on ``CyclicWord`` objects (each word shifted as an object and looked up
+in a dict, each image built from letter tuples and checked by ``satisfies``)
+instead of the rows of the word array (one lexsort of the rolled rows, one
+index formula, one read of the bar per distinct letter difference).
 """
 from __future__ import annotations
 
@@ -885,12 +889,22 @@ def every_coboundary_low_matches_the_sort():
         yield
 
 
+def _replace_everywhere(mp, fast, checked) -> None:
+    """Bind ``checked`` to every name bound to ``fast`` in a loaded package or
+    test module: modules that import a function bind their own name to it."""
+    import sys
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith(("zpindex", "test_")):
+            for name, value in list(vars(mod).items()):
+                if value is fast:
+                    mp.setattr(mod, name, checked)
+
+
 @pytest.fixture(autouse=True, scope="session")
 def every_approximation_matches_the_general_constructor():
     """Every torus approximation any test builds, through the library, the CLI
     or a demo, must equal the general constructor's byte for byte."""
-    import sys
-
     from zpindex import torusgrid
 
     fast = torusgrid.build_approx
@@ -901,10 +915,84 @@ def every_approximation_matches_the_general_constructor():
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        # test modules bound the name at import, so every binding is replaced
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith(("zpindex", "test_")):
-                for name, value in list(vars(mod).items()):
-                    if value is fast:
-                        mp.setattr(mod, name, checked)
+        _replace_everywhere(mp, fast, checked)
+        yield
+
+
+# -- period-p words as cyclic word objects -------------------------------------
+
+
+def cyclic_word_complex(words, p: int):
+    """A shift-closed list of period-p ``CyclicWord``s as a discrete complex
+    with the shift action, vertices in list order: each word shifted as an
+    object and looked up in a dict, each label its ``text()``."""
+    from zpindex.complexes import SimplicialComplex
+
+    pos = {w: i for i, w in enumerate(words)}
+    action = [pos[w.shift(1)] for w in words]
+    return SimplicialComplex.discrete(len(words), action, p, labels=[w.text() for w in words])
+
+
+def tuple_pair_embed_cyclic(word):
+    """The pair stencil on a cyclic word by letter tuples: letter k of the
+    image is x_k followed by x_{k+1}, the successor read cyclically."""
+    from zpindex.alphabets import product_alphabet
+    from zpindex.shiftspaces import CyclicWord
+
+    L = word.period
+    letters = tuple(word.letters[i] + word.letters[(i + 1) % L] for i in range(L))
+    return CyclicWord(product_alphabet(word.alphabet, word.alphabet), letters)
+
+
+def cyclic_pair_embedding(p: int, q: int) -> dict:
+    """The ``to_json()`` of verify suite embed-1.5, rerun word by word on
+    ``CyclicWord``s: the tuple stencil, ``SubshiftSpec.satisfies`` on each
+    image, and the image of the shifted word against the shifted image."""
+    from zpindex.alphabets import circle_grid, product_alphabet
+    from zpindex.coindex import IndexReport, MapEvidence, coindex_transport, exact_index_finite_free
+    from zpindex.shiftspaces import Separation, SubshiftSpec, neighbor_gap_shift
+
+    circle = circle_grid(q)
+    target = SubshiftSpec(product_alphabet(circle, circle), Separation(1, Fraction(1, 2)))
+    words = neighbor_gap_shift(circle, Fraction(1, 2)).enumerate_periodic(p)
+    failures, first = 0, None
+    for w in words:
+        img = tuple_pair_embed_cyclic(w)
+        ok_pred = target.satisfies(img)
+        ok_eq = tuple_pair_embed_cyclic(w.shift(1)) == img.shift(1)
+        if not (ok_pred and ok_eq):
+            failures += 1
+            if first is None:
+                first = {"word": w.text(), "predicate": ok_pred, "equivariant": ok_eq}
+    transported = None
+    if words:
+        src = exact_index_finite_free(cyclic_word_complex(words, p))
+        transported = coindex_transport(
+            MapEvidence.pair_embedding(), src, IndexReport.nonempty_free(p)).coind_lower
+    doc = {"lemma": "embed-1.5", "passed": failures == 0, "trials": len(words),
+           "failures": failures,
+           "details": {"p": p, "q": q, "words": len(words), "transported_coind_lower": transported}}
+    if first is not None:
+        doc["first_counterexample"] = first
+    return doc
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_word_complex_matches_the_cyclic_words():
+    """Every word complex any test builds, through the library, the CLI or a
+    demo, must equal the one built from the rows as ``CyclicWord``s byte for
+    byte, labels included."""
+    from zpindex import shiftspaces
+    from zpindex.shiftspaces import CyclicWord
+
+    fast = shiftspaces._word_complex
+
+    def checked(words, alphabet, p):
+        got = fast(words, alphabet, p)
+        cyclic = [CyclicWord(alphabet, tuple(map(alphabet.unindex, row))) for row in words.tolist()]
+        assert_same_complex(got, cyclic_word_complex(cyclic, p))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        _replace_everywhere(mp, fast, checked)
         yield

@@ -296,7 +296,8 @@ def test_large_grids_are_refused_at_the_node_cap(capsys):
     code, doc = run(capsys, "approx-z", "--p", "5", "--q", "40")
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and doc["error"] == {
-        "type": "resource-cap", "reason": "enumeration exceeded the node cap (10000000)"}
+        "type": "resource-cap", "reason": "search level 4 would reach 69214440 nodes, above the "
+        "node cap (10000000); nothing was enumerated"}
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -4,6 +4,7 @@ import pytest
 
 from zpindex.coindex import (
     EquivariantMapCert,
+    _domain_complex,
     IndexReport,
     MapEvidence,
     apply_certificate,
@@ -16,7 +17,7 @@ from zpindex.coindex import (
     verify_certificate,
 )
 from zpindex.complexes import SimplicialComplex, join_complex, standard_join_model
-from zpindex.errors import NonFreeActionError, ShapeError
+from zpindex.errors import NonFreeActionError, ResourceCapError, ShapeError
 from zpindex.shiftspaces import mismatch_shift, periodic_point_complex
 
 
@@ -141,9 +142,17 @@ def test_certificate_arity_and_range_checks():
     assert not verify_certificate(
         EquivariantMapCert(3, 1, tuple([99] * 6), "self"), model
     ).accepted
-    assert not verify_certificate(
-        EquivariantMapCert(5, 1, tuple(range(6)), "self"), model
-    ).accepted  # prime mismatch
+    rep = verify_certificate(EquivariantMapCert(5, 1, tuple(range(6)), "self"), model)
+    # the primes are compared before the domain is built, so no domain check is listed
+    assert not rep.accepted and rep.reason == "target prime 3 != certificate prime 5"
+    assert rep.checks == ()
+
+
+def test_standard_model_domain_at_a_large_prime_is_refused_before_the_orbit():
+    cert = EquivariantMapCert.from_json({"p": 100000007, "n": 0, "domain": "join(Zp)^{n+1}",
+                                         "vertex_map": [0, 1], "target_ref": "Z:p=2,q=8"})
+    with pytest.raises(ResourceCapError, match=r"100000007 cells, above the join cell cap"):
+        _domain_complex(cert)
 
 
 def test_certificate_explicit_domain_needs_small_n():

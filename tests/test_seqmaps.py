@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    cyclic_pair_embedding,
     tuple_block_sum_step,
+    tuple_pair_embed_cyclic,
     tuple_section_apply,
     tuple_section_input_range,
     tuple_section_suite,
@@ -14,7 +17,7 @@ from conftest import (
     tuple_separation_violations,
 )
 from zpindex import seqmaps
-from zpindex.alphabets import circle_grid, cyclic_group, parse_alphabet
+from zpindex.alphabets import circle_grid, cyclic_group, parse_alphabet, product_alphabet
 from zpindex.errors import NeededRangeError, ShapeError
 from zpindex.seqmaps import (
     AnchorSeq,
@@ -22,6 +25,7 @@ from zpindex.seqmaps import (
     block_sum_step,
     pair_embed,
     pair_embed_cyclic,
+    pair_embed_rows,
     section_apply,
     section_input_range,
     separation_violations,
@@ -29,6 +33,7 @@ from zpindex.seqmaps import (
 from zpindex.shiftspaces import CyclicWord, neighbor_gap_shift, SubshiftSpec, Separation
 from zpindex.verify import (
     _random_separated_window,
+    check_pair_embedding,
     check_roundtrip,
     check_section_containment,
     section_shift_mismatch,
@@ -236,6 +241,16 @@ def random_window(alpha, start, stop, seed):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
+def test_section_input_range_is_the_span_of_the_needed_indices(m):
+    # every small range: the ends per residue class against the whole needed set
+    block = factorial(m)
+    for lo in range(-2 * block - 1, 2 * block + 2):
+        for hi in range(lo, lo + 2 * block + 2):
+            need = seqmaps._needed_indices(m, lo, hi)
+            assert section_input_range(m, lo, hi) == ((min(need), max(need)) if need else None)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_section_input_range_matches_the_needed_sets(m):
     block = factorial(m)
     widths = sorted({0, 1, 2, block - 1, block, block + 1, 2 * block + 3, 3 * block})
@@ -374,3 +389,49 @@ def test_single_public_calls_build_no_rows(monkeypatch):
         assert y == tuple_section_apply(2, anchor, x, -3, 9)
         assert block_sum_step(2, y) == tuple_block_sum_step(2, y)
         assert separation_violations(y, 2, HALF) == tuple_separation_violations(y, 2, HALF)
+
+
+# -- the pair embedding on word arrays against the cyclic-word oracles ------------
+
+
+@pytest.mark.parametrize("token", ["Z3", "S:q=8", "S^2:q=4", "S:q=32"])
+def test_pair_embedding_matches_the_tuple_stencil(token):
+    alpha = parse_alphabet(token)
+    rng = random.Random(token)
+    for _ in range(40):
+        w = CyclicWord(alpha, tuple(alpha.unindex(rng.randrange(alpha.order))
+                                    for _ in range(rng.randrange(1, 8))))
+        assert pair_embed_cyclic(w) == tuple_pair_embed_cyclic(w)
+
+
+@pytest.mark.parametrize("q", [8, 32])
+def test_pair_embed_rows_of_a_word_array_match_the_tuple_stencil(q):
+    # the search's rows are uint8, and at q = 32 their pair indices pass 255
+    alpha = circle_grid(q)
+    words = neighbor_gap_shift(alpha, HALF).periodic_words(3)
+    assert words.dtype == np.uint8
+    got = pair_embed_rows(words, q)
+    assert got.dtype == np.int64 and got.shape == words.shape
+    pairs = product_alphabet(alpha, alpha)
+    for row, img in zip(words.tolist(), got.tolist()):
+        w = CyclicWord(alpha, tuple(map(alpha.unindex, row)))
+        assert tuple(map(pairs.unindex, img)) == tuple_pair_embed_cyclic(w).letters
+
+
+@pytest.mark.parametrize("p,q", [(2, 8), (3, 8), (3, 16), (5, 8), (2, 32)])
+def test_pair_embedding_suite_matches_the_cyclic_word_loop(p, q):
+    assert check_pair_embedding(p, q).to_json() == cyclic_pair_embedding(p, q)
+
+
+def test_pair_embedding_suite_reports_the_first_failing_word_as_the_loop_does(monkeypatch):
+    # a strict separation bar fails every image with two pair letters exactly 1/2 apart
+    meets = SubshiftSpec._meets_bar
+
+    def strict(self, d):
+        return d > self.family.delta if isinstance(self.family, Separation) else meets(self, d)
+
+    monkeypatch.setattr(SubshiftSpec, "_meets_bar", strict)
+    got = check_pair_embedding(3, 8).to_json()
+    assert 0 < got["failures"] < got["trials"]
+    assert got["first_counterexample"]["predicate"] is False
+    assert got == cyclic_pair_embedding(3, 8)

@@ -312,6 +312,13 @@ def test_periodic_point_complex():
     assert parse_word(c.labels[int(c.action[0])]) == w.shift(1)
 
 
+def test_word_complex_refuses_a_set_that_is_not_shift_closed():
+    # [0, 1] shifts to [1, 0], which is missing; unsorted rows are refused alike
+    for rows in ([[0, 1]], [[1, 0], [0, 1]]):
+        with pytest.raises(ShapeError, match="not a sorted shift-closed set"):
+            shiftspaces._word_complex(np.array(rows, dtype=np.uint8), circle_grid(8), 2)
+
+
 def test_letter_pair_table_cap(monkeypatch):
     # S^3:q=8 has 512 letters (262144 pairs) and stays under the cap
     spec = SubshiftSpec(parse_alphabet("S^3:q=8"), Separation(1, Fraction(1, 2)))
