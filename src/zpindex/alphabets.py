@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Callable, Iterable, Union
@@ -35,6 +36,7 @@ __all__ = [
     "Alphabet",
     "DistanceBar",
     "Element",
+    "LetterTexts",
     "cyclic_group",
     "circle_grid",
     "product_alphabet",
@@ -198,6 +200,26 @@ class Alphabet:
     def letter_text(self, a: Element) -> str:
         """Text of a normalized element, as stored in words."""
         return str(a[0]) if self.n_factors == 1 else "[" + ",".join(map(str, a)) + "]"
+
+    @cached_property
+    def letter_texts(self) -> LetterTexts:
+        """``letter_texts[a]``: the text of normalized element a, made on first read."""
+        return LetterTexts(self)
+
+
+class LetterTexts(dict):
+    """``texts[a]``: ``letter_text(a)`` of a normalized element, one text per
+    letter, made on first read."""
+
+    __slots__ = ("alphabet",)
+
+    def __init__(self, alphabet: Alphabet):
+        super().__init__()
+        self.alphabet = alphabet
+
+    def __missing__(self, a: Element) -> str:
+        text = self[a] = self.alphabet.letter_text(a)
+        return text
 
 
 class DistanceBar(dict):

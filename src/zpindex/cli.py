@@ -448,6 +448,9 @@ def build_parser() -> _Parser:
     return parser
 
 
+build_parser()  # built as the module loads, so no command pays for it
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -345,13 +345,13 @@ def verify_certificate(cert: EquivariantMapCert, target) -> CertReport:
             return reject(f"equivariance fails at domain vertex {v}", (v, vmap[v]))
     checks.append("equivariance: map commutes with both actions on vertices")
 
-    for d in sorted(dom.cells):
+    for d in sorted(dom.keys):
         if d == 0:
             continue
-        for row in dom.cells[d]:
-            image = {vmap[int(v)] for v in row}
+        for row in dom.cells[d].tolist():  # decoded once a dimension
+            image = {vmap[v] for v in row}
             if target.carrier_cell(image) is None:
-                cell = tuple(int(v) for v in row)
+                cell = tuple(row)
                 return reject(
                     f"cell {cell} maps to {sorted(image)}, which lies in no single target cell",
                     cell,

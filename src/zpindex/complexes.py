@@ -1,12 +1,16 @@
 """Finite complexes with a prime-order action by cell permutations.
 
-Both kinds of complex share one cell table.  The k-cells of each dimension
-are integer rows: sorted vertex ids for a simplex, (base corner, extent
-mask) on a periodic grid for a cube.  Each row gets one int64 mixed-radix
-key (radix n_vertices per vertex slot; q per base coordinate and 2^D for
-the mask), and the rows are stored sorted by key, which is their
-lexicographic order.  Every lookup is a binary search among the keys; a
-complex whose keys would reach 2^63 is refused, never wrapped.
+Both kinds of complex share one cell table.  A k-cell is an integer row:
+sorted vertex ids for a simplex, (base corner, extent mask) on a periodic
+grid for a cube.  Each row has one int64 mixed-radix key (radix n_vertices
+per vertex slot; q per base coordinate and 2^D for the mask), and the key
+is all that is stored: each dimension's keys sorted, which is the rows'
+lexicographic order, and its faces as int32 indices into the dimension
+below.  ``cells[d]`` decodes the rows from the keys, digit by digit, on
+each read, and readers that need a few rows decode only those keys.  Every
+lookup is a binary search among the keys; a complex whose keys would reach
+2^63 is refused, never wrapped, and so is a dimension of 2^31 or more
+cells, which int32 faces cannot index, before anything is allocated.
 
 Validation of given simplices checks that the group order p is prime,
 that the action is a permutation of exact order p mapping cells to cells,
@@ -29,20 +33,21 @@ and augmentation o boundary = 0 over the integers, hence over every field.
 Joins are implemented for simplicial complexes.  The N vertices of A*B
 are those of A followed by those of B, and a cell is a pair (sigma, tau)
 of a cell of each side, either of which may be empty.  The join is built
-from its validated factors without searching: the row of (sigma, tau) is
-sigma followed by tau shifted past A's vertices, so its radix-N key is
-key(sigma) * N^|tau| + key(tau + |V(A)|); its faces are (d_i sigma, tau) and then
-(sigma, d_j tau), the Leibniz rule for joins; and it is setwise fixed
-exactly when sigma and tau are (an empty side counts as fixed).  Each
-split (dim sigma, dim tau) of a dimension is already in key order; one
-stable argsort of the keys merges the splits.  ``join_power`` checks the
-caps for a whole k-fold join before it folds the copies.  A join of
-discrete complexes remembers its factor sizes, which is the one structural
-situation where high connectivity is a theorem rather than homological
-evidence.
+from its validated factors' keys and faces without searching: the row of
+(sigma, tau) is sigma followed by tau shifted past A's vertices, so its
+radix-N key is key(sigma) * N^|tau| + key(tau + |V(A)|); its faces are
+(d_i sigma, tau) and then (sigma, d_j tau), the Leibniz rule for joins; and
+it is setwise fixed exactly when sigma and tau are (an empty side counts as
+fixed).  Each split (dim sigma, dim tau) of a dimension is already in key
+order; one stable argsort of the keys merges the splits.  ``join_power``
+checks the caps for a whole k-fold join before it folds the copies.  A join
+of discrete complexes remembers its factor sizes, which is the one
+structural situation where high connectivity is a theorem rather than
+homological evidence.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from math import prod
@@ -66,6 +71,7 @@ __all__ = [
 ]
 
 _KEY_LIMIT = 1 << 63  # keys are int64: the product of a row's radices stays below this
+_INDEX_LIMIT = 1 << 31  # faces are int32: a dimension holds fewer cells than this
 # cells a join may have: about 5x the 2,048,382 of the 3-fold join of the period-7 set
 _JOIN_CELL_CAP = 10**7
 
@@ -105,8 +111,50 @@ def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     return key
 
 
+def _key_rows(keys: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """The int32 rows whose mixed-radix keys these are: ``_row_keys`` undone,
+    one digit at a time from the last."""
+    rows = np.empty((len(keys), len(radices)), dtype=np.int32)
+    rest = np.asarray(keys, dtype=np.int64)
+    for j in range(len(radices) - 1, 0, -1):
+        rest, rows[:, j] = np.divmod(rest, radices[j])
+    rows[:, 0] = rest
+    return rows
+
+
+def _check_cell_count(d: int, n: int) -> None:
+    """Refuse a dimension of 2^31 or more cells, which int32 faces cannot index."""
+    if n >= _INDEX_LIMIT:
+        raise ResourceCapError(
+            f"dimension {d} would have {n} cells; int32 face indices address fewer than "
+            f"2^31 cells a dimension; nothing was built"
+        )
+
+
+class _Rows(Mapping):
+    """A complex's cells: each dimension's read-only int32 rows, decoded from
+    its keys on every read; nothing is kept."""
+
+    __slots__ = ("_complex",)
+
+    def __init__(self, c: CellComplex):
+        self._complex = c
+
+    def __getitem__(self, d: int) -> np.ndarray:
+        return self._complex._rows(d)  # KeyError for a dimension with no cells
+
+    def __contains__(self, d) -> bool:
+        return d in self._complex.keys
+
+    def __iter__(self):
+        return iter(self._complex.keys)
+
+    def __len__(self) -> int:
+        return len(self._complex.keys)
+
+
 class CellComplex:
-    """Cells per dimension sorted by key, their faces, and the action's fixed cell.
+    """Cell keys per dimension, sorted, their faces, and the action's fixed cell.
 
     A subclass supplies its own rules: ``_radices(d)`` (the key radices of
     a d-cell row), ``_face_signs(d)`` (the sign of each face slot) and
@@ -114,15 +162,16 @@ class CellComplex:
     sets ``p`` through ``_set_order``, hands the normalized rows to
     ``_set_cells``, supplies ``_action_rows(rows)`` (the image rows under the
     action, normalized) and ``_face_rows(d, rows, i)`` (the i-th face of
-    each d-cell) and calls ``_finish``.
+    each d-cell) and calls ``_finish`` with the rows ``_set_cells`` returned.
 
-    After validation ``faces[d]`` is a read-only (n_d, k) array: entry
-    (j, i) is the index among the (d-1)-cells of the i-th face of d-cell j,
-    whose boundary coefficient is ``face_signs[d][i]``.
+    ``keys[d]`` is the only stored identity of the d-cells; ``cells[d]``
+    decodes their rows on each read.  After validation ``faces[d]`` is a
+    read-only int32 (n_d, k) array: entry (j, i) is the index among the
+    (d-1)-cells of the i-th face of d-cell j, whose boundary coefficient is
+    ``face_signs[d][i]``.
     """
 
     p: int
-    cells: dict[int, np.ndarray]
     keys: dict[int, np.ndarray]
     faces: dict[int, np.ndarray]
     face_signs: dict[int, tuple[int, ...]]
@@ -151,38 +200,42 @@ class CellComplex:
         if not _is_prime(self.p):
             raise ShapeError(f"the acting group order must be a prime, got {p}")
 
-    def _set_cells(self, cells: dict[int, np.ndarray]) -> None:
-        """Store each dimension's rows sorted by key; duplicates are refused."""
-        self.cells, self.keys = {}, {}
+    def _set_cells(self, cells: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """Store each dimension's keys, sorted; duplicates are refused.  Returns
+        the rows in key order, for the checks of ``_finish``; nothing keeps them."""
+        self.keys, rows = {}, {}
         for d in sorted(cells):
+            _check_cell_count(d, len(cells[d]))
             key = _row_keys(cells[d], self._radices(d))
             order = np.argsort(key, kind="stable")
             key = key[order]
             if np.any(key[1:] == key[:-1]):
                 raise ShapeError(f"duplicate cells in dimension {d}")
-            self.cells[d], self.keys[d] = cells[d][order], key
+            rows[d], self.keys[d] = cells[d][order], key
+        return rows
 
-    def _finish(self, has_action: bool) -> None:
-        """Check the action (when there is one) and closure, then freeze the table."""
+    def _finish(self, rows: dict[int, np.ndarray], has_action: bool) -> None:
+        """Check the action (when there is one) and closure on the sorted rows,
+        then freeze the table."""
         self._has_action = has_action
         self._witness = None
         if has_action:
-            self._check_action()
-        self._find_faces()
+            self._check_action(rows)
+        self._find_faces(rows)
         self._freeze()
 
     def _freeze(self) -> None:
-        for table in (self.cells, self.keys, self.faces):
+        for table in (self.keys, self.faces):
             for a in table.values():
                 a.setflags(write=False)
 
     @classmethod
-    def _from_table(cls, p, cells, keys, faces, action, witness, **attrs):
+    def _from_table(cls, p, keys, faces, action, witness, **attrs):
         """A complex from tables already known to be valid (sorted, closed,
         action of order p with the given witness), plus the subclass's own
         attributes; nothing is checked."""
         c = cls.__new__(cls)
-        c.p, c.cells, c.keys, c.faces = p, cells, keys, faces
+        c.p, c.keys, c.faces = p, keys, faces
         c.__dict__.update(attrs)
         c.face_signs = {d: c._face_signs(d) for d in faces}
         c.action, c._has_action, c._witness = action, action is not None, witness
@@ -202,35 +255,35 @@ class CellComplex:
             power = power[power] if bit == "0" else perm[power[power]]
         if not np.array_equal(power, ident):
             raise ShapeError(f"{what} does not satisfy perm^{self.p} = id")
-        if self.cells and np.array_equal(perm, ident):
+        if self.keys and np.array_equal(perm, ident):
             raise ShapeError(
                 f"{what} must have exact order {self.p} on a nonempty complex, got the identity"
             )
 
-    def _image_keys(self, d: int) -> np.ndarray:
-        """Key of the image of each d-cell under the action."""
-        return _row_keys(self._action_rows(self.cells[d]), self._radices(d))
+    def _image_keys(self, d: int, rows: np.ndarray) -> np.ndarray:
+        """Key of the image of each d-cell, given the d-cells' rows, under the action."""
+        return _row_keys(self._action_rows(rows), self._radices(d))
 
-    def _check_action(self) -> None:
-        for d, rows in self.cells.items():
-            img = self._image_keys(d)
+    def _check_action(self, rows: dict[int, np.ndarray]) -> None:
+        for d, r in rows.items():
+            img = self._image_keys(d, r)
             if np.any(self._index_of_keys(d, img) < 0):
                 raise ShapeError(f"action does not map dimension-{d} cells to cells")
             hits = np.flatnonzero(img == self.keys[d])
             if self._witness is None and len(hits):
-                self._witness = (d, tuple(int(v) for v in rows[hits[0]]))
+                self._witness = (d, tuple(int(v) for v in r[hits[0]]))
 
-    def _find_faces(self) -> None:
+    def _find_faces(self, rows: dict[int, np.ndarray]) -> None:
         self.faces, self.face_signs = {}, {}
-        for d, rows in self.cells.items():
+        for d, r in rows.items():
             if d == 0:
                 continue
-            if d - 1 not in self.cells:
+            if d - 1 not in self.keys:
                 raise ShapeError(f"dimension {d} cells present but no {d - 1} cells")
             signs = self._face_signs(d)
-            idx = np.empty((len(rows), len(signs)), dtype=np.int64)
+            idx = np.empty((len(r), len(signs)), dtype=np.int32)
             for i in range(len(signs)):
-                face = self._face_rows(d, rows, i)
+                face = self._face_rows(d, r, i)
                 idx[:, i] = self._index_of_keys(d - 1, _row_keys(face, self._radices(d - 1)))
             if np.any(idx < 0):
                 raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
@@ -286,24 +339,36 @@ class CellComplex:
         want = _row_keys(np.array([row], dtype=np.int64), radices)
         return int(self._index_of_keys(d, want)[0])
 
+    def _rows(self, d: int, at=None) -> np.ndarray:
+        """Read-only rows of the d-cells at the indices ``at`` (all of them when
+        None), decoded from those cells' keys alone."""
+        rows = _key_rows(self.keys[d] if at is None else self.keys[d][at], self._radices(d))
+        rows.setflags(write=False)
+        return rows
+
     # -- queries ----------------------------------------------------------------------
 
     @property
+    def cells(self) -> Mapping[int, np.ndarray]:
+        """Each dimension's rows in key order, decoded on every read."""
+        return _Rows(self)
+
+    @property
     def dim(self) -> int:
-        return max(self.cells) if self.cells else -1
+        return max(self.keys) if self.keys else -1
 
     @property
     def is_empty(self) -> bool:
-        return not self.cells
+        return not self.keys
 
     def n_cells(self, d: int) -> int:
-        return len(self.cells.get(d, ()))
+        return len(self.keys.get(d, ()))
 
     def cell_counts(self) -> dict[int, int]:
-        return {d: len(a) for d, a in self.cells.items()}
+        return {d: len(a) for d, a in self.keys.items()}
 
     def total_cells(self) -> int:
-        return sum(len(a) for a in self.cells.values())
+        return sum(len(a) for a in self.keys.values())
 
     def free_witness(self) -> tuple[int, tuple[int, ...]] | None:
         """A setwise-invariant cell (dimension, row), or None if the action is free."""
@@ -350,7 +415,7 @@ class SimplicialComplex(CellComplex):
             if np.any(a[:, 1:] == a[:, :-1]):
                 raise ShapeError(f"degenerate cell with a repeated vertex in dimension {d}")
             norm[d] = a
-        self._set_cells(norm)
+        rows = self._set_cells(norm)
 
         if action is None:
             # a plain complex: joins and homology work, freeness queries do not
@@ -361,7 +426,7 @@ class SimplicialComplex(CellComplex):
                 raise ShapeError("action length does not match vertex count")
             self._check_order(self.action, self.n_vertices, "action", "vertices")
             self.action.setflags(write=False)
-        self._finish(self.action is not None)
+        self._finish(rows, self.action is not None)
 
     # -- cell rules -------------------------------------------------------------------
 
@@ -445,11 +510,11 @@ class SimplicialComplex(CellComplex):
     def maximal_cells(self) -> list[list[int]]:
         """Cells that are a face of no other cell, by dimension, then in key order."""
         out: list[list[int]] = []
-        for d in sorted(self.cells):
-            keep = np.ones(len(self.cells[d]), dtype=bool)
+        for d in sorted(self.keys):
+            keep = np.ones(len(self.keys[d]), dtype=bool)
             if d + 1 in self.faces:
                 keep[self.faces[d + 1].ravel()] = False
-            out.extend(self.cells[d][keep].tolist())
+            out.extend(self._rows(d, np.flatnonzero(keep)).tolist())
         return out
 
     def to_json(self) -> dict:
@@ -507,23 +572,26 @@ def _check_join_keys(factors: int, n: int, dim: int) -> None:
 class _JoinSide:
     """One factor of a join, in the join's vertex numbering and key radix.
 
-    Dimension -1 holds the empty cell (one empty row, key 0), which a join
-    cell may take on either side.  Each vertex has the empty cell as its
-    only face, index 0.  ``fixed[d]`` marks the d-cells the action fixes
+    Dimension -1 holds the empty cell (key 0), which a join cell may take on
+    either side.  Each vertex has the empty cell as its only face, index 0.
+    A factor key is re-keyed digit by digit: its radix-n_f digits, shifted,
+    read in radix n.  ``fixed[d]`` marks the d-cells the action fixes
     setwise; the empty cell is fixed.
     """
 
     def __init__(self, f: SimplicialComplex, shift: int, n: int, with_action: bool):
-        self.rows = {-1: np.zeros((1, 0), dtype=np.int32)}
         self.keys = {-1: np.zeros(1, dtype=np.int64)}
         self.faces = {}
         self.fixed = {-1: np.ones(1, dtype=bool)}
-        for d, cells in f.cells.items():
-            self.rows[d] = cells + np.int32(shift)
-            self.keys[d] = _row_keys(self.rows[d], [n] * (d + 1))
-            self.faces[d] = f.faces[d] if d else np.zeros((len(cells), 1), dtype=np.int64)
+        for d, key in f.keys.items():
+            rest, out = key, np.zeros(len(key), dtype=np.int64)
+            for j in range(d + 1):  # digit j from the last vertex
+                rest, digit = np.divmod(rest, f.n_vertices)
+                out += (digit + shift) * n**j
+            self.keys[d] = out
+            self.faces[d] = f.faces[d] if d else np.zeros((len(key), 1), dtype=np.int32)
             if with_action:
-                self.fixed[d] = f._image_keys(d) == f.keys[d]
+                self.fixed[d] = f._image_keys(d, f._rows(d)) == key
 
 
 def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
@@ -532,9 +600,9 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     The empty complex is the join identity.  dim(A*B) = dim A + dim B + 1
     and the nonempty-cell counts satisfy (cA+1)(cB+1)-1, which is checked
     against the join cell cap, as the key limit is, before anything is
-    allocated.  Cells, keys, faces and the freeness witness are computed
-    from the factors' tables, with no lookup among the join's cells (see
-    the module docstring).
+    allocated, as is each dimension's count against the int32 face limit.
+    Keys, faces and the freeness witness are computed from the factors'
+    tables, with no lookup among the join's cells (see the module docstring).
     """
     if a.p != b.p:
         raise ShapeError(f"cannot join complexes over different primes {a.p} and {b.p}")
@@ -543,29 +611,29 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
         return b
     if b.is_empty:
         return a
-    n = a.n_vertices + b.n_vertices
-    _check_join_keys(2, n, a.dim + b.dim + 1)
+    n, top = a.n_vertices + b.n_vertices, a.dim + b.dim + 1
+    _check_join_keys(2, n, top)
+    count_a, count_b = {-1: 1, **a.cell_counts()}, {-1: 1, **b.cell_counts()}
+    # per dimension: its splits (dim sigma, dim tau) and their sizes (n_sigma, n_tau)
+    splits, shapes = {}, {}
+    for d in range(top + 1):
+        splits[d] = [(s, d - 1 - s) for s in range(max(-1, d - 1 - b.dim), min(a.dim, d) + 1)]
+        shapes[d] = [(count_a[s], count_b[t]) for s, t in splits[d]]
+        _check_cell_count(d, sum(ns * nt for ns, nt in shapes[d]))
     has_action = a.action is not None and b.action is not None
     left, right = _JoinSide(a, 0, n, has_action), _JoinSide(b, a.n_vertices, n, has_action)
-    cells: dict[int, np.ndarray] = {}
     keys: dict[int, np.ndarray] = {}
     faces: dict[int, np.ndarray] = {}
     witness = None
     # per split (dim sigma, dim tau) of the previous dimension: the sorted
     # position of each of its cells, as an (n_sigma, n_tau) array
     place: dict[tuple[int, int], np.ndarray] = {}
-    for d in range(a.dim + b.dim + 2):
-        splits = [(s, d - 1 - s) for s in range(max(-1, d - 1 - b.dim), min(a.dim, d) + 1)]
-        shapes = [(len(left.keys[s]), len(right.keys[t])) for s, t in splits]
-        bounds = np.cumsum([0] + [ns * nt for ns, nt in shapes]).tolist()
-        rows = np.empty((bounds[-1], d + 1), dtype=np.int32)
+    for d in range(top + 1):
+        bounds = np.cumsum([0] + [ns * nt for ns, nt in shapes[d]]).tolist()
         key = np.empty(bounds[-1], dtype=np.int64)
-        face = np.empty((bounds[-1], d + 1), dtype=np.int64)
+        face = np.empty((bounds[-1], d + 1), dtype=np.int32)
         fixed = np.empty(bounds[-1], dtype=bool)
-        for (s, t), (ns, nt), r0, r1 in zip(splits, shapes, bounds, bounds[1:]):
-            block = rows[r0:r1].reshape(ns, nt, d + 1)
-            block[:, :, : s + 1] = left.rows[s][:, None, :]
-            block[:, :, s + 1 :] = right.rows[t][None, :, :]
+        for (s, t), (ns, nt), r0, r1 in zip(splits[d], shapes[d], bounds, bounds[1:]):
             np.add.outer(
                 left.keys[s] * n ** (t + 1), right.keys[t], out=key[r0:r1].reshape(ns, nt)
             )
@@ -579,21 +647,21 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
                 np.logical_and.outer(
                     left.fixed[s], right.fixed[t], out=fixed[r0:r1].reshape(ns, nt)
                 )
-        if len(splits) > 1:
+        if len(splits[d]) > 1:
             order = np.argsort(key, kind="stable")
-            rows, key, face, fixed = rows[order], key[order], face[order], fixed[order]
-            pos = np.empty(len(order), dtype=np.int64)
-            pos[order] = np.arange(len(order))
+            key, face, fixed = key[order], face[order], fixed[order]
+            pos = np.empty(len(order), dtype=np.int32)
+            pos[order] = np.arange(len(order), dtype=np.int32)
         else:
-            pos = np.arange(len(key))
+            pos = np.arange(len(key), dtype=np.int32)
         hits = np.flatnonzero(fixed) if has_action and witness is None else ()
         if len(hits):
-            witness = (d, tuple(int(v) for v in rows[hits[0]]))
+            witness = (d, tuple(_key_rows(key[hits[:1]], [n] * (d + 1))[0].tolist()))
         place = {
             split: pos[r0:r1].reshape(shape)
-            for split, shape, r0, r1 in zip(splits, shapes, bounds, bounds[1:])
+            for split, shape, r0, r1 in zip(splits[d], shapes[d], bounds, bounds[1:])
         }
-        cells[d], keys[d] = rows, key
+        keys[d] = key
         if d:
             faces[d] = face
     labels = a.labels + b.labels if a.labels is not None and b.labels is not None else None
@@ -601,7 +669,7 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     if a.join_factors is not None and b.join_factors is not None:
         jf = a.join_factors + b.join_factors
     action = np.concatenate([a.action, b.action + a.n_vertices]) if has_action else None
-    return SimplicialComplex._from_table(a.p, cells, keys, faces, action, witness, n_vertices=n,
+    return SimplicialComplex._from_table(a.p, keys, faces, action, witness, n_vertices=n,
                                          labels=labels, join_factors=jf)
 
 
@@ -698,7 +766,7 @@ class CubicalComplex(CellComplex):
         return idx
 
     def vertex_label(self, v: int) -> str:
-        return ",".join(str(int(x)) for x in self.cells[0][v, : self.n_axes])
+        return ",".join(map(str, self._rows(0, [v])[0, : self.n_axes].tolist()))
 
     def carrier_cell(self, vertex_ids: Iterable[int]) -> tuple[int, ...] | None:
         """Smallest grid cell whose corner set contains the given vertices."""
@@ -706,7 +774,7 @@ class CubicalComplex(CellComplex):
         if not ids:
             return None
         D = self.n_axes
-        coords = self.cells[0][ids, :D]
+        coords = self._rows(0, ids)[:, :D]
         row = [0] * D + [0]
         for t in range(D):
             vals = sorted(set(int(x) for x in coords[:, t]))

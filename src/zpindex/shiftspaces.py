@@ -383,7 +383,7 @@ class CyclicWord:
         return CyclicWord(self.alphabet, tuple(self.letters[(i + k) % L] for i in range(L)))
 
     def text(self) -> str:
-        body = ",".join(map(self.alphabet.letter_text, self.letters))
+        body = ",".join(map(self.alphabet.letter_texts.__getitem__, self.letters))
         return f"{self.alphabet.token()}:[{body}]"
 
     def __lt__(self, other: CyclicWord) -> bool:
@@ -472,25 +472,34 @@ def periodic_point_complex(spec: SubshiftSpec, p: int):
     return _word_complex(spec.periodic_words(p), spec.alphabet, p)
 
 
-def _word_complex(words: np.ndarray, alphabet: Alphabet, p: int):
-    """The rows of a shift-closed (n_words, p) letter-index array, sorted
-    lexicographically as ``periodic_words`` returns them, as a discrete complex
-    with the shift action, vertices in row order.
+def _word_action(words: np.ndarray) -> np.ndarray:
+    """The shift action on the rows of a shift-closed (n_words, p) letter-index
+    array, sorted lexicographically as ``periodic_words`` returns them: entry i
+    is the row of word i shifted once.
 
     Shifting a word rolls its row one column left.  One lexsort of the rolled
     rows sorts them back onto the rows exactly when the set is shift-closed,
-    and the action is the inverse of that sort.  The labels are the words'
-    texts, joined column by column from one text per letter index.
+    and the action is the inverse of that sort.
     """
-    from .complexes import SimplicialComplex
-
     rolled = np.roll(words, -1, axis=1)
     order = np.lexsort(rolled.T[::-1])
     if not np.array_equal(rolled[order], words):
         raise ShapeError("the words are not a sorted shift-closed set")
     action = np.empty(len(words), dtype=np.int64)
     action[order] = np.arange(len(words))
-    texts = np.array([alphabet.letter_text(e) for e in alphabet.all_elements()], dtype=object)
+    return action
+
+
+def _word_complex(words: np.ndarray, alphabet: Alphabet, p: int):
+    """The rows of a sorted shift-closed letter-index array as a discrete
+    complex with the shift action (``_word_action``), vertices in row order.
+    The labels are the words' texts, joined column by column from one text
+    per letter index.
+    """
+    from .complexes import SimplicialComplex
+
+    action = _word_action(words)
+    texts = np.array([alphabet.letter_texts[e] for e in alphabet.all_elements()], dtype=object)
     head = f"{alphabet.token()}:["
     labels = [head + ",".join(row) + "]" for row in zip(*texts[words.T].tolist())]
     return SimplicialComplex.discrete(len(words), action, p, labels=labels)

@@ -31,7 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .alphabets import circle_grid, product_alphabet
-from .complexes import _KEY_LIMIT, CubicalComplex, _is_prime, cycle_complex
+from .complexes import (_KEY_LIMIT, CubicalComplex, _check_cell_count, _is_prime, _key_rows,
+                        cycle_complex)
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
 from .homology import BettiVector, betti_numbers
@@ -118,14 +119,14 @@ def _check_cell_cap(spec: TorusGridSpec, total: int, cap: int) -> None:
         )
 
 
-def _grow(key, rows, faces, grow, shift):
+def _grow(key, faces, grow, shift):
     """The (d+1)-cells grown from the d-cells along each axis t where shift
     holds their move along t.
 
-    Takes the d-cells' key, rows and faces (None for d = 0, else in
-    column-major order), grow (the d-cell each (d-1)-cell grew into along
-    each axis) and shift (each d-cell moved one step along each axis above
-    its top bit), and returns the same five tables of d + 1 in key order.
+    Takes the d-cells' key and faces (None for d = 0, else in column-major
+    order), grow (the d-cell each (d-1)-cell grew into along each axis) and
+    shift (each d-cell moved one step along each axis above its top bit),
+    and returns the same four tables of d + 1 in key order.
     The cell grown from c along t has as faces along t the move of c and c
     itself, and along a lower bit the t-growth of that face of c, or -1
     where that growth found no cell.
@@ -152,15 +153,13 @@ def _grow(key, rows, faces, grow, shift):
         shift_up[u, pos[:k]] = np.take(grow_up, np.take(shift[u], src[:k]) + axis[:k] * width)
     axis, src, far, key = axis[order], src[order], far[order], key[order]
     del at, pos, order
-    rows = np.take(rows, src, axis=0)
-    rows[:, D] |= np.left_shift(1, axis, dtype=np.int32)
-    face = np.empty((n, 2 * d + 2), dtype=np.int64, order="F")
+    face = np.empty((n, 2 * d + 2), dtype=np.int32, order="F")
     face[:, 2 * d], face[:, 2 * d + 1] = far, src
     if d:
-        lower = axis * grow.shape[1]
+        lower = axis.astype(np.int64) * grow.shape[1]
         for j in range(2 * d):
             face[:, j] = np.take(grow, faces[:, j][src] + lower)
-    return key, rows, face, grow_up, shift_up
+    return key, face, grow_up, shift_up
 
 
 def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalComplex:
@@ -179,9 +178,10 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     that gives the vertex action checks.  For t above the top bit
     of M, (x, M + e_t) is a cell iff (x, M) and its move (x + e_t, M) are,
     so each dimension grows from the one below, its cells counted against
-    the cell cap before any of their tables exists.  Moves and growths are
-    int32 tables, one row per axis, whose last column of -1 is what a flat
-    read at a missing cell (-1) finds.
+    the cell cap (and the int32 face limit) before any of their tables
+    exists.  Each dimension keeps its keys and int32 faces only; no row
+    table is built.  Moves and growths are int32 tables, one row per axis,
+    whose last column of -1 is what a flat read at a missing cell (-1) finds.
     """
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
     q, n, D = spec.q, spec.n_circles, spec.n_axes
@@ -201,24 +201,29 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     if not np.array_equal(np.take(flat, action, mode="clip"), image):
         raise ShapeError(f"vertex set of {spec.token()} is not invariant under the letter rotation")
     _check_cell_cap(spec, total, cap)
-    rows = np.zeros((total, D + 1), dtype=np.int32)
-    rows[:, :D] = (words[:, :, None] // q ** np.arange(n - 1, -1, -1) % q).reshape(total, D)
+    key = flat << D
     # a fixed cell's base corner is a fixed vertex: the first fixed cell is one
     fixed = np.flatnonzero(action == np.arange(total))
-    witness = (0, tuple(int(v) for v in rows[fixed[0]])) if len(fixed) else None
+    witness = None
+    if len(fixed):
+        witness = (0, tuple(_key_rows(key[fixed[:1]], [q] * D + [1 << D])[0].tolist()))
     shift = np.full((D, total + 1), -1, dtype=np.int32)
     for t in range(D):
         stride = q ** (D - 1 - t)
-        moved = flat + np.where(rows[:, t] == q - 1, (1 - q) * stride, stride)
+        # axis t is digit n - 1 - t % n of letter t // n, in radix q
+        at_edge = words[:, t // n] // q ** (n - 1 - t % n) % q == q - 1
+        moved = flat + np.where(at_edge, (1 - q) * stride, stride)
         at = np.searchsorted(flat, moved)  # len(flat) past the last vertex, clipped below
         shift[t, :-1] = np.where(np.take(flat, at, mode="clip") == moved, at, -1)
-    cells, keys, faces = {}, {}, {}
-    key, grow, d = flat << D, None, 0
+    keys, faces = {}, {}
+    grow, d = None, 0
     while len(key):
-        cells[d], keys[d] = rows, key
-        total += int(np.count_nonzero(shift >= 0))
+        keys[d] = key
+        grown = int(np.count_nonzero(shift >= 0))
+        total += grown
         _check_cell_cap(spec, total, cap)
-        key, rows, face, grow, shift = _grow(key, rows, faces.get(d), grow, shift)
+        _check_cell_count(d + 1, grown)
+        key, face, grow, shift = _grow(key, faces.get(d), grow, shift)
         if face.min(initial=0) < 0:
             raise ShapeError(f"face closure fails between dimensions {d + 1} and {d}")
         d += 1
@@ -226,7 +231,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
             faces[d] = face  # column-major until the last growth has read it
     for d in faces:
         faces[d] = np.ascontiguousarray(faces[d])
-    return CubicalComplex._from_table(spec.p, cells, keys, faces, action, witness, q=spec.q,
+    return CubicalComplex._from_table(spec.p, keys, faces, action, witness, q=spec.q,
                                       n_axes=D, axis_map=axis_map)
 
 

@@ -27,7 +27,7 @@ from math import factorial
 import numpy as np
 
 from .alphabets import Alphabet, circle_grid, product_alphabet
-from .complexes import _check_copies, is_EnZp, join_power
+from .complexes import SimplicialComplex, _check_copies, is_EnZp, join_power
 from .coindex import (
     IndexReport,
     MapEvidence,
@@ -50,7 +50,7 @@ from .shiftspaces import (
     CyclicWord,
     Separation,
     SubshiftSpec,
-    _word_complex,
+    _word_action,
     mismatch_shift,
     neighbor_gap_shift,
     orbit_decompose,
@@ -269,7 +269,8 @@ def check_pair_embedding(p: int, q: int) -> VerifyResult:
         first = {"word": w.text(), "predicate": bool(ok_pred[i]), "equivariant": bool(ok_eq[i])}
     transported = None
     if len(words):
-        src_complex = _word_complex(words, circle, p)
+        # the index reads the vertex count and the action only: no labels
+        src_complex = SimplicialComplex.discrete(len(words), _word_action(words), p)
         src_report = exact_index_finite_free(src_complex)
         tgt_report = coindex_transport(
             MapEvidence.pair_embedding(), src_report, IndexReport.nonempty_free(p)

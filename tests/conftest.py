@@ -25,7 +25,8 @@ by residue class, and the word complex, the pair embedding and the embedding
 suite on ``CyclicWord`` objects (each word shifted as an object and looked up
 in a dict, each image built from letter tuples and checked by ``satisfies``)
 instead of the rows of the word array (one lexsort of the rolled rows, one
-index formula, one read of the bar per distinct letter difference).
+index formula, one read of the bar per distinct letter difference), and the
+word action on rows as tuples, each rolled and looked up in a dict.
 """
 from __future__ import annotations
 
@@ -329,9 +330,9 @@ class GeneralCubicalComplex(CubicalComplex):
             if np.any(_popcount(mask) != d):
                 raise ShapeError(f"mask popcount does not match dimension {d}")
             norm[d] = a
-        self._set_cells(norm)
+        rows = self._set_cells(norm)
         self._check_order(self.axis_map, self.n_axes, "axis_map", "axes")
-        self._finish(True)
+        self._finish(rows, True)
 
     def _action_rows(self, rows):
         D = self.n_axes
@@ -933,6 +934,14 @@ def cyclic_word_complex(words, p: int):
     return SimplicialComplex.discrete(len(words), action, p, labels=[w.text() for w in words])
 
 
+def tuple_word_action(words) -> list[int]:
+    """The shift action on the rows of a word array as tuples: each row rolled
+    once and looked up in a dict."""
+    rows = [tuple(r) for r in words.tolist()]
+    pos = {r: i for i, r in enumerate(rows)}
+    return [pos[r[1:] + r[:1]] for r in rows]
+
+
 def tuple_pair_embed_cyclic(word):
     """The pair stencil on a cyclic word by letter tuples: letter k of the
     image is x_k followed by x_{k+1}, the successor read cyclically."""
@@ -981,11 +990,17 @@ def cyclic_pair_embedding(p: int, q: int) -> dict:
 def every_word_complex_matches_the_cyclic_words():
     """Every word complex any test builds, through the library, the CLI or a
     demo, must equal the one built from the rows as ``CyclicWord``s byte for
-    byte, labels included."""
+    byte, labels included; every word action, labelled complex or not, must be
+    the one of the rows as tuples."""
     from zpindex import shiftspaces
     from zpindex.shiftspaces import CyclicWord
 
-    fast = shiftspaces._word_complex
+    fast, fast_action = shiftspaces._word_complex, shiftspaces._word_action
+
+    def checked_action(words):
+        got = fast_action(words)
+        assert got.dtype == np.int64 and got.tolist() == tuple_word_action(words)
+        return got
 
     def checked(words, alphabet, p):
         got = fast(words, alphabet, p)
@@ -995,4 +1010,5 @@ def every_word_complex_matches_the_cyclic_words():
 
     with pytest.MonkeyPatch.context() as mp:
         _replace_everywhere(mp, fast, checked)
+        _replace_everywhere(mp, fast_action, checked_action)
         yield

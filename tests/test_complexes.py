@@ -466,3 +466,113 @@ def test_join_matches_general_constructor_on_random_factors(pair):
     assert_same_complex(joined, general_join(a, b))
     if joined.action is not None:  # free exactly when both factors are
         assert joined.is_free == (a.is_free and b.is_free)
+
+
+# -- one table per cell: keys and int32 faces, rows decoded on read -----------------
+
+
+def _held_arrays(obj):
+    """Every numpy array reachable from obj through dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _held_arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _held_arrays(v)
+
+
+def test_no_complex_stores_a_row_array():
+    sigma5 = periodic_point_complex(mismatch_shift(1), 5)
+    built = [
+        sigma5,  # the word complex
+        join_power(sigma5, 3),  # the join, from the factors' keys
+        standard_join_model(3, 3),
+        projective_plane_6(2),  # the general simplicial constructor
+        build_approx(z_torus_spec(3, 8)),  # grown cubical dimensions
+        GeneralCubicalComplex(4, 2, {0: np.array([[0, 0, 0], [2, 2, 0]])}, [1, 0], 2),
+    ]
+    for c in built:
+        assert "cells" not in vars(c)
+        # the only tables of more than one column are the faces, all int32
+        wide = {id(a) for a in _held_arrays(vars(c)) if a.ndim > 1}
+        assert wide == {id(f) for f in c.faces.values()}
+        assert all(f.dtype == np.int32 and not f.flags.writeable for f in c.faces.values())
+        for d in c.cells:  # decoded on each read, never kept
+            rows = c.cells[d]
+            assert rows.dtype == np.int32 and not rows.flags.writeable
+            assert c.cells[d] is not rows and np.array_equal(c.cells[d], rows)
+            assert np.array_equal(_row_keys(rows, c._radices(d)), c.keys[d])
+
+
+def test_carrier_cell_and_vertex_label_decode_only_the_keys_they_are_given(monkeypatch):
+    from zpindex.coindex import verify_certificate
+    from zpindex.torusgrid import canonical_certificate_P2
+
+    q = 8
+    torus = build_approx(z_torus_spec(2, q))
+    cert = canonical_certificate_P2(q, torus)
+    m = standard_join_model(3, 2)
+    decoded = []
+    real = complexes._key_rows
+
+    def counting(keys, radices):
+        decoded.append(len(keys))
+        return real(keys, radices)
+
+    monkeypatch.setattr(complexes, "_key_rows", counting)
+    assert torus.vertex_label(5) == ",".join(map(str, torus.cells[0][5, :2].tolist()))
+    assert decoded == [1, torus.n_vertices]  # the label's one key, then the whole read
+    decoded.clear()
+    x = cert.vertex_map[0]
+    assert torus.carrier_cell([x, cert.vertex_map[1], x]) is not None
+    assert decoded == [2]
+    decoded.clear()
+    assert m.carrier_cell([0, 4]) == (0, 4) and m.vertex_label(4) == "1:1"
+    assert decoded == []  # simplicial lookups build a key and decode nothing
+    # one decode of the domain's q edges, then each edge's two image vertices
+    assert verify_certificate(cert, torus).accepted
+    assert decoded == [q] + [2] * q
+
+
+GUARD_CHILD = """
+import tracemalloc
+from zpindex import complexes
+from zpindex.complexes import SimplicialComplex, _check_cell_count, join_complex
+from zpindex.errors import ResourceCapError
+complexes._JOIN_CELL_CAP = 1 << 62  # only the int32 face limit is left to refuse
+_check_cell_count(1, (1 << 31) - 1)
+a = SimplicialComplex.discrete(46341, None, 2)  # 46341^2 = 2147488281 edges in the join
+tracemalloc.start()
+try:
+    join_complex(a, a)
+except ResourceCapError as e:
+    print(tracemalloc.get_traced_memory()[1])
+    print(e)
+"""
+
+
+def test_a_dimension_of_2_to_the_31_cells_is_refused_before_allocation():
+    # in a child whose address space is limited, so a missing guard fails
+    # with a MemoryError instead of filling the machine's memory
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", GUARD_CHILD], capture_output=True, text=True,
+                          env=env, preexec_fn=limit, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    peak, reason = proc.stdout.strip().split("\n")
+    assert int(peak) < 1 << 16
+    assert reason == ("dimension 1 would have 2147488281 cells; int32 face indices address "
+                      "fewer than 2^31 cells a dimension; nothing was built")
+    with pytest.raises(ResourceCapError, match="2147483648 cells"):
+        complexes._check_cell_count(3, 1 << 31)

@@ -9,7 +9,8 @@ or ``usage``: a traceback, a ``MemoryError`` or a timeout fails the test.  A
 ladder stops at its first refusal, and the step where it stops is pinned, so
 a cap that moves shows.
 The child's own peak RSS, read when it is reaped, bounds the steps that
-must be refused before their allocation.
+must be refused before their allocation, and the answers whose memory is
+pinned.
 """
 from __future__ import annotations
 
@@ -128,11 +129,18 @@ COMMAND_LADDERS = {
 }
 
 
-# steps refused before their allocation: the child's peak RSS bound, in MiB
+# steps whose memory is pinned: the child's peak RSS bound, in MiB, for steps
+# refused before their allocation and for answers whose tables set the peak
 # (an interpreter with numpy and zpindex.cli loaded takes about 32 MiB)
-REFUSAL_PEAKS_MIB = {
-    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 135 MiB
-    "verify embed-1.5 p=3 --q": {"256": 40},  # 1,335,168 words at q = 128 take about 250 MiB
+STEP_PEAKS_MIB = {
+    # the 3-fold join of the period-7 set, 2M triangles: keys and int32 faces
+    # take about 88 MiB, against 150 when rows and int64 faces were stored too
+    "homology Sigma:m=1,p=7 --copies": {"3": 100},
+    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 88 MiB
+    # 1,335,168 words at q = 128 take about 164 MiB, with no labels; 256 is refused
+    "verify embed-1.5 p=3 --q": {"128": 190, "256": 40},
+    # refused at the cell cap after the lower dimensions are built: about 121 MiB
+    "Z:q=8 --p": {"7": 140},
 }
 
 
@@ -144,7 +152,7 @@ def walk(name, ladder) -> list[str | None]:
     for value in values:
         outcome, peak_mib = run_limited(fixed + [param, value])
         got.append(outcome)
-        bound = REFUSAL_PEAKS_MIB.get(name, {}).get(value)
+        bound = STEP_PEAKS_MIB.get(name, {}).get(value)
         assert bound is None or peak_mib <= bound, (value, peak_mib)
         if got[-1] is not None:
             break

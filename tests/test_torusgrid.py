@@ -184,10 +184,10 @@ def test_grid_build_refuses_a_face_read_that_finds_no_cell(monkeypatch):
     base = honest.vertex_index(square[:3])
     grow = torusgrid._grow
 
-    def damaged(key, rows, faces, grown, shift):
-        out = grow(key, rows, faces, grown, shift)
+    def damaged(key, faces, grown, shift):
+        out = grow(key, faces, grown, shift)
         if faces is None:
-            out[3][2, base] = -1  # the edge from that square's base along axis 2 is lost
+            out[2][2, base] = -1  # the edge from that square's base along axis 2 is lost
         return out
 
     monkeypatch.setattr(torusgrid, "_grow", damaged)
