@@ -202,6 +202,12 @@ class Alphabet:
         return str(a[0]) if self.n_factors == 1 else "[" + ",".join(map(str, a)) + "]"
 
     @cached_property
+    def word_head(self) -> str:
+        """The text a word's letters follow: ``token()`` and an opening bracket,
+        made on first read."""
+        return f"{self.token()}:["
+
+    @cached_property
     def letter_texts(self) -> LetterTexts:
         """``letter_texts[a]``: the text of normalized element a, made on first read."""
         return LetterTexts(self)

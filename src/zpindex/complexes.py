@@ -27,8 +27,11 @@ complex names which face of a face equals which (the simplicial identities
 d_i d_j = d_{j-1} d_i for i < j, and their cubical analogue), and the
 shared check tests those integer-array equalities, that the named pairs
 match up every face of a face exactly once with opposite signs, and that
-the edge signs sum to zero.  Together these give boundary o boundary = 0
-and augmentation o boundary = 0 over the integers, hence over every field.
+the edge signs sum to zero.  It reads the face table one cache-sized block
+of rows at a time (``_row_blocks``, as the coboundary lows of ``homology``
+do), gathering each block's faces of faces once for all pairs.  Together
+these give boundary o boundary = 0 and augmentation o boundary = 0 over the
+integers, hence over every field.
 
 Joins are implemented for simplicial complexes.  The N vertices of A*B
 are those of A followed by those of B, and a cell is a pair (sigma, tau)
@@ -72,6 +75,9 @@ __all__ = [
 
 _KEY_LIMIT = 1 << 63  # keys are int64: the product of a row's radices stays below this
 _INDEX_LIMIT = 1 << 31  # faces are int32: a dimension holds fewer cells than this
+# int32 entries a pass over a face table handles at once: 256 KiB, so a block's
+# gathers and index casts stay in cache
+_BLOCK_ENTRIES = 1 << 16
 # cells a join may have: about 5x the 2,048,382 of the 3-fold join of the period-7 set
 _JOIN_CELL_CAP = 10**7
 
@@ -129,6 +135,13 @@ def _check_cell_count(d: int, n: int) -> None:
             f"dimension {d} would have {n} cells; int32 face indices address fewer than "
             f"2^31 cells a dimension; nothing was built"
         )
+
+
+def _row_blocks(n: int, width: int):
+    """(start, stop) of consecutive blocks of an n-row table whose rows hold
+    ``width`` entries each: ``_BLOCK_ENTRIES`` entries a block, at least one row."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return ((s, min(s + step, n)) for s in range(0, n, step))
 
 
 class _Rows(Mapping):
@@ -296,7 +309,12 @@ class CellComplex:
         Face i2 of face i of a d-cell enters the double boundary with sign
         face_signs[d][i] * face_signs[d-1][i2].  When the pairs of
         ``_face_pairs(d)`` cover every (i, i2) exactly once, give equal
-        face-of-face indices and opposite signs, all terms cancel.
+        face-of-face indices and opposite signs, all terms cancel.  The
+        matching and the signs are checked first; then the d-cells are read
+        one block of rows at a time (``_row_blocks``): the block's faces of
+        faces are gathered once and every pair is compared on them.  A pair
+        that fails in any block is named after the last block, the first
+        such pair in ``_face_pairs(d)`` order.
         """
         if 1 in self.faces and sum(self.face_signs[1]):
             raise ShapeError("augmentation composed with the edge boundary is nonzero")
@@ -315,11 +333,20 @@ class CellComplex:
                         f"boundary composition does not vanish between dimensions {d} and "
                         f"{d - 2}: faces ({i}, {i2}) and ({j}, {j2}) carry equal signs"
                     )
-                if not np.array_equal(low[top[:, i], i2], low[top[:, j], j2]):
-                    raise ShapeError(
-                        f"boundary composition does not vanish between dimensions {d} and "
-                        f"{d - 2}: face {i2} of face {i} differs from face {j2} of face {j}"
-                    )
+            # column i * k2 + i2 of a gathered block is face i2 of face i
+            k2 = low.shape[1]
+            left = [i * k2 + i2 for (i, i2), _ in pairs]
+            right = [j * k2 + j2 for _, (j, j2) in pairs]
+            same = np.ones(len(pairs), dtype=bool)
+            for s, e in _row_blocks(len(top), top.shape[1] * k2):
+                gathered = np.take(low, top[s:e], axis=0).reshape(e - s, -1)
+                same &= (gathered[:, left] == gathered[:, right]).all(axis=0)
+            if not same.all():
+                (i, i2), (j, j2) = pairs[int(np.argmin(same))]
+                raise ShapeError(
+                    f"boundary composition does not vanish between dimensions {d} and "
+                    f"{d - 2}: face {i2} of face {i} differs from face {j2} of face {j}"
+                )
 
     # -- lookups --------------------------------------------------------------------
 

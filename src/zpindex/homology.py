@@ -23,8 +23,9 @@ reduced has (almost) nothing cleared, so its end should be the smaller.
   Nothing is cleared at the top.
 * Up.  The coboundary delta^{d-1} = boundary_d^T, whose column i lists the
   cofaces of (d-1)-cell i.  Its low is the largest d-cell with i as a
-  face, found by one ``np.maximum.at`` over the face table per face slot;
-  the transpose itself is built, by one stable sort, only when some live
+  face, found by one ``np.maximum.at`` per face slot over each
+  cache-sized block of the face table (``complexes._row_blocks``); the
+  transpose itself is built, by one stable sort, only when some live
   column collides.  Ranks go from dimension 0 up.  A (d-1)-cell that was
   a low of the reduced delta^{d-2} is cleared the same way; for d = 1 the
   augmentation's all-ones coboundary clears the last vertex.
@@ -36,7 +37,9 @@ narrowest signed type that holds ell - 1 (a larger ell is refused):
   reduced just before.
 * Apparent pivots.  Of the remaining columns, every one whose low no
   other column shares is a pivot as it stands; columns with distinct lows
-  are independent.  This is found in numpy, without a Python loop.
+  are independent.  This is found in numpy, without a Python loop: by
+  counting every possible low when they are few against the columns, else
+  by sorting the lows (``_apparent``).
 * Fallback.  Only the columns that share a low are reduced, by a column
   reduction that keeps one normalized pivot column per pivot row.  A low
   owned by an apparent column is served by normalizing that column on
@@ -66,7 +69,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .complexes import CellComplex, _is_prime
+from .complexes import CellComplex, _is_prime, _row_blocks
 from .errors import ShapeError
 
 __all__ = [
@@ -227,11 +230,14 @@ def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict
 
 def _coboundary_lows(b: _Boundary) -> np.ndarray:
     """The low of each column i of delta = b^T: the largest column of b that
-    has row i, or -1 when there is none; one ``maximum.at`` per face slot."""
+    has row i, or -1 when there is none.  The face table is read one block of
+    columns of b at a time (``_row_blocks``), with one ``maximum.at`` per
+    face slot on that slot's faces cast to intp."""
     lows = np.full(b.n_rows, -1, dtype=np.int64)
-    cols = np.arange(b.n_cols, dtype=np.int64)
-    for t in range(b.faces.shape[1]):
-        np.maximum.at(lows, b.faces[:, t], cols)
+    for s, e in _row_blocks(b.n_cols, b.faces.shape[1]):
+        cols = np.arange(s, e, dtype=np.int64)
+        for faces in b.faces[s:e].T:
+            np.maximum.at(lows, faces.astype(np.intp), cols)
     return lows
 
 
@@ -288,7 +294,7 @@ def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
     counts["cleared"], counts["live"] = len(lows) - n_live, n_live
     cand = np.flatnonzero(live & (lows >= 0))
     lows = lows[cand]
-    apparent = np.bincount(lows)[lows] == 1
+    apparent = _apparent(lows)
     colliding = cand[~apparent]
     counts["apparent"] = int(apparent.sum())
     counts["colliding"] = len(colliding)
@@ -298,6 +304,30 @@ def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
     owner = dict(zip(lows[apparent].tolist(), cand[apparent].tolist()))
     found = _reduce_colliding(colliding, owner, *matrix(), ell, counts)
     return np.concatenate([lows[apparent], np.array(found, dtype=np.int64)])
+
+
+# counts per candidate up to which ``_apparent`` counts every value by bincount
+_COUNT_FACTOR = 8
+
+
+def _apparent(lows: np.ndarray) -> np.ndarray:
+    """Which of the nonnegative ``lows`` no other entry shares.
+
+    When every low is below ``_COUNT_FACTOR`` times the number of lows, one
+    ``np.bincount`` counts them (an array at most that factor times the
+    lows); above it, one sort of the lows finds the equal neighbours, so a
+    few candidates with large lows allocate nothing per possible low.
+    """
+    n = len(lows)
+    if not n or int(lows.max()) < _COUNT_FACTOR * n:
+        return np.bincount(lows)[lows] == 1
+    order = np.argsort(lows)
+    ranked = lows[order]
+    alone = np.ones(n + 1, dtype=bool)  # alone[i]: ranked[i - 1] and ranked[i] differ
+    alone[1:-1] = ranked[1:] != ranked[:-1]
+    apparent = np.empty(n, dtype=bool)
+    apparent[order] = alone[:-1] & alone[1:]
+    return apparent
 
 
 def _reduce_colliding(colliding, owner, ptr, indices, data, ell, counts) -> list[int]:

@@ -354,11 +354,12 @@ class _SectionTrials:
     """Random trials of the level-m section on letter indices, the work of the
     section suites 3.1 and 3.2.
 
-    One set of letter tables and one distance bar serve every trial.  The
-    tables are built while both, fully read, fit the bytes of the pair table
-    cap: 2 n^2 list slots of 8 bytes, every index below 257 being one of
-    Python's shared small ints.  A trial draws from the random stream exactly
-    as ``_random_separated_window`` and then ``rng.randrange(10**9)`` for the
+    One set of letter tables, one distance bar and one anchor generator,
+    reseeded for each anchor letter, serve every trial.  The tables are built
+    while both, fully read, fit the bytes of the pair table cap: 2 n^2 list
+    slots of 8 bytes, every index below 257 being one of Python's shared
+    small ints.  A trial draws from the random stream exactly as
+    ``_random_separated_window`` and then ``rng.randrange(10**9)`` for the
     anchor seed; it returns (input offset, input letter indices, anchor seed,
     first failing index or None).
     """
@@ -369,14 +370,19 @@ class _SectionTrials:
         n = alphabet.order
         self.ops = _LetterOps(alphabet, tabled=16 * n * n <= _PAIR_TABLE_CAP)
         self.far = SubshiftSpec(alphabet, Separation(m, delta)).bar
+        self.anchor = random.Random()
 
     def _draw(self, rng: random.Random, lo: int, hi: int):
         need = section_input_range(self.m, lo, hi)
         start, stop = need if need is not None else (0, 0)
         xs = _separated_letters(rng, self.ops, self.far, self.gap, stop - start + 1)
-        seed, n = rng.randrange(10**9), self.ops.alphabet.order
-        ys = _section_letters(self.m, lambda k: _seeded_index(seed, k, n), self.ops, xs, start,
-                              lo, hi)
+        seed, n, anchor = rng.randrange(10**9), self.ops.alphabet.order, self.anchor
+
+        def index(k: int) -> int:  # _seeded_index(seed, k, n): Random(x) is Random() seeded with x
+            anchor.seed(f"{seed}|{k}")
+            return anchor.randrange(n)
+
+        ys = _section_letters(self.m, index, self.ops, xs, start, lo, hi)
         return start, xs, seed, ys
 
     def roundtrip(self, rng: random.Random, lo: int, hi: int):

@@ -384,7 +384,7 @@ class CyclicWord:
 
     def text(self) -> str:
         body = ",".join(map(self.alphabet.letter_texts.__getitem__, self.letters))
-        return f"{self.alphabet.token()}:[{body}]"
+        return f"{self.alphabet.word_head}{body}]"
 
     def __lt__(self, other: CyclicWord) -> bool:
         return self.letters < other.letters
@@ -500,6 +500,6 @@ def _word_complex(words: np.ndarray, alphabet: Alphabet, p: int):
 
     action = _word_action(words)
     texts = np.array([alphabet.letter_texts[e] for e in alphabet.all_elements()], dtype=object)
-    head = f"{alphabet.token()}:["
+    head = alphabet.word_head
     labels = [head + ",".join(row) + "]" for row in zip(*texts[words.T].tolist())]
     return SimplicialComplex.discrete(len(words), action, p, labels=labels)

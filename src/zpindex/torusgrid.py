@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .alphabets import circle_grid, product_alphabet
-from .complexes import (_KEY_LIMIT, CubicalComplex, _check_cell_count, _is_prime, _key_rows,
+from .complexes import (_INDEX_LIMIT, _KEY_LIMIT, CubicalComplex, _is_prime, _key_rows,
                         cycle_complex)
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
@@ -119,6 +119,19 @@ def _check_cell_cap(spec: TorusGridSpec, total: int, cap: int) -> None:
         )
 
 
+def _check_move_table(d: int, n: int, n_axes: int) -> None:
+    """Refuse a dimension of n cells whose move and growth tables, n_axes rows
+    of n + 1 int32 entries read flat at axis * (n + 1) + cell, would hold 2^31
+    or more entries: those int32 products would wrap.  This also keeps n below
+    the int32 face limit."""
+    if n_axes * (n + 1) >= _INDEX_LIMIT:
+        raise ResourceCapError(
+            f"dimension {d} would have {n} cells on {n_axes} axes: its move table of "
+            f"{n_axes} x {n + 1} = {n_axes * (n + 1)} entries is past the int32 flat index "
+            f"limit 2^31; nothing of that dimension was built"
+        )
+
+
 def _grow(key, faces, grow, shift):
     """The (d+1)-cells grown from the d-cells along each axis t where shift
     holds their move along t.
@@ -178,9 +191,10 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     that gives the vertex action checks.  For t above the top bit
     of M, (x, M + e_t) is a cell iff (x, M) and its move (x + e_t, M) are,
     so each dimension grows from the one below, its cells counted against
-    the cell cap (and the int32 face limit) before any of their tables
-    exists.  Each dimension keeps its keys and int32 faces only; no row
-    table is built.  Moves and growths are int32 tables, one row per axis,
+    the cell cap and the int32 limit of its flat move table
+    (``_check_move_table``) before any of their tables exists.  Each
+    dimension keeps its keys and int32 faces only; no row table is built.
+    Moves and growths are int32 tables, one row per axis,
     whose last column of -1 is what a flat read at a missing cell (-1) finds.
     """
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
@@ -201,6 +215,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     if not np.array_equal(np.take(flat, action, mode="clip"), image):
         raise ShapeError(f"vertex set of {spec.token()} is not invariant under the letter rotation")
     _check_cell_cap(spec, total, cap)
+    _check_move_table(0, total, D)
     key = flat << D
     # a fixed cell's base corner is a fixed vertex: the first fixed cell is one
     fixed = np.flatnonzero(action == np.arange(total))
@@ -222,7 +237,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
         grown = int(np.count_nonzero(shift >= 0))
         total += grown
         _check_cell_cap(spec, total, cap)
-        _check_cell_count(d + 1, grown)
+        _check_move_table(d + 1, grown, D)
         key, face, grow, shift = _grow(key, faces.get(d), grow, shift)
         if face.min(initial=0) < 0:
             raise ShapeError(f"face closure fails between dimensions {d + 1} and {d}")

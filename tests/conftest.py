@@ -16,8 +16,10 @@ by one metric call, ``gap_ok``, on full index grids), torus approximations valid
 by the general cubical constructor (binary-search face lookup, per-cell action
 images) instead of grown on the grid, colliding columns reduced with a
 ``max`` scan of the working column instead of a heap, coboundary lows read off
-a transpose built by one stable sort instead of a ``maximum.at`` over the
-face table, the block-sum code, its
+a transpose built by one stable sort, and by one ``maximum.at`` per face slot
+over the whole face table, instead of block by block, the face identities
+checked by two gathers per pair over the whole face table instead of one
+gather per block of rows shared by every pair, the block-sum code, its
 section and the section suites on windows of letter tuples through the exact
 ``Alphabet`` operations, with the needed input set spelled out index by index,
 instead of letter indices and exact tables, with the range walked residue class
@@ -179,6 +181,53 @@ def sorted_coboundary_lows(b) -> np.ndarray:
     lows = np.full(b.n_rows, -1, dtype=np.int64)
     lows[nonempty] = t_rows[t_ptr[1:][nonempty] - 1]
     return lows
+
+
+def whole_table_lows(b) -> np.ndarray:
+    """The coboundary lows by one ``maximum.at`` per face slot over the whole
+    face table, with one int64 column id per column of b."""
+    lows = np.full(b.n_rows, -1, dtype=np.int64)
+    cols = np.arange(b.n_cols, dtype=np.int64)
+    for t in range(b.faces.shape[1]):
+        np.maximum.at(lows, b.faces[:, t], cols)
+    return lows
+
+
+def gathered_boundary_square(c) -> None:
+    """``CellComplex._check_boundary_square`` without blocks: the augmentation,
+    the matching and the signs checked the same way, then each pair's two
+    columns of faces of faces gathered over the whole face table, refusing at
+    the first pair, in ``_face_pairs`` order, whose columns differ."""
+    if 1 in c.faces and sum(c.face_signs[1]):
+        raise ShapeError("augmentation composed with the edge boundary is nonzero")
+    for d in range(2, c.dim + 1):
+        top, low = c.faces[d], c.faces[d - 1]
+        signs, low_signs = c.face_signs[d], c.face_signs[d - 1]
+        pairs = c._face_pairs(d)
+        covered = sorted(x for pair in pairs for x in pair)
+        if covered != [(i, i2) for i in range(len(signs)) for i2 in range(len(low_signs))]:
+            raise ShapeError(f"face-of-face pairing in dimension {d} is not a perfect matching")
+        for (i, i2), (j, j2) in pairs:
+            if signs[i] * low_signs[i2] != -signs[j] * low_signs[j2]:
+                raise ShapeError(
+                    f"boundary composition does not vanish between dimensions {d} and "
+                    f"{d - 2}: faces ({i}, {i2}) and ({j}, {j2}) carry equal signs"
+                )
+        for (i, i2), (j, j2) in pairs:
+            if not np.array_equal(low[top[:, i], i2], low[top[:, j], j2]):
+                raise ShapeError(
+                    f"boundary composition does not vanish between dimensions {d} and "
+                    f"{d - 2}: face {i2} of face {i} differs from face {j2} of face {j}"
+                )
+
+
+def shape_error_text(check, *args) -> str | None:
+    """The text of the ShapeError ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ShapeError as e:
+        return str(e)
+    return None
 
 
 COMPOSE_BLOCK = 1 << 16  # columns of the upper boundary expanded at once by the composition check
@@ -874,19 +923,42 @@ def every_colliding_reduction_matches_the_max_scan():
 @pytest.fixture(autouse=True, scope="session")
 def every_coboundary_low_matches_the_sort():
     """Every coboundary's lows any test reads must equal those of the
-    transpose built by sorting, value for value and in the same type."""
+    transpose built by sorting, and those of the whole-table ``maximum.at``,
+    value for value and in the same type."""
     from zpindex import homology
 
     fast = homology._coboundary_lows
 
     def checked(b):
         got = fast(b)
-        want = sorted_coboundary_lows(b)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for want in (sorted_coboundary_lows(b), whole_table_lows(b)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "_coboundary_lows", checked)
+        yield
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_boundary_square_check_matches_the_whole_table_gathers():
+    """Every composition check by face identities any test runs must pass or
+    refuse as the gathers over the whole face table do, with the same text."""
+    from zpindex.complexes import CellComplex
+
+    fast = CellComplex._check_boundary_square
+
+    def checked(self):
+        want = shape_error_text(gathered_boundary_square, self)
+        try:
+            fast(self)
+        except ShapeError as e:
+            assert str(e) == want
+            raise
+        assert want is None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CellComplex, "_check_boundary_square", checked)
         yield
 
 

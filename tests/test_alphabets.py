@@ -115,3 +115,17 @@ def test_tokens_roundtrip():
     assert s2.n_factors == 2 and s2.order == 64
     # max metric on the product
     assert s2.metric((0, 0), (1, 4)) == 1
+
+
+def test_word_texts_read_one_head_text_per_alphabet(monkeypatch):
+    from zpindex.alphabets import Alphabet
+    from zpindex.shiftspaces import CyclicWord
+
+    token, calls = Alphabet.token, []
+    monkeypatch.setattr(Alphabet, "token", lambda self: calls.append(self) or token(self))
+    for alpha in (cyclic_group(7), circle_grid(16), parse_alphabet("S^2:q=4")):
+        words = [CyclicWord(alpha, tuple(alpha.unindex((3 * i + j) % alpha.order) for j in range(4)))
+                 for i in range(5)]
+        texts = [w.text() for w in words]
+        assert texts[0] == f"{token(alpha)}:[" + ",".join(map(alpha.letter_text, words[0].letters)) + "]"
+        assert len(set(texts)) == 5 and calls.count(alpha) == 1

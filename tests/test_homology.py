@@ -18,10 +18,14 @@ from conftest import (
     dense_betti,
     dense_rank_mod,
     dense_rank_np,
+    gathered_boundary_square,
     projective_plane_6,
+    shape_error_text,
+    sorted_coboundary_lows,
     torus_7,
+    whole_table_lows,
 )
-from zpindex import homology
+from zpindex import complexes, homology
 from zpindex.cli import main
 from zpindex.complexes import (
     SimplicialComplex,
@@ -495,6 +499,62 @@ def test_face_identity_check_refuses_a_pairing_that_is_not_a_perfect_matching(da
     monkeypatch.setattr(SimplicialComplex, "_face_pairs", broken)
     with pytest.raises(ShapeError, match="perfect matching"):
         boundary_matrices(join_of(2, 2, 2), 3)
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+@pytest.mark.parametrize(
+    "build", [lambda: join_of(3, 3, 3, p=3), full_torus_q4], ids=["join", "torus"]
+)
+def test_face_identity_check_names_the_pair_of_a_face_tampered_in_any_block(build, where, monkeypatch):
+    # 48 entries a block: 8 triangles (3 faces of 2 edges each) or 6 squares (4 of 2)
+    monkeypatch.setattr(complexes, "_BLOCK_ENTRIES", 48)
+    c = build()
+    faces = c.faces[2].copy()
+    n, k = faces.shape
+    step = 48 // (k * c.faces[1].shape[1])
+    assert n > 2 * step and n % step  # a middle block and a partial last block
+    row = step + step // 2 if where == "middle" else n - 1
+    # the last face slot made an edge with neither end of the old one, so
+    # every pair through that slot fails, and the first must be named
+    ends = c.faces[1]
+    old = set(ends[faces[row, k - 1]].tolist())
+    faces[row, k - 1] = next(e for e in range(len(ends)) if not old & set(ends[e].tolist()))
+    c.faces[2] = faces
+    want = shape_error_text(gathered_boundary_square, c)
+    assert want is not None and "differs" in want
+    with pytest.raises(ShapeError) as err:
+        boundary_matrices(c, 3)
+    assert str(err.value) == want
+
+
+# a * b edges of two faces each, against a block of 2^16 / 2 = 32768 of them
+@pytest.mark.parametrize("a, b, past", [(217, 151, -1), (128, 256, 0), (99, 331, 1)],
+                         ids=["below", "equal", "one-past"])
+def test_coboundary_lows_match_the_oracles_around_one_block(a, b, past):
+    bnd = boundary_matrices(join_of(a, b), 2).boundaries[0]
+    assert bnd.n_cols == complexes._BLOCK_ENTRIES // 2 + past
+    got = homology._coboundary_lows(bnd)
+    assert np.array_equal(got, whole_table_lows(bnd))
+    assert np.array_equal(got, sorted_coboundary_lows(bnd))
+
+
+def test_apparent_flags_are_the_unshared_lows_whether_counted_or_sorted(monkeypatch):
+    fast, by_sort = homology._apparent, []
+
+    def spy(lows):
+        got = fast(lows)
+        assert np.array_equal(got, np.bincount(lows)[lows] == 1)
+        by_sort.append(len(lows) > 0 and int(lows.max()) >= homology._COUNT_FACTOR * len(lows))
+        return got
+
+    monkeypatch.setattr(homology, "_apparent", spy)
+    for c in (join_of(8, 8, 8), join_of(3, 3, 3, p=3), build_approx(z_torus_spec(3, 8)), full_torus_q4()):
+        for ell in (2, 3):
+            betti_numbers(c, ell)
+    assert set(by_sort) == {False, True}
+    # on either side of the threshold: the lows counted, then sorted
+    for top in (homology._COUNT_FACTOR * 5 - 1, homology._COUNT_FACTOR * 5):
+        assert fast(np.array([top, 3, 0, 3, 7])).tolist() == [True, False, True, False, True]
 
 
 @pytest.mark.parametrize("ell, dtype", [(2, np.int8), (127, np.int8), (131, np.int16),

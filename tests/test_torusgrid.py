@@ -257,3 +257,24 @@ def test_y_family_torus():
     # antipodal pairs only, no higher cells
     assert c.cell_counts() == {0: 8}
     assert c.is_free
+
+
+def test_move_tables_past_the_int32_flat_index_are_refused_before_they_exist(monkeypatch):
+    # the first size whose flat indices axis * (n + 1) wrap, on six axes: the
+    # refusal is arithmetic on the counts, and nothing is allocated
+    n = (1 << 31) // 6
+    with pytest.raises(ResourceCapError, match=rf"dimension 3 would have {n} cells on 6 axes: its "
+                       rf"move table of 6 x {n + 1} = {6 * (n + 1)} entries is past the int32 "
+                       rf"flat index limit 2\^31; nothing of that dimension was built"):
+        torusgrid._check_move_table(3, n, 6)
+    torusgrid._check_move_table(3, n - 1, 6)
+    # Z:p=3,q=8 has 408, 1104, 960 and 264 cells on 3 axes: a limit of 3 x 1105
+    # refuses dimension 1 before any growth, one entry more builds everything
+    grow, grown = torusgrid._grow, []
+    monkeypatch.setattr(torusgrid, "_grow", lambda *a: grown.append(a) or grow(*a))
+    monkeypatch.setattr(torusgrid, "_INDEX_LIMIT", 3 * 1105)
+    with pytest.raises(ResourceCapError, match="dimension 1 would have 1104 cells on 3 axes"):
+        build_approx(z_torus_spec(3, 8))
+    assert not grown
+    monkeypatch.setattr(torusgrid, "_INDEX_LIMIT", 3 * 1105 + 1)
+    assert build_approx(z_torus_spec(3, 8)).cell_counts() == {0: 408, 1: 1104, 2: 960, 3: 264}
