@@ -186,6 +186,26 @@ class Alphabet:
             stride *= f.order
         return out
 
+    def digitwise(self, fn: Callable, *letters):
+        """Letter indices of ``fn`` applied factor by factor, the digit
+        arithmetic of ``letter_op`` for any number of arguments: each argument
+        (int64 arrays of letter indices) is split into its mixed-radix digits,
+        ``fn`` maps the digits of one factor to integer arrays, and their
+        residues mod that factor's order are the digits of the result.  Every
+        alphabet is a product of cyclic groups, so any map built of sums and
+        differences of letters, prefix sums included, is such an ``fn``.  The
+        arguments must lie in [0, order): the leading digit is then a quotient
+        and the last a remainder, and one factor needs neither."""
+        out, stride, top = 0, 1, self.order
+        for f in reversed(self.factors):
+            digits = [a // stride if stride > 1 else a for a in letters]
+            if stride * f.order < top:
+                digits = [d % f.order for d in digits]
+            part = fn(*digits) % f.order
+            out = part if stride == 1 else out + part * stride
+            stride *= f.order
+        return out
+
     # -- text form -----------------------------------------------------------
 
     def token(self) -> str:
@@ -244,6 +264,17 @@ class DistanceBar(dict):
         a = self.alphabet
         ok = self[d] = self.test(a.metric(a.unindex(d), a.identity))
         return ok
+
+    def read_all(self, d: np.ndarray) -> np.ndarray:
+        """``bar[d]`` for every entry of an int array of letter indices, as a
+        bool array of its shape: one read per letter when the array has at
+        least as many entries as the alphabet has letters, and otherwise one
+        per distinct index."""
+        n = self.alphabet.order
+        if n <= d.size:
+            return np.array([self[v] for v in range(n)], dtype=bool)[d]
+        diffs, at = np.unique(d, return_inverse=True)
+        return np.array([self[v] for v in diffs.tolist()], dtype=bool)[at].reshape(d.shape)
 
 
 def cyclic_group(n: int) -> Alphabet:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .complexes import SimplicialComplex, _is_prime, standard_join_model
+from .complexes import SimplicialComplex, _is_prime, _read_field, standard_join_model
 from .errors import NonFreeActionError, ShapeError
 
 __all__ = [
@@ -210,6 +210,10 @@ def coindex_transport(
 # -- certificates ----------------------------------------------------------------
 
 
+# the certificate domain text of the standard model, the (n+1)-fold join of the p-point orbit
+_STANDARD_DOMAIN = "join(Zp)^{n+1}"
+
+
 @dataclass(frozen=True)
 class EquivariantMapCert:
     """A claimed equivariant map from a reference free model into a target.
@@ -228,25 +232,24 @@ class EquivariantMapCert:
         return {
             "p": self.p,
             "n": self.n,
-            "domain": "join(Zp)^{n+1}" if self.domain is None else self.domain.to_json(),
+            "domain": _STANDARD_DOMAIN if self.domain is None else self.domain.to_json(),
             "vertex_map": list(self.vertex_map),
             "target_ref": self.target_ref,
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> EquivariantMapCert:
-        try:
-            dom = doc["domain"]
-            domain = None if isinstance(dom, str) else SimplicialComplex.from_json(dom)
-            return cls(
-                p=int(doc["p"]),
-                n=int(doc["n"]),
-                vertex_map=tuple(int(v) for v in doc["vertex_map"]),
-                target_ref=str(doc["target_ref"]),
-                domain=domain,
-            )
-        except KeyError as e:
-            raise ShapeError(f"certificate document lacks the key {e}") from None
+        what = "certificate document"
+        p = _read_field(doc, "p", what, int)
+        n = _read_field(doc, "n", what, int)
+        vertex_map = tuple(_read_field(doc, "vertex_map", what, int, depth=1))
+        target_ref = _read_field(doc, "target_ref", what, str)
+        dom = _read_field(doc, "domain", what, (str, dict))
+        if type(dom) is str and dom != _STANDARD_DOMAIN:
+            raise ShapeError(f"{what}: 'domain' must be {_STANDARD_DOMAIN!r} or an object, "
+                             f"found the string {dom!r}")
+        domain = None if type(dom) is str else SimplicialComplex.from_json(dom)
+        return cls(p=p, n=n, vertex_map=vertex_map, target_ref=target_ref, domain=domain)
 
 
 @dataclass(frozen=True)

@@ -555,15 +555,74 @@ class SimplicialComplex(CellComplex):
 
     @classmethod
     def from_json(cls, doc: dict) -> SimplicialComplex:
-        if doc.get("kind", "simplicial") != "simplicial":
+        what = "simplicial complex document"
+        if _read_field(doc, "kind", what, str, optional=True) not in (None, "simplicial"):
             raise ShapeError("not a simplicial complex document")
-        try:
-            labels = [str(x) for x in doc["vertices"]]
-            return cls.from_maximal(
-                len(labels), doc["maximal_cells"], doc["action"], int(doc["p"]), labels=labels
-            )
-        except KeyError as e:
-            raise ShapeError(f"simplicial complex document lacks the key {e}") from None
+        labels = _read_field(doc, "vertices", what, str, depth=1)
+        n = len(labels)
+        return cls.from_maximal(
+            n, _read_field(doc, "maximal_cells", what, int, depth=2, below=n),
+            _read_field(doc, "action", what, int, depth=1, optional=True, below=n),
+            _read_field(doc, "p", what, int), labels=labels,
+        )
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+_PLURALS = {str: "strings", int: "integers"}
+
+
+def _json_type(v) -> str:
+    return _JSON_TYPES.get(type(v), type(v).__name__)
+
+
+def _misfit(value, leaf: tuple[type, ...], depth: int, below: int | None) -> str | None:
+    """What the first part of ``value`` that is not ``depth`` nested arrays
+    of values of a ``leaf`` type (integers in [0, below) if a bound is
+    given) is, or None when all of it is."""
+    if depth == 0:
+        if type(value) not in leaf:
+            return _json_type(value)
+        return None if below is None or 0 <= value < below else str(value)
+    if type(value) is not list:
+        return _json_type(value)
+    for v in value:
+        found = _misfit(v, leaf, depth - 1, below)
+        if found is not None:
+            return found + " in an array"
+    return None
+
+
+def _read_field(doc, key: str, what: str, leaf, depth: int = 0, optional: bool = False,
+               below: int | None = None):
+    """``doc[key]`` of a JSON document, read exactly: ``depth`` nested arrays
+    of values of ``leaf``, a type or a tuple of types, where int takes a JSON
+    integer only (``type(v) is int``: no boolean, number with a fraction or
+    string), str a JSON string and dict an object; with ``below``, integers
+    must lie in [0, below).  With ``optional`` a missing key or null reads as
+    None.  A document that is not an object, a missing key or a value of
+    another shape raises ShapeError naming the key and what it found; nothing
+    is converted, so nothing is truncated."""
+    if type(doc) is not dict:
+        raise ShapeError(f"{what} must be an object, found {_json_type(doc)}")
+    if key not in doc:
+        if optional:
+            return None
+        raise ShapeError(f"{what} lacks the key {key!r}")
+    value = doc[key]
+    if value is None and optional:
+        return None
+    leaf = leaf if isinstance(leaf, tuple) else (leaf,)
+    found = _misfit(value, leaf, depth, below)
+    if found is not None:
+        if depth:
+            want = "an array of " + "arrays of " * (depth - 1) + " or ".join(_PLURALS[t] for t in leaf)
+        else:
+            want = " or ".join(_JSON_TYPES[t] for t in leaf)
+        if below is not None:
+            want += f" in [0, {below})"
+        raise ShapeError(f"{what}: {key!r} must be {want}, found {found}")
+    return value
 
 
 def join_cell_count(totals: Sequence[int]) -> int:

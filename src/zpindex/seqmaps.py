@@ -10,21 +10,30 @@ words (images of periodic points need not be periodic).
 All index arithmetic is absolute: a Window knows its offset, and every
 operation reports the exact missing indices when given too little input.
 
-Inside, letters are mixed-radix indices (``Alphabet.index``) and the group
-operations are reads of exact tables (``_LetterOps``), row by row.  For the
-many trials of the verify suites (``_SectionTrials``) rows are int lists,
-built while both tables fit the bytes of the pair table cap; otherwise, and
-in single public calls, which read only a few entries, each read computes
-its entry.  Both use the digit arithmetic of ``Alphabet.letter_op``.  Distance
-thresholds are the ``bar`` of ``SubshiftSpec(alphabet, Separation(m, delta))``.
-The section walks each residue class mod m! out from its base block by
-y(k + m!) = y(k) + x(k + (m-1)!) - x(k); its needed input range is the span
-of each class's ends, and the set of needed indices is listed only to name
-the missing ones in an error.  The trials draw their seeded anchors as
-letter indices.  The public functions convert windows of tuples to indices
-and back around these kernels.  The pair embedding of cyclic words is one
-index formula on rows of letter indices (``pair_embed_rows``), which the
-embedding suite applies to the whole period-p word array at once.
+Inside, letters are mixed-radix indices (``Alphabet.index``).  The
+section, the forward code and the distance test are row kernels on int64
+arrays of letter indices (``_section_rows``, ``_block_sums``,
+``_violations``), computed one alphabet digit at a time
+(``Alphabet.digitwise``), as every alphabet is a product of cyclic groups.
+The section is a base block plus prefix sums along each residue class mod
+m!: y(n m! + j) = base(j) + P(n, j) - P(0, j), where P sums
+d(k) = x(k + (m-1)!) - x(k) down the class, for n >= 0 and n < 0 alike.  A
+single public call is one row, spanning the blocks from block 0 to its
+outputs; the verify suites 3.1 and 3.2 first draw all their trials from the
+random stream in its order, then evaluate them together, one padded row per
+trial.  Every ``randrange`` of those draws is CPython's own rejection loop
+(``_below``), inlined where letters are drawn (``_separated_letters``), so
+the stream is the one ``randrange`` gives.  Separated letters are drawn
+against a distance table (``_FarRows``) whose rows are lists while the table
+fits the pair table cap, and computed entry by entry otherwise and in single
+calls.  Distance thresholds are the ``bar`` of
+``SubshiftSpec(alphabet, Separation(m, delta))``.  The section's needed
+input range is the span of each class's ends, and the set of needed indices
+is listed only to name the missing ones in an error.  The public functions
+convert windows of tuples to indices and back around these kernels.  The
+pair embedding of cyclic words is one index formula on rows of letter
+indices (``pair_embed_rows``), which the embedding suite applies to the
+whole period-p word array at once.
 """
 from __future__ import annotations
 
@@ -32,13 +41,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .alphabets import Alphabet, Element, ElementLike, product_alphabet
 from .errors import NeededRangeError, ShapeError
-from .shiftspaces import _PAIR_TABLE_CAP, CyclicWord, Separation, SubshiftSpec
+from .shiftspaces import CyclicWord, Separation, SubshiftSpec
 
 __all__ = [
     "Window",
@@ -118,101 +127,117 @@ def _seeded_index(seed: int, k: int, n: int) -> int:
     return random.Random(f"{seed}|{k}").randrange(n)
 
 
-# -- letter indices and their tables ---------------------------------------------
+# -- letter indices: draws and row kernels ----------------------------------------
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, as CPython draws it
+    (``Random._randbelow_with_getrandbits``): k = n.bit_length() bits at a
+    time until the value falls below n.  The same loop is inlined in
+    ``_separated_letters``; both give the stream that ``randrange`` gives."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class _LazyRow:
-    """Row a of a letter table that is not built: entry b is computed on each read."""
+    """Row a of a ``_FarRows`` table that is not built: entry e is computed on each read."""
 
-    __slots__ = ("alphabet", "op", "a")
+    __slots__ = ("alphabet", "far", "a")
 
-    def __init__(self, alphabet: Alphabet, op: str, a: int):
-        self.alphabet, self.op, self.a = alphabet, op, a
+    def __init__(self, alphabet: Alphabet, far, a: int):
+        self.alphabet, self.far, self.a = alphabet, far, a
 
-    def __getitem__(self, b: int) -> int:
-        return self.alphabet.letter_op(self.op, self.a, b)
+    def __getitem__(self, e: int) -> bool:
+        return self.far[self.alphabet.letter_op("sub", self.a, e)]
 
 
-class _Rows(dict):
-    """The (n, n) letter table of ``op`` ("add" or "sub"), read as ``table[a][b]``.
+class _FarRows(dict):
+    """``rows[a][e]``: do letters a and e pass the distance bar ``far``, read
+    at the index of a - e?  The separated draws read it once per candidate.
 
-    Row a is made on first read: with ``tabled``, a list of n indices, and
+    Row a is made on first read: with ``tabled``, a list of n bools, and
     otherwise a ``_LazyRow``.  Both come from ``Alphabet.letter_op``.
     """
 
-    __slots__ = ("alphabet", "op", "tabled")
+    __slots__ = ("alphabet", "n", "far", "tabled")
 
-    def __init__(self, alphabet: Alphabet, op: str, tabled: bool):
+    def __init__(self, alphabet: Alphabet, far, tabled: bool):
         super().__init__()
-        self.alphabet, self.op, self.tabled = alphabet, op, tabled
+        self.alphabet, self.n, self.far, self.tabled = alphabet, alphabet.order, far, tabled
 
     def __missing__(self, a: int):
         alpha = self.alphabet
         if self.tabled:
-            row = alpha.letter_op(self.op, a, np.arange(alpha.order, dtype=np.int64)).tolist()
+            diffs = alpha.letter_op("sub", a, np.arange(self.n, dtype=np.int64))
+            row = self.far.read_all(diffs).tolist()
         else:
-            row = _LazyRow(alpha, self.op, a)
+            row = _LazyRow(alpha, self.far, a)
         self[a] = row
         return row
 
 
-class _LetterOps:
-    """Group operations on the letter indices of one alphabet, read
-    ``add[a][b]`` and ``sub[a][b]``, with the conversions at the window boundary.
-
-    Rows are built only with ``tabled``: a single call reads a few entries,
-    which digit arithmetic gives faster than a row build.
-    """
-
-    def __init__(self, alphabet: Alphabet, tabled: bool = False):
-        self.alphabet = alphabet
-        self.add = _Rows(alphabet, "add", tabled)
-        self.sub = _Rows(alphabet, "sub", tabled)
-
-    def indices(self, w: Window) -> list[int]:
-        return [self.alphabet.index(e) for e in w.letters]
-
-    def window(self, offset: int, letters: list[int]) -> Window:
-        return Window(self.alphabet, offset, tuple(map(self.alphabet.unindex, letters)))
-
-
-def _block_sums(add, m: int, xs: list[int]) -> list[int]:
-    """Forward code on letter indices: output t sums xs[t + i*(m-1)!] for i < m."""
-    gap = factorial(m - 1)
-    out = xs[: len(xs) - (m - 1) * gap]
-    for i in range(1, m):
-        out = [add[a][b] for a, b in zip(out, xs[i * gap :])]
-    return out
-
-
-def _violations(sub, far, ys: list[int], step: int) -> list[int]:
-    """Positions t with d(ys[t], ys[t + step]) below the bar of ``far``."""
-    return [t for t, (a, b) in enumerate(zip(ys, ys[step:])) if not far[sub[a][b]]]
-
-
-def _separated_letters(rng: random.Random, ops: _LetterOps, far, gap: int, length: int) -> list[int]:
-    """Letter indices t = 0..length-1 with letters t and t + gap passing ``far``,
-    drawn by rejection: one ``rng.randrange(n)`` per candidate letter.  It ends:
-    a separation bar is at most the diameter, which every alphabet attains."""
-    letters: list[int] = []
-    order = ops.alphabet.order
-    for t in range(length):
-        row = ops.sub[letters[t - gap]] if t >= gap else None
-        while True:
-            e = rng.randrange(order)
-            if row is None or far[row[e]]:
-                letters.append(e)
-                break
-    return letters
+def _separated_letters(rng: random.Random, rows: _FarRows, gap: int, length: int) -> list[int]:
+    """Letter indices t = 0..length-1 with letters t - gap and t passing ``rows``,
+    drawn by rejection, one ``rng.randrange(n)`` per candidate letter (the loop
+    of ``_below``, inlined).  It ends: a separation bar is at most the
+    diameter, which every alphabet attains."""
+    n = rows.n
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    xs: list[int] = []
+    for _ in range(min(gap, length)):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        xs.append(r)
+    for t in range(length - gap):
+        row = rows[xs[t]]
+        r = getrandbits(k)
+        while r >= n or not row[r]:
+            r = getrandbits(k)
+        xs.append(r)
+    return xs
 
 
 def _random_separated_window(
     rng: random.Random, alphabet: Alphabet, delta: Fraction, gap: int, lo: int, hi: int
 ) -> Window:
     """A window on [lo, hi] whose letters at distance `gap` are delta-separated."""
-    far = SubshiftSpec(alphabet, Separation(1, delta)).bar
-    ops = _LetterOps(alphabet)
-    return ops.window(lo, _separated_letters(rng, ops, far, gap, hi - lo + 1))
+    rows = _FarRows(alphabet, SubshiftSpec(alphabet, Separation(1, delta)).bar, tabled=False)
+    return _window(alphabet, lo, _separated_letters(rng, rows, gap, hi - lo + 1))
+
+
+def _indices(alphabet: Alphabet, letters) -> np.ndarray:
+    """Letters as one (1, len) row of int64 letter indices."""
+    return np.array([[alphabet.index(e) for e in letters]], dtype=np.int64)
+
+
+def _window(alphabet: Alphabet, offset: int, letters) -> Window:
+    return Window(alphabet, offset, tuple(map(alphabet.unindex, letters)))
+
+
+def _block_sums(m: int, alphabet: Alphabet, xs: np.ndarray) -> np.ndarray:
+    """Forward code on each row of letter indices: entry t sums xs[:, t + i*(m-1)!]
+    for i < m, so a row loses (m-1)*(m-1)! entries on the right."""
+    gap = factorial(m - 1)
+    width = xs.shape[1] - (m - 1) * gap
+
+    def digit(x: np.ndarray) -> np.ndarray:
+        out = x[:, :width].copy()
+        for i in range(1, m):
+            out += x[:, i * gap : i * gap + width]
+        return out
+
+    return alphabet.digitwise(digit, xs)
+
+
+def _violations(far, alphabet: Alphabet, ys: np.ndarray, step: int) -> np.ndarray:
+    """Per row of letter indices, a bool per position t < len - step: do letters
+    t and t + step fail the distance bar ``far``?"""
+    width = max(ys.shape[1] - step, 0)
+    return ~far.read_all(alphabet.digitwise(np.subtract, ys[:, :width], ys[:, step : step + width]))
 
 
 def block_sum_step(m: int, w: Window) -> Window:
@@ -232,8 +257,8 @@ def block_sum_step(m: int, w: Window) -> Window:
             needed=needed,
             missing=missing,
         )
-    ops = _LetterOps(w.alphabet)
-    return ops.window(w.start, _block_sums(ops.add, m, ops.indices(w)))
+    ys = _block_sums(m, w.alphabet, _indices(w.alphabet, w.letters))
+    return _window(w.alphabet, w.start, ys[0].tolist())
 
 
 # -- the anchored section -------------------------------------------------------
@@ -263,48 +288,54 @@ def _needed_indices(m: int, lo: int, hi: int) -> set[int]:
     return out
 
 
-def _section_letters(
-    m: int, anchor: Callable[[int], int], ops: _LetterOps, xs: list[int], start: int,
-    lo: int, hi: int,
-) -> list[int]:
-    """The section on [lo, hi] as letter indices; xs[i] is the input at start + i
-    and covers ``section_input_range(m, lo, hi)``, and ``anchor(k)`` is the
-    anchor's letter index at k, drawn once per index."""
+def _anchor_keys(m: int, lo: int, hi: int) -> Sequence[int]:
+    """The indices k < (m-1)*(m-1)! whose anchor letters the section reads on
+    [lo, hi], in increasing order: a residue class j below the head reads
+    anchor j, one above it reads anchors j - i*(m-1)! for 0 < i < m."""
     gap, block, head = _section_shape(m, lo, hi)
-    add, sub = ops.add, ops.sub
-    anchors: dict[int, int] = {}
+    if hi - lo + 1 >= block:
+        return range(head)
+    keys = set()
+    for k in range(lo, hi + 1):
+        j = k % block
+        keys.update((j,) if j < head else range(j - gap, -1, -gap))
+    return sorted(keys)
 
-    def letter(k: int) -> int:
-        if k not in anchors:
-            anchors[k] = anchor(k)
-        return anchors[k]
 
-    out = [0] * (hi - lo + 1)
-    for first in range(lo, min(hi, lo + block - 1) + 1):
-        j = first % block
-        if j < head:
-            base = letter(j)
-        else:
-            base = xs[j - head - start]
-            for i in range(1, m):
-                base = sub[base][letter(j - i * gap)]
-        n_lo, n_hi = (first - j) // block, (hi - j) // block
-        if n_lo <= 0 <= n_hi:
-            out[j - lo] = base
-        # walk y(k + m!) = y(k) + x(k + (m-1)!) - x(k) away from k = j
-        y, p = base, j - start
-        for n in range(1, n_hi + 1):
-            y = add[y][sub[xs[p + gap]][xs[p]]]
-            p += block
-            if n >= n_lo:
-                out[n * block + j - lo] = y
-        y, p = base, j - start
-        for n in range(-1, n_lo - 1, -1):
-            p -= block
-            y = sub[y][sub[xs[p + gap]][xs[p]]]
-            if n <= n_hi:
-                out[n * block + j - lo] = y
-    return out
+def _section_rows(m: int, alphabet: Alphabet, xs: np.ndarray, anchors: np.ndarray,
+                  n0: int) -> np.ndarray:
+    """The section on every row of ``xs`` at once, as letter indices.
+
+    Row entry c of ``xs`` is the input at absolute index n0 * m! + c, and a
+    row spans whole blocks of m! entries from block n0 <= 0 on, block 0
+    included; row entry k < (m-1)*(m-1)! of ``anchors`` is the anchor letter
+    at k.  Output k = n m! + j is base(j) plus the prefix sum of
+    d(i) = x(i + (m-1)!) - x(i) along its residue class j, taken from block
+    0 to block n: y(n, j) = base(j) + P(n, j) - P(0, j), where P(n, j) sums
+    d over the blocks before n, for n >= 0 and n < 0 alike.  base(j) is the
+    anchor at j on the head of block 0 and x(j - head) minus m - 1 anchors
+    on its tail.  Each output is exact wherever ``xs`` holds the inputs it
+    reads (``section_input_range``), whatever the other entries hold.
+    """
+    gap, block, head = _section_shape(m, 0, 0)
+    r0 = -n0
+    rows, blocks = xs.shape[0], xs.shape[1] // block
+    tail = np.arange(head, block)[:, None] - gap * np.arange(1, m)
+
+    def digit(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        base = np.empty((rows, block), dtype=np.int64)
+        base[:, :head] = a
+        base[:, head:] = x[:, r0 * block : r0 * block + gap] - a[:, tail].sum(axis=2)
+        # d one block late, so the running sum down each class stops before its block
+        p = np.zeros_like(x)
+        np.subtract(x[:, gap : x.shape[1] - block + gap], x[:, : x.shape[1] - block],
+                    out=p[:, block:])
+        p = p.reshape(rows, blocks, block)
+        np.cumsum(p, axis=1, out=p)
+        p += base[:, None] - p[:, r0, None]
+        return p.reshape(x.shape)
+
+    return alphabet.digitwise(digit, xs, anchors)
 
 
 def section_input_range(m: int, lo: int, hi: int) -> tuple[int, int] | None:
@@ -334,7 +365,9 @@ def section_apply(m: int, anchor: AnchorSeq, x: Window, lo: int, hi: int) -> Win
     a shifted input minus anchor sums on its tail, and telescoping sums of
     input differences (one direction per sign of the block index) added to
     the base value elsewhere.  Raises NeededRangeError naming the exact
-    missing indices when x does not cover what the outputs read.
+    missing indices when x does not cover what the outputs read.  The
+    outputs come from ``_section_rows`` on one row: the blocks from the
+    lower of block 0 and lo's block to the higher of block 0 and hi's.
     """
     need = section_input_range(m, lo, hi)
     if need is not None and not x.start <= need[0] <= need[1] < x.stop:
@@ -344,64 +377,18 @@ def section_apply(m: int, anchor: AnchorSeq, x: Window, lo: int, hi: int) -> Win
             needed=need,
             missing=missing,
         )
-    alpha, ops = x.alphabet, _LetterOps(x.alphabet)
-    letters = _section_letters(m, lambda k: alpha.index(anchor.rule(k)), ops, ops.indices(x),
-                               x.start, lo, hi)
-    return ops.window(lo, letters)
-
-
-class _SectionTrials:
-    """Random trials of the level-m section on letter indices, the work of the
-    section suites 3.1 and 3.2.
-
-    One set of letter tables, one distance bar and one anchor generator,
-    reseeded for each anchor letter, serve every trial.  The tables are built
-    while both, fully read, fit the bytes of the pair table cap: 2 n^2 list
-    slots of 8 bytes, every index below 257 being one of Python's shared
-    small ints.  A trial draws from the random stream exactly as
-    ``_random_separated_window`` and then ``rng.randrange(10**9)`` for the
-    anchor seed; it returns (input offset, input letter indices, anchor seed,
-    first failing index or None).
-    """
-
-    def __init__(self, m: int, alphabet: Alphabet, delta: Fraction):
-        self.m = m
-        self.gap, self.block, self.span = _section_shape(m, 0, 0)
-        n = alphabet.order
-        self.ops = _LetterOps(alphabet, tabled=16 * n * n <= _PAIR_TABLE_CAP)
-        self.far = SubshiftSpec(alphabet, Separation(m, delta)).bar
-        self.anchor = random.Random()
-
-    def _draw(self, rng: random.Random, lo: int, hi: int):
-        need = section_input_range(self.m, lo, hi)
-        start, stop = need if need is not None else (0, 0)
-        xs = _separated_letters(rng, self.ops, self.far, self.gap, stop - start + 1)
-        seed, n, anchor = rng.randrange(10**9), self.ops.alphabet.order, self.anchor
-
-        def index(k: int) -> int:  # _seeded_index(seed, k, n): Random(x) is Random() seeded with x
-            anchor.seed(f"{seed}|{k}")
-            return anchor.randrange(n)
-
-        ys = _section_letters(self.m, index, self.ops, xs, start, lo, hi)
-        return start, xs, seed, ys
-
-    def roundtrip(self, rng: random.Random, lo: int, hi: int):
-        """The first k in [lo, hi] where the forward code of the section differs
-        from the input; the section is evaluated far enough right to cover it."""
-        start, xs, seed, ys = self._draw(rng, lo, hi + self.span)
-        back = _block_sums(self.ops.add, self.m, ys)
-        bad = next((k for k in range(lo, hi + 1) if back[k - lo] != xs[k - start]), None)
-        return start, xs, seed, bad
-
-    def containment(self, rng: random.Random, lo: int, hi: int):
-        """The first k with section letters k and k + m! not delta-separated,
-        evaluated on [lo, hi + m!] so at least one such pair is visible."""
-        start, xs, seed, ys = self._draw(rng, lo, hi + self.block)
-        bad = _violations(self.ops.sub, self.far, ys, self.block)
-        return start, xs, seed, (lo + bad[0] if bad else None)
-
-    def letters(self, xs: list[int]) -> list[Element]:
-        return [self.ops.alphabet.unindex(e) for e in xs]
+    gap, block, head = _section_shape(m, lo, hi)
+    alpha = x.alphabet
+    n0 = min(lo // block, 0)
+    row = np.zeros((1, (max(hi // block, 0) - n0 + 1) * block), dtype=np.int64)
+    if need is not None:
+        letters = x.letters[need[0] - x.start : need[1] - x.start + 1]
+        row[:, need[0] - n0 * block : need[1] - n0 * block + 1] = _indices(alpha, letters)
+    anchors = np.zeros((1, head), dtype=np.int64)
+    for k in _anchor_keys(m, lo, hi):
+        anchors[0, k] = alpha.index(anchor.rule(k))
+    ys = _section_rows(m, alpha, row, anchors, n0)[0, lo - n0 * block : hi - n0 * block + 1]
+    return _window(alpha, lo, ys.tolist())
 
 
 # -- embeddings and checks -------------------------------------------------------
@@ -442,5 +429,5 @@ def separation_violations(w: Window, step: int, delta: Fraction) -> list[int]:
     if step < 0:
         w[w.start + step]  # raises NeededRangeError: the first partner lies left of w
     far = SubshiftSpec(w.alphabet, Separation(1, delta)).bar
-    ops = _LetterOps(w.alphabet)
-    return [w.start + t for t in _violations(ops.sub, far, ops.indices(w), step)]
+    bad = _violations(far, w.alphabet, _indices(w.alphabet, w.letters), step)[0]
+    return (w.start + np.flatnonzero(bad)).tolist()

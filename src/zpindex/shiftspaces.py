@@ -256,10 +256,8 @@ class SubshiftSpec:
     def pair_table(self) -> np.ndarray:
         """The letter-pair relation, read-only and built once per spec: [i, j],
         in ``all_elements`` order, is ``bar`` at the difference of i and j."""
-        n = self._letter_count()
-        meets = np.array([self.bar[d] for d in range(n)], dtype=bool)
-        letters = np.arange(n, dtype=np.int64)
-        table = meets[self.alphabet.letter_op("sub", letters[:, None], letters)]
+        letters = np.arange(self._letter_count(), dtype=np.int64)
+        table = self.bar.read_all(self.alphabet.letter_op("sub", letters[:, None], letters))
         table.flags.writeable = False
         return table
 

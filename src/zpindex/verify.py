@@ -7,11 +7,13 @@ from the command line), not only of the test suite: the point of the
 artifact is auditable reproduction, so the verifiers must be rerunnable by
 a reader with one command and one seed.
 
-The section suites 3.1 and 3.2 run their trials on letter indices through
-``seqmaps._SectionTrials``, with one set of exact letter tables per call,
-and build letter tuples only for a failure record.  They draw from the
-random stream exactly as the tuple-based public functions do, so a seed
-gives the same trials either way.  The embedding suite embed-1.5 checks all
+The section suites 3.1 and 3.2 run in two phases (``_SectionSuite``).
+First they draw every trial from the seeded random stream in its order,
+exactly as the tuple-based public functions draw it, so a seed gives the
+same trials either way; then they evaluate the drawn trials together, as
+prefix sums on one padded row of letter indices per trial, in batches of
+at most 2^14 padded letters.  They build letter tuples only for a failure
+record.  The embedding suite embed-1.5 checks all
 period-p words at once, as rows of the search's word array, and writes out
 a word only for its first counterexample.
 """
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import factorial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,13 +43,21 @@ from .errors import ResourceCapError, ShapeError
 from .homology import betti_numbers
 from .seqmaps import (
     AnchorSeq,
+    _anchor_keys,
+    _below,
+    _block_sums,
+    _FarRows,
     _random_separated_window,
-    _SectionTrials,
+    _section_rows,
+    _section_shape,
+    _separated_letters,
+    _violations,
     pair_embed_rows,
     section_apply,
     section_input_range,
 )
 from .shiftspaces import (
+    _PAIR_TABLE_CAP,
     CyclicWord,
     Separation,
     SubshiftSpec,
@@ -71,6 +82,9 @@ __all__ = [
 
 # letters a section trial window may hold; m = 8 (282,240) runs, m = 9 is refused
 _WINDOW_CAP = 10**6
+# padded letters a batch of section trials holds, or one trial if its window is
+# larger: 128 KiB per int64 array of a batch
+_BATCH_LETTERS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -95,46 +109,149 @@ class VerifyResult:
         return doc
 
 
-def _trial_ranges(rng: random.Random, m: int) -> tuple[int, int]:
-    block = factorial(m)
-    lo = rng.randrange(-2 * block, block)
-    hi = lo + rng.randrange(1, 3 * block + 1)
-    return lo, hi
+# anchor seeds of the section trials are drawn below this bound
+_ANCHOR_SEEDS = 10**9
 
 
-def _section_suite(lemma, m, alphabet, delta, trials, seed, check, record) -> VerifyResult:
+class _Drawn(NamedTuple):
+    """A batch of drawn section trials: per trial its check range [lo, hi], input
+    offset and length and anchor seed, and its rows of input and anchor letters."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    seed: np.ndarray
+    xs: np.ndarray
+    anchors: np.ndarray
+
+
+class _SectionSuite:
+    """The trials of section suite 3.1 or 3.2 in two phases.
+
+    Phase one, ``draw``, takes each trial from the random stream in its
+    order: the output range [lo, hi], a delta-separated input window over
+    ``section_input_range`` of [lo, hi + extend] and an anchor seed, then the
+    anchor letters its outputs read, each from the seeded anchor generator
+    reseeded for it.  Every ``randrange`` of the stream is the loop of
+    ``_below``.  Phase two evaluates a batch of drawn trials at once, one
+    padded row per trial: each row holds absolute indices [-2 m!, 5 m!), where
+    every input and output of a trial lies, and ``_section_rows`` gives the
+    section on all rows, which ``roundtrip`` or ``containment`` compares.  One
+    distance table, one cache of ranges and one anchor generator serve every
+    trial of a call; the table is built while, fully read, its n^2 list slots
+    of 8 bytes fit the bytes of the pair table cap.
+    """
+
+    def __init__(self, m: int, alphabet: Alphabet, delta: Fraction, extend: int):
+        self.m, self.alphabet, self.extend = m, alphabet, extend
+        self.gap, self.block, self.head = _section_shape(m, 0, 0)
+        self.frame = 7 * self.block
+        n = alphabet.order
+        self.far = SubshiftSpec(alphabet, Separation(m, delta)).bar
+        self.rows = _FarRows(alphabet, self.far, tabled=8 * n * n <= _PAIR_TABLE_CAP)
+        self.shapes: dict[tuple[int, int], tuple[int, int, Sequence[int]]] = {}
+        self.anchor = random.Random()
+
+    def _shape(self, lo: int, hi: int) -> tuple[int, int, Sequence[int]]:
+        """(input start, input length, anchor keys) of output range [lo, hi + extend]."""
+        top = hi + self.extend
+        start, stop = section_input_range(self.m, lo, top) or (0, 0)
+        shape = self.shapes[lo, hi] = (start, stop - start + 1, _anchor_keys(self.m, lo, top))
+        return shape
+
+    def draw(self, rng: random.Random, count: int) -> _Drawn:
+        """Phase one for the next ``count`` trials."""
+        block, head, n = self.block, self.head, self.alphabet.order
+        getrandbits = rng.getrandbits
+        reseed, anchor_bits = self.anchor.seed, self.anchor.getrandbits
+        trials, letters, anchors = [], [], []
+        for _ in range(count):
+            lo = _below(getrandbits, 3 * block) - 2 * block  # rng.randrange(-2 m!, m!)
+            hi = lo + 1 + _below(getrandbits, 3 * block)  # lo + rng.randrange(1, 3 m! + 1)
+            start, length, keys = self.shapes.get((lo, hi)) or self._shape(lo, hi)
+            letters += _separated_letters(rng, self.rows, self.gap, length)
+            seed = _below(getrandbits, _ANCHOR_SEEDS)
+            row = [0] * head
+            for k in keys:  # the letter of AnchorSeq.seeded(alphabet, seed) at k
+                reseed(f"{seed}|{k}")
+                row[k] = _below(anchor_bits, n)
+            anchors += row
+            trials.append((lo, hi, start, length, seed))
+        lo, hi, start, length, seed = (np.array(v, dtype=np.int64) for v in zip(*trials))
+        # trial i's letters go to row i from column start + 2 m! on
+        firsts = np.arange(count) * self.frame + start + 2 * block - np.cumsum(length) + length
+        xs = np.zeros((count, self.frame), dtype=np.int64)
+        xs.ravel()[np.repeat(firsts, length) + np.arange(len(letters))] = letters
+        return _Drawn(lo, hi, start, length, seed, xs,
+                      np.array(anchors, dtype=np.int64).reshape(count, head))
+
+    def _failures(self, drawn: _Drawn, bad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The trials of a batch with a bad entry in their check range, and the
+        absolute index of the first one; row entry c is absolute c - 2 m!."""
+        cols = np.arange(bad.shape[1]) - 2 * self.block
+        bad &= (cols >= drawn.lo[:, None]) & (cols <= drawn.hi[:, None])
+        failed = np.flatnonzero(bad.any(axis=1))
+        return failed, cols[bad[failed].argmax(axis=1)]
+
+    def section(self, drawn: _Drawn) -> np.ndarray:
+        return _section_rows(self.m, self.alphabet, drawn.xs, drawn.anchors, -2)
+
+    def roundtrip(self, drawn: _Drawn):
+        """Trials where the forward code of the section differs from the input
+        at some k in [lo, hi], with the first such k."""
+        back = _block_sums(self.m, self.alphabet, self.section(drawn))
+        return self._failures(drawn, back != drawn.xs[:, : back.shape[1]])
+
+    def containment(self, drawn: _Drawn):
+        """Trials with section letters k and k + m! not delta-separated for
+        some k in [lo, hi], with the first such k."""
+        bad = _violations(self.far, self.alphabet, self.section(drawn), self.block)
+        return self._failures(drawn, bad)
+
+
+def _section_suite(lemma, m, alphabet, delta, trials, seed) -> VerifyResult:
     """One trial loop for the section suites 3.1 and 3.2.
 
-    Each trial draws an output range [lo, hi], then ``check`` (a method of
-    ``_SectionTrials``) draws a delta-separated input window and a seeded
-    anchor, evaluates the section and returns the first failing index, which
-    ``record`` turns into the failure fields of the trial.
+    3.1 evaluates the section m! past each check range and checks
+    containment, 3.2 evaluates it (m-1)*(m-1)! past and checks the round
+    trip.  The trials are drawn and then evaluated in batches
+    (``_SectionSuite``) whose padded rows hold at most ``_BATCH_LETTERS``
+    letters, or one trial when its rows are longer; those stay within the
+    window cap, checked first.  The first failing index of the first failing
+    trial goes into its record.
     """
-    kernel = _SectionTrials(m, alphabet, delta)
-    window = 7 * factorial(m)  # outputs lie in [-2 m!, 5 m!)
+    gap, block, head = _section_shape(m, 0, 0)
+    suite = _SectionSuite(m, alphabet, delta, block if lemma == "3.1" else head)
+    check = suite.containment if lemma == "3.1" else suite.roundtrip
+    window = suite.frame  # outputs lie in [-2 m!, 5 m!)
     if window > _WINDOW_CAP:
         raise ResourceCapError(
             f"verify {lemma} at m={m}: a trial window can reach {window} letters, "
             f"above the window cap ({_WINDOW_CAP}); no trial was run"
         )
+    batch = max(_BATCH_LETTERS // window, 1)
     rng = random.Random(seed)
     failures = 0
     first = None
-    for t in range(trials):
-        lo, hi = _trial_ranges(rng, m)
-        offset, xs, anchor_seed, bad = check(kernel, rng, lo, hi)
-        if bad is not None:
-            failures += 1
-            if first is None:
-                first = {
-                    "trial": t,
-                    "m": m,
-                    "alphabet": alphabet.token(),
-                    "anchor_seed": anchor_seed,
-                    "window": [list(e) for e in kernel.letters(xs)],
-                    "offset": offset,
-                    **record(bad),
-                }
+    for done in range(0, trials, batch):
+        drawn = suite.draw(rng, min(batch, trials - done))
+        failed, at = check(drawn)
+        failures += len(failed)
+        if first is None and len(failed):
+            i, k = int(failed[0]), int(at[0])
+            start = int(drawn.start[i])
+            xs = drawn.xs[i, start + 2 * block : start + 2 * block + drawn.length[i]].tolist()
+            bad = {"first_bad_pair": [k, k + block]} if lemma == "3.1" else {"first_bad_index": k}
+            first = {
+                "trial": done + i,
+                "m": m,
+                "alphabet": alphabet.token(),
+                "anchor_seed": int(drawn.seed[i]),
+                "window": [list(alphabet.unindex(e)) for e in xs],
+                "offset": start,
+                **bad,
+            }
     return VerifyResult(
         lemma, failures == 0, trials, failures, first,
         details={"m": m, "alphabet": alphabet.token(), "seed": seed},
@@ -146,16 +263,14 @@ def check_roundtrip(
 ) -> VerifyResult:
     """Forward code after the section is the identity, bit-exact, on random
     valid windows and random anchors."""
-    return _section_suite("3.2", m, alphabet, delta, trials, seed, _SectionTrials.roundtrip,
-                          lambda k: {"first_bad_index": k})
+    return _section_suite("3.2", m, alphabet, delta, trials, seed)
 
 
 def check_section_containment(
     m: int, alphabet: Alphabet, delta: Fraction, trials: int, seed: int
 ) -> VerifyResult:
     """Section outputs satisfy the level-m pair constraint at every checkable pair."""
-    return _section_suite("3.1", m, alphabet, delta, trials, seed, _SectionTrials.containment,
-                          lambda k: {"first_bad_pair": [k, k + factorial(m)]})
+    return _section_suite("3.1", m, alphabet, delta, trials, seed)
 
 
 def check_periodic_finite(m: int, p: int) -> VerifyResult:
@@ -236,8 +351,7 @@ def _pair_embedding_rows(words: np.ndarray, q: int, target: SubshiftSpec):
     sub, bar = target.alphabet.letter_op, target.bar
 
     def meets(i: int, j: int) -> np.ndarray:
-        diffs, at = np.unique(sub("sub", img[:, i], img[:, j]), return_inverse=True)
-        return np.array([bar[d] for d in diffs.tolist()], dtype=bool)[at]
+        return bar.read_all(sub("sub", img[:, i], img[:, j]))
 
     ok_pred = np.ones(len(img), dtype=bool)
     for clause in target.clauses(words.shape[1]):

@@ -22,9 +22,11 @@ checked by two gathers per pair over the whole face table instead of one
 gather per block of rows shared by every pair, the block-sum code, its
 section and the section suites on windows of letter tuples through the exact
 ``Alphabet`` operations, with the needed input set spelled out index by index,
-instead of letter indices and exact tables, with the range walked residue class
-by residue class, and the word complex, the pair embedding and the embedding
-suite on ``CyclicWord`` objects (each word shifted as an object and looked up
+instead of letter indices in padded arrays, the section's trials drawn one by
+one with ``randrange`` and walked on lists residue class by residue class, one
+letter operation per step, instead of drawn by the inlined rejection loop and
+evaluated for all trials at once as prefix sums, and the word complex, the
+pair embedding and the embedding suite on ``CyclicWord`` objects (each word shifted as an object and looked up
 in a dict, each image built from letter tuples and checked by ``satisfies``)
 instead of the rows of the word array (one lexsort of the rolled rows, one
 index formula, one read of the bar per distinct letter difference), and the
@@ -1084,3 +1086,82 @@ def every_word_complex_matches_the_cyclic_words():
         _replace_everywhere(mp, fast, checked)
         _replace_everywhere(mp, fast_action, checked_action)
         yield
+
+
+# -- the section suites trial by trial on letter indices ------------------------
+
+
+def list_section_letters(m: int, anchor, alphabet, xs: list[int], start: int, lo: int, hi: int):
+    """The section on [lo, hi] as letter indices, walked residue class by residue
+    class on lists, one ``letter_op`` per step: xs[i] is the input at start + i,
+    and ``anchor(k)`` is the anchor's letter index at k, read once per index."""
+    gap, block, head = factorial(m - 1), factorial(m), (m - 1) * factorial(m - 1)
+
+    def add(a, b):
+        return alphabet.letter_op("add", a, b)
+
+    def sub(a, b):
+        return alphabet.letter_op("sub", a, b)
+
+    anchors: dict[int, int] = {}
+
+    def letter(k: int) -> int:
+        if k not in anchors:
+            anchors[k] = anchor(k)
+        return anchors[k]
+
+    out = [0] * (hi - lo + 1)
+    for first in range(lo, min(hi, lo + block - 1) + 1):
+        j = first % block
+        if j < head:
+            base = letter(j)
+        else:
+            base = xs[j - head - start]
+            for i in range(1, m):
+                base = sub(base, letter(j - i * gap))
+        n_lo, n_hi = (first - j) // block, (hi - j) // block
+        if n_lo <= 0 <= n_hi:
+            out[j - lo] = base
+        # walk y(k + m!) = y(k) + x(k + (m-1)!) - x(k) away from k = j
+        y, p = base, j - start
+        for n in range(1, n_hi + 1):
+            y = add(y, sub(xs[p + gap], xs[p]))
+            p += block
+            if n >= n_lo:
+                out[n * block + j - lo] = y
+        y, p = base, j - start
+        for n in range(-1, n_lo - 1, -1):
+            p -= block
+            y = sub(y, sub(xs[p + gap], xs[p]))
+            if n <= n_hi:
+                out[n * block + j - lo] = y
+    return out
+
+
+def list_section_trial(rng, m: int, alphabet, delta: Fraction, extend: int):
+    """One trial of a section suite drawn with ``rng.randrange`` as the suites
+    drew it trial by trial: the output range [lo, hi], the separated input
+    window over the needed range of [lo, hi + extend], the anchor seed, and the
+    section on [lo, hi + extend] under that seed's anchor.  Returns
+    (lo, hi, input offset, input letter indices, anchor seed, section letters)."""
+    import random
+
+    from zpindex.seqmaps import section_input_range
+    from zpindex.shiftspaces import Separation, SubshiftSpec
+
+    block, gap, n = factorial(m), factorial(m - 1), alphabet.order
+    far = SubshiftSpec(alphabet, Separation(m, delta)).bar
+    lo = rng.randrange(-2 * block, block)
+    hi = lo + rng.randrange(1, 3 * block + 1)
+    start, stop = section_input_range(m, lo, hi + extend) or (0, 0)
+    xs: list[int] = []
+    for t in range(stop - start + 1):
+        while True:
+            e = rng.randrange(n)
+            if t < gap or far[alphabet.letter_op("sub", xs[t - gap], e)]:
+                xs.append(e)
+                break
+    seed = rng.randrange(10**9)
+    ys = list_section_letters(m, lambda k: random.Random(f"{seed}|{k}").randrange(n), alphabet,
+                              xs, start, lo, hi + extend)
+    return lo, hi, start, xs, seed, ys

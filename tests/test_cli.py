@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import subprocess
@@ -133,6 +134,129 @@ def test_certify_tampered_exits_2(capsys, tmp_path):
     assert code == 2
     assert out["results"]["verification"]["accepted"] is False
     assert out["results"]["verification"]["witness"] is not None
+
+
+@functools.lru_cache(maxsize=1)
+def _saved_certificate() -> str:
+    """The text of the certificate that ``certify --q 8 --save-cert`` writes."""
+    from zpindex.torusgrid import build_approx, canonical_certificate_P2, z_torus_spec
+
+    return json.dumps(canonical_certificate_P2(8, target=build_approx(z_torus_spec(2, 8))).to_json())
+
+
+def _set(key, value, inside=False):
+    def mutate(doc):
+        (doc["domain"] if inside else doc)[key] = value
+    return mutate
+
+
+# each once ended in a traceback or was accepted after truncating or coercing a
+# value; each is now one shape error naming the key and what it found
+CERT_MUTATIONS = {
+    "vertex_map null": (_set("vertex_map", None), "'vertex_map'", "found null"),
+    "p a list": (_set("p", [2]), "'p'", "found an array"),
+    "domain an integer": (_set("domain", 5), "'domain'", "found an integer"),
+    "domain p a string": (_set("p", "x", inside=True), "'p'", "found a string"),
+    "maximal cells nested": (lambda d: d["domain"].update(
+        maximal_cells=[[c] for c in d["domain"]["maximal_cells"]]), "'maximal_cells'",
+        "found an array in an array in an array"),
+    "n a float": (_set("n", 1.9), "'n'", "found a number"),
+    "p a float": (_set("p", 2.7), "'p'", "found a number"),
+    "p a numeric string": (_set("p", "2"), "'p'", "found a string"),
+    "vertex_map floats": (lambda d: d.update(vertex_map=[v + 0.5 for v in d["vertex_map"]]),
+                          "'vertex_map'", "found a number in an array"),
+    "domain action a float": (lambda d: d["domain"]["action"].__setitem__(0, 4.5), "'action'",
+                              "found a number in an array"),
+    "n a boolean": (_set("n", True), "'n'", "found a boolean"),
+    "target_ref an integer": (_set("target_ref", 5), "'target_ref'", "found an integer"),
+    "domain vertices integers": (lambda d: d["domain"].update(
+        vertices=list(range(len(d["domain"]["vertices"])))), "'vertices'",
+        "found an integer in an array"),
+    "domain another string": (_set("domain", "join"), "'domain'", "found the string 'join'"),
+    "domain action past int64": (lambda d: d["domain"]["action"].__setitem__(0, 2**70), "'action'",
+                                 "in [0, 8), found 1180591620717411303424 in an array"),
+    "domain cell vertex negative": (lambda d: d["domain"]["maximal_cells"][0].__setitem__(0, -1),
+                                    "'maximal_cells'", "found -1 in an array in an array"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERT_MUTATIONS))
+def test_certificate_documents_are_read_exactly(capsys, tmp_path, name):
+    mutate, key, found = CERT_MUTATIONS[name]
+    path = tmp_path / "cert.json"
+    doc = json.loads(_saved_certificate())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "certify", "--cert", str(path), "--target", "Z:p=2,q=8")
+    assert code == 1 and out["error"]["type"] == "shape"
+    assert key in out["error"]["reason"] and out["error"]["reason"].endswith(found)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "cert", None, 3])
+def test_certificate_documents_must_be_objects(capsys, tmp_path, doc):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "certify", "--cert", str(path), "--target", "Z:p=2,q=8")
+    assert code == 1 and out["error"]["type"] == "shape"
+    assert out["error"]["reason"].startswith("certificate document must be an object, found ")
+
+
+def test_an_exactly_read_certificate_writes_the_document_it_read(tmp_path, capsys):
+    from zpindex.coindex import EquivariantMapCert
+
+    path = tmp_path / "cert.json"
+    run(capsys, "certify", "--q", "8", "--save-cert", str(path))
+    doc = json.loads(path.read_text())
+    assert doc == json.loads(_saved_certificate())
+    assert EquivariantMapCert.from_json(doc).to_json() == doc
+    del doc["domain"]["kind"]  # optional: a complex document is simplicial by default
+    assert EquivariantMapCert.from_json(doc).to_json()["domain"]["kind"] == "simplicial"
+
+
+CERT_PATHS = [("p",), ("n",), ("domain",), ("vertex_map",), ("target_ref",), ("vertex_map", 0),
+              ("domain", "kind"), ("domain", "p"), ("domain", "vertices"), ("domain", "action"),
+              ("domain", "maximal_cells"), ("domain", "vertices", 0), ("domain", "action", 0),
+              ("domain", "maximal_cells", 0), ("domain", "maximal_cells", 0, 0)]
+CERT_VALUES = [None, True, 0, 1, 2, -1, 7, 2**70, 1.5, 2.0, "2", "x", "join(Zp)^{n+1}", [], [2],
+               [[0, 1]], [1.5], {}, {"p": 2}]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CERT_PATHS), st.sampled_from(["drop", "set", "nest"]),
+                          st.sampled_from(CERT_VALUES)), min_size=1, max_size=3))
+def test_mutated_certificate_gives_one_json_document(edits):
+    # each edit drops, replaces or nests the value at a path, where the path exists
+    import tempfile
+
+    doc = json.loads(_saved_certificate())
+    for path, op, value in edits:
+        parent = doc
+        for step in path[:-1]:
+            ok = isinstance(parent, dict) and step in parent or (
+                isinstance(parent, list) and isinstance(step, int) and step < len(parent))
+            parent = parent[step] if ok else None
+        last = path[-1]
+        if not (isinstance(parent, dict) and last in parent
+                or isinstance(parent, list) and isinstance(last, int) and last < len(parent)):
+            continue
+        if op == "drop":
+            del parent[last]
+        else:
+            parent[last] = value if op == "set" else [parent[last]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(doc))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["certify", "--cert", str(path), "--target", "Z:p=2,q=8"])
+    assert code in (0, 1, 2), edits
+    out = json.loads(buf.getvalue())
+    assert ("error" in out) == (code == 1), edits
+    if code != 1:
+        # read, not coerced: the certificate's own fields are the document's
+        cert = out["results"]["certificate"]
+        assert {k: cert[k] for k in ("p", "n", "vertex_map", "target_ref")} == {
+            k: doc[k] for k in ("p", "n", "vertex_map", "target_ref")}, edits
 
 
 def test_usage_errors_exit_1(capsys, tmp_path):

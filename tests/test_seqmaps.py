@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     cyclic_pair_embedding,
+    list_section_trial,
     tuple_block_sum_step,
     tuple_pair_embed_cyclic,
     tuple_section_apply,
@@ -16,7 +17,7 @@ from conftest import (
     tuple_separated_window,
     tuple_separation_violations,
 )
-from zpindex import seqmaps
+from zpindex import seqmaps, verify
 from zpindex.alphabets import circle_grid, cyclic_group, parse_alphabet, product_alphabet
 from zpindex.errors import NeededRangeError, ShapeError
 from zpindex.seqmaps import (
@@ -133,10 +134,11 @@ def test_roundtrip_and_containment_suites():
 
 def test_section_suites_report_the_first_failed_trial(monkeypatch):
     # break each suite's final check: every trial fails, and the record names trial 0
-    import zpindex.verify as verify
-
-    monkeypatch.setattr(seqmaps, "_block_sums", lambda add, m, ys: [Z3.index((1,))] * len(ys))
-    monkeypatch.setattr(seqmaps, "_violations", lambda sub, far, ys, step: [0])
+    one = Z3.index((1,))
+    monkeypatch.setattr(verify, "_block_sums", lambda m, alpha, ys: np.full(
+        (ys.shape[0], ys.shape[1] - 1), one, dtype=np.int64))
+    monkeypatch.setattr(verify, "_violations", lambda far, alpha, ys, step: np.ones(
+        (ys.shape[0], ys.shape[1] - step), dtype=bool))
     for check, key, extend in ((check_roundtrip, "first_bad_index", 1),
                                (check_section_containment, "first_bad_pair", 2)):
         r = check(2, Z3, HALF, trials=5, seed=7)
@@ -146,13 +148,16 @@ def test_section_suites_report_the_first_failed_trial(monkeypatch):
         assert key in first and {"anchor_seed", "window", "offset"} <= set(first)
         # trial 0 of seed 7 redrawn through the public functions
         rng = random.Random(7)
-        lo, hi = verify._trial_ranges(rng, 2)
+        lo = rng.randrange(-4, 2)
+        hi = lo + rng.randrange(1, 7)
         nlo, nhi = section_input_range(2, lo, hi + extend)
         x = _random_separated_window(rng, Z3, HALF, 1, nlo, nhi)
         assert first["window"] == [list(e) for e in x.letters] and first["offset"] == nlo
         assert first["anchor_seed"] == rng.randrange(10**9)
         if key == "first_bad_pair":
             assert first[key] == [lo, lo + 2]
+        else:
+            assert first[key] == next(k for k in range(lo, hi + 1) if x[k] != (1,))
 
 
 def test_roundtrip_anchor_independence():
@@ -331,15 +336,96 @@ def test_section_suites_match_the_tuple_oracle_loop(m, alpha, delta, trials):
             assert got == tuple_section_suite(lemma, m, alpha, delta, trials, seed), (lemma, seed)
 
 
+TRIALS_AT = {2: 40, 3: 15, 4: 6, 5: 3}
+
+
+@pytest.mark.parametrize("token", ["Z3", "S:q=12", "S^2:q=4", "S^3:q=8"])
+@pytest.mark.parametrize("m", sorted(TRIALS_AT))
+def test_section_trials_match_the_per_trial_kernel(m, token):
+    # every trial's range, input window, anchor seed and section letters, drawn
+    # in stream order and evaluated as prefix sums, against the trial-by-trial
+    # list walk drawn with randrange; S^3:q=8 (512 letters) reads lazy rows
+    alpha = parse_alphabet(token)
+    block, span = factorial(m), (m - 1) * factorial(m - 1)
+    assert verify._SectionSuite(m, alpha, HALF, 0).rows.tabled is (token != "S^3:q=8")
+    for seed in range(3):
+        for extend in (span, block):
+            suite = verify._SectionSuite(m, alpha, HALF, extend)
+            rng, oracle = random.Random(seed), random.Random(seed)
+            drawn = suite.draw(rng, TRIALS_AT[m])
+            ys = suite.section(drawn)
+            for t in range(TRIALS_AT[m]):
+                lo, hi, start, xs, anchor_seed, want = list_section_trial(oracle, m, alpha, HALF, extend)
+                got = [int(v[t]) for v in drawn[:5]]
+                assert got == [lo, hi, start, len(xs), anchor_seed], (seed, extend, t)
+                pad = start + 2 * block
+                assert drawn.xs[t, pad : pad + len(xs)].tolist() == xs, (seed, extend, t)
+                assert ys[t, lo + 2 * block : hi + extend + 2 * block + 1].tolist() == want
+            assert rng.getstate() == oracle.getstate()
+
+
+def test_inline_draws_are_the_randrange_stream():
+    # CPython's randrange(n) is getrandbits(n.bit_length()) until below n; the
+    # suites inline that loop, so a CPython that changes it must fail here
+    orders = [parse_alphabet(t).order for t in ("Z3", "S:q=8", "S:q=12", "S^2:q=4", "S^2:q=8",
+                                                "S^2:q=16", "S^3:q=8", "S:q=1024", "S:q=4096")]
+    widths = list(range(1, 3 * factorial(5) + 2)) + orders + [10**9]
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert [seqmaps._below(rng.getrandbits, w) for w in widths] == [
+            ref.randrange(w) for w in widths]
+        assert [w - 7 + seqmaps._below(rng.getrandbits, w) for w in widths] == [
+            ref.randrange(w - 7, 2 * w - 7) for w in widths]
+    for token in ("Z3", "S:q=12", "S^2:q=4", "S^3:q=8", "S:q=4096"):
+        alpha = parse_alphabet(token)
+        far = SubshiftSpec(alpha, Separation(1, HALF)).bar
+        for tabled in (True, False) if alpha.order <= 512 else (False,):
+            rows = seqmaps._FarRows(alpha, far, tabled)
+            for seed, gap in ((0, 1), (1, 2), (2, 6)):
+                rng, ref = random.Random(seed), random.Random(seed)
+                xs = seqmaps._separated_letters(rng, rows, gap, 50)
+                want: list[int] = []
+                for t in range(50):
+                    e = ref.randrange(alpha.order)
+                    while t >= gap and not far[alpha.letter_op("sub", want[t - gap], e)]:
+                        e = ref.randrange(alpha.order)
+                    want.append(e)
+                assert xs == want and rng.getstate() == ref.getstate(), (token, tabled, seed)
+
+
+@pytest.mark.parametrize("check", [check_roundtrip, check_section_containment],
+                         ids=lambda c: c.__name__)
+def test_section_suites_evaluate_in_bounded_batches(monkeypatch, check):
+    # m = 6: each trial's padded rows hold 7 * 720 = 5040 letters, so a batch of
+    # 2^14 letters holds 3 trials; the same 12 trials in one batch peak over the bound
+    import tracemalloc
+
+    def peak():
+        tracemalloc.start()
+        try:
+            out = check(6, Z3, HALF, 12, 0).to_json()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert verify._BATCH_LETTERS // (7 * factorial(6)) == 3
+    batched, low = peak()
+    monkeypatch.setattr(verify, "_BATCH_LETTERS", 12 * 7 * factorial(6))
+    whole, high = peak()
+    assert batched == whole and batched["passed"]
+    bound = 1_000_000  # about 60 bytes per letter of one batch's rows
+    assert low < bound < high, (low, high)
+
+
 @pytest.mark.parametrize("alpha", [Z3, S12], ids=lambda a: a.token())
 def test_section_suites_without_tables_agree(monkeypatch, alpha):
     # above the pair table cap every read computes its entry
     with_tables = [check(m, alpha, HALF, 60, seed).to_json()
                    for check in (check_section_containment, check_roundtrip)
                    for m in (2, 3) for seed in (0, 1)]
-    assert seqmaps._SectionTrials(2, alpha, HALF).ops.add.tabled
-    monkeypatch.setattr(seqmaps, "_PAIR_TABLE_CAP", 0)
-    assert not seqmaps._SectionTrials(2, alpha, HALF).ops.add.tabled
+    assert verify._SectionSuite(2, alpha, HALF, 1).rows.tabled
+    monkeypatch.setattr(verify, "_PAIR_TABLE_CAP", 0)
+    assert not verify._SectionSuite(2, alpha, HALF, 1).rows.tabled
     without = [check(m, alpha, HALF, 60, seed).to_json()
                for check in (check_section_containment, check_roundtrip)
                for m in (2, 3) for seed in (0, 1)]
@@ -349,7 +435,7 @@ def test_section_suites_without_tables_agree(monkeypatch, alpha):
 def test_large_alphabet_windows_match_the_tuple_oracle():
     # S:q=4096 is past the pair table cap, so every read computes its entry
     big = circle_grid(4096)
-    assert not seqmaps._SectionTrials(2, big, HALF).ops.add.tabled
+    assert not verify._SectionSuite(2, big, HALF, 1).rows.tabled
     for m, seed in ((2, 0), (3, 1), (2, 2)):
         lo, hi = -factorial(m), 2 * factorial(m)
         nlo, nhi = section_input_range(m, lo, hi)
@@ -363,24 +449,33 @@ def test_large_alphabet_windows_match_the_tuple_oracle():
             y, factorial(m), HALF)
 
 
-@pytest.mark.parametrize("token,tabled", [("Z3", True), ("S^2:q=16", True), ("S:q=1024", False),
+@pytest.mark.parametrize("token,tabled", [("Z3", True), ("S^2:q=16", True), ("S:q=360", True),
+                                          ("S:q=364", False), ("S:q=1024", False),
                                           ("S^2:q=32", False)])
 def test_suite_tables_fit_the_bytes_of_the_pair_table_cap(token, tabled):
-    # 256 letters: two full tables of 256^2 small-int slots, 8 bytes each, are 2^20 bytes
-    assert seqmaps._SectionTrials(2, parse_alphabet(token), HALF).ops.sub.tabled is tabled
+    # one full table of n^2 list slots, 8 bytes each: 256 letters take 2^19 bytes,
+    # 360 letters 1,036,800, and 364 letters 1,059,968, past the cap of 2^20
+    assert verify._SectionSuite(2, parse_alphabet(token), HALF, 1).rows.tabled is tabled
 
 
 def test_single_public_calls_build_no_rows(monkeypatch):
-    # one call computes the few entries it reads; no row is built
+    # one call computes the few entries it reads: no row of the alphabet is
+    # built, and no array is longer than the window
     from zpindex.alphabets import Alphabet
 
-    letter_op = Alphabet.letter_op
+    letter_op, digitwise = Alphabet.letter_op, Alphabet.digitwise
+    longest = []
 
     def one_entry(self, op, a, b):
         assert isinstance(a, int) and isinstance(b, int), "a single public call built a row"
         return letter_op(self, op, a, b)
 
+    def within_the_window(self, fn, *letters):
+        longest.append(max(np.size(a) for a in letters))
+        return digitwise(self, fn, *letters)
+
     monkeypatch.setattr(Alphabet, "letter_op", one_entry)
+    monkeypatch.setattr(Alphabet, "digitwise", within_the_window)
     for alpha in ORACLE_ALPHABETS:
         x = _random_separated_window(random.Random(4), alpha, HALF, 1, -4, 12)
         assert x == tuple_separated_window(random.Random(4), alpha, HALF, 1, -4, 12)
@@ -389,6 +484,7 @@ def test_single_public_calls_build_no_rows(monkeypatch):
         assert y == tuple_section_apply(2, anchor, x, -3, 9)
         assert block_sum_step(2, y) == tuple_block_sum_step(2, y)
         assert separation_violations(y, 2, HALF) == tuple_separation_violations(y, 2, HALF)
+    assert longest and max(longest) <= len(x)
 
 
 # -- the pair embedding on word arrays against the cyclic-word oracles ------------
