@@ -9,12 +9,12 @@ as ``dist >= delta`` are decided exactly, with no tolerance anywhere.
 Elements are tuples of integer residues, one per factor, always reduced
 into ``[0, order)``.  Single-factor alphabets accept and print bare ints
 for convenience.  Inner loops may instead name a letter by its mixed-radix
-index (``index``/``unindex``, the ``all_elements`` order): ``letter_op``
-gives the index of a sum or difference by digit arithmetic, on single
-indices or on numpy arrays of them, which builds whole tables.  Because the
-metric is translation invariant, d(a, b) = d(a - b, 0), so a ``DistanceBar``
-of at most n exact comparisons, read at the difference index, decides a
-distance test on every letter pair.
+index (``index``/``unindex``, the ``all_elements`` order): ``digitwise``
+is their one digit arithmetic, so ``digitwise(operator.sub, a, b)`` is the
+index of a - b, on single indices or on numpy arrays that make whole tables.
+The metric is translation invariant, d(a, b) = d(a - b, 0), so a
+``DistanceBar`` of at most n exact comparisons, read at the difference
+index, decides a distance test on every letter pair.
 """
 from __future__ import annotations
 
@@ -169,31 +169,16 @@ class Alphabet:
             i //= f.order
         return tuple(reversed(coords))
 
-    # -- letter tables -------------------------------------------------------
-
-    def letter_op(self, op: str, a, b):
-        """Index of letter a + b ("add") or a - b ("sub"), by digit arithmetic
-        one factor at a time.  a and b are letter indices: ints, or int64
-        arrays that broadcast, so ``letter_op(op, i[:, None], i)`` over
-        ``i = arange(n)`` is the (n, n) table."""
-        if op not in ("add", "sub"):
-            raise ShapeError(f"unknown letter operation {op!r}")
-        out = 0
-        stride = 1
-        for f in reversed(self.factors):
-            x, y = a // stride % f.order, b // stride % f.order
-            out = out + (x + y if op == "add" else x - y) % f.order * stride
-            stride *= f.order
-        return out
+    # -- letter arithmetic ---------------------------------------------------
 
     def digitwise(self, fn: Callable, *letters):
-        """Letter indices of ``fn`` applied factor by factor, the digit
-        arithmetic of ``letter_op`` for any number of arguments: each argument
-        (int64 arrays of letter indices) is split into its mixed-radix digits,
-        ``fn`` maps the digits of one factor to integer arrays, and their
-        residues mod that factor's order are the digits of the result.  Every
-        alphabet is a product of cyclic groups, so any map built of sums and
-        differences of letters, prefix sums included, is such an ``fn``.  The
+        """Letter indices of ``fn`` applied factor by factor: each argument
+        (letter indices, ints or int64 arrays that broadcast) is split into its
+        mixed-radix digits, ``fn`` maps the digits of one factor to integers,
+        and their residues mod that factor's order are the digits of the
+        result.  Every alphabet is a product of cyclic groups, so any map
+        built of sums and differences of letters, prefix sums included, is
+        such an ``fn``.  The
         arguments must lie in [0, order): the leading digit is then a quotient
         and the last a remainder, and one factor needs neither."""
         out, stride, top = 0, 1, self.order

@@ -90,15 +90,18 @@ def _int(text: str, what: str) -> int:
 
 
 def _token_params(token: str) -> tuple[str, dict[str, str]]:
-    """"Z:p=5,q=8" -> ("Z", {"p": "5", "q": "8"})."""
+    """"Z:p=5,q=8" -> ("Z", {"p": "5", "q": "8"}); a repeated key is refused."""
     head, _, rest = token.partition(":")
     params = {}
     if rest:
         for piece in rest.split(","):
             key, _, val = piece.partition("=")
+            key = key.strip()
             if not val:
                 raise _UsageError(f"bad token parameter {piece!r} in {token!r}")
-            params[key.strip()] = val.strip()
+            if key in params:
+                raise _UsageError(f"repeated key {key!r} in {token!r}")
+            params[key] = val.strip()
     return head, params
 
 
@@ -347,6 +350,9 @@ def _cmd_certify(args) -> tuple[dict, int]:
         if not args.target:
             raise _UsageError("--cert needs --target, e.g. Z:p=2,q=8")
         head, params = _token_params(args.target)
+        unknown = sorted(set(params) - {"p", "q"})
+        if unknown:
+            raise _UsageError(f"unknown keys in target token: {unknown}")
         if head != "Z" or _int(params.get("p", "0"), "p") != 2 or "q" not in params:
             raise _UsageError("certificate targets support Z:p=2,q=<res> for now")
         q = _int(params["q"], "q")

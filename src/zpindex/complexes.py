@@ -660,9 +660,9 @@ class _JoinSide:
 
     Dimension -1 holds the empty cell (key 0), which a join cell may take on
     either side.  Each vertex has the empty cell as its only face, index 0.
-    A factor key is re-keyed digit by digit: its radix-n_f digits, shifted,
-    read in radix n.  ``fixed[d]`` marks the d-cells the action fixes
-    setwise; the empty cell is fixed.
+    Each dimension's rows are decoded once: shifted past the vertices before
+    this side they give its radix-n keys, and their action images give
+    ``fixed[d]``, the d-cells fixed setwise (the empty cell is fixed).
     """
 
     def __init__(self, f: SimplicialComplex, shift: int, n: int, with_action: bool):
@@ -670,14 +670,11 @@ class _JoinSide:
         self.faces = {}
         self.fixed = {-1: np.ones(1, dtype=bool)}
         for d, key in f.keys.items():
-            rest, out = key, np.zeros(len(key), dtype=np.int64)
-            for j in range(d + 1):  # digit j from the last vertex
-                rest, digit = np.divmod(rest, f.n_vertices)
-                out += (digit + shift) * n**j
-            self.keys[d] = out
+            rows = f._rows(d)
+            self.keys[d] = _row_keys(rows + shift, [n] * (d + 1))
             self.faces[d] = f.faces[d] if d else np.zeros((len(key), 1), dtype=np.int32)
             if with_action:
-                self.fixed[d] = f._image_keys(d, f._rows(d)) == key
+                self.fixed[d] = f._image_keys(d, rows) == key
 
 
 def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

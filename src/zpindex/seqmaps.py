@@ -27,16 +27,17 @@ the stream is the one ``randrange`` gives.  Separated letters are drawn
 against a distance table (``_FarRows``) whose rows are lists while the table
 fits the pair table cap, and computed entry by entry otherwise and in single
 calls.  Distance thresholds are the ``bar`` of
-``SubshiftSpec(alphabet, Separation(m, delta))``.  The section's needed
-input range is the span of each class's ends, and the set of needed indices
-is listed only to name the missing ones in an error.  The public functions
-convert windows of tuples to indices and back around these kernels.  The
-pair embedding of cyclic words is one index formula on rows of letter
-indices (``pair_embed_rows``), which the embedding suite applies to the
-whole period-p word array at once.
+``SubshiftSpec(alphabet, Separation(m, delta))``.  One walk over the
+residue classes of an output range, in runs (``_classes``), gives the
+section's input range and anchor keys, and the needed set that names the
+missing inputs in an error.  The public
+functions convert windows of tuples to indices and back around these
+kernels.  The pair embedding is one index formula on rows of letter indices
+(``pair_embed_rows``), for windows, cyclic words and the word array.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,7 +152,7 @@ class _LazyRow:
         self.alphabet, self.far, self.a = alphabet, far, a
 
     def __getitem__(self, e: int) -> bool:
-        return self.far[self.alphabet.letter_op("sub", self.a, e)]
+        return self.far[self.alphabet.digitwise(operator.sub, self.a, e)]
 
 
 class _FarRows(dict):
@@ -159,7 +160,7 @@ class _FarRows(dict):
     at the index of a - e?  The separated draws read it once per candidate.
 
     Row a is made on first read: with ``tabled``, a list of n bools, and
-    otherwise a ``_LazyRow``.  Both come from ``Alphabet.letter_op``.
+    otherwise a ``_LazyRow``.  Both come from ``Alphabet.digitwise``.
     """
 
     __slots__ = ("alphabet", "n", "far", "tabled")
@@ -171,7 +172,7 @@ class _FarRows(dict):
     def __missing__(self, a: int):
         alpha = self.alphabet
         if self.tabled:
-            diffs = alpha.letter_op("sub", a, np.arange(self.n, dtype=np.int64))
+            diffs = alpha.digitwise(operator.sub, a, np.arange(self.n, dtype=np.int64))
             row = self.far.read_all(diffs).tolist()
         else:
             row = _LazyRow(alpha, self.far, a)
@@ -275,16 +276,30 @@ def _section_shape(m: int, lo: int, hi: int) -> tuple[int, int, int]:
     return gap, m * gap, (m - 1) * gap
 
 
+def _classes(m: int, lo: int, hi: int):
+    """The residue classes mod m! that [lo, hi] meets, in at most four runs
+    (j0, j1, a, b): for j0 <= j < j1 the outputs of class j read the
+    differences x(n m! + (m-1)! + j) - x(n m! + j) for a <= n < b, and x(j -
+    head) too where j >= head = (m-1)*(m-1)!."""
+    block = factorial(m)
+    last, cut = divmod(hi, block)  # classes above cut end one block earlier
+    stop = min(hi + 1, lo + block)
+    for n in range(lo // block, (stop - 1) // block + 1):
+        j0, j1, a = max(lo - n * block, 0), min(stop - n * block, block), min(n, 0)
+        if j0 <= cut:
+            yield j0, min(j1, cut + 1), a, max(last, 0)
+        if j1 > cut + 1:
+            yield max(j0, cut + 1), j1, a, max(last - 1, 0)
+
+
 def _needed_indices(m: int, lo: int, hi: int) -> set[int]:
-    """Every input index the section reads on [lo, hi], residue class by class."""
+    """Every input index the section reads on [lo, hi]."""
     gap, block, head = _section_shape(m, lo, hi)
     out = set()
-    for first in range(lo, min(hi, lo + block - 1) + 1):
-        j = first % block
-        if j >= head:
-            out.add(j - head)
-        for i in range(min((first - j) // block, 0), max((hi - j) // block, 0)):
-            out.update((i * block + j, i * block + gap + j))
+    for j0, j1, a, b in _classes(m, lo, hi):
+        out.update(range(max(j0, head) - head, j1 - head))
+        for s in range(a * block, b * block, block):  # the pairs of each block a <= n < b
+            out.update(range(s + j0, s + j1), range(s + gap + j0, s + gap + j1))
     return out
 
 
@@ -296,9 +311,10 @@ def _anchor_keys(m: int, lo: int, hi: int) -> Sequence[int]:
     if hi - lo + 1 >= block:
         return range(head)
     keys = set()
-    for k in range(lo, hi + 1):
-        j = k % block
-        keys.update((j,) if j < head else range(j - gap, -1, -gap))
+    for j0, j1, _, _ in _classes(m, lo, hi):
+        keys.update(range(j0, min(j1, head)))
+        for i in range(1, m):
+            keys.update(range(max(j0, head) - i * gap, j1 - i * gap))
     return sorted(keys)
 
 
@@ -342,19 +358,17 @@ def section_input_range(m: int, lo: int, hi: int) -> tuple[int, int] | None:
     """Minimal absolute input range needed to produce every output in [lo, hi].
 
     Returns None when no input letter is read at all (the requested range
-    sits inside the anchor-only prefix of the base block).  Each residue class
-    gives its ends as ``_needed_indices`` walks it: the input under the tail
+    sits inside the anchor-only prefix of the base block).  Each run of
+    residue classes (``_classes``) gives its ends: the inputs under the tail
     of the base block, and the first and last pair of its telescoping sums.
     """
     gap, block, head = _section_shape(m, lo, hi)
     ends = []
-    for first in range(lo, min(hi, lo + block - 1) + 1):
-        j = first % block
-        if j >= head:
-            ends.append(j - head)
-        a, b = min((first - j) // block, 0), max((hi - j) // block, 0)
+    for j0, j1, a, b in _classes(m, lo, hi):
+        if j1 > head:
+            ends += [max(j0, head) - head, j1 - 1 - head]
         if a < b:
-            ends += [a * block + j, (b - 1) * block + gap + j]
+            ends += [a * block + j0, (b - 1) * block + gap + j1 - 1]
     return (min(ends), max(ends)) if ends else None
 
 
@@ -399,10 +413,8 @@ def pair_embed(w: Window) -> Window:
     if len(w) < 2:
         raise ShapeError("pair embedding needs a window of length >= 2")
     target = product_alphabet(w.alphabet, w.alphabet)
-    letters = tuple(
-        w.letters[i] + w.letters[i + 1] for i in range(len(w) - 1)
-    )
-    return Window(target, w.offset, letters)
+    pairs = pair_embed_rows(_indices(w.alphabet, w.letters), w.alphabet.order)
+    return _window(target, w.offset, pairs[0, :-1].tolist())
 
 
 def pair_embed_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -418,8 +430,7 @@ def pair_embed_cyclic(word: CyclicWord) -> CyclicWord:
     """The same stencil on a cyclic word, reading the successor cyclically."""
     alpha = word.alphabet
     target = product_alphabet(alpha, alpha)
-    row = np.array([[alpha.index(e) for e in word.letters]])
-    pairs = pair_embed_rows(row, alpha.order)[0].tolist()
+    pairs = pair_embed_rows(_indices(alpha, word.letters), alpha.order)[0].tolist()
     return CyclicWord(target, tuple(map(target.unindex, pairs)))
 
 

@@ -140,8 +140,8 @@ class SubshiftSpec:
 
     @cached_property
     def bar(self) -> DistanceBar:
-        """The family's one distance test: ``bar[letter_op("sub", i, j)]`` says
-        whether letters i and j meet the bar, one exact comparison per read."""
+        """The family's one distance test: read at the index of i - j
+        (``digitwise``), it says whether letters i and j meet the bar."""
         return DistanceBar(self.alphabet, self._meets_bar)
 
     def clauses(self, L: int) -> list[tuple[tuple[int, int], ...]]:
@@ -161,8 +161,9 @@ class SubshiftSpec:
         if w.alphabet != self.alphabet:
             raise ShapeError("word alphabet does not match the spec alphabet")
         x = [self.alphabet.index(e) for e in w.letters]
-        sub, bar = self.alphabet.letter_op, self.bar
-        return all(any(bar[sub("sub", x[a], x[b])] for a, b in c) for c in self.clauses(w.period))
+        diff, bar = self.alphabet.digitwise, self.bar
+        return all(any(bar[diff(operator.sub, x[a], x[b])] for a, b in c)
+                   for c in self.clauses(w.period))
 
     # -- enumeration -----------------------------------------------------------
 
@@ -257,7 +258,7 @@ class SubshiftSpec:
         """The letter-pair relation, read-only and built once per spec: [i, j],
         in ``all_elements`` order, is ``bar`` at the difference of i and j."""
         letters = np.arange(self._letter_count(), dtype=np.int64)
-        table = self.bar.read_all(self.alphabet.letter_op("sub", letters[:, None], letters))
+        table = self.bar.read_all(self.alphabet.digitwise(operator.sub, letters[:, None], letters))
         table.flags.writeable = False
         return table
 

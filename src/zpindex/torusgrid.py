@@ -32,7 +32,7 @@ import numpy as np
 
 from .alphabets import circle_grid, product_alphabet
 from .complexes import (_INDEX_LIMIT, _KEY_LIMIT, CubicalComplex, _is_prime, _key_rows,
-                        cycle_complex)
+                        _row_keys, cycle_complex)
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
 from .homology import BettiVector, betti_numbers
@@ -206,9 +206,8 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     words = spec.subshift().periodic_words(spec.p)
     total = len(words)
     # a word read in radix q^n is its grid point's index in C order
-    flat, image = np.zeros(total, dtype=np.int64), np.zeros(total, dtype=np.int64)
-    for a, b in zip(words.T, np.roll(words, -1, axis=1).T):
-        flat, image = flat * q**n + a, image * q**n + b
+    flat = _row_keys(words, [q**n] * spec.p)
+    image = _row_keys(np.roll(words, -1, axis=1), [q**n] * spec.p)
     # image axis t reads source axis t + n: the rotation of the p letter slots
     axis_map = np.array([(t + n) % D for t in range(D)], dtype=np.int64)
     action = np.searchsorted(flat, image)

@@ -348,10 +348,10 @@ def _pair_embedding_rows(words: np.ndarray, q: int, target: SubshiftSpec):
     is equivariant when the image of the row rolled one column left is its
     image rolled one column left."""
     img = pair_embed_rows(words, q)
-    sub, bar = target.alphabet.letter_op, target.bar
+    diff, bar = target.alphabet.digitwise, target.bar
 
     def meets(i: int, j: int) -> np.ndarray:
-        return bar.read_all(sub("sub", img[:, i], img[:, j]))
+        return bar.read_all(diff(operator.sub, img[:, i], img[:, j]))
 
     ok_pred = np.ones(len(img), dtype=bool)
     for clause in target.clauses(words.shape[1]):

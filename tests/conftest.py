@@ -1091,17 +1091,27 @@ def every_word_complex_matches_the_cyclic_words():
 # -- the section suites trial by trial on letter indices ------------------------
 
 
+def letter_add(alphabet, a: int, b: int) -> int:
+    """Index of the sum of letters a and b, through the tuple API."""
+    return alphabet.index(alphabet.add(alphabet.unindex(a), alphabet.unindex(b)))
+
+
+def letter_sub(alphabet, a: int, b: int) -> int:
+    """Index of the difference of letters a and b, through the tuple API."""
+    return alphabet.index(alphabet.sub(alphabet.unindex(a), alphabet.unindex(b)))
+
+
 def list_section_letters(m: int, anchor, alphabet, xs: list[int], start: int, lo: int, hi: int):
     """The section on [lo, hi] as letter indices, walked residue class by residue
-    class on lists, one ``letter_op`` per step: xs[i] is the input at start + i,
+    class on lists, one tuple sum or difference per step: xs[i] is the input at start + i,
     and ``anchor(k)`` is the anchor's letter index at k, read once per index."""
     gap, block, head = factorial(m - 1), factorial(m), (m - 1) * factorial(m - 1)
 
     def add(a, b):
-        return alphabet.letter_op("add", a, b)
+        return letter_add(alphabet, a, b)
 
     def sub(a, b):
-        return alphabet.letter_op("sub", a, b)
+        return letter_sub(alphabet, a, b)
 
     anchors: dict[int, int] = {}
 
@@ -1158,7 +1168,7 @@ def list_section_trial(rng, m: int, alphabet, delta: Fraction, extend: int):
     for t in range(stop - start + 1):
         while True:
             e = rng.randrange(n)
-            if t < gap or far[alphabet.letter_op("sub", xs[t - gap], e)]:
+            if t < gap or far[letter_sub(alphabet, xs[t - gap], e)]:
                 xs.append(e)
                 break
     seed = rng.randrange(10**9)

@@ -278,10 +278,23 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     code, doc = run(capsys, "homology", "--join-of", "Sigma:m=x,p=5")
     assert code == 1 and doc["error"]["type"] == "usage"
 
+    # a repeated key once silently won: this answered for p = 3
+    code, doc = run(capsys, "index", "--join-of", "Sigma:m=1,p=5,p=3")
+    assert code == 1 and doc["error"] == {
+        "type": "usage", "reason": "repeated key 'p' in 'Sigma:m=1,p=5,p=3'"}
+
     path = tmp_path / "cert.json"
     run(capsys, "certify", "--q", "8", "--save-cert", str(path))
     code, doc = run(capsys, "certify", "--cert", str(path), "--target", "Z:p=2")
     assert code == 1 and doc["error"]["type"] == "usage"
+
+    # an unknown or repeated target key was once ignored or won silently
+    code, doc = run(capsys, "certify", "--cert", str(path), "--target", "Z:p=2,q=8,foo=1")
+    assert code == 1 and doc["error"] == {
+        "type": "usage", "reason": "unknown keys in target token: ['foo']"}
+    code, doc = run(capsys, "certify", "--cert", str(path), "--target", "Z:p=2,q=8,q=16")
+    assert code == 1 and doc["error"] == {
+        "type": "usage", "reason": "repeated key 'q' in 'Z:p=2,q=8,q=16'"}
 
     cert = json.loads(path.read_text())
     del cert["domain"]
