@@ -4,13 +4,16 @@ Both kinds of complex share one cell table.  A k-cell is an integer row:
 sorted vertex ids for a simplex, (base corner, extent mask) on a periodic
 grid for a cube.  Each row has one int64 mixed-radix key (radix n_vertices
 per vertex slot; q per base coordinate and 2^D for the mask), and the key
-is all that is stored: each dimension's keys sorted, which is the rows'
-lexicographic order, and its faces as int32 indices into the dimension
-below.  ``cells[d]`` decodes the rows from the keys, digit by digit, on
-each read, and readers that need a few rows decode only those keys.  Every
-lookup is a binary search among the keys; a complex whose keys would reach
-2^63 is refused, never wrapped, and so is a dimension of 2^31 or more
-cells, which int32 faces cannot index, before anything is allocated.
+is a cell's only identity.  A dimension stores its keys sorted, which is
+the rows' lexicographic order, and its faces as int32 indices into the
+dimension below; a join's top dimension stores only its faces, and its keys
+are generated from its two factors' keys on each read (``_JoinTop``).
+``cells[d]`` decodes the rows from the keys, digit by digit, on each read,
+and readers that need a few rows decode only those keys.  Every lookup is a
+binary search among the keys (in a join's top dimension, among each
+factor's); a complex whose keys would reach 2^63 is refused, never wrapped,
+and so is a dimension of 2^31 or more cells, which int32 faces cannot
+index, before anything is allocated.
 
 Validation of given simplices checks that the group order p is prime,
 that the action is a permutation of exact order p mapping cells to cells,
@@ -42,11 +45,13 @@ radix-N key is key(sigma) * N^|tau| + key(tau + |V(A)|); its faces are
 (d_i sigma, tau) and then (sigma, d_j tau), the Leibniz rule for joins; and
 it is setwise fixed exactly when sigma and tau are (an empty side counts as
 fixed).  Each split (dim sigma, dim tau) of a dimension is already in key
-order; one stable argsort of the keys merges the splits.  ``join_power``
-checks the caps for a whole k-fold join before it folds the copies.  A join
-of discrete complexes remembers its factor sizes, which is the one
-structural situation where high connectivity is a theorem rather than
-homological evidence.
+order; one stable argsort of the keys merges the splits.  The top dimension
+is the one split (top of A, top of B), so its keys are that formula, never
+stored; homology reads faces and counts only and never generates them.
+``join_power`` checks the caps for a whole k-fold join before it folds the
+copies.  A join of discrete complexes remembers its factor sizes, which is
+the one structural situation where high connectivity is a theorem rather
+than homological evidence.
 """
 from __future__ import annotations
 
@@ -144,6 +149,92 @@ def _row_blocks(n: int, width: int):
     return ((s, min(s + step, n)) for s in range(0, n, step))
 
 
+def _search(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Index of each wanted key among the sorted, nonempty keys; -1 when absent."""
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[pos] == want, pos, -1)
+
+
+class _JoinTop:
+    """The keys of a join's top dimension, generated on every read, never kept.
+
+    That dimension is one split, (top cell of A, top cell of B), in
+    row-major order: cell i * len(inner) + j has the key outer[i] * scale +
+    inner[j], where outer and inner are the factors' top keys in the join's
+    radix and scale = N^(dim B + 1) is above every inner key.  So a divmod
+    by scale splits a key into its factors' keys."""
+
+    __slots__ = ("outer", "inner", "scale")
+
+    def __init__(self, outer: np.ndarray, inner: np.ndarray, scale: int):
+        self.outer, self.inner, self.scale = outer, inner, scale
+        for a in (outer, inner):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.outer) * len(self.inner)
+
+    def take(self, at=None) -> np.ndarray:
+        """Read-only keys of the cells at the indices ``at`` (all when None)."""
+        if at is None:
+            key = np.add.outer(self.outer * self.scale, self.inner).reshape(-1)
+        else:
+            i, j = np.divmod(np.asarray(at, dtype=np.int64), len(self.inner))
+            key = self.outer[i] * self.scale + self.inner[j]
+        key.setflags(write=False)
+        return key
+
+    def search(self, want: np.ndarray) -> np.ndarray:
+        i, j = np.divmod(want, self.scale)
+        i, j = _search(self.outer, i), _search(self.inner, j)
+        return np.where((i >= 0) & (j >= 0), i * len(self.inner) + j, -1)
+
+
+class _Keys(Mapping):
+    """A complex's cell keys: each dimension's sorted, read-only int64 array.
+
+    A stored dimension is its array; the top dimension of a join is a
+    ``_JoinTop`` and is generated on each read.  Sizes, lookups and reads
+    of a few cells (``size``, ``search``, ``take``) go through its factors'
+    keys and never generate the whole dimension."""
+
+    __slots__ = ("_tables",)
+
+    def __init__(self, tables: dict[int, np.ndarray | _JoinTop]):
+        for a in tables.values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        self._tables = tables
+
+    def __getitem__(self, d: int) -> np.ndarray:
+        return self.take(d)
+
+    def __contains__(self, d) -> bool:
+        return d in self._tables
+
+    def __iter__(self):
+        return iter(self._tables)
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def size(self, d: int) -> int:
+        """Cells in dimension d; 0 for a dimension with none."""
+        return len(self._tables.get(d, ()))
+
+    def take(self, d: int, at=None) -> np.ndarray:
+        """Keys of the d-cells at the indices ``at`` (all of them when None)."""
+        table = self._tables[d]
+        if isinstance(table, _JoinTop):
+            return table.take(at)
+        return table if at is None else table[at]
+
+    def search(self, d: int, want: np.ndarray) -> np.ndarray:
+        """Index of each key among the d-cells; -1 when absent."""
+        table = self._tables[d]
+        return table.search(want) if isinstance(table, _JoinTop) else _search(table, want)
+
+
 class _Rows(Mapping):
     """A complex's cells: each dimension's read-only int32 rows, decoded from
     its keys on every read; nothing is kept."""
@@ -177,15 +268,16 @@ class CellComplex:
     action, normalized) and ``_face_rows(d, rows, i)`` (the i-th face of
     each d-cell) and calls ``_finish`` with the rows ``_set_cells`` returned.
 
-    ``keys[d]`` is the only stored identity of the d-cells; ``cells[d]``
-    decodes their rows on each read.  After validation ``faces[d]`` is a
-    read-only int32 (n_d, k) array: entry (j, i) is the index among the
-    (d-1)-cells of the i-th face of d-cell j, whose boundary coefficient is
-    ``face_signs[d][i]``.
+    ``keys[d]`` is the only identity of the d-cells, stored except in a
+    join's top dimension, where it is generated on each read; counts never
+    read it, and ``cells[d]`` decodes the rows on each read.  After
+    validation ``faces[d]`` is a read-only int32 (n_d, k) array: entry
+    (j, i) is the index among the (d-1)-cells of the i-th face of d-cell j,
+    whose boundary coefficient is ``face_signs[d][i]``.
     """
 
     p: int
-    keys: dict[int, np.ndarray]
+    keys: _Keys
     faces: dict[int, np.ndarray]
     face_signs: dict[int, tuple[int, ...]]
 
@@ -216,7 +308,7 @@ class CellComplex:
     def _set_cells(self, cells: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Store each dimension's keys, sorted; duplicates are refused.  Returns
         the rows in key order, for the checks of ``_finish``; nothing keeps them."""
-        self.keys, rows = {}, {}
+        keys, rows = {}, {}
         for d in sorted(cells):
             _check_cell_count(d, len(cells[d]))
             key = _row_keys(cells[d], self._radices(d))
@@ -224,7 +316,8 @@ class CellComplex:
             key = key[order]
             if np.any(key[1:] == key[:-1]):
                 raise ShapeError(f"duplicate cells in dimension {d}")
-            rows[d], self.keys[d] = cells[d][order], key
+            rows[d], keys[d] = cells[d][order], key
+        self.keys = _Keys(keys)
         return rows
 
     def _finish(self, rows: dict[int, np.ndarray], has_action: bool) -> None:
@@ -238,17 +331,17 @@ class CellComplex:
         self._freeze()
 
     def _freeze(self) -> None:
-        for table in (self.keys, self.faces):
-            for a in table.values():
-                a.setflags(write=False)
+        for a in self.faces.values():
+            a.setflags(write=False)
 
     @classmethod
     def _from_table(cls, p, keys, faces, action, witness, **attrs):
         """A complex from tables already known to be valid (sorted, closed,
         action of order p with the given witness), plus the subclass's own
-        attributes; nothing is checked."""
+        attributes; nothing is checked.  ``keys`` maps each dimension to its
+        key array or, for a join's top dimension, its ``_JoinTop``."""
         c = cls.__new__(cls)
-        c.p, c.keys, c.faces = p, keys, faces
+        c.p, c.keys, c.faces = p, _Keys(keys), faces
         c.__dict__.update(attrs)
         c.face_signs = {d: c._face_signs(d) for d in faces}
         c.action, c._has_action, c._witness = action, action is not None, witness
@@ -280,7 +373,7 @@ class CellComplex:
     def _check_action(self, rows: dict[int, np.ndarray]) -> None:
         for d, r in rows.items():
             img = self._image_keys(d, r)
-            if np.any(self._index_of_keys(d, img) < 0):
+            if np.any(self.keys.search(d, img) < 0):
                 raise ShapeError(f"action does not map dimension-{d} cells to cells")
             hits = np.flatnonzero(img == self.keys[d])
             if self._witness is None and len(hits):
@@ -297,7 +390,7 @@ class CellComplex:
             idx = np.empty((len(r), len(signs)), dtype=np.int32)
             for i in range(len(signs)):
                 face = self._face_rows(d, r, i)
-                idx[:, i] = self._index_of_keys(d - 1, _row_keys(face, self._radices(d - 1)))
+                idx[:, i] = self.keys.search(d - 1, _row_keys(face, self._radices(d - 1)))
             if np.any(idx < 0):
                 raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
             self.faces[d], self.face_signs[d] = idx, signs
@@ -350,12 +443,6 @@ class CellComplex:
 
     # -- lookups --------------------------------------------------------------------
 
-    def _index_of_keys(self, d: int, want: np.ndarray) -> np.ndarray:
-        """Index of each key among the d-cells; -1 when absent."""
-        keys = self.keys[d]
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        return np.where(keys[pos] == want, pos, -1)
-
     def _find_cell(self, d: int, row: Sequence[int]) -> int:
         """Index of one row among the d-cells, or -1 (also for rows off the grid)."""
         if d not in self.keys:
@@ -364,12 +451,12 @@ class CellComplex:
         if len(row) != len(radices) or not all(0 <= v < r for v, r in zip(row, radices)):
             return -1
         want = _row_keys(np.array([row], dtype=np.int64), radices)
-        return int(self._index_of_keys(d, want)[0])
+        return int(self.keys.search(d, want)[0])
 
     def _rows(self, d: int, at=None) -> np.ndarray:
         """Read-only rows of the d-cells at the indices ``at`` (all of them when
         None), decoded from those cells' keys alone."""
-        rows = _key_rows(self.keys[d] if at is None else self.keys[d][at], self._radices(d))
+        rows = _key_rows(self.keys.take(d, at), self._radices(d))
         rows.setflags(write=False)
         return rows
 
@@ -389,13 +476,13 @@ class CellComplex:
         return not self.keys
 
     def n_cells(self, d: int) -> int:
-        return len(self.keys.get(d, ()))
+        return self.keys.size(d)
 
     def cell_counts(self) -> dict[int, int]:
-        return {d: len(a) for d, a in self.keys.items()}
+        return {d: self.keys.size(d) for d in self.keys}
 
     def total_cells(self) -> int:
-        return sum(len(a) for a in self.keys.values())
+        return sum(self.keys.size(d) for d in self.keys)
 
     def free_witness(self) -> tuple[int, tuple[int, ...]] | None:
         """A setwise-invariant cell (dimension, row), or None if the action is free."""
@@ -538,7 +625,7 @@ class SimplicialComplex(CellComplex):
         """Cells that are a face of no other cell, by dimension, then in key order."""
         out: list[list[int]] = []
         for d in sorted(self.keys):
-            keep = np.ones(len(self.keys[d]), dtype=bool)
+            keep = np.ones(self.n_cells(d), dtype=bool)
             if d + 1 in self.faces:
                 keep[self.faces[d + 1].ravel()] = False
             out.extend(self._rows(d, np.flatnonzero(keep)).tolist())
@@ -660,9 +747,11 @@ class _JoinSide:
 
     Dimension -1 holds the empty cell (key 0), which a join cell may take on
     either side.  Each vertex has the empty cell as its only face, index 0.
-    Each dimension's rows are decoded once: shifted past the vertices before
-    this side they give its radix-n keys, and their action images give
-    ``fixed[d]``, the d-cells fixed setwise (the empty cell is fixed).
+    Each dimension's keys are read once (a factor that is itself a join
+    generates its top dimension here) and decoded once: the rows shifted past
+    the vertices before this side give its radix-n keys, and their action
+    images give ``fixed[d]``, the d-cells fixed setwise (the empty cell is
+    fixed).
     """
 
     def __init__(self, f: SimplicialComplex, shift: int, n: int, with_action: bool):
@@ -670,7 +759,7 @@ class _JoinSide:
         self.faces = {}
         self.fixed = {-1: np.ones(1, dtype=bool)}
         for d, key in f.keys.items():
-            rows = f._rows(d)
+            rows = _key_rows(key, f._radices(d))
             self.keys[d] = _row_keys(rows + shift, [n] * (d + 1))
             self.faces[d] = f.faces[d] if d else np.zeros((len(key), 1), dtype=np.int32)
             if with_action:
@@ -686,6 +775,7 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     allocated, as is each dimension's count against the int32 face limit.
     Keys, faces and the freeness witness are computed from the factors'
     tables, with no lookup among the join's cells (see the module docstring).
+    The top dimension stores its faces only: its keys are a ``_JoinTop``.
     """
     if a.p != b.p:
         raise ShapeError(f"cannot join complexes over different primes {a.p} and {b.p}")
@@ -705,7 +795,7 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
         _check_cell_count(d, sum(ns * nt for ns, nt in shapes[d]))
     has_action = a.action is not None and b.action is not None
     left, right = _JoinSide(a, 0, n, has_action), _JoinSide(b, a.n_vertices, n, has_action)
-    keys: dict[int, np.ndarray] = {}
+    keys: dict[int, np.ndarray | _JoinTop] = {}
     faces: dict[int, np.ndarray] = {}
     witness = None
     # per split (dim sigma, dim tau) of the previous dimension: the sorted
@@ -713,37 +803,44 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     place: dict[tuple[int, int], np.ndarray] = {}
     for d in range(top + 1):
         bounds = np.cumsum([0] + [ns * nt for ns, nt in shapes[d]]).tolist()
-        key = np.empty(bounds[-1], dtype=np.int64)
-        face = np.empty((bounds[-1], d + 1), dtype=np.int32)
-        fixed = np.empty(bounds[-1], dtype=bool)
-        for (s, t), (ns, nt), r0, r1 in zip(splits[d], shapes[d], bounds, bounds[1:]):
-            np.add.outer(
-                left.keys[s] * n ** (t + 1), right.keys[t], out=key[r0:r1].reshape(ns, nt)
-            )
-            if d:
+        blocks = list(zip(splits[d], shapes[d], bounds, bounds[1:]))
+        if d:
+            face = np.empty((bounds[-1], d + 1), dtype=np.int32)
+            for (s, t), (ns, nt), r0, r1 in blocks:
                 block = face[r0:r1].reshape(ns, nt, d + 1)
                 for i in range(s + 1):  # (d_i sigma, tau)
                     block[:, :, i] = place[s - 1, t][left.faces[s][:, i]]
                 for j in range(t + 1):  # (sigma, d_j tau)
                     block[:, :, s + 1 + j] = place[s, t - 1][:, right.faces[t][:, j]]
+        if d == top:
+            # one split, (top of A, top of B), already in key order, so its keys
+            # are generated from the factors' on read and no position table is
+            # needed.  Nor can it hold the first fixed cell: if sigma and tau
+            # are both fixed, so is (sigma, empty), a cell of lower dimension.
+            keys[d] = _JoinTop(left.keys[a.dim], right.keys[b.dim], n ** (b.dim + 1))
+            faces[d] = face
+            break
+        key = np.empty(bounds[-1], dtype=np.int64)
+        fixed = np.empty(bounds[-1], dtype=bool)
+        for (s, t), (ns, nt), r0, r1 in blocks:
+            np.add.outer(
+                left.keys[s] * n ** (t + 1), right.keys[t], out=key[r0:r1].reshape(ns, nt)
+            )
             if has_action:
                 np.logical_and.outer(
                     left.fixed[s], right.fixed[t], out=fixed[r0:r1].reshape(ns, nt)
                 )
-        if len(splits[d]) > 1:
-            order = np.argsort(key, kind="stable")
-            key, face, fixed = key[order], face[order], fixed[order]
-            pos = np.empty(len(order), dtype=np.int32)
-            pos[order] = np.arange(len(order), dtype=np.int32)
-        else:
-            pos = np.arange(len(key), dtype=np.int32)
+        # below the top every dimension has two splits or more; the sort merges them
+        order = np.argsort(key, kind="stable")
+        key, fixed = key[order], fixed[order]
+        if d:
+            face = face[order]
+        pos = np.empty(len(order), dtype=np.int32)
+        pos[order] = np.arange(len(order), dtype=np.int32)
         hits = np.flatnonzero(fixed) if has_action and witness is None else ()
         if len(hits):
             witness = (d, tuple(_key_rows(key[hits[:1]], [n] * (d + 1))[0].tolist()))
-        place = {
-            split: pos[r0:r1].reshape(shape)
-            for split, shape, r0, r1 in zip(splits[d], shapes[d], bounds, bounds[1:])
-        }
+        place = {split: pos[r0:r1].reshape(shape) for split, shape, r0, r1 in blocks}
         keys[d] = key
         if d:
             faces[d] = face

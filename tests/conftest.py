@@ -413,7 +413,7 @@ class GeneralCubicalComplex(CubicalComplex):
     def action(self):
         """The vertex permutation, each image looked up among the vertex keys."""
         img = self._action_rows(self.cells[0])
-        return self._index_of_keys(0, _row_keys(img, self._radices(0)))
+        return self.keys.search(0, _row_keys(img, self._radices(0)))
 
 
 # grid points the oracle's vertex mask may cover: Z p=5 q=16 (2^20) fits

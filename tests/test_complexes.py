@@ -468,6 +468,82 @@ def test_join_matches_general_constructor_on_random_factors(pair):
         assert joined.is_free == (a.is_free and b.is_free)
 
 
+# -- a join's top dimension: faces stored, keys generated from the factors ----------
+
+
+def _fold(build, factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = build(out, f)
+    return out
+
+
+def _generated_top_cases():
+    cyc = [1, 2, 0]
+    orbit = SimplicialComplex.discrete(3, cyc, 3)
+    simplex = SimplicialComplex.from_maximal(3, [range(3)], cyc, 3)  # its 2-cell is fixed
+    sigma5 = periodic_point_complex(mismatch_shift(1), 5)
+    return {
+        "Sigma5^3": [sigma5] * 3,  # free; the second fold reads a generated top dimension
+        "orbit+fixed*orbit*orbit": [SimplicialComplex.discrete(4, cyc + [3], 3), orbit, orbit],
+        # every top cell is fixed; the witness is (sigma, empty), in dimension 2 of 5
+        "simplex*simplex": [simplex, simplex],
+        "cycle*simplex*plain": [cycle_complex(6, [(j + 2) % 6 for j in range(6)], 3), simplex,
+                                SimplicialComplex.discrete(2, None, 3)],
+        "RP2*T7": [projective_plane_6(3), torus_7(3)],  # no action
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_generated_top_cases()))
+def test_generated_top_dimension_matches_the_general_join(name):
+    factors = _generated_top_cases()[name]
+    got, want = _fold(join_complex, factors), _fold(general_join, factors)
+    top = got.dim
+    assert isinstance(got.keys._tables[top], complexes._JoinTop)
+    assert_same_complex(got, want)  # keys, cells, faces, witness; every array read-only
+    assert got.keys[top] is not got.keys[top]  # generated on each read, never kept
+    assert got.maximal_cells() == want.maximal_cells()
+    rng = np.random.default_rng(0)
+    n = got.n_cells(top)
+    at = rng.integers(0, n, size=40)
+    for x in (at, at.tolist(), [], np.arange(n - 1, -1, -7)):
+        rows = got._rows(top, x)
+        assert not rows.flags.writeable and not got.keys.take(top, x).flags.writeable
+        assert np.array_equal(rows, want._rows(top, x))
+    # top cells, and rows of top + 1 vertices (repeats allowed) that mostly are not
+    strangers = np.sort(rng.integers(0, got.n_vertices, size=(200, top + 1)), axis=1)
+    for row in [*want.cells[top][at].tolist(), *strangers.tolist()]:
+        assert got._find_cell(top, row) == want._find_cell(top, row)
+        assert got.carrier_cell(row) == want.carrier_cell(row)
+    assert got._find_cell(top, [got.n_vertices] * (top + 1)) == -1
+
+
+def test_homology_counts_and_lookups_generate_no_top_keys(monkeypatch):
+    from zpindex.homology import betti_numbers
+
+    generated = []
+    real = complexes._JoinTop.take
+
+    def counting(self, at=None):
+        generated.append(("all", len(self)) if at is None else ("at", len(at)))
+        return real(self, at)
+
+    monkeypatch.setattr(complexes._JoinTop, "take", counting)
+    sigma5 = periodic_point_complex(mismatch_shift(1), 5)  # 30 points
+    joined = join_power(sigma5, 3)
+    assert generated == [("all", 900)]  # the second fold reads the first one's top once
+    generated.clear()
+    assert joined.cell_counts() == {0: 90, 1: 2700, 2: 27000}
+    assert (joined.total_cells(), joined.n_cells(2), joined.dim) == (29790, 27000, 2)
+    assert joined.is_free and not joined.is_empty and 2 in joined.cells
+    assert betti_numbers(joined, 5).reduced == (0, 0, 24389)
+    assert generated == []
+    # lookups go through the factors' keys; a read of a few cells takes only those
+    assert joined._find_cell(2, [0, 30, 60]) >= 0 and joined.carrier_cell([0, 1, 60]) is None
+    assert generated == []
+    assert joined._rows(2, [3, 5]).shape == (2, 3) and generated == [("at", 2)]
+
+
 # -- one table per cell: keys and int32 faces, rows decoded on read -----------------
 
 

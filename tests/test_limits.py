@@ -133,11 +133,12 @@ COMMAND_LADDERS = {
 # refused before their allocation and for answers whose tables set the peak
 # (an interpreter with numpy and zpindex.cli loaded takes about 32 MiB)
 STEP_PEAKS_MIB = {
-    # the 3-fold join of the period-7 set, 2M triangles: keys and int32 faces,
-    # read in cache-sized blocks by the checks, take about 81 MiB, against 150
-    # when rows and int64 faces were stored too
-    "homology Sigma:m=1,p=7 --copies": {"3": 90},
-    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 81 MiB
+    # the 3-fold join of the period-7 set, 2M triangles: int32 faces only, read
+    # in cache-sized blocks by the checks, with the triangles' keys generated
+    # from the factors on read, take about 64 MiB, against 81 when the keys
+    # were stored and 150 when rows and int64 faces were stored too
+    "homology Sigma:m=1,p=7 --copies": {"3": 72},
+    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 64 MiB
     # 1,335,168 words at q = 128 take about 164 MiB, with no labels; 256 is refused
     "verify embed-1.5 p=3 --q": {"128": 190, "256": 40},
     # refused at the cell cap after the lower dimensions are built: about 121 MiB
