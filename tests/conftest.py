@@ -905,14 +905,19 @@ def every_word_array_matches_the_depth_first_search():
 @pytest.fixture(autouse=True, scope="session")
 def every_colliding_reduction_matches_the_max_scan():
     """Every reduction of colliding columns any test runs must find the same
-    pivot rows, in the same order and in as many steps, as the ``max`` scan."""
+    pivot rows, in the same order and in as many steps, as the ``max`` scan.
+    The owners arrive as an int32 array indexed by low, no longer than the
+    matrix has rows; the scan reads them as a dict {low: column}."""
     from zpindex import homology
 
     fast = homology._reduce_colliding
 
     def checked(colliding, owner, t_ptr, t_rows, t_data, ell, counts):
+        assert isinstance(owner, np.ndarray) and owner.dtype == np.int32 and owner.ndim == 1
+        assert len(owner) <= int(t_rows.max()) + 1
+        by_low = {low: col for low, col in enumerate(owner.tolist()) if col >= 0}
         want_counts: dict[str, int] = {}
-        want = reduce_colliding_by_max(colliding, dict(owner), t_ptr, t_rows, t_data, ell, want_counts)
+        want = reduce_colliding_by_max(colliding, by_low, t_ptr, t_rows, t_data, ell, want_counts)
         got = fast(colliding, owner, t_ptr, t_rows, t_data, ell, counts)
         assert got == want and counts["steps"] == want_counts["steps"]
         return got
@@ -939,6 +944,25 @@ def every_coboundary_low_matches_the_sort():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "_coboundary_lows", checked)
+        yield
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_boundary_low_matches_the_row_max():
+    """Every boundary's lows any test reads must equal the row-wise max of its
+    face table, value for value and in the same type."""
+    from zpindex import homology
+
+    fast = homology._boundary_lows
+
+    def checked(b):
+        got = fast(b)
+        want = b.faces.max(axis=1)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_boundary_lows", checked)
         yield
 
 

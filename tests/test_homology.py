@@ -326,6 +326,21 @@ def test_reduction_counts_are_pinned_on_the_z3_torus():
     assert_counts_pinned(c, want, {2: [2927, 5230, 2256], 3: [2927, 5230, 2256]})
 
 
+def test_reduction_counts_are_pinned_on_the_benchmark_torus():
+    # Z:p=5,q=8, 372,880 cells, reduced down over F_5 as ``approx-z --p 5 --q 8``
+    # does; the apparent columns' owners serve every colliding dimension
+    cc = boundary_matrices(build_approx(z_torus_spec(5, 8)), 5)
+    assert betti(cc).reduced == (0, 5, 4, 0, 0, 0)
+    want = {
+        1: (58676, 17964, 17926, 38, 87, 2, 0),
+        2: (68920, 58680, 57862, 818, 2450, 94, 2042),
+        3: (34600, 68920, 67926, 994, 683, 190, 13),
+        4: (6280, 34600, 34316, 284, 142, 14, 0),
+        5: (0, 6280, 6280, 0, 0, 0, 0),
+    }
+    assert {d: tuple(cc.reduction_counts[d][f] for f in COUNT_FIELDS) for d in want} == want
+
+
 def test_reduction_counts_are_pinned_on_a_join_of_two_surfaces():
     # 140 top cells against 13 vertices: reduced up, coboundary delta^0 first
     c = join_complex(RP2_6, TORUS_7)
