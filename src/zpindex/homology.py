@@ -44,7 +44,10 @@ narrowest signed type that holds ell - 1 (a larger ell is refused):
 * Fallback.  Only the columns that share a low are reduced, by a column
   reduction that keeps one normalized pivot column per pivot row.  A low
   owned by an apparent column is served by normalizing that column on
-  first use.  The working column is a dict of its entries plus a max-heap
+  first use.  It reads each column through one accessor: going down, a
+  face-table row with the dimension's sign list, normalized at its low by
+  a sign list precomputed per face slot; going up, a slice of the
+  transpose.  The working column is a dict of its entries plus a max-heap
   of its rows with lazy deletion, the working-column scheme of Ripser
   (Bauer, J. Appl. Comput. Topol. 2021, arXiv:1908.02518): a row is pushed
   when it enters the dict, an entry that cancels stays in the heap, and a
@@ -226,7 +229,7 @@ def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict
     when some live column collides.
     """
     return _reduced_pivots(_coboundary_lows(b), cleared, ell, counts,
-                           lambda: _coboundary_transpose(b, ell))
+                           lambda: _slice_columns(*_coboundary_transpose(b, ell), ell))
 
 
 def _coboundary_lows(b: _Boundary) -> np.ndarray:
@@ -269,8 +272,7 @@ def _boundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[s
     Column j is face-table row j, whose low is its largest face; no
     transpose is formed.
     """
-    return _reduced_pivots(_boundary_lows(b), cleared, ell, counts,
-                           lambda: (b.indptr, b.indices, np.tile(_coefficients(b, ell), b.n_cols)))
+    return _reduced_pivots(_boundary_lows(b), cleared, ell, counts, lambda: _row_columns(b, ell))
 
 
 def _boundary_lows(b: _Boundary) -> np.ndarray:
@@ -290,14 +292,45 @@ def _coefficients(b: _Boundary, ell: int) -> np.ndarray:
     return (np.array(b.signs, dtype=np.int64) % ell).astype(coef_type)
 
 
+def _row_columns(b: _Boundary, ell: int):
+    """The columns of b as ``_reduce_colliding`` reads them: column j is
+    face-table row j with the dimension's coefficients.  Normalized at its
+    low, the entry of face slot k, it is the row without slot k and the
+    coefficients times that slot's, precomputed per slot: the signs are
+    +-1, their own inverses."""
+    faces, coef = b.faces, _coefficients(b, ell).tolist()
+    scaled = [[v * f % ell for i, v in enumerate(coef) if i != k] for k, f in enumerate(coef)]
+
+    def column(j: int, low: int | None = None):
+        rows = faces[j].tolist()
+        if low is None:
+            return rows, coef
+        k = rows.index(low)
+        return rows[:k] + rows[k + 1:], scaled[k]
+
+    return column
+
+
+def _slice_columns(ptr: np.ndarray, rows: np.ndarray, data: np.ndarray, ell: int):
+    """The columns of a CSC triple as ``_reduce_colliding`` reads them:
+    column j is the slice ptr[j]:ptr[j + 1] of rows and data."""
+
+    def column(j: int, low: int | None = None):
+        s, e = int(ptr[j]), int(ptr[j + 1])
+        entries = rows[s:e].tolist(), data[s:e].tolist()
+        return entries if low is None else _normalized(dict(zip(*entries)), low, ell)
+
+    return column
+
+
 def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
     """Pivot rows over F_ell of a matrix whose columns have the largest rows
     ``lows`` (-1 for an empty column), one per rank.
 
     Columns in ``cleared`` are skipped; every other column whose low no other
     column shares is a pivot as it stands; the rest are reduced by
-    ``_reduce_colliding`` on the CSC triple (ptr, indices, data) that
-    ``matrix()`` returns, called only then.
+    ``_reduce_colliding`` on the columns that ``matrix()`` returns, called
+    only then.
     """
     live = np.ones(len(lows), dtype=bool)
     live[cleared] = False
@@ -315,7 +348,7 @@ def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
     # column ids fit int32: no dimension holds 2^31 cells (complexes._INDEX_LIMIT)
     owner = np.full(int(lows.max()) + 1, -1, dtype=np.int32)
     owner[lows[apparent]] = cand[apparent]
-    found = _reduce_colliding(colliding, owner, *matrix(), ell, counts)
+    found = _reduce_colliding(colliding, owner, matrix(), ell, counts)
     return np.concatenate([lows[apparent], np.array(found, dtype=np.int64)])
 
 
@@ -343,13 +376,15 @@ def _apparent(lows: np.ndarray) -> np.ndarray:
     return apparent
 
 
-def _reduce_colliding(colliding, owner, ptr, indices, data, ell, counts) -> list[int]:
+def _reduce_colliding(colliding, owner, column, ell, counts) -> list[int]:
     """Column reduction over F_ell of the colliding columns; returns their new pivot rows.
 
-    ``pivots`` keeps one normalized column per pivot row, without its low
-    entry, as a list of rows and a list of values.  ``owner[low]`` is the
-    apparent column whose low is ``low``, or -1; that column is normalized
-    on first use, and is already counted in the rank.
+    column(j) is column j as a list of rows and a list of values, and
+    column(j, low) the same scaled so its entry at row low is 1, without
+    that entry (``_row_columns`` going down, ``_slice_columns`` going up).
+    ``pivots`` keeps one normalized column per pivot row in that form.
+    ``owner[low]`` is the apparent column whose low is ``low``, or -1; that
+    column is normalized on first use, and is already counted in the rank.
     ``heap`` holds the negated rows of ``work``, and stale rows that
     cancelled, so its live top is the low.
     """
@@ -357,9 +392,9 @@ def _reduce_colliding(colliding, owner, ptr, indices, data, ell, counts) -> list
     found: list[int] = []
     steps = stale = max_work = 0
     get_piv = pivots.get
-    for s, e in zip(ptr[colliding].tolist(), ptr[colliding + 1].tolist()):
-        rows = indices[s:e].tolist()
-        work = dict(zip(rows, data[s:e].tolist()))
+    for j in colliding.tolist():
+        rows, values = column(j)
+        work = dict(zip(rows, values))
         get = work.get
         heap = [-r for r in rows]
         heapify(heap)
@@ -374,9 +409,7 @@ def _reduce_colliding(colliding, owner, ptr, indices, data, ell, counts) -> list
             if piv is None:
                 a = int(owner[low])  # read once: pivots[low] is set here on first use
                 if a >= 0:
-                    a_s, a_e = int(ptr[a]), int(ptr[a + 1])
-                    entries = dict(zip(indices[a_s:a_e].tolist(), data[a_s:a_e].tolist()))
-                    piv = pivots[low] = _normalized(entries, low, ell)
+                    piv = pivots[low] = column(a, low)
             if piv is None:
                 pivots[low] = _normalized(work, low, ell)
                 found.append(low)

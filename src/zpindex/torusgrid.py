@@ -19,9 +19,12 @@ is refused before the search.
 The cubical table grows one dimension from the one below, with the grid
 and face reads of Wagner, Chen and Vucini, *Efficient computation of
 persistent homology for cubical data* (2012), in time and memory that
-follow the cells, not the grid: nothing grid-sized is allocated.  The
-general cubical validation (keys sorted, every face and image found by
-binary search) is the tests' oracle, compared byte for byte.
+follow the cells, not the grid: nothing grid-sized is allocated.  A cell
+is read only along the axes above its top mask bit, so its moves and
+growths are int32 slots for those axes alone (``_Cells``), and each table
+is dropped after its last read.  The general cubical validation (keys
+sorted, every face and image found by binary search) is the tests' oracle,
+compared byte for byte.
 """
 from __future__ import annotations
 
@@ -120,9 +123,9 @@ def _check_cell_cap(spec: TorusGridSpec, total: int, cap: int) -> None:
 
 
 def _check_move_table(d: int, n: int, n_axes: int) -> None:
-    """Refuse a dimension of n cells whose move and growth tables, n_axes rows
-    of n + 1 int32 entries read flat at axis * (n + 1) + cell, would hold 2^31
-    or more entries: those int32 products would wrap.  This also keeps n below
+    """Refuse a dimension of n cells whose move and growth tables, at most
+    n_axes int32 slots per cell and n_axes of padding, could hold 2^31 or more
+    entries: their int32 slot indices would wrap.  This also keeps n below
     the int32 face limit."""
     if n_axes * (n + 1) >= _INDEX_LIMIT:
         raise ResourceCapError(
@@ -132,47 +135,111 @@ def _check_move_table(d: int, n: int, n_axes: int) -> None:
         )
 
 
-def _grow(key, faces, grow, shift):
-    """The (d+1)-cells grown from the d-cells along each axis t where shift
-    holds their move along t.
+@dataclass(eq=False)
+class _Cells:
+    """One dimension's cells as their growth reads them.
 
-    Takes the d-cells' key and faces (None for d = 0, else in column-major
-    order), grow (the d-cell each (d-1)-cell grew into along each axis) and
-    shift (each d-cell moved one step along each axis above its top bit),
-    and returns the same four tables of d + 1 in key order.
+    A cell is read only along the axes t above its top mask bit (-1 for a
+    vertex).  ``by_top`` lists the cells by ascending top bit, the first
+    below[t] of them with top < t, and rank[c] is cell c's place in that
+    list.  So each int32 table holds for each axis t one block of below[t]
+    slots from start[t], slot start[t] + rank[c] for cell c, closed by one
+    -1: ``move`` each cell's move one step along t and ``grow`` (set by this
+    dimension's growth) the cell grown from it along t, -1 where that is no
+    cell.  rank[n] is -1, so a read at cell -1 finds a block's closing -1.
+    """
+
+    key: np.ndarray
+    by_top: np.ndarray | None
+    rank: np.ndarray
+    start: np.ndarray  # start[D] is the table length
+    move: np.ndarray | None
+    grow: np.ndarray | None = None
+
+
+def _starts(below: list[int]) -> np.ndarray:
+    """The start of each axis block of a slot table, and its length last."""
+    return np.cumsum([0] + [b + 1 for b in below], dtype=np.int32)
+
+
+def _grow(cells: _Cells, faces, lower: _Cells | None):
+    """The (d+1)-cells grown from the d-cells along each axis t where
+    cells.move holds their move along t: their ``_Cells`` and their faces in
+    column-major order, both in key order.
+
+    faces are the d-cells' (None for d = 0) and lower the (d-1)-cells', whose
+    growths give the new faces.  This sets cells.grow, and drops each input
+    table after its last read: cells.by_top, cells.move and lower.grow.
     The cell grown from c along t has as faces along t the move of c and c
     itself, and along a lower bit the t-growth of that face of c, or -1
     where that growth found no cell.
     """
-    (D, width), d = shift.shape, 0 if faces is None else faces.shape[1] // 2
-    # the (t, src) pairs, flat in shift and grow: ascending, in one block per axis
-    at = np.flatnonzero(shift >= 0)
-    blocks = np.searchsorted(at, np.arange(D + 1) * width)
-    axis = np.repeat(np.arange(D, dtype=np.int32), np.diff(blocks))
-    src, far = at - axis * width, np.take(shift, at)
-    key = key[src] + (np.int64(1) << axis)
-    order = np.argsort(key, kind="stable")  # merges the blocks into key order
-    n = len(key)
+    D, d = len(cells.start) - 1, 0 if faces is None else faces.shape[1] // 2
+    move, rank, start = cells.move, cells.rank, cells.start
+    # the (t, src) pairs where the move is a cell: the slots of the moves, in one
+    # block per axis t of the cells with top < t, ascending in src's rank; found
+    # one block at a time, so no intp index of the whole table is held
+    hit = move >= 0
+    n, blocks = int(np.count_nonzero(hit)), [0]
+    slot = np.empty(n, dtype=np.int32)
+    for t in range(D):
+        r = np.flatnonzero(hit[start[t]:start[t + 1]])
+        blocks.append(blocks[-1] + len(r))
+        np.add(r, start[t], out=slot[blocks[-2]:blocks[-1]], casting="unsafe")
+    del hit, r
+    axis = np.repeat(np.arange(D, dtype=np.int8), np.diff(blocks))
+    grow_at = np.take(start, axis)  # where each pair's own axis block starts, in both tables
+    far = np.take(move, slot)
+    rsrc = slot - grow_at
+    src = np.take(cells.by_top, rsrc)
+    cells.by_top = None
+    key = np.take(cells.key, src)
+    key += np.left_shift(1, axis, dtype=np.int64)
+    order = np.argsort(key, kind="stable")  # merges the blocks' runs into key order
     pos = np.empty(n, dtype=np.int32)
     pos[order] = np.arange(n, dtype=np.int32)
-    grow_up = np.full(shift.shape, -1, dtype=np.int32)
-    grow_up.ravel()[at] = pos
+    # the new cells by top bit are the pairs in block order: rank is order
+    rank_up = np.empty(n + 1, dtype=np.int32)
+    rank_up[:-1], rank_up[-1] = order, -1
+    key = np.take(key, order)
+    src = np.take(src, order)
+    far = np.take(far, order)
+    top = np.take(axis, order)
+    del order
+    cells.grow = grow = np.full(len(move), -1, dtype=np.int32)
+    grow[slot] = pos
+    del slot
     # moving commutes with growing: the move along u of c grown along t is the
-    # t-growth of c's move.  Later growths read moves only along axes u > t,
-    # which the pairs of the first u blocks have.
-    shift_up = np.full((D, n + 1), -1, dtype=np.int32)
-    for u in range(1, D):
-        k = blocks[u]
-        shift_up[u, pos[:k]] = np.take(grow_up, np.take(shift[u], src[:k]) + axis[:k] * width)
-    axis, src, far, key = axis[order], src[order], far[order], key[order]
-    del at, pos, order
+    # t-growth of c's move, read only along u > t, which the pairs of the
+    # first u blocks have; those pairs, in order, are block u of the new table
+    start_up = _starts(blocks[:D])
+    move_up = np.empty(start_up[-1], dtype=np.int32)
+    at = np.empty(n, dtype=np.int32)
+    # each take into out has mode="wrap", so it writes unbuffered; it reads -1 as
+    # the last entry, as "raise" does, and takes no index out of range here
+    for u in range(D):
+        k, s = blocks[u], start_up[u]
+        np.add(rsrc[:k], start[u], out=at[:k])
+        np.take(move, at[:k], out=at[:k], mode="wrap")  # the move of src along u
+        np.take(rank, at[:k], out=at[:k], mode="wrap")
+        at[:k] += grow_at[:k]
+        np.take(grow, at[:k], out=move_up[s:s + k], mode="wrap")
+        move_up[s + k] = -1
+    cells.move = None
+    del move, rsrc, axis, grow_at
     face = np.empty((n, 2 * d + 2), dtype=np.int32, order="F")
     face[:, 2 * d], face[:, 2 * d + 1] = far, src
+    src = face[:, 2 * d + 1]  # read from its face column: one copy is kept
+    del far
     if d:
-        lower = axis.astype(np.int64) * grow.shape[1]
+        grow_at = np.take(lower.start, top)
         for j in range(2 * d):
-            face[:, j] = np.take(grow, faces[:, j][src] + lower)
-    return key, face, grow_up, shift_up
+            np.take(faces[:, j], src, out=at, mode="wrap")
+            np.take(lower.rank, at, out=at, mode="wrap")
+            at += grow_at
+            np.take(lower.grow, at, out=face[:, j], mode="wrap")
+        lower.grow = None
+    return _Cells(key, pos, rank_up, start_up, move_up), face
 
 
 def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalComplex:
@@ -191,11 +258,13 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     that gives the vertex action checks.  For t above the top bit
     of M, (x, M + e_t) is a cell iff (x, M) and its move (x + e_t, M) are,
     so each dimension grows from the one below, its cells counted against
-    the cell cap and the int32 limit of its flat move table
+    the cell cap and the int32 limit of its move table
     (``_check_move_table``) before any of their tables exists.  Each
     dimension keeps its keys and int32 faces only; no row table is built.
-    Moves and growths are int32 tables, one row per axis,
-    whose last column of -1 is what a flat read at a missing cell (-1) finds.
+    Moves and growths are read only along axes above a cell's top bit, so
+    they are held in int32 slots per cell for those axes alone (``_Cells``),
+    each table dropped after its last read.  Faces grow in column-major order
+    and turn to row order after the last growth, when no table is left.
     """
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
     q, n, D = spec.q, spec.n_circles, spec.n_axes
@@ -213,6 +282,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     action = np.searchsorted(flat, image)
     if not np.array_equal(np.take(flat, action, mode="clip"), image):
         raise ShapeError(f"vertex set of {spec.token()} is not invariant under the letter rotation")
+    del image
     _check_cell_cap(spec, total, cap)
     _check_move_table(0, total, D)
     key = flat << D
@@ -221,28 +291,36 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     witness = None
     if len(fixed):
         witness = (0, tuple(_key_rows(key[fixed[:1]], [q] * D + [1 << D])[0].tolist()))
-    shift = np.full((D, total + 1), -1, dtype=np.int32)
+    # a vertex is read along every axis: block t of its tables is row t
+    move = np.full((D, total + 1), -1, dtype=np.int32)
     for t in range(D):
         stride = q ** (D - 1 - t)
         # axis t is digit n - 1 - t % n of letter t // n, in radix q
         at_edge = words[:, t // n] // q ** (n - 1 - t % n) % q == q - 1
-        moved = flat + np.where(at_edge, (1 - q) * stride, stride)
+        moved = flat + stride
+        moved[at_edge] -= q * stride
         at = np.searchsorted(flat, moved)  # len(flat) past the last vertex, clipped below
-        shift[t, :-1] = np.where(np.take(flat, at, mode="clip") == moved, at, -1)
+        np.copyto(move[t, :-1], at, where=np.take(flat, at, mode="clip") == moved)
+    del words, flat, fixed, at_edge, moved, at
+    rank = np.arange(total + 1, dtype=np.int32)
+    rank[-1] = -1
+    cells = _Cells(key, rank[:-1], rank, _starts([total] * D), move.reshape(-1))
+    del key, move, rank
     keys, faces = {}, {}
-    grow, d = None, 0
-    while len(key):
-        keys[d] = key
-        grown = int(np.count_nonzero(shift >= 0))
+    lower, d = None, 0
+    while len(cells.key):
+        keys[d] = cells.key
+        grown = int(np.count_nonzero(cells.move >= 0))
         total += grown
         _check_cell_cap(spec, total, cap)
         _check_move_table(d + 1, grown, D)
-        key, face, grow, shift = _grow(key, faces.get(d), grow, shift)
+        upper, face = _grow(cells, faces.get(d), lower)
         if face.min(initial=0) < 0:
             raise ShapeError(f"face closure fails between dimensions {d + 1} and {d}")
-        d += 1
-        if len(key):
-            faces[d] = face  # column-major until the last growth has read it
+        lower, cells, d = cells, upper, d + 1
+        if len(cells.key):
+            faces[d] = face  # column-major until the next growth has read it
+    # beside the tables, each copy would set the build's peak
     for d in faces:
         faces[d] = np.ascontiguousarray(faces[d])
     return CubicalComplex._from_table(spec.p, keys, faces, action, witness, q=spec.q,

@@ -133,9 +133,10 @@ def column_reduction_rank(b, ell: int) -> int:
     return rank
 
 
-def reduce_colliding_by_max(colliding, owner, t_ptr, t_rows, t_data, ell, counts) -> list[int]:
+def reduce_colliding_by_max(colliding, owner, column, ell, counts) -> list[int]:
     """``homology._reduce_colliding`` with each low found by scanning the
-    working column with ``max`` instead of reading a heap."""
+    working column with ``max`` instead of reading a heap, and each apparent
+    column normalized here from its raw entries ``column(a)``."""
     pivots: dict[int, list[tuple[int, int]]] = {}
     found: list[int] = []
     steps = 0
@@ -145,17 +146,15 @@ def reduce_colliding_by_max(colliding, owner, t_ptr, t_rows, t_data, ell, counts
         inv = pow(f, ell - 2, ell)
         return [(r, v * inv % ell) for r, v in col.items()]
 
-    for s, e in zip(t_ptr[colliding].tolist(), t_ptr[colliding + 1].tolist()):
-        work = dict(zip(t_rows[s:e].tolist(), t_data[s:e].tolist()))
+    for j in colliding.tolist():
+        work = dict(zip(*column(j)))
         while work:
             low = max(work)
             piv = pivots.get(low)
             if piv is None:
                 a = owner.pop(low, None)
                 if a is not None:
-                    a_s, a_e = int(t_ptr[a]), int(t_ptr[a + 1])
-                    entries = dict(zip(t_rows[a_s:a_e].tolist(), t_data[a_s:a_e].tolist()))
-                    piv = pivots[low] = normalized(entries, low)
+                    piv = pivots[low] = normalized(dict(zip(*column(a))), low)
             if piv is None:
                 pivots[low] = normalized(work, low)
                 found.append(low)
@@ -906,19 +905,20 @@ def every_word_array_matches_the_depth_first_search():
 def every_colliding_reduction_matches_the_max_scan():
     """Every reduction of colliding columns any test runs must find the same
     pivot rows, in the same order and in as many steps, as the ``max`` scan.
-    The owners arrive as an int32 array indexed by low, no longer than the
-    matrix has rows; the scan reads them as a dict {low: column}."""
+    The owners arrive as an int32 array indexed by low, one past the largest
+    low of the apparent and colliding columns; the scan reads them as a dict
+    {low: column}."""
     from zpindex import homology
 
     fast = homology._reduce_colliding
 
-    def checked(colliding, owner, t_ptr, t_rows, t_data, ell, counts):
+    def checked(colliding, owner, column, ell, counts):
         assert isinstance(owner, np.ndarray) and owner.dtype == np.int32 and owner.ndim == 1
-        assert len(owner) <= int(t_rows.max()) + 1
         by_low = {low: col for low, col in enumerate(owner.tolist()) if col >= 0}
+        assert len(owner) == 1 + max([*by_low, *(max(column(j)[0]) for j in colliding.tolist())])
         want_counts: dict[str, int] = {}
-        want = reduce_colliding_by_max(colliding, by_low, t_ptr, t_rows, t_data, ell, want_counts)
-        got = fast(colliding, owner, t_ptr, t_rows, t_data, ell, counts)
+        want = reduce_colliding_by_max(colliding, by_low, column, ell, want_counts)
+        got = fast(colliding, owner, column, ell, counts)
         assert got == want and counts["steps"] == want_counts["steps"]
         return got
 

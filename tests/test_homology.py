@@ -575,14 +575,15 @@ def test_apparent_flags_are_the_unshared_lows_whether_counted_or_sorted(monkeypa
 @pytest.mark.parametrize("ell, dtype", [(2, np.int8), (127, np.int8), (131, np.int16),
                                         (32749, np.int16), (32771, np.int32)])
 def test_boundary_data_is_the_narrowest_signed_type(ell, dtype, monkeypatch):
-    reduce = homology._reduce_colliding
+    coefficients = homology._coefficients
     seen = []
 
-    def spy(colliding, owner, t_ptr, t_rows, t_data, *rest):
-        seen.append(t_data.dtype)  # the transposed coefficients the reduction reads
-        return reduce(colliding, owner, t_ptr, t_rows, t_data, *rest)
+    def spy(b, ell):
+        got = coefficients(b, ell)
+        seen.append(got.dtype)  # the coefficients the columns of a colliding reduction carry
+        return got
 
-    monkeypatch.setattr(homology, "_reduce_colliding", spy)
+    monkeypatch.setattr(homology, "_coefficients", spy)
     for c in (join_of(2, 3, 5), RP2_6, full_torus_q4()):
         cc = boundary_matrices(c, ell)  # also composition-checked by sorting
         assert engine_ranks(cc) == [dense_rank_np(b, ell) for b in cc.boundaries]

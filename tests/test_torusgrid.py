@@ -184,10 +184,10 @@ def test_grid_build_refuses_a_face_read_that_finds_no_cell(monkeypatch):
     base = honest.vertex_index(square[:3])
     grow = torusgrid._grow
 
-    def damaged(key, faces, grown, shift):
-        out = grow(key, faces, grown, shift)
-        if faces is None:
-            out[2][2, base] = -1  # the edge from that square's base along axis 2 is lost
+    def damaged(cells, faces, lower):
+        out = grow(cells, faces, lower)
+        if faces is None:  # the edge from that square's base along axis 2 is lost
+            cells.grow[cells.start[2] + cells.rank[base]] = -1
         return out
 
     monkeypatch.setattr(torusgrid, "_grow", damaged)
