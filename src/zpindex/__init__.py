@@ -53,7 +53,6 @@ from .seqmaps import (
     Window,
     block_sum_step,
     pair_embed,
-    pair_embed_cyclic,
     section_apply,
     section_input_range,
     separation_violations,
@@ -67,7 +66,6 @@ from .shiftspaces import (
     mismatch_shift,
     neighbor_gap_shift,
     orbit_decompose,
-    parse_word,
     periodic_point_complex,
 )
 from .torusgrid import (

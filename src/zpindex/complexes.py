@@ -4,16 +4,15 @@ Both kinds of complex share one cell table.  A k-cell is an integer row:
 sorted vertex ids for a simplex, (base corner, extent mask) on a periodic
 grid for a cube.  Each row has one int64 mixed-radix key (radix n_vertices
 per vertex slot; q per base coordinate and 2^D for the mask), and the key
-is a cell's only identity.  A dimension stores its keys sorted, which is
-the rows' lexicographic order, and its faces as int32 indices into the
-dimension below; a join's top dimension stores only its faces, and its keys
-are generated from its two factors' keys on each read (``_JoinTop``).
-``cells[d]`` decodes the rows from the keys, digit by digit, on each read,
-and readers that need a few rows decode only those keys.  Every lookup is a
-binary search among the keys (in a join's top dimension, among each
-factor's); a complex whose keys would reach 2^63 is refused, never wrapped,
-and so is a dimension of 2^31 or more cells, which int32 faces cannot
-index, before anything is allocated.
+is a cell's only identity.  Per dimension, the keys, sorted (the rows'
+lexicographic order), and the faces, int32 indices into the dimension
+below, are each a ``_Table``, stored as a read-only array or generated on
+each read (a join's top keys; the rows, decoded from the keys).  Every
+reader goes through a table: ``take`` for all rows or a few, ``blocks`` for
+cache-sized blocks, ``search`` for a binary search among keys; no table can
+be replaced after validation.  Keys that would reach 2^63 are refused,
+never wrapped, and so is a dimension of 2^31 or more cells, which int32
+faces cannot index, before anything is allocated.
 
 Validation of given simplices checks that the group order p is prime,
 that the action is a permutation of exact order p mapping cells to cells,
@@ -30,9 +29,8 @@ complex names which face of a face equals which (the simplicial identities
 d_i d_j = d_{j-1} d_i for i < j, and their cubical analogue), and the
 shared check tests those integer-array equalities, that the named pairs
 match up every face of a face exactly once with opposite signs, and that
-the edge signs sum to zero.  It reads the face table one cache-sized block
-of rows at a time (``_row_blocks``, as the coboundary lows of ``homology``
-do), gathering each block's faces of faces once for all pairs.  Together
+the edge signs sum to zero.  It reads the face table block by block,
+gathering each block's faces of faces once for all pairs.  Together
 these give boundary o boundary = 0 and augmentation o boundary = 0 over the
 integers, hence over every field.
 
@@ -46,12 +44,12 @@ radix-N key is key(sigma) * N^|tau| + key(tau + |V(A)|); its faces are
 it is setwise fixed exactly when sigma and tau are (an empty side counts as
 fixed).  Each split (dim sigma, dim tau) of a dimension is already in key
 order; one stable argsort of the keys merges the splits.  The top dimension
-is the one split (top of A, top of B), so its keys are that formula, never
-stored; homology reads faces and counts only and never generates them.
-``join_power`` checks the caps for a whole k-fold join before it folds the
-copies.  A join of discrete complexes remembers its factor sizes, which is
-the one structural situation where high connectivity is a theorem rather
-than homological evidence.
+is the one split (top of A, top of B), so its keys are that formula,
+generated on read, never stored; homology reads faces and counts only and
+never generates them.  ``join_power`` checks the caps for a whole k-fold
+join before it folds the copies.  A join of discrete complexes remembers
+its factor sizes, which is the one structural situation where high
+connectivity is a theorem rather than homological evidence.
 """
 from __future__ import annotations
 
@@ -59,6 +57,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from math import prod
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -142,72 +141,111 @@ def _check_cell_count(d: int, n: int) -> None:
         )
 
 
-def _row_blocks(n: int, width: int):
-    """(start, stop) of consecutive blocks of an n-row table whose rows hold
-    ``width`` entries each: ``_BLOCK_ENTRIES`` entries a block, at least one row."""
-    step = max(1, _BLOCK_ENTRIES // width)
-    return ((s, min(s + step, n)) for s in range(0, n, step))
+class _Table:
+    """One dimension of a complex: a sorted int64 key per cell, a row of
+    int32 face indices per cell, or the cells' rows.  ``_Stored`` holds it in
+    one read-only array; ``_JoinTop`` (a join's top keys) and ``_Decoded``
+    (rows from keys) generate it on every read and keep nothing.
+
+    Each is read the same way: ``take(at)``, the rows at the indices or
+    slice ``at`` (all of them when None), ``blocks(width)`` and, for keys,
+    ``search(want)``, the index of each wanted key (-1 when absent)."""
+
+    __slots__ = ()
+
+    def blocks(self, width: int):
+        """(start, rows) of consecutive blocks of rows of ``width`` entries
+        each: ``_BLOCK_ENTRIES`` entries a block, at least one row."""
+        n, step = len(self), max(1, _BLOCK_ENTRIES // width)
+        return ((s, self.take(slice(s, min(s + step, n)))) for s in range(0, n, step))
 
 
-def _search(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Index of each wanted key among the sorted, nonempty keys; -1 when absent."""
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(keys[pos] == want, pos, -1)
+class _Stored(_Table):
+    """A table held in one array, made read-only here."""
+
+    __slots__ = ("_array",)
+
+    def __init__(self, array: np.ndarray):
+        array.setflags(write=False)
+        self._array = array
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def take(self, at=None) -> np.ndarray:
+        return self._array if at is None else self._array[at]
+
+    def search(self, want: np.ndarray) -> np.ndarray:
+        keys = self._array  # sorted and nonempty
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[pos] == want, pos, -1)
 
 
-class _JoinTop:
+class _JoinTop(_Table):
     """The keys of a join's top dimension, generated on every read, never kept.
 
     That dimension is one split, (top cell of A, top cell of B), in
     row-major order: cell i * len(inner) + j has the key outer[i] * scale +
     inner[j], where outer and inner are the factors' top keys in the join's
-    radix and scale = N^(dim B + 1) is above every inner key.  So a divmod
-    by scale splits a key into its factors' keys."""
+    radix, stored, and scale = N^(dim B + 1) is above every inner key.  So a
+    divmod by scale splits a key into its factors' keys."""
 
     __slots__ = ("outer", "inner", "scale")
 
     def __init__(self, outer: np.ndarray, inner: np.ndarray, scale: int):
-        self.outer, self.inner, self.scale = outer, inner, scale
-        for a in (outer, inner):
-            a.setflags(write=False)
+        self.outer, self.inner, self.scale = _Stored(outer), _Stored(inner), scale
 
     def __len__(self) -> int:
         return len(self.outer) * len(self.inner)
 
     def take(self, at=None) -> np.ndarray:
-        """Read-only keys of the cells at the indices ``at`` (all when None)."""
         if at is None:
-            key = np.add.outer(self.outer * self.scale, self.inner).reshape(-1)
+            key = np.add.outer(self.outer.take() * self.scale, self.inner.take()).reshape(-1)
         else:
+            if isinstance(at, slice):
+                at = np.arange(*at.indices(len(self)))
             i, j = np.divmod(np.asarray(at, dtype=np.int64), len(self.inner))
-            key = self.outer[i] * self.scale + self.inner[j]
+            key = self.outer.take(i) * self.scale + self.inner.take(j)
         key.setflags(write=False)
         return key
 
     def search(self, want: np.ndarray) -> np.ndarray:
         i, j = np.divmod(want, self.scale)
-        i, j = _search(self.outer, i), _search(self.inner, j)
+        i, j = self.outer.search(i), self.inner.search(j)
         return np.where((i >= 0) & (j >= 0), i * len(self.inner) + j, -1)
 
 
-class _Keys(Mapping):
-    """A complex's cell keys: each dimension's sorted, read-only int64 array.
+class _Decoded(_Table):
+    """The int32 rows of a key table, decoded from the keys, digit by digit,
+    on every read and returned read-only; nothing is kept."""
 
-    A stored dimension is its array; the top dimension of a join is a
-    ``_JoinTop`` and is generated on each read.  Sizes, lookups and reads
-    of a few cells (``size``, ``search``, ``take``) go through its factors'
-    keys and never generate the whole dimension."""
+    __slots__ = ("keys", "radices")
+
+    def __init__(self, keys: _Table, radices: Sequence[int]):
+        self.keys, self.radices = keys, radices
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def take(self, at=None) -> np.ndarray:
+        rows = _key_rows(self.keys.take(at), self.radices)
+        rows.setflags(write=False)
+        return rows
+
+
+class _Tables(Mapping):
+    """A complex's keys, faces or cells, one ``_Table`` per dimension, read-only:
+    ``[d]`` is dimension d's whole array (generated on the read where its
+    table is generated), and ``table(d)`` the table itself, for sizes,
+    reads of a few rows, blocks and searches that never form the whole."""
 
     __slots__ = ("_tables",)
 
-    def __init__(self, tables: dict[int, np.ndarray | _JoinTop]):
-        for a in tables.values():
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+    def __init__(self, tables: dict[int, _Table]):
         self._tables = tables
 
     def __getitem__(self, d: int) -> np.ndarray:
-        return self.take(d)
+        return self._tables[d].take()
 
     def __contains__(self, d) -> bool:
         return d in self._tables
@@ -218,43 +256,12 @@ class _Keys(Mapping):
     def __len__(self) -> int:
         return len(self._tables)
 
+    def table(self, d: int) -> _Table:
+        return self._tables[d]
+
     def size(self, d: int) -> int:
-        """Cells in dimension d; 0 for a dimension with none."""
+        """Rows in dimension d; 0 for a dimension with none."""
         return len(self._tables.get(d, ()))
-
-    def take(self, d: int, at=None) -> np.ndarray:
-        """Keys of the d-cells at the indices ``at`` (all of them when None)."""
-        table = self._tables[d]
-        if isinstance(table, _JoinTop):
-            return table.take(at)
-        return table if at is None else table[at]
-
-    def search(self, d: int, want: np.ndarray) -> np.ndarray:
-        """Index of each key among the d-cells; -1 when absent."""
-        table = self._tables[d]
-        return table.search(want) if isinstance(table, _JoinTop) else _search(table, want)
-
-
-class _Rows(Mapping):
-    """A complex's cells: each dimension's read-only int32 rows, decoded from
-    its keys on every read; nothing is kept."""
-
-    __slots__ = ("_complex",)
-
-    def __init__(self, c: CellComplex):
-        self._complex = c
-
-    def __getitem__(self, d: int) -> np.ndarray:
-        return self._complex._rows(d)  # KeyError for a dimension with no cells
-
-    def __contains__(self, d) -> bool:
-        return d in self._complex.keys
-
-    def __iter__(self):
-        return iter(self._complex.keys)
-
-    def __len__(self) -> int:
-        return len(self._complex.keys)
 
 
 class CellComplex:
@@ -268,18 +275,17 @@ class CellComplex:
     action, normalized) and ``_face_rows(d, rows, i)`` (the i-th face of
     each d-cell) and calls ``_finish`` with the rows ``_set_cells`` returned.
 
-    ``keys[d]`` is the only identity of the d-cells, stored except in a
-    join's top dimension, where it is generated on each read; counts never
-    read it, and ``cells[d]`` decodes the rows on each read.  After
-    validation ``faces[d]`` is a read-only int32 (n_d, k) array: entry
-    (j, i) is the index among the (d-1)-cells of the i-th face of d-cell j,
-    whose boundary coefficient is ``face_signs[d][i]``.
+    ``keys``, ``faces`` and ``cells`` map each dimension to its whole table
+    (``_Tables``).  ``faces[d]`` is an int32 (n_d, k) array: entry (j, i) is
+    the index among the (d-1)-cells of the i-th face of d-cell j, whose
+    boundary coefficient is ``face_signs[d][i]``.  Once set, ``keys``,
+    ``faces`` and ``face_signs`` are never rebound.
     """
 
     p: int
-    keys: _Keys
-    faces: dict[int, np.ndarray]
-    face_signs: dict[int, tuple[int, ...]]
+    keys: _Tables
+    faces: _Tables
+    face_signs: Mapping[int, tuple[int, ...]]
 
     def _radices(self, d: int) -> list[int]:
         raise NotImplementedError
@@ -297,6 +303,11 @@ class CellComplex:
         """Pairs ((i, i2), (j, j2)): face i2 of face i of every d-cell is its
         face j2 of face j."""
         raise NotImplementedError
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("keys", "faces", "face_signs") and name in vars(self):
+            raise AttributeError(f"the {name} of a complex cannot be replaced once set")
+        super().__setattr__(name, value)
 
     # -- building -----------------------------------------------------------------
 
@@ -316,38 +327,31 @@ class CellComplex:
             key = key[order]
             if np.any(key[1:] == key[:-1]):
                 raise ShapeError(f"duplicate cells in dimension {d}")
-            rows[d], keys[d] = cells[d][order], key
-        self.keys = _Keys(keys)
+            rows[d], keys[d] = cells[d][order], _Stored(key)
+        self.keys = _Tables(keys)
         return rows
 
     def _finish(self, rows: dict[int, np.ndarray], has_action: bool) -> None:
-        """Check the action (when there is one) and closure on the sorted rows,
-        then freeze the table."""
+        """Check the action (when there is one) and closure on the sorted rows."""
         self._has_action = has_action
         self._witness = None
         if has_action:
             self._check_action(rows)
         self._find_faces(rows)
-        self._freeze()
-
-    def _freeze(self) -> None:
-        for a in self.faces.values():
-            a.setflags(write=False)
 
     @classmethod
     def _from_table(cls, p, keys, faces, action, witness, **attrs):
         """A complex from tables already known to be valid (sorted, closed,
         action of order p with the given witness), plus the subclass's own
-        attributes; nothing is checked.  ``keys`` maps each dimension to its
-        key array or, for a join's top dimension, its ``_JoinTop``."""
+        attributes; nothing is checked.  ``keys`` and ``faces`` map each
+        dimension to its ``_Table``."""
         c = cls.__new__(cls)
-        c.p, c.keys, c.faces = p, _Keys(keys), faces
+        c.p, c.keys, c.faces = p, _Tables(keys), _Tables(faces)
         c.__dict__.update(attrs)
-        c.face_signs = {d: c._face_signs(d) for d in faces}
+        c.face_signs = MappingProxyType({d: c._face_signs(d) for d in faces})
         c.action, c._has_action, c._witness = action, action is not None, witness
         if action is not None:
             action.setflags(write=False)
-        c._freeze()
         return c
 
     def _check_order(self, perm: np.ndarray, n: int, what: str, items: str) -> None:
@@ -373,14 +377,14 @@ class CellComplex:
     def _check_action(self, rows: dict[int, np.ndarray]) -> None:
         for d, r in rows.items():
             img = self._image_keys(d, r)
-            if np.any(self.keys.search(d, img) < 0):
+            if np.any(self.keys.table(d).search(img) < 0):
                 raise ShapeError(f"action does not map dimension-{d} cells to cells")
             hits = np.flatnonzero(img == self.keys[d])
             if self._witness is None and len(hits):
                 self._witness = (d, tuple(int(v) for v in r[hits[0]]))
 
     def _find_faces(self, rows: dict[int, np.ndarray]) -> None:
-        self.faces, self.face_signs = {}, {}
+        faces, face_signs = {}, {}
         for d, r in rows.items():
             if d == 0:
                 continue
@@ -390,10 +394,11 @@ class CellComplex:
             idx = np.empty((len(r), len(signs)), dtype=np.int32)
             for i in range(len(signs)):
                 face = self._face_rows(d, r, i)
-                idx[:, i] = self.keys.search(d - 1, _row_keys(face, self._radices(d - 1)))
+                idx[:, i] = self.keys.table(d - 1).search(_row_keys(face, self._radices(d - 1)))
             if np.any(idx < 0):
                 raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
-            self.faces[d], self.face_signs[d] = idx, signs
+            faces[d], face_signs[d] = _Stored(idx), signs
+        self.faces, self.face_signs = _Tables(faces), MappingProxyType(face_signs)
 
     def _check_boundary_square(self) -> None:
         """Refuse with ShapeError unless boundary o boundary = 0 and the
@@ -403,8 +408,8 @@ class CellComplex:
         face_signs[d][i] * face_signs[d-1][i2].  When the pairs of
         ``_face_pairs(d)`` cover every (i, i2) exactly once, give equal
         face-of-face indices and opposite signs, all terms cancel.  The
-        matching and the signs are checked first; then the d-cells are read
-        one block of rows at a time (``_row_blocks``): the block's faces of
+        matching and the signs are checked first; then the d-cells' faces are
+        read one block at a time (``_Table.blocks``): the block's faces of
         faces are gathered once and every pair is compared on them.  A pair
         that fails in any block is named after the last block, the first
         such pair in ``_face_pairs(d)`` order.
@@ -412,7 +417,6 @@ class CellComplex:
         if 1 in self.faces and sum(self.face_signs[1]):
             raise ShapeError("augmentation composed with the edge boundary is nonzero")
         for d in range(2, self.dim + 1):
-            top, low = self.faces[d], self.faces[d - 1]
             signs, low_signs = self.face_signs[d], self.face_signs[d - 1]
             pairs = self._face_pairs(d)
             covered = sorted(x for pair in pairs for x in pair)
@@ -427,12 +431,12 @@ class CellComplex:
                         f"{d - 2}: faces ({i}, {i2}) and ({j}, {j2}) carry equal signs"
                     )
             # column i * k2 + i2 of a gathered block is face i2 of face i
-            k2 = low.shape[1]
+            k2, low = len(low_signs), self.faces[d - 1]
             left = [i * k2 + i2 for (i, i2), _ in pairs]
             right = [j * k2 + j2 for _, (j, j2) in pairs]
             same = np.ones(len(pairs), dtype=bool)
-            for s, e in _row_blocks(len(top), top.shape[1] * k2):
-                gathered = np.take(low, top[s:e], axis=0).reshape(e - s, -1)
+            for _, top in self.faces.table(d).blocks(len(signs) * k2):
+                gathered = np.take(low, top, axis=0).reshape(len(top), -1)
                 same &= (gathered[:, left] == gathered[:, right]).all(axis=0)
             if not same.all():
                 (i, i2), (j, j2) = pairs[int(np.argmin(same))]
@@ -451,21 +455,19 @@ class CellComplex:
         if len(row) != len(radices) or not all(0 <= v < r for v, r in zip(row, radices)):
             return -1
         want = _row_keys(np.array([row], dtype=np.int64), radices)
-        return int(self.keys.search(d, want)[0])
+        return int(self.keys.table(d).search(want)[0])
 
     def _rows(self, d: int, at=None) -> np.ndarray:
         """Read-only rows of the d-cells at the indices ``at`` (all of them when
         None), decoded from those cells' keys alone."""
-        rows = _key_rows(self.keys.take(d, at), self._radices(d))
-        rows.setflags(write=False)
-        return rows
+        return _Decoded(self.keys.table(d), self._radices(d)).take(at)
 
     # -- queries ----------------------------------------------------------------------
 
     @property
-    def cells(self) -> Mapping[int, np.ndarray]:
+    def cells(self) -> _Tables:
         """Each dimension's rows in key order, decoded on every read."""
-        return _Rows(self)
+        return _Tables({d: _Decoded(self.keys.table(d), self._radices(d)) for d in self.keys})
 
     @property
     def dim(self) -> int:
@@ -795,8 +797,8 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
         _check_cell_count(d, sum(ns * nt for ns, nt in shapes[d]))
     has_action = a.action is not None and b.action is not None
     left, right = _JoinSide(a, 0, n, has_action), _JoinSide(b, a.n_vertices, n, has_action)
-    keys: dict[int, np.ndarray | _JoinTop] = {}
-    faces: dict[int, np.ndarray] = {}
+    keys: dict[int, _Table] = {}
+    faces: dict[int, _Table] = {}
     witness = None
     # per split (dim sigma, dim tau) of the previous dimension: the sorted
     # position of each of its cells, as an (n_sigma, n_tau) array
@@ -818,7 +820,7 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
             # needed.  Nor can it hold the first fixed cell: if sigma and tau
             # are both fixed, so is (sigma, empty), a cell of lower dimension.
             keys[d] = _JoinTop(left.keys[a.dim], right.keys[b.dim], n ** (b.dim + 1))
-            faces[d] = face
+            faces[d] = _Stored(face)
             break
         key = np.empty(bounds[-1], dtype=np.int64)
         fixed = np.empty(bounds[-1], dtype=bool)
@@ -841,9 +843,9 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
         if len(hits):
             witness = (d, tuple(_key_rows(key[hits[:1]], [n] * (d + 1))[0].tolist()))
         place = {split: pos[r0:r1].reshape(shape) for split, shape, r0, r1 in blocks}
-        keys[d] = key
+        keys[d] = _Stored(key)
         if d:
-            faces[d] = face
+            faces[d] = _Stored(face)
     labels = a.labels + b.labels if a.labels is not None and b.labels is not None else None
     jf = None
     if a.join_factors is not None and b.join_factors is not None:

@@ -1,13 +1,14 @@
 """Reduced Betti numbers over a prime field by exact boundary-matrix ranks.
 
 The boundary leaving dimension d of a simplicial or cubical complex is its
-face table: column j lists the faces of d-cell j that validation found
-(``faces[d]``), with the dimension's sign pattern (``face_signs[d]``).
-``ChainComplexFp`` takes only the boundaries of one complex, still read from
-its table, and checks boundary o boundary = 0 and augmentation o boundary = 0
-one way: by the complex's face identities (``_check_boundary_square``),
-integer-array equalities on the stored faces plus a check of the sign
-pattern, which give zero over the integers without forming any product.
+face table: column j lists the faces of d-cell j that validation found,
+with the dimension's sign pattern.  A boundary (``_Boundary``) is only the
+complex and d; it reads the faces through the table's ``take`` and
+``blocks``, and the tables are read-only, so what is reduced is what was
+checked.  ``ChainComplexFp`` takes only the boundaries of one complex and
+checks boundary o boundary = 0 and augmentation o boundary = 0 by the
+complex's face identities (``_check_boundary_square``), which give zero
+over the integers without forming any product.
 
 rank(boundary_d) is the number of pivot rows ("lows", largest rows of the
 reduced columns) of one of two matrices, reduced from the smaller end of
@@ -16,18 +17,19 @@ dimension 0, otherwise up from dimension 0 (ties go up).  The first matrix
 reduced has (almost) nothing cleared, so its end should be the smaller.
 
 * Down.  The boundary itself: its column j is face-table row j, whose low
-  is its largest face, a running maximum over the face slots; no
-  transpose is formed.  Ranks go from the top down.  A d-cell that was a
-  low of the reduced boundary_{d+1} is the largest entry of a boundary,
-  which boundary_d kills; so its column is a combination of the columns
-  of smaller d-cells and is skipped unread.  Nothing is cleared at the top.
+  is its largest face, a running maximum over the face slots of each block
+  of the table; no transpose is formed.  Ranks go from the top down.  A
+  d-cell that was a low of the reduced boundary_{d+1} is the largest entry
+  of a boundary, which boundary_d kills; so its column is a combination of
+  the columns of smaller d-cells and is skipped unread.  Nothing is
+  cleared at the top.
 * Up.  The coboundary delta^{d-1} = boundary_d^T, whose column i lists the
   cofaces of (d-1)-cell i.  Its low is the largest d-cell with i as a
   face, found by one ``np.maximum.at`` per face slot over each
-  cache-sized block of the face table (``complexes._row_blocks``); the
-  transpose itself is built, by one stable sort, only when some live
-  column collides.  Ranks go from dimension 0 up.  A (d-1)-cell that was
-  a low of the reduced delta^{d-2} is cleared the same way; for d = 1 the
+  cache-sized block of the face table; the transpose itself is built, by
+  one stable sort of the whole table, only when some live column collides.
+  Ranks go from dimension 0 up.  A (d-1)-cell that was a low of the
+  reduced delta^{d-2} is cleared the same way; for d = 1 the
   augmentation's all-ones coboundary clears the last vertex.
 
 Both directions then share one tail, with the coefficients mod ell in the
@@ -73,7 +75,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .complexes import CellComplex, _is_prime, _row_blocks
+from .complexes import CellComplex, _is_prime
 from .errors import ShapeError
 
 __all__ = [
@@ -105,15 +107,17 @@ class BettiVector:
 @dataclass(frozen=True, eq=False)
 class _Boundary:
     """The boundary leaving dimension d of a complex: column j has the rows
-    faces[j] with coefficients signs, where faces and signs are the complex's
-    own read-only faces[d] and face_signs[d].  Of the CSC triple, ``indptr``
-    is built once on first read, read-only; ``indices`` and ``data`` are
-    derived on each read."""
+    of row j of the complex's face table ``faces.table(d)``, with the
+    coefficients ``face_signs[d]``, both read from the complex on each use.
+    ``indptr``, the column pointers of the matrix in CSC form, is built once
+    on first read, read-only."""
 
     complex: CellComplex
     d: int
-    faces: np.ndarray
-    signs: tuple[int, ...]
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return self.complex.face_signs[self.d]
 
     @property
     def n_rows(self) -> int:
@@ -121,23 +125,15 @@ class _Boundary:
 
     @property
     def n_cols(self) -> int:
-        return len(self.faces)
+        return self.complex.n_cells(self.d)
 
     @cached_property
     def indptr(self) -> np.ndarray:
-        n, k = self.faces.shape
-        end = (n + 1) * k
+        k = len(self.signs)
+        end = (self.n_cols + 1) * k
         ptr = np.arange(0, end, k, dtype=np.int32 if end < 1 << 31 else np.int64)
         ptr.flags.writeable = False
         return ptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.faces.reshape(-1)
-
-    @property
-    def data(self) -> np.ndarray:
-        return np.tile(np.array(self.signs, dtype=np.int64), self.n_cols)
 
 
 class ChainComplexFp:
@@ -145,8 +141,8 @@ class ChainComplexFp:
 
     def __init__(self, ell: int, n_cells: tuple[int, ...], boundaries: list[_Boundary]):
         """Refuse with ShapeError unless ell is a prime below 2^63, ``boundaries``
-        are those of one complex from d = 1 up, still its own faces and signs,
-        and ``n_cells`` are its cell counts; then check its face identities."""
+        are those of one complex from d = 1 up and ``n_cells`` are its cell
+        counts; then check its face identities."""
         if not _is_prime(ell):
             raise ShapeError(f"homology field order must be prime, got {ell}")
         if ell - 1 > np.iinfo(np.int64).max:
@@ -157,12 +153,11 @@ class ChainComplexFp:
                 isinstance(c, CellComplex) and len(boundaries) == c.dim
                 and tuple(n_cells) == tuple(c.n_cells(d) for d in range(c.dim + 1))
                 and all(isinstance(b, _Boundary) and b.complex is c and b.d == d
-                        and b.faces is c.faces.get(d) and b.signs is c.face_signs.get(d)
                         for d, b in enumerate(boundaries, start=1))
             ):
                 raise ShapeError(
-                    "a chain complex takes the boundaries of one complex, read from its "
-                    "current face table, and that complex's cell counts"
+                    "a chain complex takes the boundaries of one complex and that "
+                    "complex's cell counts"
                 )
             c._check_boundary_square()
         elif len(n_cells) > 1:
@@ -235,13 +230,13 @@ def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict
 def _coboundary_lows(b: _Boundary) -> np.ndarray:
     """The low of each column i of delta = b^T: the largest column of b that
     has row i, or -1 when there is none.  The face table is read one block of
-    columns of b at a time (``_row_blocks``), with one ``maximum.at`` per
+    columns of b at a time (``_Table.blocks``), with one ``maximum.at`` per
     face slot on that slot's faces cast to intp."""
     lows = np.full(b.n_rows, -1, dtype=np.int64)
-    for s, e in _row_blocks(b.n_cols, b.faces.shape[1]):
-        cols = np.arange(s, e, dtype=np.int64)
-        for faces in b.faces[s:e].T:
-            np.maximum.at(lows, faces.astype(np.intp), cols)
+    for s, faces in b.complex.faces.table(b.d).blocks(len(b.signs)):
+        cols = np.arange(s, s + len(faces), dtype=np.int64)
+        for slot in faces.T:
+            np.maximum.at(lows, slot.astype(np.intp), cols)
     return lows
 
 
@@ -253,16 +248,16 @@ def _coboundary_transpose(b: _Boundary, ell: int) -> tuple[np.ndarray, np.ndarra
     signs[e % k] mod ell; one stable sort of the entries by row turns b into
     delta.
     """
-    k = b.faces.shape[1]
+    k, entries = len(b.signs), b.complex.faces.table(b.d).take().reshape(-1)
     # int32 column ids where they fit: the transpose sets the peak RSS of the largest joins
-    order = np.argsort(b.indices, kind="stable")
+    order = np.argsort(entries, kind="stable")
     t_rows = np.empty(len(order), dtype=np.int32 if b.n_cols < 1 << 31 else np.int64)
     np.floor_divide(order, k, out=t_rows, casting="unsafe")
     order %= k
     t_data = _coefficients(b, ell)[order]
     del order
     t_ptr = np.zeros(b.n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(b.indices, minlength=b.n_rows), out=t_ptr[1:])
+    np.cumsum(np.bincount(entries, minlength=b.n_rows), out=t_ptr[1:])
     return t_ptr, t_rows, t_data
 
 
@@ -276,12 +271,15 @@ def _boundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[s
 
 
 def _boundary_lows(b: _Boundary) -> np.ndarray:
-    """The largest face of each column of b, by a running maximum over the
-    face slots: several times faster than a max along the short rows."""
-    slots = b.faces.T
-    lows = slots[0].copy()
-    for faces in slots[1:]:
-        np.maximum(lows, faces, out=lows)
+    """The largest face of each column of b, an int32 face index, by a
+    running maximum over the face slots of each block of the face table:
+    several times faster than a max along the short rows."""
+    lows = np.empty(b.n_cols, dtype=np.int32)
+    for s, faces in b.complex.faces.table(b.d).blocks(len(b.signs)):
+        slots, out = faces.T, lows[s:s + len(faces)]
+        np.copyto(out, slots[0])
+        for slot in slots[1:]:
+            np.maximum(out, slot, out=out)
     return lows
 
 
@@ -298,11 +296,11 @@ def _row_columns(b: _Boundary, ell: int):
     low, the entry of face slot k, it is the row without slot k and the
     coefficients times that slot's, precomputed per slot: the signs are
     +-1, their own inverses."""
-    faces, coef = b.faces, _coefficients(b, ell).tolist()
+    take, coef = b.complex.faces.table(b.d).take, _coefficients(b, ell).tolist()
     scaled = [[v * f % ell for i, v in enumerate(coef) if i != k] for k, f in enumerate(coef)]
 
     def column(j: int, low: int | None = None):
-        rows = faces[j].tolist()
+        rows = take(j).tolist()
         if low is None:
             return rows, coef
         k = rows.index(low)
@@ -445,7 +443,7 @@ def boundary_matrices(c, ell: int) -> ChainComplexFp:
     d reads the faces and signs validation found, checked by face identities."""
     if not isinstance(c, CellComplex):
         raise ShapeError(f"cannot assemble boundaries for {type(c).__name__}")
-    bnds = [_Boundary(c, d, c.faces[d], c.face_signs[d]) for d in range(1, c.dim + 1)]
+    bnds = [_Boundary(c, d) for d in range(1, c.dim + 1)]
     return ChainComplexFp(ell, tuple(c.n_cells(d) for d in range(c.dim + 1)), bnds)
 
 

@@ -33,7 +33,7 @@ section's input range and anchor keys, and the needed set that names the
 missing inputs in an error.  The public
 functions convert windows of tuples to indices and back around these
 kernels.  The pair embedding is one index formula on rows of letter indices
-(``pair_embed_rows``), for windows, cyclic words and the word array.
+(``pair_embed_rows``), for windows and the word array.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from .alphabets import Alphabet, Element, ElementLike, product_alphabet
 from .errors import NeededRangeError, ShapeError
-from .shiftspaces import CyclicWord, Separation, SubshiftSpec
+from .shiftspaces import Separation, SubshiftSpec
 
 __all__ = [
     "Window",
@@ -57,7 +57,6 @@ __all__ = [
     "section_input_range",
     "section_apply",
     "pair_embed",
-    "pair_embed_cyclic",
     "pair_embed_rows",
     "separation_violations",
 ]
@@ -424,14 +423,6 @@ def pair_embed_rows(rows: np.ndarray, n: int) -> np.ndarray:
     in int64, whatever the type of the rows."""
     rows = rows.astype(np.int64)
     return rows * n + np.roll(rows, -1, axis=1)
-
-
-def pair_embed_cyclic(word: CyclicWord) -> CyclicWord:
-    """The same stencil on a cyclic word, reading the successor cyclically."""
-    alpha = word.alphabet
-    target = product_alphabet(alpha, alpha)
-    pairs = pair_embed_rows(_indices(alpha, word.letters), alpha.order)[0].tolist()
-    return CyclicWord(target, tuple(map(target.unindex, pairs)))
 
 
 def separation_violations(w: Window, step: int, delta: Fraction) -> list[int]:

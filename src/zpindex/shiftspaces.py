@@ -32,9 +32,7 @@ cross-checkable against enumeration.
 """
 from __future__ import annotations
 
-import json
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -43,7 +41,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .alphabets import Alphabet, DistanceBar, Element, cyclic_group, parse_alphabet
+from .alphabets import Alphabet, DistanceBar, Element, cyclic_group
 from .errors import ResourceCapError, ShapeError
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "neighbor_gap_shift",
     "OrbitDecomposition",
     "orbit_decompose",
-    "parse_word",
     "DEFAULT_NODE_CAP",
 ]
 
@@ -387,19 +384,6 @@ class CyclicWord:
 
     def __lt__(self, other: CyclicWord) -> bool:
         return self.letters < other.letters
-
-
-_WORD_RE = re.compile(r"^(?P<alpha>.*):\[(?P<body>.*)\]$")
-
-
-def parse_word(text: str) -> CyclicWord:
-    """Inverse of CyclicWord.text, e.g. "Z3:[0,1,2]" or "S^2:q=8:[[0,4],[4,0]]"."""
-    m = _WORD_RE.match(text.strip())
-    if not m:
-        raise ShapeError(f"unrecognized word text: {text!r}")
-    alphabet = parse_alphabet(m.group("alpha"))
-    body = json.loads("[" + m.group("body") + "]")
-    return CyclicWord(alphabet, tuple(alphabet.element(x) for x in body))
 
 
 def mismatch_shift(m: int, n_letters: int = 3, delta: Fraction = Fraction(1, 2)) -> SubshiftSpec:

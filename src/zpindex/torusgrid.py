@@ -34,8 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from .alphabets import circle_grid, product_alphabet
-from .complexes import (_INDEX_LIMIT, _KEY_LIMIT, CubicalComplex, _is_prime, _key_rows,
-                        _row_keys, cycle_complex)
+from .complexes import (_INDEX_LIMIT, _KEY_LIMIT, CubicalComplex, _Stored, _is_prime,
+                        _key_rows, _row_keys, cycle_complex)
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
 from .homology import BettiVector, betti_numbers
@@ -309,7 +309,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     keys, faces = {}, {}
     lower, d = None, 0
     while len(cells.key):
-        keys[d] = cells.key
+        keys[d] = _Stored(cells.key)
         grown = int(np.count_nonzero(cells.move >= 0))
         total += grown
         _check_cell_cap(spec, total, cap)
@@ -322,7 +322,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
             faces[d] = face  # column-major until the next growth has read it
     # beside the tables, each copy would set the build's peak
     for d in faces:
-        faces[d] = np.ascontiguousarray(faces[d])
+        faces[d] = _Stored(np.ascontiguousarray(faces[d]))
     return CubicalComplex._from_table(spec.p, keys, faces, action, witness, q=spec.q,
                                       n_axes=D, axis_map=axis_map)
 

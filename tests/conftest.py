@@ -34,11 +34,14 @@ word action on rows as tuples, each rolled and looked up in a dict.
 """
 from __future__ import annotations
 
+import json
 import operator
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,6 +78,14 @@ def dense_rank_mod(rows: list[list[int]], ell: int) -> int:
         if r == len(rows):
             break
     return rank
+
+
+def csc(b) -> SimpleNamespace:
+    """A boundary as the CSC triple the oracles below read: column j holds
+    row j of the complex's whole face table, with the dimension's signs."""
+    signs = np.array(b.complex.face_signs[b.d], dtype=np.int64)
+    return SimpleNamespace(n_rows=b.n_rows, n_cols=b.n_cols, indptr=b.indptr,
+                           indices=b.complex.faces[b.d].reshape(-1), data=np.tile(signs, b.n_cols))
 
 
 def dense_rank_np(b, ell: int) -> int:
@@ -175,9 +186,10 @@ def sorted_coboundary_lows(b) -> np.ndarray:
     """The low of each column of the coboundary b^T, or -1 when it is empty:
     the last entry of each column of the transpose built by one stable sort
     of the raveled face table by row."""
-    t_rows = np.argsort(b.indices, kind="stable") // b.faces.shape[1]
+    faces = b.complex.faces[b.d]
+    t_rows = np.argsort(faces, axis=None, kind="stable") // faces.shape[1]
     t_ptr = np.zeros(b.n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(b.indices, minlength=b.n_rows), out=t_ptr[1:])
+    np.cumsum(np.bincount(faces.reshape(-1), minlength=b.n_rows), out=t_ptr[1:])
     nonempty = t_ptr[1:] > t_ptr[:-1]
     lows = np.full(b.n_rows, -1, dtype=np.int64)
     lows[nonempty] = t_rows[t_ptr[1:][nonempty] - 1]
@@ -189,8 +201,9 @@ def whole_table_lows(b) -> np.ndarray:
     face table, with one int64 column id per column of b."""
     lows = np.full(b.n_rows, -1, dtype=np.int64)
     cols = np.arange(b.n_cols, dtype=np.int64)
-    for t in range(b.faces.shape[1]):
-        np.maximum.at(lows, b.faces[:, t], cols)
+    faces = b.complex.faces[b.d]
+    for t in range(faces.shape[1]):
+        np.maximum.at(lows, faces[:, t], cols)
     return lows
 
 
@@ -220,6 +233,29 @@ def gathered_boundary_square(c) -> None:
                     f"boundary composition does not vanish between dimensions {d} and "
                     f"{d - 2}: face {i2} of face {i} differs from face {j2} of face {j}"
                 )
+
+
+def damaged_complex(c, faces=None, signs=None):
+    """A copy of c whose face arrays and sign patterns are those of ``faces``
+    and ``signs`` (dimension -> replacement) where given, and c's own
+    elsewhere, assembled by ``_from_table``, which checks nothing: a
+    validated complex's tables are read-only, so a damaged table is only
+    ever a new complex's."""
+    from zpindex import complexes
+
+    faces, signs = faces or {}, signs or {}
+    # the library class of c: a test's subclass may derive its action from the cells
+    base = next(k for k in type(c).__mro__ if k.__module__ == complexes.__name__)
+
+    class Damaged(base):
+        def _face_signs(self, d):
+            return signs[d] if d in signs else base._face_signs(self, d)
+
+    attrs = {k: v for k, v in vars(c).items()
+             if k in ("n_vertices", "labels", "join_factors", "q", "n_axes", "axis_map")}
+    tables = {d: complexes._Stored(faces[d]) if d in faces else c.faces.table(d) for d in c.faces}
+    return Damaged._from_table(c.p, {d: c.keys.table(d) for d in c.keys}, tables, c.action,
+                               c._witness, **attrs)
 
 
 def shape_error_text(check, *args) -> str | None:
@@ -293,7 +329,7 @@ def dense_betti(complex_obj, ell: int) -> tuple[int, ...]:
     cc = boundary_matrices(complex_obj, ell)
     ranks = [1 if cc.n_cells[0] else 0]
     for b in cc.boundaries:
-        ranks.append(dense_rank_mod(csc_to_dense(b), ell))
+        ranks.append(dense_rank_mod(csc_to_dense(csc(b)), ell))
     ranks.append(0)
     return tuple(
         cc.n_cells[d] - ranks[d] - ranks[d + 1] for d in range(len(cc.n_cells))
@@ -412,7 +448,7 @@ class GeneralCubicalComplex(CubicalComplex):
     def action(self):
         """The vertex permutation, each image looked up among the vertex keys."""
         img = self._action_rows(self.cells[0])
-        return self.keys.search(0, _row_keys(img, self._radices(0)))
+        return self.keys.table(0).search(_row_keys(img, self._radices(0)))
 
 
 # grid points the oracle's vertex mask may cover: Z p=5 q=16 (2^20) fits
@@ -957,7 +993,7 @@ def every_boundary_low_matches_the_row_max():
 
     def checked(b):
         got = fast(b)
-        want = b.faces.max(axis=1)
+        want = b.complex.faces[b.d].max(axis=1)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         return got
 
@@ -1019,6 +1055,22 @@ def every_approximation_matches_the_general_constructor():
 
 
 # -- period-p words as cyclic word objects -------------------------------------
+
+
+_WORD_RE = re.compile(r"^(?P<alpha>.*):\[(?P<body>.*)\]$")
+
+
+def parse_word(text: str):
+    """Inverse of CyclicWord.text, e.g. "Z3:[0,1,2]" or "S^2:q=8:[[0,4],[4,0]]"."""
+    from zpindex.alphabets import parse_alphabet
+    from zpindex.shiftspaces import CyclicWord
+
+    m = _WORD_RE.match(text.strip())
+    if not m:
+        raise ShapeError(f"unrecognized word text: {text!r}")
+    alphabet = parse_alphabet(m.group("alpha"))
+    body = json.loads("[" + m.group("body") + "]")
+    return CyclicWord(alphabet, tuple(alphabet.element(x) for x in body))
 
 
 def cyclic_word_complex(words, p: int):

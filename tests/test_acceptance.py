@@ -25,8 +25,9 @@ from zpindex.coindex import (
 from zpindex.complexes import is_EnZp, join_complex
 from zpindex.errors import NeededRangeError, NonFreeActionError
 from zpindex.homology import betti_numbers
-from zpindex.seqmaps import Window, block_sum_step, pair_embed_cyclic
+from zpindex.seqmaps import Window, block_sum_step, pair_embed_rows
 from zpindex.shiftspaces import (
+    CyclicWord,
     Separation,
     SubshiftSpec,
     mismatch_shift,
@@ -164,12 +165,13 @@ def test_criterion_8_embedding_transport():
     p, q = 5, 8
     circle = circle_grid(q)
     source = neighbor_gap_shift(circle, Fraction(1, 2))
-    words = source.enumerate_periodic(p)
+    words = source.periodic_words(p)
     approx = build_approx(z_torus_spec(p, q))
     ok = len(words) == approx.n_vertices > 0
-    target = SubshiftSpec(product_alphabet(circle, circle), Separation(1, Fraction(1, 2)))
-    for w in words:
-        if not target.satisfies(pair_embed_cyclic(w)):
+    pairs = product_alphabet(circle, circle)
+    target = SubshiftSpec(pairs, Separation(1, Fraction(1, 2)))
+    for row in pair_embed_rows(words, circle.order).tolist():
+        if not target.satisfies(CyclicWord(pairs, tuple(map(pairs.unindex, row)))):
             ok = False
             break
     src_report = exact_index_finite_free(periodic_point_complex(source, p))

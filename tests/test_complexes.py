@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from collections.abc import Mapping
 from itertools import product
 from math import isqrt
 
@@ -332,7 +333,7 @@ def test_stored_faces_match_plain_python():
         cc = boundary_matrices(c, 3)
         for d, b in enumerate(cc.boundaries, start=1):
             assert not c.faces[d].flags.writeable
-            assert np.shares_memory(b.indices, c.faces[d])  # a view, not a copy
+            assert vars(b).keys() <= {"complex", "d", "indptr"}  # no face array of its own
 
 
 # -- the join built from its factors against the general constructor ----------------
@@ -495,11 +496,12 @@ def _generated_top_cases():
 
 
 @pytest.mark.parametrize("name", sorted(_generated_top_cases()))
-def test_generated_top_dimension_matches_the_general_join(name):
+def test_generated_top_dimension_matches_the_general_join(name, monkeypatch):
     factors = _generated_top_cases()[name]
     got, want = _fold(join_complex, factors), _fold(general_join, factors)
     top = got.dim
-    assert isinstance(got.keys._tables[top], complexes._JoinTop)
+    generated = got.keys.table(top)
+    assert isinstance(generated, complexes._JoinTop)
     assert_same_complex(got, want)  # keys, cells, faces, witness; every array read-only
     assert got.keys[top] is not got.keys[top]  # generated on each read, never kept
     assert got.maximal_cells() == want.maximal_cells()
@@ -508,8 +510,14 @@ def test_generated_top_dimension_matches_the_general_join(name):
     at = rng.integers(0, n, size=40)
     for x in (at, at.tolist(), [], np.arange(n - 1, -1, -7)):
         rows = got._rows(top, x)
-        assert not rows.flags.writeable and not got.keys.take(top, x).flags.writeable
+        assert not rows.flags.writeable and not generated.take(x).flags.writeable
         assert np.array_equal(rows, want._rows(top, x))
+    # read in blocks of 11 keys, the last one partial, as the stored keys are
+    monkeypatch.setattr(complexes, "_BLOCK_ENTRIES", 11)
+    stored = want.keys.table(top)
+    assert [s for s, _ in generated.blocks(1)] == list(range(0, n, 11)) and n % 11
+    for (_, block), (_, keys) in zip(generated.blocks(1), stored.blocks(1), strict=True):
+        assert not block.flags.writeable and np.array_equal(block, keys)
     # top cells, and rows of top + 1 vertices (repeats allowed) that mostly are not
     strangers = np.sort(rng.integers(0, got.n_vertices, size=(200, top + 1)), axis=1)
     for row in [*want.cells[top][at].tolist(), *strangers.tolist()]:
@@ -548,10 +556,15 @@ def test_homology_counts_and_lookups_generate_no_top_keys(monkeypatch):
 
 
 def _held_arrays(obj):
-    """Every numpy array reachable from obj through dicts, lists and tuples."""
+    """Every numpy array reachable from obj through the slots of cell tables
+    and their mappings, and through mappings, lists and tuples."""
     if isinstance(obj, np.ndarray):
         yield obj
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (complexes._Tables, complexes._Table)):
+        for cls in type(obj).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                yield from _held_arrays(getattr(obj, name))
+    elif isinstance(obj, Mapping):
         for v in obj.values():
             yield from _held_arrays(v)
     elif isinstance(obj, (list, tuple)):
@@ -572,8 +585,12 @@ def test_no_complex_stores_a_row_array():
     for c in built:
         assert "cells" not in vars(c)
         # the only tables of more than one column are the faces, all int32
-        wide = {id(a) for a in _held_arrays(vars(c)) if a.ndim > 1}
+        held = list(_held_arrays(vars(c)))
+        wide = {id(a) for a in held if a.ndim > 1}
         assert wide == {id(f) for f in c.faces.values()}
+        # and every key table is held, one int64 array, unless the join generates it
+        assert all(isinstance(c.keys.table(d), complexes._JoinTop)
+                   or any(a is c.keys[d] for a in held) for d in c.keys)
         assert all(f.dtype == np.int32 and not f.flags.writeable for f in c.faces.values())
         for d in c.cells:  # decoded on each read, never kept
             rows = c.cells[d]

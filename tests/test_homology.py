@@ -14,7 +14,9 @@ from conftest import (
     column_reduction_rank,
     composition_vanishes,
     compositions_vanish,
+    csc,
     csc_to_dense,
+    damaged_complex,
     dense_betti,
     dense_rank_mod,
     dense_rank_np,
@@ -55,7 +57,7 @@ def sort_check_every_assembly():
 
     def checked(c, ell):
         cc = assemble(c, ell)
-        assert compositions_vanish(cc.boundaries, ell)
+        assert compositions_vanish([csc(b) for b in cc.boundaries], ell)
         return cc
 
     with pytest.MonkeyPatch.context() as mp:
@@ -86,7 +88,7 @@ def test_triangle_edge_boundary_rank():
         cc = boundary_matrices(c, ell)
         b1 = cc.boundaries[0]
         assert (b1.n_rows, b1.n_cols) == (3, 3)
-        assert cc.rank(1) == 2 == dense_rank_mod(csc_to_dense(b1), ell)
+        assert cc.rank(1) == 2 == dense_rank_mod(csc_to_dense(csc(b1)), ell)
 
 
 def test_cycle_betti():
@@ -100,7 +102,7 @@ def test_k33_rank_and_betti():
     cc = boundary_matrices(k33, 5)
     b1 = cc.boundaries[0]
     assert (b1.n_rows, b1.n_cols) == (6, 9)
-    assert cc.rank(1) == 5 == dense_rank_mod(csc_to_dense(b1), 5)
+    assert cc.rank(1) == 5 == dense_rank_mod(csc_to_dense(csc(b1)), 5)
     assert betti_numbers(k33, 5).reduced == (0, 4)
 
 
@@ -245,7 +247,7 @@ def test_ranks_match_dense_elimination(name):
     c = TEST_COMPLEXES[name]()
     for ell in (2, 3, 5):
         cc = boundary_matrices(c, ell)
-        assert engine_ranks(cc) == [dense_rank_np(b, ell) for b in cc.boundaries], ell
+        assert engine_ranks(cc) == [dense_rank_np(csc(b), ell) for b in cc.boundaries], ell
 
 
 @pytest.mark.parametrize("name", sorted(LARGE_TEST_COMPLEXES))
@@ -253,7 +255,7 @@ def test_ranks_match_column_reduction(name):
     c = LARGE_TEST_COMPLEXES[name]()
     for ell in (2, 3):
         cc = boundary_matrices(c, ell)
-        assert engine_ranks(cc) == [column_reduction_rank(b, ell) for b in cc.boundaries]
+        assert engine_ranks(cc) == [column_reduction_rank(csc(b), ell) for b in cc.boundaries]
         assert sum(cc.reduction_counts[d]["colliding"] for d in cc.reduction_counts) > 0
 
 
@@ -270,7 +272,7 @@ def small_complexes(draw):
 def test_ranks_match_dense_on_random_complexes(case):
     c, ell = case
     cc = boundary_matrices(c, ell)
-    assert engine_ranks(cc) == [dense_rank_mod(csc_to_dense(b), ell) for b in cc.boundaries]
+    assert engine_ranks(cc) == [dense_rank_mod(csc_to_dense(csc(b)), ell) for b in cc.boundaries]
 
 
 @pytest.mark.parametrize("name", ["join(2, 2, 2, 2)", "Z:p=3,q=8"])
@@ -361,7 +363,7 @@ def test_both_pivot_helpers_match_dense_elimination(name):
     # its direction clears it
     cc = boundary_matrices(TEST_COMPLEXES[name](), 3)
     none = np.empty(0, dtype=np.int64)
-    dense = [dense_rank_np(b, 3) for b in cc.boundaries]
+    dense = [dense_rank_np(csc(b), 3) for b in cc.boundaries]
     up = [len(homology._coboundary_pivots(b, none, 3, {})) for b in cc.boundaries]
     down = [len(homology._boundary_pivots(b, none, 3, {})) for b in cc.boundaries]
     assert up == down == dense
@@ -410,7 +412,7 @@ def test_betti_asks_for_the_ranks_in_the_order_they_reduce(name, down, monkeypat
 @pytest.mark.parametrize("name", ["join(2, 3, 5)", "Z:p=3,q=8"])
 def test_indptr_is_one_read_only_array(name):
     for b in boundary_matrices(TEST_COMPLEXES[name](), 3).boundaries:
-        n, k = b.faces.shape
+        n, k = b.complex.faces[b.d].shape
         ptr = b.indptr
         assert np.array_equal(ptr, np.arange(n + 1, dtype=np.int64) * k)
         assert ptr.dtype == np.int32 and b.indptr is ptr
@@ -421,7 +423,7 @@ def test_indptr_is_one_read_only_array(name):
 def test_composition_check_rejects_bad_column_in_a_later_block():
     c = join_of(41, 41, 41, p=3)  # 68921 triangles: more than one block
     cc = boundary_matrices(c, 3)
-    lo, hi = cc.boundaries
+    lo, hi = map(csc, cc.boundaries)
     assert hi.n_cols > COMPOSE_BLOCK
     data = hi.data.copy()
     data[-1] = (data[-1] + 1) % 3  # one sign of the last triangle is wrong
@@ -446,10 +448,10 @@ def test_constructor_refuses_what_is_not_one_complexs_boundaries(case):
     cc = boundary_matrices(join_of(3, 3, 3, p=3), 3)
     b1, b2 = cc.boundaries
     n0, n1, n2 = cc.n_cells
-    csc = SimpleNamespace(**{f: getattr(b1, f) for f in ("n_rows", "n_cols", "indptr", "indices", "data")})
+    foreign = csc(b1)  # a CSC triple with b1's entries
     twin = boundary_matrices(join_of(3, 3, 3, p=3), 3).boundaries[1]  # equal, but another complex's
     n_cells, boundaries = {
-        "foreign": (cc.n_cells, [csc, b2]),
+        "foreign": (cc.n_cells, [foreign, b2]),
         "two-complexes": (cc.n_cells, [b1, twin]),
         "out-of-order": (cc.n_cells, [b2, b1]),
         "missing-dimension": ((n0, n1), [b1]),
@@ -460,14 +462,23 @@ def test_constructor_refuses_what_is_not_one_complexs_boundaries(case):
         ChainComplexFp(3, n_cells, boundaries)
 
 
-@pytest.mark.parametrize("table", ["faces", "face_signs"])
-def test_constructor_refuses_a_face_table_replaced_after_assembly(table):
-    c = join_of(3, 3, 3, p=3)
-    cc = boundary_matrices(c, 3)
-    tables = getattr(c, table)
-    tables[2] = tables[2].copy() if table == "faces" else tuple(list(tables[2]))  # equal, not the one read
-    with pytest.raises(ShapeError, match="current face table"):
-        ChainComplexFp(3, cc.n_cells, cc.boundaries)
+@pytest.mark.parametrize("table", ["faces", "face_signs", "keys"])
+def test_validated_tables_refuse_assignment(table):
+    # validated from rows, joined from factors (a generated top), grown on the grid
+    for c in (full_torus_q4(), join_of(3, 3, 3, p=3), build_approx(z_torus_spec(3, 8))):
+        cc = boundary_matrices(c, 3)
+        tables = getattr(c, table)
+        with pytest.raises(TypeError):
+            tables[2] = tables[1]
+        with pytest.raises(TypeError):
+            del tables[2]
+        if table != "face_signs":
+            with pytest.raises(ValueError, match="read-only"):
+                tables[1][0] = 0
+        with pytest.raises(AttributeError, match="cannot be replaced"):
+            setattr(c, table, tables)
+        # so the boundaries read what was checked, and stay those of one complex
+        assert engine_ranks(ChainComplexFp(3, cc.n_cells, cc.boundaries)) == engine_ranks(cc)
 
 
 # -- the composition check by face identities ---------------------------------------
@@ -480,24 +491,22 @@ def test_face_identity_check_refuses_a_corrupted_face_index(build):
     c = build()
     faces = c.faces[2].copy()
     faces[0, 0] = (faces[0, 0] + 1) % c.n_cells(1)  # still an edge, but the wrong one
-    c.faces[2] = faces
+    c = damaged_complex(c, faces={2: faces})
     for ell in (2, 3):
         with pytest.raises(ShapeError, match=r"between dimensions 2 and 0: face \d of face \d differs"):
             boundary_matrices(c, ell)
 
 
 def test_face_identity_check_refuses_corrupted_sign_patterns():
-    c = join_of(3, 3, 3, p=3)
-    c.face_signs[2] = (1, 1, 1)
+    c = damaged_complex(join_of(3, 3, 3, p=3), signs={2: (1, 1, 1)})
     with pytest.raises(ShapeError, match="equal signs"):
         boundary_matrices(c, 3)
-    torus = full_torus_q4()
-    torus.face_signs[2] = (1, -1, 1, -1)  # the base and far faces of axis 1 swapped
+    # the base and far faces of axis 1 swapped
+    torus = damaged_complex(full_torus_q4(), signs={2: (1, -1, 1, -1)})
     with pytest.raises(ShapeError, match="equal signs"):
         boundary_matrices(torus, 3)
     # over F_2 the edge column sums of (1, 1) vanish; over the integers they do not
-    edges = join_of(3, 3, p=3)
-    edges.face_signs[1] = (1, 1)
+    edges = damaged_complex(join_of(3, 3, p=3), signs={1: (1, 1)})
     for ell in (2, 3):
         with pytest.raises(ShapeError, match="augmentation"):
             boundary_matrices(edges, ell)
@@ -534,12 +543,29 @@ def test_face_identity_check_names_the_pair_of_a_face_tampered_in_any_block(buil
     ends = c.faces[1]
     old = set(ends[faces[row, k - 1]].tolist())
     faces[row, k - 1] = next(e for e in range(len(ends)) if not old & set(ends[e].tolist()))
-    c.faces[2] = faces
+    c = damaged_complex(c, faces={2: faces})
     want = shape_error_text(gathered_boundary_square, c)
     assert want is not None and "differs" in want
     with pytest.raises(ShapeError) as err:
         boundary_matrices(c, 3)
     assert str(err.value) == want
+
+
+def test_boundary_lows_going_down_are_the_row_maxima_in_every_block(monkeypatch):
+    # 20 entries a block: 5 squares of 4 faces (16 = 5 + 5 + 5 + 1) or 10 edges
+    # of 2 (32 = 10 + 10 + 10 + 2); at 48, the 16 squares fill one block and part of another
+    monkeypatch.setattr(complexes, "_BLOCK_ENTRIES", 20)
+    torus = full_torus_q4()
+    cc = boundary_matrices(torus, 3)
+    assert not cc.top_down  # 16 squares against 16 vertices go up; down is asked for here
+    cc.top_down = True
+    for b in cc.boundaries:
+        step = 20 // len(b.signs)
+        assert b.n_cols > 2 * step and b.n_cols % step  # a middle block and a partial last block
+        # every read is also checked by the every_boundary_low_matches_the_row_max fixture
+        assert np.array_equal(homology._boundary_lows(b), b.complex.faces[b.d].max(axis=1))
+    assert cc.rank_order == (3, 2, 1, 0)
+    assert betti(cc).reduced == betti_numbers(torus, 3).reduced == (0, 2, 1)
 
 
 # a * b edges of two faces each, against a block of 2^16 / 2 = 32768 of them
@@ -586,7 +612,7 @@ def test_boundary_data_is_the_narrowest_signed_type(ell, dtype, monkeypatch):
     monkeypatch.setattr(homology, "_coefficients", spy)
     for c in (join_of(2, 3, 5), RP2_6, full_torus_q4()):
         cc = boundary_matrices(c, ell)  # also composition-checked by sorting
-        assert engine_ranks(cc) == [dense_rank_np(b, ell) for b in cc.boundaries]
+        assert engine_ranks(cc) == [dense_rank_np(csc(b), ell) for b in cc.boundaries]
     assert seen and set(seen) == {np.dtype(dtype)}
 
 
@@ -666,7 +692,7 @@ def test_the_transpose_is_not_built_when_no_columns_collide(transposes, capsys):
     cc = boundary_matrices(join_complex(join_complex(sigma, sigma), sigma), 5)
     edges, triangles = cc.boundaries
     # boundary_2 is 2700 x 27000, too large to densify; its own column reduction checks it
-    assert engine_ranks(cc) == [dense_rank_np(edges, 5), column_reduction_rank(triangles, 5)]
+    assert engine_ranks(cc) == [dense_rank_np(csc(edges), 5), column_reduction_rank(csc(triangles), 5)]
     assert transposes == []
 
 
@@ -677,6 +703,6 @@ def test_the_transpose_is_built_for_each_coboundary_whose_columns_collide(factor
         transposes.clear()
         cc = boundary_matrices(c, ell)
         assert not cc.top_down
-        assert engine_ranks(cc) == [dense_rank_np(b, ell) for b in cc.boundaries]
+        assert engine_ranks(cc) == [dense_rank_np(csc(b), ell) for b in cc.boundaries]
         colliding = [(d, ell) for d in sorted(cc.reduction_counts) if cc.reduction_counts[d]["colliding"]]
         assert colliding and transposes == colliding

@@ -26,7 +26,6 @@ from zpindex.seqmaps import (
     Window,
     block_sum_step,
     pair_embed,
-    pair_embed_cyclic,
     pair_embed_rows,
     section_apply,
     section_input_range,
@@ -196,24 +195,24 @@ def test_pair_embed_window():
 
 
 def test_pair_embed_cyclic_transport():
-    zq8 = neighbor_gap_shift(S8, HALF)
-    target = SubshiftSpec(out_alpha := pair_embed_cyclic(CyclicWord(S8, ((0,), (4,)))).alphabet,
-                          Separation(1, HALF))
-    for w in zq8.enumerate_periodic(3):
-        img = pair_embed_cyclic(w)
-        assert target.satisfies(img)
-        assert pair_embed_cyclic(w.shift(1)) == img.shift(1)
+    # the stencil on the word array, read cyclically, lands in the target and commutes with the shift
+    words = neighbor_gap_shift(S8, HALF).periodic_words(3)
+    pairs = product_alphabet(S8, S8)
+    target = SubshiftSpec(pairs, Separation(1, HALF))
+    img = pair_embed_rows(words, S8.order)
+    assert np.array_equal(pair_embed_rows(np.roll(words, -1, axis=1), S8.order), np.roll(img, -1, axis=1))
+    for row in img.tolist():
+        assert target.satisfies(CyclicWord(pairs, tuple(map(pairs.unindex, row))))
 
 
 def test_pair_embed_cyclic_injective_on_fixed_period():
-    zq8 = neighbor_gap_shift(S8, HALF)
-    words = zq8.enumerate_periodic(3)
-    images = {pair_embed_cyclic(w) for w in words}
-    assert len(images) == len(words)
-    # left inverse: first coordinate recovers the source word
-    for w in words:
-        img = pair_embed_cyclic(w)
-        assert tuple((x[0],) for x in img.letters) == w.letters
+    words = neighbor_gap_shift(S8, HALF).periodic_words(3)
+    img = pair_embed_rows(words, S8.order)
+    assert len(np.unique(img, axis=0)) == len(words)
+    # left inverse: the first coordinate of each pair recovers the source word
+    pairs = product_alphabet(S8, S8)
+    for row, images in zip(words.tolist(), img.tolist()):
+        assert [pairs.unindex(i)[:1] for i in images] == list(map(S8.unindex, row))
 
 
 def test_window_helpers():
@@ -514,11 +513,13 @@ def test_single_public_calls_build_no_rows(monkeypatch):
 @pytest.mark.parametrize("token", ["Z3", "S:q=8", "S^2:q=4", "S:q=32"])
 def test_pair_embedding_matches_the_tuple_stencil(token):
     alpha = parse_alphabet(token)
+    pairs = product_alphabet(alpha, alpha)
     rng = random.Random(token)
     for _ in range(40):
-        w = CyclicWord(alpha, tuple(alpha.unindex(rng.randrange(alpha.order))
-                                    for _ in range(rng.randrange(1, 8))))
-        assert pair_embed_cyclic(w) == tuple_pair_embed_cyclic(w)
+        row = [rng.randrange(alpha.order) for _ in range(rng.randrange(1, 8))]
+        img = pair_embed_rows(np.array([row]), alpha.order)[0].tolist()
+        w = CyclicWord(alpha, tuple(map(alpha.unindex, row)))
+        assert CyclicWord(pairs, tuple(map(pairs.unindex, img))) == tuple_pair_embed_cyclic(w)
 
 
 @pytest.mark.parametrize("q", [8, 32])

@@ -13,6 +13,7 @@ from conftest import (
     brute_z_words,
     gap_ok,
     int_matrix_trace_power,
+    parse_word,
 )
 from zpindex import shiftspaces
 from zpindex.alphabets import Alphabet, circle_grid, cyclic_group, parse_alphabet
@@ -25,7 +26,6 @@ from zpindex.shiftspaces import (
     mismatch_shift,
     neighbor_gap_shift,
     orbit_decompose,
-    parse_word,
     periodic_point_complex,
 )
 from zpindex.torusgrid import build_approx, separated_torus_spec
