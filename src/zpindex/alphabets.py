@@ -217,6 +217,13 @@ class Alphabet:
         """``letter_texts[a]``: the text of normalized element a, made on first read."""
         return LetterTexts(self)
 
+    def word_texts(self, words: np.ndarray) -> list[str]:
+        """The text of each row of an (n_words, L) letter-index array, as
+        ``CyclicWord.text`` writes the word: joined column by column from one
+        text per letter index."""
+        texts = np.array([self.letter_texts[e] for e in self.all_elements()], dtype=object)
+        return [self.word_head + ",".join(row) + "]" for row in zip(*texts[words.T].tolist())]
+
 
 class LetterTexts(dict):
     """``texts[a]``: ``letter_text(a)`` of a normalized element, one text per

@@ -41,11 +41,12 @@ from .shiftspaces import (
     periodic_point_complex,
 )
 from .torusgrid import (
+    StabilityReport,
     TorusGridSpec,
+    betti_profile,
     build_approx,
     canonical_certificate_P2,
     separated_torus_spec,
-    stability_check,
     z_torus_spec,
 )
 from .verify import LEMMA_IDS, run_lemma_check
@@ -213,8 +214,8 @@ def _cmd_count(args) -> tuple[dict, int]:
 
 def _cmd_enumerate(args) -> tuple[dict, int]:
     spec = _word_spec(args.family, args.m, args.q, args.N, _fraction(args.delta))
-    words = spec.enumerate_periodic(args.p, method=args.method)
-    results = {"count": len(words), "words": [w.text() for w in words]}
+    words = spec.periodic_words(args.p, method=args.method)
+    results = {"count": len(words), "words": spec.alphabet.word_texts(words)}
     prov = ["level-by-level search with exact rational constraint checks; lexicographic order"]
     return _envelope(args, results, prov), 0
 
@@ -337,7 +338,7 @@ def _cmd_approx_z(args) -> tuple[dict, int]:
         f"reduced Betti numbers by exact column reduction over F_{field}",
     ]
     if args.stability:
-        rep = stability_check(spec, field, cell_cap=args.cap)
+        rep = StabilityReport(spec, bv, betti_profile(spec.refined(), field, cell_cap=args.cap))
         results["stability"] = rep.to_json()
         prov.append("stability: profiles at q and 2q compared, never merged")
     return _envelope(args, results, prov), 0

@@ -1,34 +1,25 @@
 """Shift-space constraint families and their periodic points.
 
-A period-L point of a shift is represented intrinsically as a cyclic word
-of length L; constraints read indices mod L, so wraparound pairs are
-checked exactly.  Two constraint families cover everything this library
-studies:
+A period-L point is a cyclic word of length L; constraints read indices mod
+L, so wraparound pairs are checked exactly.  Two families cover everything
+this library studies:
 
-* ``Separation(m, delta)``: letters m! apart must sit at metric distance
-  at least delta.  Over a 3-letter group with the discrete metric this is
-  the "letters m! apart differ" shift.
-* ``AdjacentGap(bar, exact)``: at every index, at least one of the two
-  adjacent letter gaps meets the bar (``>= bar``, or ``== bar`` in the
-  exact variant).
+* ``Separation(m, delta)``: letters m! apart sit at metric distance at least
+  delta.  Over a 3-letter group with the discrete metric this is the
+  "letters m! apart differ" shift.
+* ``AdjacentGap(bar, exact)``: at every index one of the two adjacent letter
+  gaps meets the bar (``>= bar``, or ``== bar`` in the exact variant).
 
-A family is one clause of index pairs per index of a cyclic word
-(``SubshiftSpec.clauses``) and one distance bar (``SubshiftSpec.bar``): the
-metric is translation invariant, so the bar read at a letter difference
-decides a pair, one exact ``Fraction`` comparison per difference.
-``satisfies`` reads the bar at each clause pair of a single word;
-``pair_table`` is the bar at every letter pair, an (n, n) read-only bool
-array refused above 2^20 pairs before any letter is listed.  One search,
-level by level, finds the period-p words as an (n_words, p) array of letter
-indices (``periodic_words``), filing each clause under the depth that
-completes it; enumeration, the torus approximations and the word complex
-read that array.  The word complex (``periodic_point_complex``) takes its
-shift action from one lexsort of the rows rolled one column, and its labels
-from one text per letter index.
-The count is the trace of a power of the pair table as a transfer matrix,
-in int64 where a bound proves it exact and in Python ints otherwise, refused
-above 10^9 multiply-adds before the table is built; counts are
-cross-checkable against enumeration.
+A family is one clause of index pairs per index (``SubshiftSpec.clauses``)
+and one distance bar (``SubshiftSpec.bar``), decided by exact ``Fraction``
+comparisons.  The period-p words are one sorted (n_words, p) letter-index
+array from one level-by-level search (``periodic_words``).  The shift acts on
+its rows as one permutation (``_word_action``), ``Alphabet.word_texts``
+writes their texts, and enumeration, the word complex and the torus
+approximations read it.  Counts are traces of powers of the letter-pair
+table, exact.  Caps, each checked before its allocation: 2^20 letter pairs,
+10^7 search nodes, 10^8 letters a search level, 10^7 word letters, and
+10^9 multiply-adds and 4300 digits a count.
 """
 from __future__ import annotations
 
@@ -475,14 +466,10 @@ def _word_action(words: np.ndarray) -> np.ndarray:
 
 def _word_complex(words: np.ndarray, alphabet: Alphabet, p: int):
     """The rows of a sorted shift-closed letter-index array as a discrete
-    complex with the shift action (``_word_action``), vertices in row order.
-    The labels are the words' texts, joined column by column from one text
-    per letter index.
+    complex with the shift action (``_word_action``), vertices in row order,
+    labelled with the words' texts (``Alphabet.word_texts``).
     """
     from .complexes import SimplicialComplex
 
     action = _word_action(words)
-    texts = np.array([alphabet.letter_texts[e] for e in alphabet.all_elements()], dtype=object)
-    head = alphabet.word_head
-    labels = [head + ",".join(row) + "]" for row in zip(*texts[words.T].tolist())]
-    return SimplicialComplex.discrete(len(words), action, p, labels=labels)
+    return SimplicialComplex.discrete(len(words), action, p, labels=alphabet.word_texts(words))

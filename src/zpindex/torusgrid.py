@@ -1,30 +1,23 @@
 """Cubical approximations of periodic-point sets inside a discretized torus.
 
 A period-p point over a circle-valued alphabet is a point of the p-torus
-(or the (p*N)-torus when letters are N-tuples).  On a grid with q points
-per circle the approximation keeps exactly the cubical cells all of whose
-corners satisfy the defining constraint, read cyclically in the p letter
-slots.  This is an inner, vertex-wise approximation: the disjunctive
-constraint is not convex on cells, so outputs are labeled with their
-resolution and should be read together with a stability check at the
-doubled resolution, never as a homotopy-equivalence claim.
+(the (p*N)-torus when letters are N-tuples).  On a grid of q points per
+circle the approximation keeps the cubical cells all of whose corners
+satisfy the defining constraint.  This is an inner, vertex-wise
+approximation: the constraint is not convex on cells, so outputs carry their
+resolution and are read beside a stability check at 2q, never as a
+homotopy-equivalence claim.  Thresholds must be multiples of the grid step
+2/q, so every comparison is exact; 4 | q keeps 1/2 and 1 on the grid.
 
-Thresholds must be exact multiples of the grid step 2/q so that every
-comparison is decided exactly; 4 | q keeps 1/2 and 1 on grid boundaries.
-The vertices are the period-p words of the spec's subshift, from the same
-search that enumerates them, so its letter-pair, node and word caps guard
-the approximation too.  An approximation whose cell keys could reach 2^63
-is refused before the search.
-
-The cubical table grows one dimension from the one below, with the grid
-and face reads of Wagner, Chen and Vucini, *Efficient computation of
-persistent homology for cubical data* (2012), in time and memory that
-follow the cells, not the grid: nothing grid-sized is allocated.  A cell
-is read only along the axes above its top mask bit, so its moves and
-growths are int32 slots for those axes alone (``_Cells``), and each table
-is dropped after its last read.  The general cubical validation (keys
-sorted, every face and image found by binary search) is the tests' oracle,
-compared byte for byte.
+The vertices are the rows of the subshift's ``periodic_words``, under that
+search's caps.  Their grid points and coordinates come from the shared key
+codec (``_row_keys``, ``_key_rows``), and the rotation action is the shared
+shift action (``_word_action``).  Each dimension grows from the one below with
+the grid and face reads of Wagner, Chen and Vucini, *Efficient computation of
+persistent homology for cubical data* (2012), in time and memory that follow
+the cells, not the grid.  Caps, each checked before its allocation: cell keys
+below 2^63, the cell cap, and int32 move tables.  The general cubical
+validation is the tests' oracle.
 """
 from __future__ import annotations
 
@@ -39,7 +32,7 @@ from .complexes import (_INDEX_LIMIT, _KEY_LIMIT, CubicalComplex, _Stored, _is_p
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
 from .homology import BettiVector, betti_numbers
-from .shiftspaces import AdjacentGap, Separation, SubshiftSpec
+from .shiftspaces import AdjacentGap, Separation, SubshiftSpec, _word_action
 
 __all__ = [
     "TorusGridSpec",
@@ -162,8 +155,8 @@ def _starts(below: list[int]) -> np.ndarray:
     return np.cumsum([0] + [b + 1 for b in below], dtype=np.int32)
 
 
-def _grow(cells: _Cells, faces, lower: _Cells | None):
-    """The (d+1)-cells grown from the d-cells along each axis t where
+def _grow(cells: _Cells, n: int, faces, lower: _Cells | None):
+    """The n (d+1)-cells grown from the d-cells along each axis t where
     cells.move holds their move along t: their ``_Cells`` and their faces in
     column-major order, both in key order.
 
@@ -180,7 +173,7 @@ def _grow(cells: _Cells, faces, lower: _Cells | None):
     # block per axis t of the cells with top < t, ascending in src's rank; found
     # one block at a time, so no intp index of the whole table is held
     hit = move >= 0
-    n, blocks = int(np.count_nonzero(hit)), [0]
+    blocks = [0]
     slot = np.empty(n, dtype=np.int32)
     for t in range(D):
         r = np.flatnonzero(hit[start[t]:start[t + 1]])
@@ -250,21 +243,13 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     cell would contain a rotation-fixed corner, i.e. a constant word, and
     constant words violate every positive-threshold family.
 
-    The vertices are the subshift's period-p words, whose letters' digits are
-    the coordinates.  Keys are x * 2^D + M for grid point x in C order, the
-    word read in radix q^N, and extent mask M; their 2^63 limit is checked
-    before the search.  The action maps cells to cells exactly when every
-    word rotated by one letter slot is again a vertex, which the one lookup
-    that gives the vertex action checks.  For t above the top bit
-    of M, (x, M + e_t) is a cell iff (x, M) and its move (x + e_t, M) are,
-    so each dimension grows from the one below, its cells counted against
-    the cell cap and the int32 limit of its move table
+    Keys are x * 2^D + M for grid point x in C order (the word read in radix
+    q^N) and extent mask M; their 2^63 limit is checked before the search.
+    For t above the top bit of M, (x, M + e_t) is a cell iff (x, M) and its
+    move (x + e_t, M) are, so each dimension grows from the one below, its
+    cells counted against the cell cap and the int32 limit of its move table
     (``_check_move_table``) before any of their tables exists.  Each
-    dimension keeps its keys and int32 faces only; no row table is built.
-    Moves and growths are read only along axes above a cell's top bit, so
-    they are held in int32 slots per cell for those axes alone (``_Cells``),
-    each table dropped after its last read.  Faces grow in column-major order
-    and turn to row order after the last growth, when no table is left.
+    dimension keeps its keys and int32 faces only.
     """
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
     q, n, D = spec.q, spec.n_circles, spec.n_axes
@@ -276,32 +261,33 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     total = len(words)
     # a word read in radix q^n is its grid point's index in C order
     flat = _row_keys(words, [q**n] * spec.p)
-    image = _row_keys(np.roll(words, -1, axis=1), [q**n] * spec.p)
+    try:
+        action = _word_action(words)
+    except ShapeError:
+        raise ShapeError(f"vertex set of {spec.token()} is not invariant under the letter rotation") from None
+    del words
     # image axis t reads source axis t + n: the rotation of the p letter slots
     axis_map = np.array([(t + n) % D for t in range(D)], dtype=np.int64)
-    action = np.searchsorted(flat, image)
-    if not np.array_equal(np.take(flat, action, mode="clip"), image):
-        raise ShapeError(f"vertex set of {spec.token()} is not invariant under the letter rotation")
-    del image
     _check_cell_cap(spec, total, cap)
     _check_move_table(0, total, D)
     key = flat << D
+    coords = _key_rows(flat, [q] * D)
     # a fixed cell's base corner is a fixed vertex: the first fixed cell is one
     fixed = np.flatnonzero(action == np.arange(total))
     witness = None
     if len(fixed):
-        witness = (0, tuple(_key_rows(key[fixed[:1]], [q] * D + [1 << D])[0].tolist()))
+        witness = (0, (*coords[fixed[0]].tolist(), 0))
+    at_edge = coords == q - 1  # where a move along each axis wraps round
+    del coords, fixed
     # a vertex is read along every axis: block t of its tables is row t
     move = np.full((D, total + 1), -1, dtype=np.int32)
     for t in range(D):
         stride = q ** (D - 1 - t)
-        # axis t is digit n - 1 - t % n of letter t // n, in radix q
-        at_edge = words[:, t // n] // q ** (n - 1 - t % n) % q == q - 1
         moved = flat + stride
-        moved[at_edge] -= q * stride
+        moved[at_edge[:, t]] -= q * stride
         at = np.searchsorted(flat, moved)  # len(flat) past the last vertex, clipped below
         np.copyto(move[t, :-1], at, where=np.take(flat, at, mode="clip") == moved)
-    del words, flat, fixed, at_edge, moved, at
+    del flat, at_edge, moved, at
     rank = np.arange(total + 1, dtype=np.int32)
     rank[-1] = -1
     cells = _Cells(key, rank[:-1], rank, _starts([total] * D), move.reshape(-1))
@@ -314,7 +300,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
         total += grown
         _check_cell_cap(spec, total, cap)
         _check_move_table(d + 1, grown, D)
-        upper, face = _grow(cells, faces.get(d), lower)
+        upper, face = _grow(cells, grown, faces.get(d), lower)
         if face.min(initial=0) < 0:
             raise ShapeError(f"face closure fails between dimensions {d + 1} and {d}")
         lower, cells, d = cells, upper, d + 1
@@ -337,7 +323,10 @@ class StabilityReport:
     spec: TorusGridSpec
     coarse: BettiVector
     fine: BettiVector
-    agree: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.coarse.reduced == self.fine.reduced
 
     def to_json(self) -> dict:
         return {
@@ -355,9 +344,8 @@ def stability_check(spec: TorusGridSpec, ell: int, cell_cap: int | None = None) 
 
     Disagreement is reported as-is; profiles are never merged or averaged.
     """
-    coarse = betti_profile(spec, ell, cell_cap=cell_cap)
-    fine = betti_profile(spec.refined(), ell, cell_cap=cell_cap)
-    return StabilityReport(spec, coarse, fine, coarse.reduced == fine.reduced)
+    return StabilityReport(spec, betti_profile(spec, ell, cell_cap=cell_cap),
+                           betti_profile(spec.refined(), ell, cell_cap=cell_cap))
 
 
 def canonical_certificate_P2(q: int, target: CubicalComplex | None = None) -> EquivariantMapCert:

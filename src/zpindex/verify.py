@@ -58,7 +58,6 @@ from .seqmaps import (
 )
 from .shiftspaces import (
     _PAIR_TABLE_CAP,
-    CyclicWord,
     Separation,
     SubshiftSpec,
     _word_action,
@@ -379,8 +378,8 @@ def check_pair_embedding(p: int, q: int) -> VerifyResult:
     first = None
     if len(bad):
         i = int(bad[0])
-        w = CyclicWord(circle, tuple(map(circle.unindex, words[i].tolist())))
-        first = {"word": w.text(), "predicate": bool(ok_pred[i]), "equivariant": bool(ok_eq[i])}
+        first = {"word": circle.word_texts(words[i:i + 1])[0], "predicate": bool(ok_pred[i]),
+                 "equivariant": bool(ok_eq[i])}
     transported = None
     if len(words):
         # the index reads the vertex count and the action only: no labels

@@ -26,11 +26,13 @@ instead of letter indices in padded arrays, the section's trials drawn one by
 one with ``randrange`` and walked on lists residue class by residue class, one
 letter operation per step, instead of drawn by the inlined rejection loop and
 evaluated for all trials at once as prefix sums, and the word complex, the
-pair embedding and the embedding suite on ``CyclicWord`` objects (each word shifted as an object and looked up
-in a dict, each image built from letter tuples and checked by ``satisfies``)
-instead of the rows of the word array (one lexsort of the rolled rows, one
-index formula, one read of the bar per distinct letter difference), and the
-word action on rows as tuples, each rolled and looked up in a dict.
+word texts, the pair embedding and the embedding suite on ``CyclicWord``
+objects (each word shifted as an object and looked up in a dict, each text
+written letter by letter, each image built from letter tuples and checked by
+``satisfies``) instead of the rows of the word array (one lexsort of the
+rolled rows, one text per letter index, one index formula, one read of the bar
+per distinct letter difference), and the word action on rows as tuples, each
+rolled and looked up in a dict.
 """
 from __future__ import annotations
 
@@ -1161,6 +1163,26 @@ def every_word_complex_matches_the_cyclic_words():
     with pytest.MonkeyPatch.context() as mp:
         _replace_everywhere(mp, fast, checked)
         _replace_everywhere(mp, fast_action, checked_action)
+        yield
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_word_text_matches_the_cyclic_words():
+    """Every word text any test writes from letter-index rows, through the
+    library, the CLI or a demo, must be the ``text()`` of its row as a
+    ``CyclicWord``."""
+    from zpindex.alphabets import Alphabet
+    from zpindex.shiftspaces import CyclicWord
+
+    fast = Alphabet.word_texts
+
+    def checked(self, words):
+        got = fast(self, words)
+        assert got == [CyclicWord(self, tuple(map(self.unindex, row))).text() for row in words.tolist()]
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Alphabet, "word_texts", checked)
         yield
 
 

@@ -113,6 +113,35 @@ def test_approx_z_command(capsys):
     assert res["stability"]["agree"] is True
 
 
+def test_approx_z_stability_builds_each_resolution_once(capsys, monkeypatch):
+    from zpindex import cli, torusgrid
+
+    built = []
+    for mod in (cli, torusgrid):
+        build = mod.build_approx
+        monkeypatch.setattr(mod, "build_approx", lambda spec, cell_cap=None, build=build:
+                            built.append(spec.q) or build(spec, cell_cap=cell_cap))
+    code, doc = run(capsys, "approx-z", "--p", "2", "--q", "8", "--stability")
+    assert code == 0 and doc["results"]["stability"]["coarse"] == doc["results"]["stability"]["fine"]
+    assert built == [8, 16]
+
+
+def test_the_uint8_word_boundary_answers_every_command(capsys):
+    # 256 letters are the most a uint8 word array holds
+    code, doc = run(capsys, "certify", "--q", "256")
+    assert code == 0 and doc["results"]["coind_lower"] == 1
+    code, doc = run(capsys, "approx-z", "--family", "Z", "--p", "2", "--q", "256")
+    assert code == 0 and doc["results"]["vertices"] == 256 * 129 and doc["results"]["free"]
+    code, doc = run(capsys, "enumerate", "--family", "Z", "--p", "2", "--q", "256")
+    words = doc["results"]["words"]
+    assert code == 0 and len(words) == 256 * 129
+    assert words[0] == "S:q=256:[0,64]" and words[-1] == "S:q=256:[255,191]"
+    code, doc = run(capsys, "orbits", "--family", "Z", "--p", "2", "--q", "256")
+    reps = doc["results"]["orbit_representatives"]
+    assert code == 0 and doc["results"]["free"] and 2 * len(reps) == len(words)
+    assert set(reps) <= set(words)
+
+
 def test_certify_roundtrip(capsys, tmp_path):
     path = tmp_path / "cert.json"
     code, doc = run(capsys, "certify", "--q", "8", "--save-cert", str(path))

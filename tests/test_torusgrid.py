@@ -56,6 +56,13 @@ def test_vertex_scan_oracle_xs():
     assert c.is_free
 
 
+def test_the_uint8_word_boundary_builds_its_approximation():
+    # 256 letters are the most a uint8 word array holds; the session fixture
+    # checks the whole table against the general constructor
+    c = build_approx(z_torus_spec(2, 256))
+    assert c.cell_counts() == {0: 256 * 129, 1: 2 * 256 * 128, 2: 256 * 127} and c.is_free
+
+
 def test_free_action_all_specs():
     for spec in (z_torus_spec(2, 8), z_torus_spec(3, 8),
                  separated_torus_spec(2, 8, 2, Fraction(1, 2))):
@@ -184,8 +191,8 @@ def test_grid_build_refuses_a_face_read_that_finds_no_cell(monkeypatch):
     base = honest.vertex_index(square[:3])
     grow = torusgrid._grow
 
-    def damaged(cells, faces, lower):
-        out = grow(cells, faces, lower)
+    def damaged(cells, n, faces, lower):
+        out = grow(cells, n, faces, lower)
         if faces is None:  # the edge from that square's base along axis 2 is lost
             cells.grow[cells.start[2] + cells.rank[base]] = -1
         return out
