@@ -2,11 +2,12 @@
 
 Both kinds of complex share one cell table.  A k-cell is an integer row:
 sorted vertex ids for a simplex, (base corner, extent mask) on a periodic
-grid for a cube.  Each row has one int64 mixed-radix key (radix n_vertices
-per vertex slot; q per base coordinate and 2^D for the mask), and the key
-is a cell's only identity.  Per dimension, the keys, sorted (the rows'
-lexicographic order), and the faces, int32 indices into the dimension
-below, are each a ``_Table``, stored as a read-only array or generated on
+grid for a cube.  Each row has one mixed-radix key (radix n_vertices per
+vertex slot; q per base coordinate and 2^D for the mask), and the key is a
+cell's only identity.  A table's keys are int32 when the product of its
+radices, which bounds them, is at most 2^31, and int64 otherwise.  Per
+dimension, the keys, sorted (the rows' lexicographic order), and the faces,
+int32 indices into the dimension below, are each a ``_Table``, stored as a read-only array or generated on
 each read (a join's top keys; the rows, decoded from the keys).  Every
 reader goes through a table: ``take`` for all rows or a few, ``blocks`` for
 cache-sized blocks, ``search`` for a binary search among keys; no table can
@@ -77,7 +78,8 @@ __all__ = [
     "is_EnZp",
 ]
 
-_KEY_LIMIT = 1 << 63  # keys are int64: the product of a row's radices stays below this
+_KEY_LIMIT = 1 << 63  # keys are at most int64: the product of a row's radices stays below this
+_INT32_KEYS = 1 << 31  # keys whose radices multiply to at most this are int32
 _INDEX_LIMIT = 1 << 31  # faces are int32: a dimension holds fewer cells than this
 # int32 entries a pass over a face table handles at once: 256 KiB, so a block's
 # gathers and index casts stay in cache
@@ -111,12 +113,19 @@ def _check_radices(radices: Sequence[int]) -> None:
         )
 
 
+def _key_dtype(radices: Sequence[int]) -> np.dtype:
+    """The width of keys with these radices: int32 when their product, which
+    bounds every key, is at most 2^31, and int64 otherwise."""
+    return np.dtype(np.int32 if prod(radices) <= _INT32_KEYS else np.int64)
+
+
 def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
-    """Mixed-radix int64 key of each row; keys sort as the rows do lexicographically."""
+    """Mixed-radix key of each row, in the width of its radices (``_key_dtype``),
+    where no partial key can wrap; keys sort as the rows do lexicographically."""
     _check_radices(radices)
-    key = np.zeros(len(rows), dtype=np.int64)
-    for j, r in enumerate(radices):
-        key *= r
+    key = rows[:, 0].astype(_key_dtype(radices))
+    for j in range(1, len(radices)):
+        key *= radices[j]
         key += rows[:, j]
     return key
 
@@ -125,7 +134,7 @@ def _key_rows(keys: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     """The int32 rows whose mixed-radix keys these are: ``_row_keys`` undone,
     one digit at a time from the last."""
     rows = np.empty((len(keys), len(radices)), dtype=np.int32)
-    rest = np.asarray(keys, dtype=np.int64)
+    rest = np.asarray(keys)
     for j in range(len(radices) - 1, 0, -1):
         rest, rows[:, j] = np.divmod(rest, radices[j])
     rows[:, 0] = rest
@@ -142,14 +151,16 @@ def _check_cell_count(d: int, n: int) -> None:
 
 
 class _Table:
-    """One dimension of a complex: a sorted int64 key per cell, a row of
-    int32 face indices per cell, or the cells' rows.  ``_Stored`` holds it in
-    one read-only array; ``_JoinTop`` (a join's top keys) and ``_Decoded``
-    (rows from keys) generate it on every read and keep nothing.
+    """One dimension of a complex: a sorted key per cell (in the width
+    ``_key_dtype`` gives for its radices), a row of int32 face indices per
+    cell, or the cells' rows.  ``_Stored`` holds it in one read-only array;
+    ``_JoinTop`` (a join's top keys) and ``_Decoded`` (rows from keys)
+    generate it on every read and keep nothing.
 
     Each is read the same way: ``take(at)``, the rows at the indices or
     slice ``at`` (all of them when None), ``blocks(width)`` and, for keys,
-    ``search(want)``, the index of each wanted key (-1 when absent)."""
+    ``search(want)``, the index of each wanted key (-1 when absent), given
+    in the keys' own width, as the one codec ``_row_keys`` forms it."""
 
     __slots__ = ()
 
@@ -172,6 +183,10 @@ class _Stored(_Table):
     def __len__(self) -> int:
         return len(self._array)
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self._array.dtype
+
     def take(self, at=None) -> np.ndarray:
         return self._array if at is None else self._array[at]
 
@@ -188,30 +203,36 @@ class _JoinTop(_Table):
     row-major order: cell i * len(inner) + j has the key outer[i] * scale +
     inner[j], where outer and inner are the factors' top keys in the join's
     radix, stored, and scale = N^(dim B + 1) is above every inner key.  So a
-    divmod by scale splits a key into its factors' keys."""
+    divmod by scale splits a key into its factors' keys.  The keys are formed
+    in ``dtype``, the width of the top dimension's bound, which may be wider
+    than the factors' keys."""
 
-    __slots__ = ("outer", "inner", "scale")
+    __slots__ = ("outer", "inner", "scale", "dtype")
 
-    def __init__(self, outer: np.ndarray, inner: np.ndarray, scale: int):
-        self.outer, self.inner, self.scale = _Stored(outer), _Stored(inner), scale
+    def __init__(self, outer: np.ndarray, inner: np.ndarray, scale: int, dtype: np.dtype):
+        self.outer, self.inner, self.scale, self.dtype = _Stored(outer), _Stored(inner), scale, dtype
 
     def __len__(self) -> int:
         return len(self.outer) * len(self.inner)
 
     def take(self, at=None) -> np.ndarray:
         if at is None:
-            key = np.add.outer(self.outer.take() * self.scale, self.inner.take()).reshape(-1)
+            outer = np.multiply(self.outer.take(), self.scale, dtype=self.dtype)
+            key = np.add.outer(outer, self.inner.take()).reshape(-1)
         else:
             if isinstance(at, slice):
                 at = np.arange(*at.indices(len(self)))
             i, j = np.divmod(np.asarray(at, dtype=np.int64), len(self.inner))
-            key = self.outer.take(i) * self.scale + self.inner.take(j)
+            key = np.multiply(self.outer.take(i), self.scale, dtype=self.dtype)
+            key += self.inner.take(j)
         key.setflags(write=False)
         return key
 
     def search(self, want: np.ndarray) -> np.ndarray:
+        # each part is below its factor's bound, so it is exact in that factor's width
         i, j = np.divmod(want, self.scale)
-        i, j = self.outer.search(i), self.inner.search(j)
+        i = self.outer.search(i.astype(self.outer.dtype, copy=False))
+        j = self.inner.search(j.astype(self.inner.dtype, copy=False))
         return np.where((i >= 0) & (j >= 0), i * len(self.inner) + j, -1)
 
 
@@ -751,13 +772,13 @@ class _JoinSide:
     either side.  Each vertex has the empty cell as its only face, index 0.
     Each dimension's keys are read once (a factor that is itself a join
     generates its top dimension here) and decoded once: the rows shifted past
-    the vertices before this side give its radix-n keys, and their action
-    images give ``fixed[d]``, the d-cells fixed setwise (the empty cell is
-    fixed).
+    the vertices before this side give its radix-n keys, in the width of
+    their own bound n^(d+1), and their action images give ``fixed[d]``, the
+    d-cells fixed setwise (the empty cell is fixed).
     """
 
     def __init__(self, f: SimplicialComplex, shift: int, n: int, with_action: bool):
-        self.keys = {-1: np.zeros(1, dtype=np.int64)}
+        self.keys = {-1: np.zeros(1, dtype=np.int32)}
         self.faces = {}
         self.fixed = {-1: np.ones(1, dtype=bool)}
         for d, key in f.keys.items():
@@ -819,15 +840,17 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
             # are generated from the factors' on read and no position table is
             # needed.  Nor can it hold the first fixed cell: if sigma and tau
             # are both fixed, so is (sigma, empty), a cell of lower dimension.
-            keys[d] = _JoinTop(left.keys[a.dim], right.keys[b.dim], n ** (b.dim + 1))
+            keys[d] = _JoinTop(left.keys[a.dim], right.keys[b.dim], n ** (b.dim + 1),
+                               _key_dtype([n] * (d + 1)))
             faces[d] = _Stored(face)
             break
-        key = np.empty(bounds[-1], dtype=np.int64)
+        # formed in the width of this dimension's bound, which may be wider than the splits'
+        width = _key_dtype([n] * (d + 1))
+        key = np.empty(bounds[-1], dtype=width)
         fixed = np.empty(bounds[-1], dtype=bool)
         for (s, t), (ns, nt), r0, r1 in blocks:
-            np.add.outer(
-                left.keys[s] * n ** (t + 1), right.keys[t], out=key[r0:r1].reshape(ns, nt)
-            )
+            outer = np.multiply(left.keys[s], n ** (t + 1), dtype=width)
+            np.add.outer(outer, right.keys[t], out=key[r0:r1].reshape(ns, nt))
             if has_action:
                 np.logical_and.outer(
                     left.fixed[s], right.fixed[t], out=fixed[r0:r1].reshape(ns, nt)

@@ -35,14 +35,16 @@ reduced has (almost) nothing cleared, so its end should be the smaller.
 Both directions then share one tail, with the coefficients mod ell in the
 narrowest signed type that holds ell - 1 (a larger ell is refused):
 
-* Clearing.  The cleared columns are the memoized pivot rows of the matrix
-  reduced just before.
+* Clearing.  The cleared columns are the pivot rows of the matrix reduced
+  just before, an int32 array kept only until this reduction has read it;
+  each rank is remembered as a count.
 * Apparent pivots.  Of the remaining columns, every one whose low no
   other column shares is a pivot as it stands; columns with distinct lows
   are independent.  This is found in numpy, without a Python loop: by
   counting every possible low when they are few against the columns, else
-  by sorting the lows (``_apparent``).  Their columns are kept in one
-  int32 array indexed by low, -1 where no apparent column owns it.
+  by sorting the lows (``_apparent``).  The candidate columns and their
+  lows are int32, as no dimension holds 2^31 cells.  The apparent columns
+  are kept in one int32 array indexed by low, -1 where none owns it.
 * Fallback.  Only the columns that share a low are reduced, by a column
   reduction that keeps one normalized pivot column per pivot row.  A low
   owned by an apparent column is served by normalizing that column on
@@ -167,6 +169,8 @@ class ChainComplexFp:
         self.boundaries = boundaries  # index d-1 holds the boundary C_d -> C_{d-1}
         # reduce from the smaller end: down from the top when it has fewer cells than dimension 0
         self.top_down = bool(n_cells) and n_cells[-1] < n_cells[0]
+        self._ranks: dict[int, int] = {}
+        # pivot rows of a reduced matrix whose successor in rank_order has not read them yet
         self._pivot_rows: dict[int, np.ndarray] = {}
         # per dimension d, for the matrix reduced for rank d (the boundary going
         # down, the coboundary delta^{d-1} going up): cleared, live, apparent and
@@ -191,29 +195,38 @@ class ChainComplexFp:
             return 1 if self.n_cells and self.n_cells[0] > 0 else 0
         if d < 0 or d > self.top_dim:
             return 0
-        return len(self._pivots(d))
+        if d not in self._ranks:
+            self._reduce(d)
+        return self._ranks[d]
 
-    def _pivots(self, d: int) -> np.ndarray:
-        """Pivot rows of the matrix reduced for rank d, memoized: going up, the
-        d-cells that clear delta^d; going down, the (d-1)-cells that clear
-        boundary_{d-1}."""
-        piv = self._pivot_rows.get(d)
-        if piv is None:
-            if d == 0:
-                # going up, the augmentation's coboundary is the all-ones column: its low is the last vertex
-                n0 = self.n_cells[0] if self.n_cells else 0
-                piv = np.arange(max(n0 - 1, 0), n0)
-            elif d > self.top_dim:  # going down, nothing is cleared at the top
-                piv = np.empty(0, dtype=np.int64)
-            else:
-                counts = self.reduction_counts[d] = {}
-                b = self.boundaries[d - 1]
-                if self.top_down:
-                    piv = _boundary_pivots(b, self._pivots(d + 1), self.ell, counts)
-                else:
-                    piv = _coboundary_pivots(b, self._pivots(d - 1), self.ell, counts)
+    def _reduce(self, d: int) -> None:
+        """Reduce the matrix for rank d, 1 <= d <= top_dim, and remember its
+        rank.  Its pivot rows are kept only when the next matrix in
+        ``rank_order`` reads them: going down, the (d-1)-cells that clear
+        boundary_{d-1}, for d > 1; going up, the d-cells that clear delta^d,
+        for d < top_dim."""
+        counts = self.reduction_counts[d] = {}
+        b = self.boundaries[d - 1]
+        if self.top_down:
+            piv = _boundary_pivots(b, self._cleared(d + 1), self.ell, counts)
+        else:
+            piv = _coboundary_pivots(b, self._cleared(d - 1), self.ell, counts)
+        self._ranks[d] = len(piv)
+        if (d > 1) if self.top_down else (d < self.top_dim):
             self._pivot_rows[d] = piv
-        return piv
+
+    def _cleared(self, d: int) -> np.ndarray:
+        """The pivot rows of the matrix reduced for rank d, read once by the
+        next reduction, which clears its columns with them, and dropped."""
+        if d > self.top_dim:  # going down, nothing is cleared at the top
+            return np.empty(0, dtype=np.int32)
+        if d == 0:
+            # going up, the augmentation's coboundary is the all-ones column: its low is the last vertex
+            n0 = self.n_cells[0]
+            return np.arange(max(n0 - 1, 0), n0, dtype=np.int32)
+        if d not in self._ranks:
+            self._reduce(d)
+        return self._pivot_rows.pop(d)
 
 
 def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
@@ -334,8 +347,11 @@ def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
     live[cleared] = False
     n_live = int(live.sum())
     counts["cleared"], counts["live"] = len(lows) - n_live, n_live
-    cand = np.flatnonzero(live & (lows >= 0))
-    lows = lows[cand]
+    # column ids and lows fit int32: no dimension holds 2^31 cells (complexes._INDEX_LIMIT)
+    live &= lows >= 0
+    cand = np.arange(len(lows), dtype=np.int32)[live]
+    lows = lows[live].astype(np.int32, copy=False)
+    del live
     apparent = _apparent(lows)
     colliding = cand[~apparent]
     counts["apparent"] = int(apparent.sum())
@@ -343,11 +359,10 @@ def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
     counts["steps"] = counts["max_work"] = counts["stale_pops"] = 0
     if not len(colliding):
         return lows
-    # column ids fit int32: no dimension holds 2^31 cells (complexes._INDEX_LIMIT)
     owner = np.full(int(lows.max()) + 1, -1, dtype=np.int32)
     owner[lows[apparent]] = cand[apparent]
     found = _reduce_colliding(colliding, owner, matrix(), ell, counts)
-    return np.concatenate([lows[apparent], np.array(found, dtype=np.int64)])
+    return np.concatenate([lows[apparent], np.array(found, dtype=np.int32)])
 
 
 # counts per candidate up to which ``_apparent`` counts every value by bincount
@@ -359,12 +374,13 @@ def _apparent(lows: np.ndarray) -> np.ndarray:
 
     When every low is below ``_COUNT_FACTOR`` times the number of lows, one
     ``np.bincount`` counts them (an array at most that factor times the
-    lows); above it, one sort of the lows finds the equal neighbours, so a
-    few candidates with large lows allocate nothing per possible low.
+    lows), read through a bool table of the counts that are 1; above it, one
+    sort of the lows finds the equal neighbours, so a few candidates with
+    large lows allocate nothing per possible low.
     """
     n = len(lows)
     if not n or int(lows.max()) < _COUNT_FACTOR * n:
-        return np.bincount(lows)[lows] == 1
+        return (np.bincount(lows) == 1)[lows]
     order = np.argsort(lows)
     ranked = lows[order]
     alone = np.ones(n + 1, dtype=bool)  # alone[i]: ranked[i - 1] and ranked[i] differ

@@ -28,7 +28,7 @@ import numpy as np
 
 from .alphabets import circle_grid, product_alphabet
 from .complexes import (_INDEX_LIMIT, _KEY_LIMIT, CubicalComplex, _Stored, _is_prime,
-                        _key_rows, _row_keys, cycle_complex)
+                        _key_dtype, _key_rows, _row_keys, cycle_complex)
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
 from .homology import BettiVector, betti_numbers
@@ -187,7 +187,7 @@ def _grow(cells: _Cells, n: int, faces, lower: _Cells | None):
     src = np.take(cells.by_top, rsrc)
     cells.by_top = None
     key = np.take(cells.key, src)
-    key += np.left_shift(1, axis, dtype=np.int64)
+    key += np.left_shift(1, axis, dtype=key.dtype)
     order = np.argsort(key, kind="stable")  # merges the blocks' runs into key order
     pos = np.empty(n, dtype=np.int32)
     pos[order] = np.arange(n, dtype=np.int32)
@@ -207,16 +207,17 @@ def _grow(cells: _Cells, n: int, faces, lower: _Cells | None):
     # first u blocks have; those pairs, in order, are block u of the new table
     start_up = _starts(blocks[:D])
     move_up = np.empty(start_up[-1], dtype=np.int32)
-    at = np.empty(n, dtype=np.int32)
-    # each take into out has mode="wrap", so it writes unbuffered; it reads -1 as
+    # each slot read is worked out in place, in the slice of the table it fills.
+    # Each take into out has mode="wrap", so it writes unbuffered; it reads -1 as
     # the last entry, as "raise" does, and takes no index out of range here
     for u in range(D):
         k, s = blocks[u], start_up[u]
-        np.add(rsrc[:k], start[u], out=at[:k])
-        np.take(move, at[:k], out=at[:k], mode="wrap")  # the move of src along u
-        np.take(rank, at[:k], out=at[:k], mode="wrap")
-        at[:k] += grow_at[:k]
-        np.take(grow, at[:k], out=move_up[s:s + k], mode="wrap")
+        at = move_up[s:s + k]
+        np.add(rsrc[:k], start[u], out=at)
+        np.take(move, at, out=at, mode="wrap")  # the move of src along u
+        np.take(rank, at, out=at, mode="wrap")
+        at += grow_at[:k]
+        np.take(grow, at, out=at, mode="wrap")
         move_up[s + k] = -1
     cells.move = None
     del move, rsrc, axis, grow_at
@@ -227,10 +228,11 @@ def _grow(cells: _Cells, n: int, faces, lower: _Cells | None):
     if d:
         grow_at = np.take(lower.start, top)
         for j in range(2 * d):
+            at = face[:, j]  # worked out in place, in the column it fills
             np.take(faces[:, j], src, out=at, mode="wrap")
             np.take(lower.rank, at, out=at, mode="wrap")
             at += grow_at
-            np.take(lower.grow, at, out=face[:, j], mode="wrap")
+            np.take(lower.grow, at, out=at, mode="wrap")
         lower.grow = None
     return _Cells(key, pos, rank_up, start_up, move_up), face
 
@@ -245,6 +247,8 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
 
     Keys are x * 2^D + M for grid point x in C order (the word read in radix
     q^N) and extent mask M; their 2^63 limit is checked before the search.
+    They are int32 when their bound (2q)^D is at most 2^31 (``_key_dtype``),
+    and the vertices' x, below q^D, may be int32 when their keys are not.
     For t above the top bit of M, (x, M + e_t) is a cell iff (x, M) and its
     move (x + e_t, M) are, so each dimension grows from the one below, its
     cells counted against the cell cap and the int32 limit of its move table
@@ -270,7 +274,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     axis_map = np.array([(t + n) % D for t in range(D)], dtype=np.int64)
     _check_cell_cap(spec, total, cap)
     _check_move_table(0, total, D)
-    key = flat << D
+    key = np.left_shift(flat, D, dtype=_key_dtype([q] * D + [1 << D]))
     coords = _key_rows(flat, [q] * D)
     # a fixed cell's base corner is a fixed vertex: the first fixed cell is one
     fixed = np.flatnonzero(action == np.arange(total))
@@ -283,8 +287,9 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     move = np.full((D, total + 1), -1, dtype=np.int32)
     for t in range(D):
         stride = q ** (D - 1 - t)
-        moved = flat + stride
-        moved[at_edge[:, t]] -= q * stride
+        moved = flat.copy()
+        moved[at_edge[:, t]] -= q * stride  # the wrap first, so no sum passes q^D
+        moved += stride
         at = np.searchsorted(flat, moved)  # len(flat) past the last vertex, clipped below
         np.copyto(move[t, :-1], at, where=np.take(flat, at, mode="clip") == moved)
     del flat, at_edge, moved, at

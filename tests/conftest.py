@@ -39,15 +39,17 @@ from __future__ import annotations
 import json
 import operator
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from zpindex import complexes
 from zpindex.complexes import CubicalComplex, _row_keys
 from zpindex.errors import ShapeError
 
@@ -1024,6 +1026,66 @@ def every_boundary_square_check_matches_the_whole_table_gathers():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CellComplex, "_check_boundary_square", checked)
         yield
+
+
+def key_width(bound: int) -> np.dtype:
+    """The width keys below ``bound`` are held in: int32 up to 2^31, else int64."""
+    return np.dtype(np.int32 if bound <= 1 << 31 else np.int64)
+
+
+def assert_key_widths(c) -> None:
+    """Each key table of c has the width of its bound, the product of its
+    radices; a join's generated top keys have theirs, and the factors' keys
+    they are formed from have their own (outer below bound // scale, inner
+    below scale).  No key is read, so no generated table is formed."""
+    for d in c.keys:
+        bound, table = prod(c._radices(d)), c.keys.table(d)
+        assert table.dtype == key_width(bound), (d, bound, table.dtype)
+        if isinstance(table, complexes._JoinTop):
+            assert table.outer.dtype == key_width(bound // table.scale), d
+            assert table.inner.dtype == key_width(table.scale), d
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_complex_holds_its_keys_in_the_width_of_their_bound():
+    """Every complex any test builds, validated from rows (``_set_cells``) or
+    from tables known to be valid (``_from_table``: joins and torus
+    approximations), must hold each key table in the width its bound gives."""
+    from zpindex.complexes import CellComplex
+
+    set_cells, from_table = CellComplex._set_cells, CellComplex._from_table.__func__
+
+    def checked_set_cells(self, cells):
+        rows = set_cells(self, cells)
+        assert_key_widths(self)
+        return rows
+
+    def checked_from_table(cls, *args, **kwargs):
+        c = from_table(cls, *args, **kwargs)
+        assert_key_widths(c)
+        return c
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CellComplex, "_set_cells", checked_set_cells)
+        mp.setattr(CellComplex, "_from_table", classmethod(checked_from_table))
+        yield
+
+
+def held_arrays(obj):
+    """Every numpy array reachable from obj through the slots of cell tables
+    and their mappings, and through mappings, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (complexes._Tables, complexes._Table)):
+        for cls in type(obj).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                yield from held_arrays(getattr(obj, name))
+    elif isinstance(obj, Mapping):
+        for v in obj.values():
+            yield from held_arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from held_arrays(v)
 
 
 def _replace_everywhere(mp, fast, checked) -> None:

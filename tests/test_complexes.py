@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-from collections.abc import Mapping
 from itertools import product
 from math import isqrt
 
@@ -13,6 +12,7 @@ from conftest import (
     GeneralCubicalComplex,
     assert_same_complex,
     general_join,
+    held_arrays,
     projective_plane_6,
     torus_7,
 )
@@ -555,23 +555,6 @@ def test_homology_counts_and_lookups_generate_no_top_keys(monkeypatch):
 # -- one table per cell: keys and int32 faces, rows decoded on read -----------------
 
 
-def _held_arrays(obj):
-    """Every numpy array reachable from obj through the slots of cell tables
-    and their mappings, and through mappings, lists and tuples."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (complexes._Tables, complexes._Table)):
-        for cls in type(obj).__mro__:
-            for name in getattr(cls, "__slots__", ()):
-                yield from _held_arrays(getattr(obj, name))
-    elif isinstance(obj, Mapping):
-        for v in obj.values():
-            yield from _held_arrays(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            yield from _held_arrays(v)
-
-
 def test_no_complex_stores_a_row_array():
     sigma5 = periodic_point_complex(mismatch_shift(1), 5)
     built = [
@@ -585,10 +568,10 @@ def test_no_complex_stores_a_row_array():
     for c in built:
         assert "cells" not in vars(c)
         # the only tables of more than one column are the faces, all int32
-        held = list(_held_arrays(vars(c)))
+        held = list(held_arrays(vars(c)))
         wide = {id(a) for a in held if a.ndim > 1}
         assert wide == {id(f) for f in c.faces.values()}
-        # and every key table is held, one int64 array, unless the join generates it
+        # and every key table is held, one array, unless the join generates it
         assert all(isinstance(c.keys.table(d), complexes._JoinTop)
                    or any(a is c.keys[d] for a in held) for d in c.keys)
         assert all(f.dtype == np.int32 and not f.flags.writeable for f in c.faces.values())
@@ -597,6 +580,42 @@ def test_no_complex_stores_a_row_array():
             assert rows.dtype == np.int32 and not rows.flags.writeable
             assert c.cells[d] is not rows and np.array_equal(c.cells[d], rows)
             assert np.array_equal(_row_keys(rows, c._radices(d)), c.keys[d])
+
+
+def test_row_keys_are_int32_up_to_a_radix_product_of_2_to_the_31():
+    rows = np.array([[2**16 - 1, 2**15 - 1], [0, 1]], dtype=np.int32)
+    keys = _row_keys(rows, [2**16, 2**15])  # the largest key is 2^31 - 1
+    assert keys.dtype == np.int32 and keys.tolist() == [2**31 - 1, 1]
+    assert np.array_equal(complexes._key_rows(keys, [2**16, 2**15]), rows)
+    keys = _row_keys(rows, [2**16, 2**15 + 1])  # one more radix step passes int32
+    assert keys.dtype == np.int64 and keys.tolist() == [2**31 + 2**16 - 2, 1]
+    assert np.array_equal(complexes._key_rows(keys, [2**16, 2**15 + 1]), rows)
+    # a lone radix of 2^31 never multiplies a key: the first digit starts it
+    keys = _row_keys(np.array([[2**31 - 1]]), [2**31])
+    assert keys.dtype == np.int32 and keys.tolist() == [2**31 - 1]
+
+
+@pytest.mark.parametrize("k", [4, 5], ids=["scale-in-int32", "scale-past-int32"])
+def test_join_top_keys_past_2_to_the_31_are_formed_from_int32_factor_keys(k):
+    # 100 points joined with a (k-1)-simplex: N = 100 + k vertices and top cells
+    # (v, simplex) of key v * N^k + key(simplex), below N^(k+1) > 2^31.  The
+    # points' keys are int32; the simplex's are int32 at k = 4, where the int32
+    # product v * N^4 would wrap, and int64 at k = 5, where N^5 fits no int32
+    a = SimplicialComplex.discrete(100, None, 2)
+    b = SimplicialComplex.from_maximal(k, [range(k)], None, 2)
+    n, got = 100 + k, join_complex(a, b)
+    generated = got.keys.table(k)
+    assert isinstance(generated, complexes._JoinTop) and generated.outer.dtype == np.int32
+    assert generated.inner.dtype == (np.int32 if n**k <= 2**31 else np.int64)
+    simplex = sum((100 + m) * n ** (k - 1 - m) for m in range(k))
+    want = [v * n**k + simplex for v in range(100)]  # Python ints: no wrap
+    assert max(want) >= 2**31
+    keys = got.keys[k]
+    assert keys.dtype == np.int64 and keys.tolist() == want
+    assert generated.take([99, 0]).tolist() == [want[99], want[0]]
+    assert np.array_equal(generated.search(np.array(want[::-1])), np.arange(100)[::-1])
+    assert got._find_cell(k, [99, *range(100, 100 + k)]) == 99
+    assert_same_complex(got, general_join(a, b))  # every dimension's keys, in the same widths
 
 
 def test_carrier_cell_and_vertex_label_decode_only_the_keys_they_are_given(monkeypatch):

@@ -21,6 +21,7 @@ from conftest import (
     dense_rank_mod,
     dense_rank_np,
     gathered_boundary_square,
+    held_arrays,
     projective_plane_6,
     shape_error_text,
     sorted_coboundary_lows,
@@ -302,6 +303,22 @@ def test_live_columns_are_the_uncleared_ones(name):
         assert counts["apparent"] <= ranks[d]
     if cc.top_down:
         assert cc.reduction_counts[cc.top_dim]["live"] == cc.n_cells[-1]
+
+
+@pytest.mark.parametrize("name", ["join(2, 2, 2, 2)", "Z:p=3,q=8"])  # reduced up, and down
+def test_pivot_rows_are_dropped_once_the_next_reduction_has_read_them(name):
+    c = TEST_COMPLEXES[name]()
+    cc = boundary_matrices(c, 3)
+    betti(cc)
+    ranks = [cc.rank(d) for d in range(cc.top_dim + 2)]
+    assert not list(held_arrays(vars(cc)))  # the counts are kept, no pivot array
+    for order in ([3, 1, 2, 0, 4], [1, 0, 4, 3, 2], [2, 4, 0, 3, 1]):
+        fresh = boundary_matrices(c, 3)
+        for d in order:
+            assert fresh.rank(d) == ranks[d], (order, d)
+            # at most the pivot rows of the last matrix reduced, until the next reads them
+            assert len(list(held_arrays(vars(fresh)))) <= 1, (order, d)
+        assert not list(held_arrays(vars(fresh))) and fresh.reduction_counts == cc.reduction_counts
 
 
 COUNT_FIELDS = ("cleared", "live", "apparent", "colliding", "steps", "max_work", "stale_pops")

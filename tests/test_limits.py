@@ -141,10 +141,11 @@ STEP_PEAKS_MIB = {
     "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 64 MiB
     # 1,335,168 words at q = 128 take about 164 MiB, with no labels; 256 is refused
     "verify embed-1.5 p=3 --q": {"128": 190, "256": 40},
-    # the benchmark torus, 372,880 cells, answers in about 46 MiB (55 when its
-    # move and growth tables were dense over every axis); p = 7 is refused at the
-    # cell cap once its 917,168 vertices are moved: about 114 MiB (121 before)
-    "Z:q=8 --p": {"5": 52, "7": 125},
+    # the benchmark torus, 372,880 cells, answers in about 45 MiB (47 with int64
+    # keys, 55 when its move and growth tables were dense over every axis); p = 7
+    # is refused at the cell cap once its 917,168 vertices, whose keys fit int32,
+    # are moved: about 100 MiB (107 with int64 keys)
+    "Z:q=8 --p": {"5": 49, "7": 110},
     # refused at the cell cap once the lower dimensions are built: about 131
     # MiB at N = 3 (1,462,272 edges) and 92 MiB at delta = 1/2 (873,216 edges)
     "XSN:p=2,q=8 --N": {"3": 145},
@@ -210,15 +211,16 @@ print(cells, tracemalloc.get_traced_memory()[1])
 
 
 def test_torus_growth_tables_hold_only_the_slots_that_are_read():
-    # 372,880 cells keep about 9.7 MB of keys and faces; the build peaked at
-    # 21.1 MB with tables dense over all five axes, and takes about 12.6 MB
+    # 372,880 cells keep about 8.3 MB of int32 keys and faces; the build peaked
+    # at 21.1 MB with tables dense over all five axes, 12.6 MB with int64 keys,
+    # and takes about 10.9 MB
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", TORUS_PEAK], capture_output=True, text=True,
                           env=env, preexec_fn=_limit_address_space, timeout=TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr[-2000:]
     cells, peak = map(int, proc.stdout.split())
     assert cells == 372880
-    assert peak < 13 << 20, peak
+    assert peak < 11 << 20, peak
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_LADDERS))

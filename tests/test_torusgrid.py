@@ -8,6 +8,7 @@ import pytest
 import conftest
 from conftest import brute_separated_words, brute_z_words, dense_betti, loop_vertex_mask
 from zpindex import torusgrid
+from zpindex.complexes import _row_keys
 from zpindex.coindex import EquivariantMapCert, IndexReport, apply_certificate, verify_certificate
 from zpindex.errors import ResourceCapError, ShapeError
 from zpindex.shiftspaces import AdjacentGap, SubshiftSpec
@@ -200,6 +201,36 @@ def test_grid_build_refuses_a_face_read_that_finds_no_cell(monkeypatch):
     monkeypatch.setattr(torusgrid, "_grow", damaged)
     with pytest.raises(ShapeError, match="face closure fails between dimensions 2 and 1"):
         build_approx(spec)
+
+
+def test_keys_past_2_to_the_31_on_grid_points_below_it_are_formed_in_int64(monkeypatch):
+    # XSN:p=2,q=8,N=4: 8^8 = 2^24 grid points, so a word's grid point x is int32,
+    # but keys x * 2^8 + M reach 16^8 = 2^32, so they are int64.  Three words:
+    # two rotate onto each other, and each is one step from the constant word
+    spec = separated_torus_spec(2, 8, 4, Fraction(1, 2))
+    words = np.array([[4094, 4095], [4095, 4094], [4095, 4095]], dtype=np.int16)
+    assert _row_keys(words, [8**4] * 2).dtype == np.int32
+    monkeypatch.setattr(SubshiftSpec, "periodic_words", lambda self, p, *args, **kwargs: words)
+    grow, seen = torusgrid._grow, {}
+
+    class Grown(Exception):
+        pass
+
+    def first_growth(cells, n, faces, lower):
+        seen["vertices"] = cells.key.copy()
+        seen["edges"] = grow(cells, n, faces, lower)[0].key
+        # stop here: the general constructor would roll a 2^24-point mask 1024 times
+        raise Grown
+
+    monkeypatch.setattr(torusgrid, "_grow", first_growth)
+    with pytest.raises(Grown):
+        build_approx(spec)
+    x = grid_points(spec, words)
+    assert seen["vertices"].dtype == np.int64 and seen["vertices"].tolist() == (x << 8).tolist()
+    assert max(x << 8) >= 2**31
+    # edges along axis 3 (letter 0's last circle) and axis 7 into the constant word
+    edges = sorted([(int(x[0]) << 8) + (1 << 3), (int(x[1]) << 8) + (1 << 7)])
+    assert seen["edges"].dtype == np.int64 and seen["edges"].tolist() == edges
 
 
 def test_grid_build_reports_the_fixed_cell_of_a_mask_with_constant_words(monkeypatch):
