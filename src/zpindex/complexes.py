@@ -7,13 +7,15 @@ vertex slot; q per base coordinate and 2^D for the mask), and the key is a
 cell's only identity.  A table's keys are int32 when the product of its
 radices, which bounds them, is at most 2^31, and int64 otherwise.  Per
 dimension, the keys, sorted (the rows' lexicographic order), and the faces,
-int32 indices into the dimension below, are each a ``_Table``, stored as a read-only array or generated on
-each read (a join's top keys; the rows, decoded from the keys).  Every
+indices into the dimension below, are each a ``_Table``, stored as a
+read-only array or generated on each read (a join's top keys; the rows,
+decoded from the keys).  Faces are uint16 when the dimension below has at
+most 2^16 cells, and int32 otherwise (``_face_dtype``).  Every
 reader goes through a table: ``take`` for all rows or a few, ``blocks`` for
 cache-sized blocks, ``search`` for a binary search among keys; no table can
 be replaced after validation.  Keys that would reach 2^63 are refused,
-never wrapped, and so is a dimension of 2^31 or more cells, which int32
-faces cannot index, before anything is allocated.
+never wrapped, and so is a dimension of 2^31 or more cells, which the
+widest faces, int32, cannot index, before anything is allocated.
 
 Validation of given simplices checks that the group order p is prime,
 that the action is a permutation of exact order p mapping cells to cells,
@@ -80,9 +82,10 @@ __all__ = [
 
 _KEY_LIMIT = 1 << 63  # keys are at most int64: the product of a row's radices stays below this
 _INT32_KEYS = 1 << 31  # keys whose radices multiply to at most this are int32
-_INDEX_LIMIT = 1 << 31  # faces are int32: a dimension holds fewer cells than this
-# int32 entries a pass over a face table handles at once: 256 KiB, so a block's
-# gathers and index casts stay in cache
+_INDEX_LIMIT = 1 << 31  # faces are at most int32: a dimension holds fewer cells than this
+_UINT16_FACES = 1 << 16  # faces into a dimension of at most this many cells are uint16
+# entries a pass over a face table handles at once: 256 KiB of int32 faces (128
+# of uint16), so a block's gathers and index casts stay in cache
 _BLOCK_ENTRIES = 1 << 16
 # cells a join may have: about 5x the 2,048,382 of the 3-fold join of the period-7 set
 _JOIN_CELL_CAP = 10**7
@@ -119,6 +122,12 @@ def _key_dtype(radices: Sequence[int]) -> np.dtype:
     return np.dtype(np.int32 if prod(radices) <= _INT32_KEYS else np.int64)
 
 
+def _face_dtype(n_below: int) -> np.dtype:
+    """The width of faces into a dimension of n_below cells: uint16 when it
+    has at most 2^16 cells, and int32 otherwise."""
+    return np.dtype(np.uint16 if n_below <= _UINT16_FACES else np.int32)
+
+
 def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     """Mixed-radix key of each row, in the width of its radices (``_key_dtype``),
     where no partial key can wrap; keys sort as the rows do lexicographically."""
@@ -152,10 +161,11 @@ def _check_cell_count(d: int, n: int) -> None:
 
 class _Table:
     """One dimension of a complex: a sorted key per cell (in the width
-    ``_key_dtype`` gives for its radices), a row of int32 face indices per
-    cell, or the cells' rows.  ``_Stored`` holds it in one read-only array;
-    ``_JoinTop`` (a join's top keys) and ``_Decoded`` (rows from keys)
-    generate it on every read and keep nothing.
+    ``_key_dtype`` gives for its radices), a row of face indices per cell (in
+    the width ``_face_dtype`` gives for the dimension below), or the cells'
+    rows.  ``_Stored`` holds it in one read-only array; ``_JoinTop`` (a
+    join's top keys) and ``_Decoded`` (rows from keys) generate it on every
+    read and keep nothing.
 
     Each is read the same way: ``take(at)``, the rows at the indices or
     slice ``at`` (all of them when None), ``blocks(width)`` and, for keys,
@@ -297,10 +307,11 @@ class CellComplex:
     each d-cell) and calls ``_finish`` with the rows ``_set_cells`` returned.
 
     ``keys``, ``faces`` and ``cells`` map each dimension to its whole table
-    (``_Tables``).  ``faces[d]`` is an int32 (n_d, k) array: entry (j, i) is
-    the index among the (d-1)-cells of the i-th face of d-cell j, whose
-    boundary coefficient is ``face_signs[d][i]``.  Once set, ``keys``,
-    ``faces`` and ``face_signs`` are never rebound.
+    (``_Tables``).  ``faces[d]`` is an (n_d, k) array in the width
+    ``_face_dtype`` gives for n_{d-1}, uint16 or int32: entry (j, i) is the
+    index among the (d-1)-cells of the i-th face of d-cell j, whose boundary
+    coefficient is ``face_signs[d][i]``.  Once set, ``keys``, ``faces`` and
+    ``face_signs`` are never rebound.
     """
 
     p: int
@@ -416,8 +427,10 @@ class CellComplex:
             for i in range(len(signs)):
                 face = self._face_rows(d, r, i)
                 idx[:, i] = self.keys.table(d - 1).search(_row_keys(face, self._radices(d - 1)))
+            # checked in int32: a missing face, -1, would read as 65535 in uint16
             if np.any(idx < 0):
                 raise ShapeError(f"face closure fails between dimensions {d} and {d - 1}")
+            idx = idx.astype(_face_dtype(self.keys.size(d - 1)), copy=False)
             faces[d], face_signs[d] = _Stored(idx), signs
         self.faces, self.face_signs = _Tables(faces), MappingProxyType(face_signs)
 
@@ -828,7 +841,7 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
         bounds = np.cumsum([0] + [ns * nt for ns, nt in shapes[d]]).tolist()
         blocks = list(zip(splits[d], shapes[d], bounds, bounds[1:]))
         if d:
-            face = np.empty((bounds[-1], d + 1), dtype=np.int32)
+            face = np.empty((bounds[-1], d + 1), dtype=_face_dtype(len(keys[d - 1])))
             for (s, t), (ns, nt), r0, r1 in blocks:
                 block = face[r0:r1].reshape(ns, nt, d + 1)
                 for i in range(s + 1):  # (d_i sigma, tau)

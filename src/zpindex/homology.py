@@ -284,9 +284,10 @@ def _boundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[s
 
 
 def _boundary_lows(b: _Boundary) -> np.ndarray:
-    """The largest face of each column of b, an int32 face index, by a
-    running maximum over the face slots of each block of the face table:
-    several times faster than a max along the short rows."""
+    """The largest face of each column of b, by a running maximum over the
+    face slots of each block of the face table: several times faster than a
+    max along the short rows.  The lows are int32, the rank engine's
+    candidate width, whether the faces are uint16 or int32."""
     lows = np.empty(b.n_cols, dtype=np.int32)
     for s, faces in b.complex.faces.table(b.d).blocks(len(b.signs)):
         slots, out = faces.T, lows[s:s + len(faces)]

@@ -16,8 +16,11 @@ shift action (``_word_action``).  Each dimension grows from the one below with
 the grid and face reads of Wagner, Chen and Vucini, *Efficient computation of
 persistent homology for cubical data* (2012), in time and memory that follow
 the cells, not the grid.  Caps, each checked before its allocation: cell keys
-below 2^63, the cell cap, and int32 move tables.  The general cubical
-validation is the tests' oracle.
+below 2^63, the cell cap, and int32 move tables.  The growths read int32
+column-major faces, -1 where a growth found no cell; each face table is kept
+row-major, uint16 when the dimension below has at most 2^16 cells, and int32
+otherwise (``_face_dtype``).  The general cubical validation is the tests'
+oracle.
 """
 from __future__ import annotations
 
@@ -27,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .alphabets import circle_grid, product_alphabet
-from .complexes import (_INDEX_LIMIT, _KEY_LIMIT, CubicalComplex, _Stored, _is_prime,
-                        _key_dtype, _key_rows, _row_keys, cycle_complex)
+from .complexes import (_INDEX_LIMIT, _KEY_LIMIT, CubicalComplex, _face_dtype, _Stored,
+                        _is_prime, _key_dtype, _key_rows, _row_keys, cycle_complex)
 from .coindex import EquivariantMapCert
 from .errors import ResourceCapError, ShapeError
 from .homology import BettiVector, betti_numbers
@@ -253,7 +256,8 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
     move (x + e_t, M) are, so each dimension grows from the one below, its
     cells counted against the cell cap and the int32 limit of its move table
     (``_check_move_table``) before any of their tables exists.  Each
-    dimension keeps its keys and int32 faces only.
+    dimension keeps its keys and its faces only, the faces in the width
+    ``_face_dtype`` gives for the dimension below.
     """
     cap = DEFAULT_CELL_CAP if cell_cap is None else cell_cap
     q, n, D = spec.q, spec.n_circles, spec.n_axes
@@ -313,7 +317,7 @@ def build_approx(spec: TorusGridSpec, cell_cap: int | None = None) -> CubicalCom
             faces[d] = face  # column-major until the next growth has read it
     # beside the tables, each copy would set the build's peak
     for d in faces:
-        faces[d] = _Stored(np.ascontiguousarray(faces[d]))
+        faces[d] = _Stored(faces[d].astype(_face_dtype(len(keys[d - 1])), order="C"))
     return CubicalComplex._from_table(spec.p, keys, faces, action, witness, q=spec.q,
                                       n_axes=D, axis_map=axis_map)
 

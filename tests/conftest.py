@@ -990,7 +990,8 @@ def every_coboundary_low_matches_the_sort():
 @pytest.fixture(autouse=True, scope="session")
 def every_boundary_low_matches_the_row_max():
     """Every boundary's lows any test reads must equal the row-wise max of its
-    face table, value for value and in the same type."""
+    face table, value for value, and be int32, the rank engine's candidate
+    width, whether the face table is uint16 or int32."""
     from zpindex import homology
 
     fast = homology._boundary_lows
@@ -998,7 +999,7 @@ def every_boundary_low_matches_the_row_max():
     def checked(b):
         got = fast(b)
         want = b.complex.faces[b.d].max(axis=1)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1067,6 +1068,45 @@ def every_complex_holds_its_keys_in_the_width_of_their_bound():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CellComplex, "_set_cells", checked_set_cells)
+        mp.setattr(CellComplex, "_from_table", classmethod(checked_from_table))
+        yield
+
+
+def face_width(n_below: int) -> np.dtype:
+    """The width faces into a dimension of ``n_below`` cells are held in:
+    uint16 up to 2^16 cells, else int32."""
+    return np.dtype(np.uint16 if n_below <= 1 << 16 else np.int32)
+
+
+def assert_face_widths(c) -> None:
+    """Each face table of c has the width of the dimension below it."""
+    for d in c.faces:
+        below, table = c.n_cells(d - 1), c.faces.table(d)
+        assert table.dtype == face_width(below), (d, below, table.dtype)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_complex_holds_its_faces_in_the_width_of_their_bound():
+    """Every complex any test builds, with its faces found by closure
+    (``_find_faces``: word complexes and general simplicial and cubical
+    complexes) or given as tables known to be valid (``_from_table``: joins
+    and grown cubical complexes), must hold each face table in the width
+    the cell count of the dimension below gives."""
+    from zpindex.complexes import CellComplex
+
+    find_faces, from_table = CellComplex._find_faces, CellComplex._from_table.__func__
+
+    def checked_find_faces(self, rows):
+        find_faces(self, rows)
+        assert_face_widths(self)
+
+    def checked_from_table(cls, *args, **kwargs):
+        c = from_table(cls, *args, **kwargs)
+        assert_face_widths(c)
+        return c
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CellComplex, "_find_faces", checked_find_faces)
         mp.setattr(CellComplex, "_from_table", classmethod(checked_from_table))
         yield
 

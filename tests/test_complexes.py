@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     GeneralCubicalComplex,
     assert_same_complex,
+    face_width,
     general_join,
     held_arrays,
     projective_plane_6,
@@ -125,9 +126,25 @@ def test_join_freeness_is_conjunction():
 
 
 def test_face_closure_enforced():
-    with pytest.raises(ShapeError):
-        SimplicialComplex(3, {1: np.array([[0, 1]]), 2: np.array([[0, 1, 2]])},
-                          [1, 2, 0], 3)
+    # no action, so no action check refuses first.  One edge below the
+    # triangle, so its faces are uint16, where a missing face's -1 would read
+    # as 65535: it is refused before they are narrowed
+    with pytest.raises(ShapeError, match="face closure fails between dimensions 2 and 1"):
+        SimplicialComplex(3, {1: np.array([[0, 1]]), 2: np.array([[0, 1, 2]])}, None, 3)
+
+
+@pytest.mark.parametrize("n", [2**16, 2**16 + 1], ids=["uint16", "int32"])
+def test_faces_are_uint16_up_to_2_to_the_16_cells_below(n):
+    assert complexes._face_dtype(n) == (np.uint16 if n == 2**16 else np.int32)
+    # the general constructor and the join, each with n vertices below its edges
+    edge = SimplicialComplex(n, {1: np.array([[0, n - 1]])}, None, 3)
+    cone = join_complex(SimplicialComplex.discrete(n - 1, None, 3),
+                        SimplicialComplex.discrete(1, None, 3))
+    # face i of an edge drops its vertex i
+    for c, last in ((edge, [[n - 1, 0]]), (cone, [[n - 1, n - 2]])):
+        assert c.n_cells(0) == n and c.faces[1].dtype == complexes._face_dtype(n)
+        # the largest index, n - 1, is read back exactly: 65535 fits uint16
+        assert c.faces[1][-1:].tolist() == last
 
 
 def test_action_must_map_cells_to_cells():
@@ -552,7 +569,7 @@ def test_homology_counts_and_lookups_generate_no_top_keys(monkeypatch):
     assert joined._rows(2, [3, 5]).shape == (2, 3) and generated == [("at", 2)]
 
 
-# -- one table per cell: keys and int32 faces, rows decoded on read -----------------
+# -- one table per cell: keys and faces, rows decoded on read -----------------------
 
 
 def test_no_complex_stores_a_row_array():
@@ -567,14 +584,16 @@ def test_no_complex_stores_a_row_array():
     ]
     for c in built:
         assert "cells" not in vars(c)
-        # the only tables of more than one column are the faces, all int32
+        # the only tables of more than one column are the faces
         held = list(held_arrays(vars(c)))
         wide = {id(a) for a in held if a.ndim > 1}
         assert wide == {id(f) for f in c.faces.values()}
         # and every key table is held, one array, unless the join generates it
         assert all(isinstance(c.keys.table(d), complexes._JoinTop)
                    or any(a is c.keys[d] for a in held) for d in c.keys)
-        assert all(f.dtype == np.int32 and not f.flags.writeable for f in c.faces.values())
+        # each in the width of the dimension below it
+        assert all(c.faces.table(d).dtype == face_width(c.n_cells(d - 1))
+                   and not c.faces[d].flags.writeable for d in c.faces)
         for d in c.cells:  # decoded on each read, never kept
             rows = c.cells[d]
             assert rows.dtype == np.int32 and not rows.flags.writeable

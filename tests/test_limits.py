@@ -115,6 +115,9 @@ COMMAND_LADDERS = {
     "homology Sigma:m=1,p=7 --copies": (["homology", "--join-of", "Sigma:m=1,p=7"], "--copies",
                                         ["3", "4"],
                                         [None, "resource-cap"]),  # 2M triangles, then the cap
+    "homology Sigma:m=1,p=11 --copies": (["homology", "--join-of", "Sigma:m=1,p=11"], "--copies",
+                                         ["2", "3"],
+                                         [None, "resource-cap"]),  # the join cell cap
     "index Sigma:m=1,p=5 --copies": (["index", "--join-of", "Sigma:m=1,p=5"], "--copies",
                                      ["1000", "1000000"],
                                      [None, "resource-cap"]),  # the join factor cap
@@ -133,12 +136,16 @@ COMMAND_LADDERS = {
 # refused before their allocation and for answers whose tables set the peak
 # (an interpreter with numpy and zpindex.cli loaded takes about 32 MiB)
 STEP_PEAKS_MIB = {
-    # the 3-fold join of the period-7 set, 2M triangles: int32 faces only, read
-    # in cache-sized blocks by the checks, with the triangles' keys generated
-    # from the factors on read, take about 64 MiB, against 81 when the keys
-    # were stored and 150 when rows and int64 faces were stored too
-    "homology Sigma:m=1,p=7 --copies": {"3": 72},
-    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 64 MiB
+    # the 3-fold join of the period-7 set, 2M triangles on 47,628 edges: uint16
+    # faces only, read in cache-sized blocks by the checks, with the triangles'
+    # keys generated from the factors on read, take about 53 MiB, against 64
+    # with int32 faces, 81 when the keys were stored and 150 when rows and
+    # int64 faces were stored too
+    "homology Sigma:m=1,p=7 --copies": {"3": 60},
+    # the 2-fold join of the period-11 set, its edges' faces uint16 into its
+    # vertices: about 65 MiB, against 81 with int32 faces
+    "homology Sigma:m=1,p=11 --copies": {"2": 72},
+    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 53 MiB
     # 1,335,168 words at q = 128 take about 164 MiB, with no labels; 256 is refused
     "verify embed-1.5 p=3 --q": {"128": 190, "256": 40},
     # the benchmark torus, 372,880 cells, answers in about 45 MiB (47 with int64
@@ -211,7 +218,7 @@ print(cells, tracemalloc.get_traced_memory()[1])
 
 
 def test_torus_growth_tables_hold_only_the_slots_that_are_read():
-    # 372,880 cells keep about 8.3 MB of int32 keys and faces; the build peaked
+    # 372,880 cells keep about 7.9 MB of keys and faces; the build peaked
     # at 21.1 MB with tables dense over all five axes, 12.6 MB with int64 keys,
     # and takes about 10.9 MB
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
