@@ -12,6 +12,7 @@ from zpindex import (
     IndexReport,
     apply_certificate,
     betti_numbers,
+    betti_profile,
     build_approx,
     canonical_certificate_P2,
     separated_torus_spec,
@@ -30,7 +31,7 @@ print("p=2, q=8 approximation:", approx.cell_counts(), "free =", approx.is_free)
 print("reduced Betti over F_2:", betti_numbers(approx, 2).reduced,
       "-> one loop: an annulus")
 
-rep = stability_check(spec, 2)
+rep = stability_check(spec, betti_profile(spec, 2))
 print("stable under refinement to q=16:", rep.agree)
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,8 @@ print("coindex lower bound for the approximation:", bound.coind_lower)
 # Period 3 at two resolutions: the profile is reported as evidence at a
 # stated resolution, never as a homotopy-equivalence claim.
 # ---------------------------------------------------------------------------
-rep3 = stability_check(z_torus_spec(3, 8), 3)
+spec3 = z_torus_spec(3, 8)
+rep3 = stability_check(spec3, betti_profile(spec3, 3))
 print(f"\np=3 profiles: q=8 {rep3.coarse.reduced}, q=16 {rep3.fine.reduced},",
       f"agree = {rep3.agree}")
 

@@ -41,12 +41,11 @@ from .shiftspaces import (
     periodic_point_complex,
 )
 from .torusgrid import (
-    StabilityReport,
     TorusGridSpec,
-    betti_profile,
     build_approx,
     canonical_certificate_P2,
     separated_torus_spec,
+    stability_check,
     z_torus_spec,
 )
 from .verify import LEMMA_IDS, run_lemma_check
@@ -338,8 +337,7 @@ def _cmd_approx_z(args) -> tuple[dict, int]:
         f"reduced Betti numbers by exact column reduction over F_{field}",
     ]
     if args.stability:
-        rep = StabilityReport(spec, bv, betti_profile(spec.refined(), field, cell_cap=args.cap))
-        results["stability"] = rep.to_json()
+        results["stability"] = stability_check(spec, bv, cell_cap=args.cap).to_json()
         prov.append("stability: profiles at q and 2q compared, never merged")
     return _envelope(args, results, prov), 0
 

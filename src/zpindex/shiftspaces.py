@@ -137,21 +137,11 @@ class SubshiftSpec:
         index n, a tuple of index pairs.  A word passes when, in every clause,
         the letters at some pair meet the family's bar.  Separation asks the
         pair (n, n + m!) mod L; AdjacentGap asks one of (n-1, n) and (n, n+1)
-        mod L.  The search and ``satisfies`` read this list."""
+        mod L.  The search and the embedding suite read this list."""
         if isinstance(self.family, Separation):
             d = self.family.step
             return [((n, (n + d) % L),) for n in range(L)]
         return [(((n - 1) % L, n), (n, (n + 1) % L)) for n in range(L)]
-
-    def satisfies(self, w: CyclicWord) -> bool:
-        """Does every clause hold on the cyclic word?  Each pair is one read of
-        ``bar`` at its letter difference; no table is built, so no cap applies."""
-        if w.alphabet != self.alphabet:
-            raise ShapeError("word alphabet does not match the spec alphabet")
-        x = [self.alphabet.index(e) for e in w.letters]
-        diff, bar = self.alphabet.digitwise, self.bar
-        return all(any(bar[diff(operator.sub, x[a], x[b])] for a, b in c)
-                   for c in self.clauses(w.period))
 
     # -- enumeration -----------------------------------------------------------
 

@@ -348,17 +348,20 @@ class StabilityReport:
         }
 
 
-def stability_check(spec: TorusGridSpec, ell: int, cell_cap: int | None = None) -> StabilityReport:
-    """Betti profiles at q and 2q with a plain agree/disagree verdict.
+def stability_check(spec: TorusGridSpec, coarse: BettiVector,
+                    cell_cap: int | None = None) -> StabilityReport:
+    """The profile at q, ``coarse``, beside a fresh one at 2q over the same
+    field, with a plain agree/disagree verdict.
 
     Disagreement is reported as-is; profiles are never merged or averaged.
     """
-    return StabilityReport(spec, betti_profile(spec, ell, cell_cap=cell_cap),
-                           betti_profile(spec.refined(), ell, cell_cap=cell_cap))
+    return StabilityReport(spec, coarse,
+                           betti_profile(spec.refined(), coarse.field, cell_cap=cell_cap))
 
 
-def canonical_certificate_P2(q: int, target: CubicalComplex | None = None) -> EquivariantMapCert:
-    """The antipodal-circle certificate for the period-2 approximation.
+def canonical_certificate_P2(q: int, target: CubicalComplex) -> EquivariantMapCert:
+    """The antipodal-circle certificate into ``target``, the period-2
+    approximation at q.
 
     Domain: the q-cycle with the antipodal action (free, connected, one
     dimensional, so a genuine 1-model).  Vertex map: x -> (x, x + q/2).
@@ -367,8 +370,6 @@ def canonical_certificate_P2(q: int, target: CubicalComplex | None = None) -> Eq
     """
     if q < 8 or q % 4:
         raise ShapeError(f"certificate needs q >= 8 with 4 | q, got {q}")
-    if target is None:
-        target = build_approx(z_torus_spec(2, q))
     half = q // 2
     domain = cycle_complex(q, [(j + half) % q for j in range(q)], 2)
     vertex_map = tuple(target.vertex_index((x, (x + half) % q)) for x in range(q))

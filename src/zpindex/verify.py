@@ -13,9 +13,10 @@ exactly as the tuple-based public functions draw it, so a seed gives the
 same trials either way; then they evaluate the drawn trials together, as
 prefix sums on one padded row of letter indices per trial, in batches of
 at most 2^14 padded letters.  They build letter tuples only for a failure
-record.  The embedding suite embed-1.5 checks all
-period-p words at once, as rows of the search's word array, and writes out
-a word only for its first counterexample.
+record.  Suite 4.1 reads the period-p set as its word complex: the count
+is its vertex count, freeness its action check.  The embedding suite
+embed-1.5 checks all period-p words at once, as rows of the search's word
+array, and writes out a word only for its first counterexample.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .alphabets import Alphabet, circle_grid, product_alphabet
-from .complexes import SimplicialComplex, _check_copies, is_EnZp, join_power
+from .complexes import SimplicialComplex, _check_copies, _is_prime, is_EnZp, join_power
 from .coindex import (
     IndexReport,
     MapEvidence,
@@ -63,7 +64,6 @@ from .shiftspaces import (
     _word_action,
     mismatch_shift,
     neighbor_gap_shift,
-    orbit_decompose,
     periodic_point_complex,
 )
 
@@ -274,28 +274,32 @@ def check_section_containment(
 
 def check_periodic_finite(m: int, p: int) -> VerifyResult:
     """No fixed point; for a prime p coprime to m! the period-p set is a
-    nonempty finite free orbit set whose size matches the transfer count."""
+    nonempty finite free orbit set whose size matches the transfer count.
+    A p that is not prime is refused before anything is enumerated."""
+    if not _is_prime(p):
+        raise ShapeError(f"period must be prime, got {p}")
     spec = mismatch_shift(m)
     failures = []
-    fixed = spec.enumerate_periodic(1)
+    fixed = len(spec.periodic_words(1))
     if fixed:
-        failures.append({"check": "no fixed point", "got": len(fixed)})
-    words = spec.enumerate_periodic(p)
+        failures.append({"check": "no fixed point", "got": fixed})
+    points = periodic_point_complex(spec, p)
+    n = points.n_vertices
     count = spec.count_periodic(p)
-    if count != len(words):
+    if count != n:
         failures.append({"check": "count matches enumeration", "count": count,
-                         "enumerated": len(words)})
+                         "enumerated": n})
     if factorial(m) % p != 0:
-        if not words:
+        if not n:
             failures.append({"check": "nonempty", "p": p})
-        dec = orbit_decompose(words, p)
-        if not dec.free:
+        witness = points.free_witness()
+        if witness is not None:
             failures.append({"check": "free orbits",
-                             "witness": dec.witness.text() if dec.witness else None})
+                             "witness": points.vertex_label(witness[1][0])})
     return VerifyResult(
         "4.1", not failures, 3, len(failures),
         failures[0] if failures else None,
-        details={"m": m, "p": p, "period_p_points": len(words)},
+        details={"m": m, "p": p, "period_p_points": n},
     )
 
 

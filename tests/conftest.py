@@ -29,10 +29,11 @@ evaluated for all trials at once as prefix sums, and the word complex, the
 word texts, the pair embedding and the embedding suite on ``CyclicWord``
 objects (each word shifted as an object and looked up in a dict, each text
 written letter by letter, each image built from letter tuples and checked by
-``satisfies``) instead of the rows of the word array (one lexsort of the
+the clause oracle ``satisfies``, each orbit of suite 4.1 walked by
+``orbit_decompose``) instead of the rows of the word array (one lexsort of the
 rolled rows, one text per letter index, one index formula, one read of the bar
-per distinct letter difference), and the word action on rows as tuples, each
-rolled and looked up in a dict.
+per distinct letter difference, the word complex's action check), and the word
+action on rows as tuples, each rolled and looked up in a dict.
 """
 from __future__ import annotations
 
@@ -1177,6 +1178,18 @@ def parse_word(text: str):
     return CyclicWord(alphabet, tuple(alphabet.element(x) for x in body))
 
 
+def satisfies(spec, w) -> bool:
+    """The clause oracle: does every clause of ``spec.clauses`` hold on the
+    cyclic word?  Each pair is one read of ``spec.bar`` at its letter
+    difference; no table is built, so no cap applies."""
+    if w.alphabet != spec.alphabet:
+        raise ShapeError("word alphabet does not match the spec alphabet")
+    x = [spec.alphabet.index(e) for e in w.letters]
+    diff, bar = spec.alphabet.digitwise, spec.bar
+    return all(any(bar[diff(operator.sub, x[a], x[b])] for a, b in c)
+               for c in spec.clauses(w.period))
+
+
 def cyclic_word_complex(words, p: int):
     """A shift-closed list of period-p ``CyclicWord``s as a discrete complex
     with the shift action, vertices in list order: each word shifted as an
@@ -1209,8 +1222,8 @@ def tuple_pair_embed_cyclic(word):
 
 def cyclic_pair_embedding(p: int, q: int) -> dict:
     """The ``to_json()`` of verify suite embed-1.5, rerun word by word on
-    ``CyclicWord``s: the tuple stencil, ``SubshiftSpec.satisfies`` on each
-    image, and the image of the shifted word against the shifted image."""
+    ``CyclicWord``s: the tuple stencil, ``satisfies`` on each image, and the
+    image of the shifted word against the shifted image."""
     from zpindex.alphabets import circle_grid, product_alphabet
     from zpindex.coindex import IndexReport, MapEvidence, coindex_transport, exact_index_finite_free
     from zpindex.shiftspaces import Separation, SubshiftSpec, neighbor_gap_shift
@@ -1221,7 +1234,7 @@ def cyclic_pair_embedding(p: int, q: int) -> dict:
     failures, first = 0, None
     for w in words:
         img = tuple_pair_embed_cyclic(w)
-        ok_pred = target.satisfies(img)
+        ok_pred = satisfies(target, img)
         ok_eq = tuple_pair_embed_cyclic(w.shift(1)) == img.shift(1)
         if not (ok_pred and ok_eq):
             failures += 1
@@ -1237,6 +1250,36 @@ def cyclic_pair_embedding(p: int, q: int) -> dict:
            "details": {"p": p, "q": q, "words": len(words), "transported_coind_lower": transported}}
     if first is not None:
         doc["first_counterexample"] = first
+    return doc
+
+
+def cyclic_periodic_finite(m: int, p: int) -> dict:
+    """The ``to_json()`` of verify suite 4.1 on ``CyclicWord``s: the fixed
+    points and the period-p words enumerated as objects, and freeness from
+    their orbits walked by ``orbit_decompose``."""
+    from zpindex.shiftspaces import mismatch_shift, orbit_decompose
+
+    spec = mismatch_shift(m)
+    failures = []
+    fixed = spec.enumerate_periodic(1)
+    if fixed:
+        failures.append({"check": "no fixed point", "got": len(fixed)})
+    words = spec.enumerate_periodic(p)
+    count = spec.count_periodic(p)
+    if count != len(words):
+        failures.append({"check": "count matches enumeration", "count": count,
+                         "enumerated": len(words)})
+    if factorial(m) % p != 0:
+        if not words:
+            failures.append({"check": "nonempty", "p": p})
+        dec = orbit_decompose(words, p)
+        if not dec.free:
+            failures.append({"check": "free orbits",
+                             "witness": dec.witness.text() if dec.witness else None})
+    doc = {"lemma": "4.1", "passed": not failures, "trials": 3, "failures": len(failures),
+           "details": {"m": m, "p": p, "period_p_points": len(words)}}
+    if failures:
+        doc["first_counterexample"] = failures[0]
     return doc
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_sigma_words
+from conftest import brute_sigma_words, satisfies
 from zpindex.alphabets import circle_grid, cyclic_group, product_alphabet
 from zpindex.coindex import (
     EquivariantMapCert,
@@ -36,7 +36,7 @@ from zpindex.shiftspaces import (
     periodic_point_complex,
 )
 from zpindex.torusgrid import build_approx, canonical_certificate_P2, z_torus_spec
-from zpindex.verify import check_roundtrip, check_section_containment
+from zpindex.verify import check_pair_embedding, check_roundtrip, check_section_containment
 
 
 def _report(num: int, ok: bool, elapsed: float, cap: float, detail: str) -> None:
@@ -167,11 +167,13 @@ def test_criterion_8_embedding_transport():
     source = neighbor_gap_shift(circle, Fraction(1, 2))
     words = source.periodic_words(p)
     approx = build_approx(z_torus_spec(p, q))
-    ok = len(words) == approx.n_vertices > 0
+    suite = check_pair_embedding(p, q)
+    ok = suite.passed and suite.trials == len(words) == approx.n_vertices > 0
+    # cross-check of the suite's array path: the clause oracle, word by word
     pairs = product_alphabet(circle, circle)
     target = SubshiftSpec(pairs, Separation(1, Fraction(1, 2)))
     for row in pair_embed_rows(words, circle.order).tolist():
-        if not target.satisfies(CyclicWord(pairs, tuple(map(pairs.unindex, row)))):
+        if not satisfies(target, CyclicWord(pairs, tuple(map(pairs.unindex, row)))):
             ok = False
             break
     src_report = exact_index_finite_free(periodic_point_complex(source, p))
@@ -179,6 +181,7 @@ def test_criterion_8_embedding_transport():
         MapEvidence.pair_embedding(), src_report, IndexReport.nonempty_free(p)
     )
     ok = ok and moved.coind_lower >= 0
+    ok = ok and suite.details["transported_coind_lower"] == moved.coind_lower
     _report(
         8, ok, time.monotonic() - t0, 60,
         f"{len(words)} period-{p} grid words all embed; transported bound "

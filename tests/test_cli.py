@@ -579,6 +579,18 @@ def test_composite_period_is_a_shape_error(capsys):
     assert "results" not in doc
 
 
+@pytest.mark.parametrize("p", ["9", "1"])
+def test_lemma_4_1_refuses_a_period_that_is_not_prime(capsys, monkeypatch, p):
+    # --p 9 once reported the period-3 word [0,1,2,0,1,2,0,1,2] as a counterexample
+    def refused(self, *args, **kwargs):
+        raise AssertionError("the period-p set was enumerated or counted")
+
+    monkeypatch.setattr(SubshiftSpec, "periodic_words", refused)
+    monkeypatch.setattr(SubshiftSpec, "count_periodic", refused)
+    code, doc = run(capsys, "verify-lemma", "--id", "4.1", "--m", "2", "--p", p)
+    assert code == 1 and doc["error"] == {"type": "shape", "reason": f"period must be prime, got {p}"}
+
+
 @pytest.mark.parametrize("lemma,m", [("3.1", "1"), ("3.2", "0"), ("3.1", "-1")])
 def test_section_suites_below_level_two_are_shape_errors(capsys, lemma, m):
     code, doc = run(capsys, "verify-lemma", "--id", lemma, "--m", m, "--alphabet", "Z3",

@@ -10,6 +10,7 @@ from conftest import (
     cyclic_pair_embedding,
     letter_sub,
     list_section_trial,
+    satisfies,
     tuple_block_sum_step,
     tuple_pair_embed_cyclic,
     tuple_section_apply,
@@ -202,7 +203,7 @@ def test_pair_embed_cyclic_transport():
     img = pair_embed_rows(words, S8.order)
     assert np.array_equal(pair_embed_rows(np.roll(words, -1, axis=1), S8.order), np.roll(img, -1, axis=1))
     for row in img.tolist():
-        assert target.satisfies(CyclicWord(pairs, tuple(map(pairs.unindex, row))))
+        assert satisfies(target, CyclicWord(pairs, tuple(map(pairs.unindex, row))))
 
 
 def test_pair_embed_cyclic_injective_on_fixed_period():

@@ -11,9 +11,11 @@ from conftest import (
     brute_separated_words,
     brute_sigma_words,
     brute_z_words,
+    cyclic_periodic_finite,
     gap_ok,
     int_matrix_trace_power,
     parse_word,
+    satisfies,
 )
 from zpindex import shiftspaces
 from zpindex.alphabets import Alphabet, circle_grid, cyclic_group, parse_alphabet
@@ -29,6 +31,7 @@ from zpindex.shiftspaces import (
     periodic_point_complex,
 )
 from zpindex.torusgrid import build_approx, separated_torus_spec
+from zpindex.verify import check_periodic_finite
 
 Z3 = cyclic_group(3)
 S8 = circle_grid(8)
@@ -46,10 +49,10 @@ def w8(*letters):
 
 
 def test_satisfies_examples():
-    assert SIGMA1.satisfies(w3(0, 1, 2))
-    assert not SIGMA1.satisfies(w3(0, 0, 1))
-    assert ZQ8.satisfies(w8(0, 4))  # gap 1 >= 1/2
-    assert not ZQ8.satisfies(w8(0, 1))  # gap 1/4
+    assert satisfies(SIGMA1, w3(0, 1, 2))
+    assert not satisfies(SIGMA1, w3(0, 0, 1))
+    assert satisfies(ZQ8, w8(0, 4))  # gap 1 >= 1/2
+    assert not satisfies(ZQ8, w8(0, 1))  # gap 1/4
 
 
 def test_clauses_state_each_family_once_per_index():
@@ -80,7 +83,7 @@ def test_satisfies_matches_the_brute_predicates_on_every_word(spec, periods, bru
     for L in periods:
         want = set(brute(L))
         for w in product(range(q), repeat=L):
-            assert spec.satisfies(CyclicWord(spec.alphabet, tuple((x,) for x in w))) == (w in want)
+            assert satisfies(spec, CyclicWord(spec.alphabet, tuple((x,) for x in w))) == (w in want)
 
 
 def test_shift_examples():
@@ -102,7 +105,7 @@ def test_shift_invariance_of_satisfies():
             if w.alphabet != spec.alphabet:
                 continue
             for k in range(w.period):
-                assert spec.satisfies(w) == spec.satisfies(w.shift(k))
+                assert satisfies(spec, w) == satisfies(spec, w.shift(k))
 
 
 def test_enumerate_sigma1():
@@ -217,7 +220,7 @@ def test_word_text_roundtrip():
 
 def test_alphabet_mismatch_is_shape_error():
     with pytest.raises(ShapeError):
-        SIGMA1.satisfies(w8(0, 4))
+        satisfies(SIGMA1, w8(0, 4))
 
 
 def test_node_cap():
@@ -296,8 +299,8 @@ def test_spec_validation():
 
 def test_antipodal_family():
     y = neighbor_gap_shift(S8, Fraction(1), exact=True)
-    assert y.satisfies(w8(0, 4))
-    assert not y.satisfies(w8(0, 3))  # gap 3/4 is not exactly 1
+    assert satisfies(y, w8(0, 4))
+    assert not satisfies(y, w8(0, 3))  # gap 3/4 is not exactly 1
     got = {tuple(x[0] for x in w.letters) for w in y.enumerate_periodic(2)}
     assert got == {(i, (i + 4) % 8) for i in range(8)}
 
@@ -310,6 +313,28 @@ def test_periodic_point_complex():
     # the action is the shift on the labels
     w = parse_word(c.labels[0])
     assert parse_word(c.labels[int(c.action[0])]) == w.shift(1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_lemma_4_1_on_the_word_complex_matches_the_cyclic_word_orbits(m):
+    # the primes dividing m! (2 from m = 2 on, 3 from m = 3 on) have no period-p point
+    for p in (2, 3, 5, 7, 11, 13):
+        got = check_periodic_finite(m, p)
+        assert got.to_json() == cyclic_periodic_finite(m, p), (m, p)
+        assert got.passed
+
+
+def test_lemma_4_1_names_the_least_fixed_word_as_the_orbit_walk_does(monkeypatch):
+    # every word of Z3 admitted at period 3: the three constant words are fixed by the shift
+    words = SubshiftSpec.periodic_words
+    full = np.array(list(product(range(3), repeat=3)), dtype=np.uint8)
+    monkeypatch.setattr(SubshiftSpec, "periodic_words",
+                        lambda self, p, *a: full if p == 3 else words(self, p, *a))
+    monkeypatch.setattr(SubshiftSpec, "count_periodic", lambda self, p: 27)
+    got = check_periodic_finite(2, 3).to_json()
+    assert got == cyclic_periodic_finite(2, 3)
+    assert got["first_counterexample"] == {"check": "free orbits", "witness": "Z3:[0,0,0]"}
+    assert not got["passed"] and got["failures"] == 1
 
 
 def test_word_complex_refuses_a_set_that_is_not_shift_closed():
@@ -349,13 +374,13 @@ def test_satisfies_reads_the_bar_and_no_pair_table(monkeypatch):
 
     monkeypatch.setattr(SubshiftSpec, "pair_table", property(refused))
     monkeypatch.setattr(Alphabet, "all_elements", refused)
-    assert spec.satisfies(CyclicWord(spec.alphabet, ((0, 0), (16, 0), (32, 63))))
-    assert not spec.satisfies(CyclicWord(spec.alphabet, ((0, 0), (15, 49), (32, 0))))
+    assert satisfies(spec, CyclicWord(spec.alphabet, ((0, 0), (16, 0), (32, 63))))
+    assert not satisfies(spec, CyclicWord(spec.alphabet, ((0, 0), (15, 49), (32, 0))))
     rng = random.Random(0)
     for _ in range(200):
         L = rng.randrange(1, 6)
         w = CyclicWord(spec.alphabet, tuple((rng.randrange(64), rng.randrange(64)) for _ in range(L)))
-        assert spec.satisfies(w) == all(gap_ok(spec, w[n], w[n + 1]) for n in range(L))
+        assert satisfies(spec, w) == all(gap_ok(spec, w[n], w[n + 1]) for n in range(L))
 
 
 PAIR_SPECS = [

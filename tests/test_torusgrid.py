@@ -75,7 +75,8 @@ def test_annulus_profile_and_stability():
     for q in (8, 16):
         bv = betti_profile(z_torus_spec(2, q), 2)
         assert bv.reduced == (0, 1, 0)
-    rep = stability_check(z_torus_spec(2, 8), 2)
+    spec = z_torus_spec(2, 8)
+    rep = stability_check(spec, betti_profile(spec, 2))
     assert rep.agree and rep.coarse.reduced == rep.fine.reduced == (0, 1, 0)
 
 
@@ -85,9 +86,10 @@ def test_annulus_cross_checked_by_dense_elimination():
 
 
 def test_p3_profile_frozen_and_stability_recorded():
-    bv = betti_profile(z_torus_spec(3, 8), 3)
+    spec = z_torus_spec(3, 8)
+    bv = betti_profile(spec, 3)
     assert bv.reduced == (0, 3, 2, 0)  # frozen from an independent dense-elimination run
-    rep = stability_check(z_torus_spec(3, 8), 3)
+    rep = stability_check(spec, bv)
     assert rep.coarse.reduced == (0, 3, 2, 0)
     assert isinstance(rep.agree, bool)
     assert len(rep.fine.reduced) == 4
@@ -254,8 +256,8 @@ def test_canonical_certificate_accepted():
 
 
 def test_certificate_rebuilds_deterministically():
-    cert = canonical_certificate_P2(8)  # builds its own copy of the target
-    target = build_approx(z_torus_spec(2, 8))
+    cert = canonical_certificate_P2(8, target=build_approx(z_torus_spec(2, 8)))
+    target = build_approx(z_torus_spec(2, 8))  # a second copy, built afresh
     assert verify_certificate(cert, target).accepted
 
 
