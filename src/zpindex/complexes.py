@@ -1,58 +1,39 @@
 """Finite complexes with a prime-order action by cell permutations.
 
-Both kinds of complex share one cell table.  A k-cell is an integer row:
-sorted vertex ids for a simplex, (base corner, extent mask) on a periodic
-grid for a cube.  Each row has one mixed-radix key (radix n_vertices per
-vertex slot; q per base coordinate and 2^D for the mask), and the key is a
-cell's only identity.  A table's keys are int32 when the product of its
-radices, which bounds them, is at most 2^31, and int64 otherwise.  Per
-dimension, the keys, sorted (the rows' lexicographic order), and the faces,
-indices into the dimension below, are each a ``_Table``, stored as a
-read-only array or generated on each read (a join's top keys; the rows,
-decoded from the keys).  Faces are uint16 when the dimension below has at
-most 2^16 cells, and int32 otherwise (``_face_dtype``).  Every
-reader goes through a table: ``take`` for all rows or a few, ``blocks`` for
-cache-sized blocks, ``search`` for a binary search among keys; no table can
-be replaced after validation.  Keys that would reach 2^63 are refused,
-never wrapped, and so is a dimension of 2^31 or more cells, which the
-widest faces, int32, cannot index, before anything is allocated.
+A k-cell is an integer row: sorted vertex ids for a simplex, (base corner,
+extent mask) on a periodic grid for a cube.  Its one identity is the
+row's mixed-radix key (radix n_vertices per vertex slot; q per base
+coordinate and 2^D for the mask).  Per dimension, the sorted keys and the
+faces, indices into the dimension below, are each a ``_Table``: stored
+read-only or generated on each read (a join's top keys and faces; rows,
+decoded from keys), and read only through ``take``, ``blocks`` and
+``search``.  Keys are int32 when the product of their radices is at most
+2^31, else int64; faces are uint16 when the dimension below has at most
+2^16 cells, else int32 (``_face_dtype``).  Keys that would reach 2^63 and
+dimensions of 2^31 or more cells are refused before anything is allocated.
 
-Validation of given simplices checks that the group order p is prime,
-that the action is a permutation of exact order p mapping cells to cells,
-and face closure.  Closure finds every face of every cell once and keeps
-the face indices with their sign pattern, which is all boundary assembly
-needs.  A setwise-invariant cell, found during the action check, is
-reported as a freeness counterexample.  ``torusgrid.build_approx`` grows
-cubical tables one dimension from the one below, searching only among
-their vertices, and the general cubical validation (keys, binary-search
-face lookup, per-cell action images) is the oracle that
-the tests compare it with.  ``_check_boundary_square`` proves that the
-boundary squares to zero from the stored faces alone: each kind of
-complex names which face of a face equals which (the simplicial identities
-d_i d_j = d_{j-1} d_i for i < j, and their cubical analogue), and the
-shared check tests those integer-array equalities, that the named pairs
-match up every face of a face exactly once with opposite signs, and that
-the edge signs sum to zero.  It reads the face table block by block,
-gathering each block's faces of faces once for all pairs.  Together
-these give boundary o boundary = 0 and augmentation o boundary = 0 over the
-integers, hence over every field.
+Validation of given cells checks that p is prime, that the action is a
+permutation of exact order p mapping cells to cells (a setwise-invariant
+cell is the freeness witness), and face closure, which keeps the face
+indices with their signs.  ``torusgrid.build_approx`` grows cubical tables
+one dimension from the one below; the general cubical validation is the
+tests' oracle for it.  ``_check_boundary_square`` proves boundary o
+boundary = 0 and augmentation o boundary = 0 over the integers from the
+faces alone, by the face identities each kind of complex names (d_i d_j =
+d_{j-1} d_i for i < j, and their cubical analogue), read block by block.
 
-Joins are implemented for simplicial complexes.  The N vertices of A*B
-are those of A followed by those of B, and a cell is a pair (sigma, tau)
-of a cell of each side, either of which may be empty.  The join is built
-from its validated factors' keys and faces without searching: the row of
-(sigma, tau) is sigma followed by tau shifted past A's vertices, so its
-radix-N key is key(sigma) * N^|tau| + key(tau + |V(A)|); its faces are
-(d_i sigma, tau) and then (sigma, d_j tau), the Leibniz rule for joins; and
-it is setwise fixed exactly when sigma and tau are (an empty side counts as
-fixed).  Each split (dim sigma, dim tau) of a dimension is already in key
-order; one stable argsort of the keys merges the splits.  The top dimension
-is the one split (top of A, top of B), so its keys are that formula,
-generated on read, never stored; homology reads faces and counts only and
-never generates them.  ``join_power`` checks the caps for a whole k-fold
-join before it folds the copies.  A join of discrete complexes remembers
-its factor sizes, which is the one structural situation where high
-connectivity is a theorem rather than homological evidence.
+Joins are simplicial.  The N vertices of A*B are those of A, then B's, and
+a cell is a pair (sigma, tau), either side possibly empty: its key is
+key(sigma) * N^|tau| + key(tau + |V(A)|), its faces (d_i sigma, tau) and
+then (sigma, d_j tau), the Leibniz rule, and it is fixed exactly when both
+sides are.  The join is built from its factors' tables without searching:
+each split (dim sigma, dim tau) is in key order, and one stable argsort
+merges a dimension's splits.  The top dimension is the one split (top A,
+top B), so its keys and faces follow from the factors' and are generated
+on read, never stored: the implicit representation of Ripser (Bauer, J.
+Appl. Comput. Topol. 2021).  ``join_power`` checks the caps for a whole
+k-fold join first.  A join of discrete complexes remembers its factor
+sizes: there high connectivity is a theorem, not homological evidence.
 """
 from __future__ import annotations
 
@@ -163,9 +144,9 @@ class _Table:
     """One dimension of a complex: a sorted key per cell (in the width
     ``_key_dtype`` gives for its radices), a row of face indices per cell (in
     the width ``_face_dtype`` gives for the dimension below), or the cells'
-    rows.  ``_Stored`` holds it in one read-only array; ``_JoinTop`` (a
-    join's top keys) and ``_Decoded`` (rows from keys) generate it on every
-    read and keep nothing.
+    rows.  ``_Stored`` holds it in one read-only array; ``_JoinTop`` and
+    ``_JoinFaces`` (a join's top keys and faces) and ``_Decoded`` (rows from
+    keys) generate it on every read, read-only, and keep nothing.
 
     Each is read the same way: ``take(at)``, the rows at the indices or
     slice ``at`` (all of them when None), ``blocks(width)`` and, for keys,
@@ -246,6 +227,56 @@ class _JoinTop(_Table):
         return np.where((i >= 0) & (j >= 0), i * len(self.inner) + j, -1)
 
 
+class _JoinFaces(_Table):
+    """The faces of a join's top dimension, generated on every read, never kept.
+
+    Cell i * len(fb) + j of ``_JoinTop``, (sigma_i, tau_j), has the faces
+    (d_k sigma_i, tau_j), ``left[fa[i, k], j]``, then (sigma_i, d_k tau_j),
+    ``right[i, fb[j, k]]``: fa and fb are the factors' top faces, and left
+    and right the positions of the splits (top A - 1, top B) and (top A, top
+    B - 1) in the dimension below, in its face width.  A block is whole rows
+    i: a row gather of left per slot of sigma, a column gather of right per
+    slot of tau."""
+
+    __slots__ = ("fa", "fb", "left", "right", "dtype")
+
+    def __init__(self, fa: np.ndarray, fb: np.ndarray, left: np.ndarray, right: np.ndarray):
+        for part in (fa, fb, left, right):
+            part.setflags(write=False)
+        self.fa, self.fb, self.left, self.right, self.dtype = fa, fb, left, right, left.dtype
+
+    def __len__(self) -> int:
+        return len(self.fa) * len(self.fb)
+
+    def _outer_rows(self, i0: int, i1: int) -> np.ndarray:
+        """The faces of cells i0 * len(fb) up to i1 * len(fb), read-only."""
+        k = self.fa.shape[1]
+        out = np.empty((i1 - i0, len(self.fb), k + self.fb.shape[1]), dtype=self.dtype)
+        for slot in range(k):
+            out[:, :, slot] = self.left[self.fa[i0:i1, slot]]
+        for slot in range(self.fb.shape[1]):
+            out[:, :, k + slot] = np.take(self.right[i0:i1], self.fb[:, slot], axis=1)
+        out = out.reshape(-1, out.shape[2])
+        out.setflags(write=False)
+        return out
+
+    def take(self, at=None) -> np.ndarray:
+        if at is None:
+            return self._outer_rows(0, len(self.fa))
+        if isinstance(at, slice):
+            at = np.arange(*at.indices(len(self)))
+        i, j = np.divmod(np.asarray(at, dtype=np.int64), len(self.fb))
+        rows = np.concatenate([self.left[self.fa[i], j[..., None]],
+                               self.right[i[..., None], self.fb[j]]], axis=-1)
+        rows.setflags(write=False)
+        return rows
+
+    def blocks(self, width: int):
+        nb, na = len(self.fb), len(self.fa)
+        step = max(1, _BLOCK_ENTRIES // width // nb)
+        return ((i * nb, self._outer_rows(i, min(i + step, na))) for i in range(0, na, step))
+
+
 class _Decoded(_Table):
     """The int32 rows of a key table, decoded from the keys, digit by digit,
     on every read and returned read-only; nothing is kept."""
@@ -266,9 +297,8 @@ class _Decoded(_Table):
 
 class _Tables(Mapping):
     """A complex's keys, faces or cells, one ``_Table`` per dimension, read-only:
-    ``[d]`` is dimension d's whole array (generated on the read where its
-    table is generated), and ``table(d)`` the table itself, for sizes,
-    reads of a few rows, blocks and searches that never form the whole."""
+    ``[d]`` is dimension d's whole array (generated on each read where its
+    table is), and ``table(d)`` the table itself, for reads that never form it."""
 
     __slots__ = ("_tables",)
 
@@ -307,8 +337,7 @@ class CellComplex:
     each d-cell) and calls ``_finish`` with the rows ``_set_cells`` returned.
 
     ``keys``, ``faces`` and ``cells`` map each dimension to its whole table
-    (``_Tables``).  ``faces[d]`` is an (n_d, k) array in the width
-    ``_face_dtype`` gives for n_{d-1}, uint16 or int32: entry (j, i) is the
+    (``_Tables``).  ``faces[d]`` is an (n_d, k) array: entry (j, i) is the
     index among the (d-1)-cells of the i-th face of d-cell j, whose boundary
     coefficient is ``face_signs[d][i]``.  Once set, ``keys``, ``faces`` and
     ``face_signs`` are never rebound.
@@ -436,17 +465,14 @@ class CellComplex:
 
     def _check_boundary_square(self) -> None:
         """Refuse with ShapeError unless boundary o boundary = 0 and the
-        augmentation o boundary = 0, exactly, for the stored faces and signs.
+        augmentation o boundary = 0, exactly, for the faces and signs.
 
         Face i2 of face i of a d-cell enters the double boundary with sign
         face_signs[d][i] * face_signs[d-1][i2].  When the pairs of
         ``_face_pairs(d)`` cover every (i, i2) exactly once, give equal
         face-of-face indices and opposite signs, all terms cancel.  The
-        matching and the signs are checked first; then the d-cells' faces are
-        read one block at a time (``_Table.blocks``): the block's faces of
-        faces are gathered once and every pair is compared on them.  A pair
-        that fails in any block is named after the last block, the first
-        such pair in ``_face_pairs(d)`` order.
+        faces of faces are gathered once a block; a failing pair is named
+        after the last block, the first in ``_face_pairs(d)`` order.
         """
         if 1 in self.faces and sum(self.face_signs[1]):
             raise ShapeError("augmentation composed with the edge boundary is nonzero")
@@ -783,11 +809,11 @@ class _JoinSide:
 
     Dimension -1 holds the empty cell (key 0), which a join cell may take on
     either side.  Each vertex has the empty cell as its only face, index 0.
-    Each dimension's keys are read once (a factor that is itself a join
-    generates its top dimension here) and decoded once: the rows shifted past
-    the vertices before this side give its radix-n keys, in the width of
-    their own bound n^(d+1), and their action images give ``fixed[d]``, the
-    d-cells fixed setwise (the empty cell is fixed).
+    Each dimension's keys and faces are read once (a factor that is itself a
+    join generates its top dimension's here) and the keys decoded once: the
+    rows shifted past the vertices before this side give its radix-n keys,
+    in the width of their own bound n^(d+1), and their action images give
+    ``fixed[d]``, the d-cells fixed setwise (the empty cell is fixed).
     """
 
     def __init__(self, f: SimplicialComplex, shift: int, n: int, with_action: bool):
@@ -797,7 +823,7 @@ class _JoinSide:
         for d, key in f.keys.items():
             rows = _key_rows(key, f._radices(d))
             self.keys[d] = _row_keys(rows + shift, [n] * (d + 1))
-            self.faces[d] = f.faces[d] if d else np.zeros((len(key), 1), dtype=np.int32)
+            self.faces[d] = f.faces[d] if d else np.zeros((len(key), 1), dtype=_face_dtype(1))
             if with_action:
                 self.fixed[d] = f._image_keys(d, rows) == key
 
@@ -811,7 +837,8 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     allocated, as is each dimension's count against the int32 face limit.
     Keys, faces and the freeness witness are computed from the factors'
     tables, with no lookup among the join's cells (see the module docstring).
-    The top dimension stores its faces only: its keys are a ``_JoinTop``.
+    The top dimension stores nothing: its keys are a ``_JoinTop`` and its
+    faces a ``_JoinFaces``, generated from the factors' on each read.
     """
     if a.p != b.p:
         raise ShapeError(f"cannot join complexes over different primes {a.p} and {b.p}")
@@ -837,7 +864,7 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
     # per split (dim sigma, dim tau) of the previous dimension: the sorted
     # position of each of its cells, as an (n_sigma, n_tau) array
     place: dict[tuple[int, int], np.ndarray] = {}
-    for d in range(top + 1):
+    for d in range(top):
         bounds = np.cumsum([0] + [ns * nt for ns, nt in shapes[d]]).tolist()
         blocks = list(zip(splits[d], shapes[d], bounds, bounds[1:]))
         if d:
@@ -848,15 +875,6 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
                     block[:, :, i] = place[s - 1, t][left.faces[s][:, i]]
                 for j in range(t + 1):  # (sigma, d_j tau)
                     block[:, :, s + 1 + j] = place[s, t - 1][:, right.faces[t][:, j]]
-        if d == top:
-            # one split, (top of A, top of B), already in key order, so its keys
-            # are generated from the factors' on read and no position table is
-            # needed.  Nor can it hold the first fixed cell: if sigma and tau
-            # are both fixed, so is (sigma, empty), a cell of lower dimension.
-            keys[d] = _JoinTop(left.keys[a.dim], right.keys[b.dim], n ** (b.dim + 1),
-                               _key_dtype([n] * (d + 1)))
-            faces[d] = _Stored(face)
-            break
         # formed in the width of this dimension's bound, which may be wider than the splits'
         width = _key_dtype([n] * (d + 1))
         key = np.empty(bounds[-1], dtype=width)
@@ -873,8 +891,8 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
         key, fixed = key[order], fixed[order]
         if d:
             face = face[order]
-        pos = np.empty(len(order), dtype=np.int32)
-        pos[order] = np.arange(len(order), dtype=np.int32)
+        pos = np.empty(len(order), dtype=_face_dtype(len(order)))
+        pos[order] = np.arange(len(order), dtype=pos.dtype)
         hits = np.flatnonzero(fixed) if has_action and witness is None else ()
         if len(hits):
             witness = (d, tuple(_key_rows(key[hits[:1]], [n] * (d + 1))[0].tolist()))
@@ -882,6 +900,14 @@ def join_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComple
         keys[d] = _Stored(key)
         if d:
             faces[d] = _Stored(face)
+    # the top dimension is one split, (top of A, top of B), already in key
+    # order, so its keys and faces are generated from the factors' on read.
+    # Nor can it hold the first fixed cell: if sigma and tau are both fixed,
+    # so is (sigma, empty), a cell of lower dimension.
+    keys[top] = _JoinTop(left.keys[a.dim], right.keys[b.dim], n ** (b.dim + 1),
+                         _key_dtype([n] * (top + 1)))
+    faces[top] = _JoinFaces(left.faces[a.dim], right.faces[b.dim],
+                            place[a.dim - 1, b.dim], place[a.dim, b.dim - 1])
     labels = a.labels + b.labels if a.labels is not None and b.labels is not None else None
     jf = None
     if a.join_factors is not None and b.join_factors is not None:

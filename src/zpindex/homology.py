@@ -1,79 +1,53 @@
 """Reduced Betti numbers over a prime field by exact boundary-matrix ranks.
 
-The boundary leaving dimension d of a simplicial or cubical complex is its
-face table: column j lists the faces of d-cell j that validation found,
-with the dimension's sign pattern.  A boundary (``_Boundary``) is only the
-complex and d; it reads the faces through the table's ``take`` and
-``blocks``, and the tables are read-only, so what is reduced is what was
-checked.  ``ChainComplexFp`` takes only the boundaries of one complex and
-checks boundary o boundary = 0 and augmentation o boundary = 0 by the
-complex's face identities (``_check_boundary_square``), which give zero
-over the integers without forming any product.
+The boundary leaving dimension d is the complex's face table with the
+dimension's sign pattern.  A ``_Boundary`` is only (complex, d) and reads
+the read-only table through ``take`` and ``blocks``, so what is reduced is
+what was validated.  ``ChainComplexFp`` checks boundary o boundary = 0 and
+augmentation o boundary = 0 by the complex's face identities
+(``_check_boundary_square``), without forming any product.
 
-rank(boundary_d) is the number of pivot rows ("lows", largest rows of the
-reduced columns) of one of two matrices, reduced from the smaller end of
-the complex: down from the top dimension when it has fewer cells than
-dimension 0, otherwise up from dimension 0 (ties go up).  The first matrix
-reduced has (almost) nothing cleared, so its end should be the smaller.
+rank(boundary_d) is the number of pivot rows ("lows") of one of two
+matrices, reduced from the smaller end of the complex, since the first
+matrix reduced has nothing cleared:
 
-* Down.  The boundary itself: its column j is face-table row j, whose low
-  is its largest face, a running maximum over the face slots of each block
-  of the table; no transpose is formed.  Ranks go from the top down.  A
-  d-cell that was a low of the reduced boundary_{d+1} is the largest entry
-  of a boundary, which boundary_d kills; so its column is a combination of
-  the columns of smaller d-cells and is skipped unread.  Nothing is
-  cleared at the top.
-* Up.  The coboundary delta^{d-1} = boundary_d^T, whose column i lists the
-  cofaces of (d-1)-cell i.  Its low is the largest d-cell with i as a
-  face, found by one ``np.maximum.at`` per face slot over each
-  cache-sized block of the face table; the transpose itself is built, by
-  one stable sort of the whole table, only when some live column collides.
-  Ranks go from dimension 0 up.  A (d-1)-cell that was a low of the
-  reduced delta^{d-2} is cleared the same way; for d = 1 the
-  augmentation's all-ones coboundary clears the last vertex.
+* Down, when the top dimension has fewer cells than dimension 0: the
+  boundary itself.  Column j is face-table row j, and its low its largest
+  face, a running maximum over the face slots of each block.
+* Up, otherwise (ties go up): the coboundary delta^{d-1} = boundary_d^T.
+  The low of column i is the largest d-cell with face i, by one
+  ``np.maximum.at`` per face slot of each block; the transpose is built,
+  by one stable sort of the whole table, only when a live column collides.
 
-Both directions then share one tail, with the coefficients mod ell in the
-narrowest signed type that holds ell - 1 (a larger ell is refused):
+Then, in both directions:
 
-* Clearing.  The cleared columns are the pivot rows of the matrix reduced
-  just before, an int32 array kept only until this reduction has read it;
-  each rank is remembered as a count.
-* Apparent pivots.  Of the remaining columns, every one whose low no
-  other column shares is a pivot as it stands; columns with distinct lows
-  are independent.  This is found in numpy, without a Python loop: by
-  counting every possible low when they are few against the columns, else
-  by sorting the lows (``_apparent``).  The candidate columns and their
-  lows are int32, as no dimension holds 2^31 cells.  The apparent columns
-  are kept in one int32 array indexed by low, -1 where none owns it.
-* Fallback.  Only the columns that share a low are reduced, by a column
-  reduction that keeps one normalized pivot column per pivot row.  A low
-  owned by an apparent column is served by normalizing that column on
-  first use.  It reads each column through one accessor: going down, a
-  face-table row with the dimension's sign list, normalized at its low by
-  a sign list precomputed per face slot; going up, a slice of the
-  transpose.  The working column is a dict of its entries plus a max-heap
-  of its rows with lazy deletion, the working-column scheme of Ripser
-  (Bauer, J. Appl. Comput. Topol. 2021, arXiv:1908.02518): a row is pushed
-  when it enters the dict, an entry that cancels stays in the heap, and a
-  heap top no longer in the dict is popped as stale.  The low is then the
-  heap top, found without scanning the column.
+* Clearing (Chen & Kerber, EuroCG 2011; de Silva, Morozov &
+  Vejdemo-Johansson, Inverse Problems 2011).  The pivot rows of the matrix
+  reduced just before are columns of this one that need no reduction; they
+  are kept, int32, only until read.  Going up, the augmentation's all-ones
+  coboundary clears the last vertex for d = 1.
+* Apparent pivots.  A live column whose low no other column shares is a
+  pivot as it stands; ``_apparent`` finds them in numpy, by counting or by
+  sorting the int32 lows.
+* Fallback.  Only the columns that share a low are reduced, keeping one
+  normalized pivot column per pivot row, read through one accessor per
+  direction.  The working column is a dict of its entries plus a max-heap
+  of its rows with lazy deletion, whose live top is the low (Ripser:
+  Bauer, J. Appl. Comput. Topol. 2021, arXiv:1908.02518).
 
-Clearing works in both directions (Chen & Kerber, "Persistent homology
-computation with a twist", EuroCG 2011; de Silva, Morozov &
-Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
-Problems 2011).  ``ChainComplexFp.rank_order`` gives the order in which
-each rank(d) reduces one matrix, and ``reduction_counts[d]`` describes the
-matrix reduced for rank d, whichever direction that was.
-
-The rank is the number of pivot rows.  All arithmetic is exact over F_ell:
-no floating point, no randomization.  The augmentation to the ground field
-is the implicit dimension-0 boundary, so all Betti numbers are reduced.
+Coefficients are mod ell in the narrowest signed type that holds ell - 1;
+all arithmetic is exact, with no floating point and no randomization.
+``ChainComplexFp.rank_order`` gives the order in which each rank(d)
+reduces one matrix, and ``reduction_counts[d]`` describes that matrix.
+The augmentation is the implicit dimension-0 boundary, so the Betti
+numbers are reduced.  A join of finite sets is checked against Kuenneth
+(``betti_numbers``); other complexes have no independent check here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import prod
 
 import numpy as np
 
@@ -111,8 +85,8 @@ class _Boundary:
     """The boundary leaving dimension d of a complex: column j has the rows
     of row j of the complex's face table ``faces.table(d)``, with the
     coefficients ``face_signs[d]``, both read from the complex on each use.
-    ``indptr``, the column pointers of the matrix in CSC form, is built once
-    on first read, read-only."""
+    ``indptr``, the column pointers of the matrix in CSC form, is the range
+    0, k, 2k, ... of a table with k faces a row; no array is built."""
 
     complex: CellComplex
     d: int
@@ -129,13 +103,10 @@ class _Boundary:
     def n_cols(self) -> int:
         return self.complex.n_cells(self.d)
 
-    @cached_property
-    def indptr(self) -> np.ndarray:
+    @property
+    def indptr(self) -> range:
         k = len(self.signs)
-        end = (self.n_cols + 1) * k
-        ptr = np.arange(0, end, k, dtype=np.int32 if end < 1 << 31 else np.int64)
-        ptr.flags.writeable = False
-        return ptr
+        return range(0, (self.n_cols + 1) * k, k)
 
 
 class ChainComplexFp:
@@ -230,12 +201,8 @@ class ChainComplexFp:
 
 
 def _coboundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
-    """Pivot rows of the coboundary delta = b^T over F_ell, reduced exactly.
-
-    The lows come from the face table alone, by ``np.maximum.at``
-    (``_coboundary_lows``); delta is formed (``_coboundary_transpose``) only
-    when some live column collides.
-    """
+    """Pivot rows of the coboundary delta = b^T over F_ell, reduced exactly;
+    delta is formed only when some live column collides."""
     return _reduced_pivots(_coboundary_lows(b), cleared, ell, counts,
                            lambda: _slice_columns(*_coboundary_transpose(b, ell), ell))
 
@@ -244,10 +211,11 @@ def _coboundary_lows(b: _Boundary) -> np.ndarray:
     """The low of each column i of delta = b^T: the largest column of b that
     has row i, or -1 when there is none.  The face table is read one block of
     columns of b at a time (``_Table.blocks``), with one ``maximum.at`` per
-    face slot on that slot's faces cast to intp."""
-    lows = np.full(b.n_rows, -1, dtype=np.int64)
+    face slot on that slot's faces cast to intp.  Lows and column ids are
+    int32, as no dimension holds 2^31 cells."""
+    lows = np.full(b.n_rows, -1, dtype=np.int32)
     for s, faces in b.complex.faces.table(b.d).blocks(len(b.signs)):
-        cols = np.arange(s, s + len(faces), dtype=np.int64)
+        cols = np.arange(s, s + len(faces), dtype=np.int32)
         for slot in faces.T:
             np.maximum.at(lows, slot.astype(np.intp), cols)
     return lows
@@ -255,12 +223,9 @@ def _coboundary_lows(b: _Boundary) -> np.ndarray:
 
 def _coboundary_transpose(b: _Boundary, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """delta = b^T over F_ell as a CSC triple; column i lists the cofaces of
-    row-cell i of b, ascending.
-
-    Raveled face-table entry e lies in column e // k of b, with coefficient
-    signs[e % k] mod ell; one stable sort of the entries by row turns b into
-    delta.
-    """
+    row-cell i of b, ascending.  Raveled face-table entry e lies in column
+    e // k of b, with coefficient signs[e % k] mod ell; one stable sort of
+    the entries by row turns b into delta."""
     k, entries = len(b.signs), b.complex.faces.table(b.d).take().reshape(-1)
     # int32 column ids where they fit: the transpose sets the peak RSS of the largest joins
     order = np.argsort(entries, kind="stable")
@@ -275,11 +240,7 @@ def _coboundary_transpose(b: _Boundary, ell: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _boundary_pivots(b: _Boundary, cleared: np.ndarray, ell: int, counts: dict[str, int]) -> np.ndarray:
-    """Pivot rows of the boundary b itself over F_ell, reduced exactly.
-
-    Column j is face-table row j, whose low is its largest face; no
-    transpose is formed.
-    """
+    """Pivot rows of the boundary b itself over F_ell, reduced exactly."""
     return _reduced_pivots(_boundary_lows(b), cleared, ell, counts, lambda: _row_columns(b, ell))
 
 
@@ -337,7 +298,7 @@ def _slice_columns(ptr: np.ndarray, rows: np.ndarray, data: np.ndarray, ell: int
 
 def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
     """Pivot rows over F_ell of a matrix whose columns have the largest rows
-    ``lows`` (-1 for an empty column), one per rank.
+    ``lows`` (int32, -1 for an empty column), one per rank.
 
     Columns in ``cleared`` are skipped; every other column whose low no other
     column shares is a pivot as it stands; the rest are reduced by
@@ -348,10 +309,10 @@ def _reduced_pivots(lows, cleared, ell, counts, matrix) -> np.ndarray:
     live[cleared] = False
     n_live = int(live.sum())
     counts["cleared"], counts["live"] = len(lows) - n_live, n_live
-    # column ids and lows fit int32: no dimension holds 2^31 cells (complexes._INDEX_LIMIT)
+    # column ids fit int32, as the lows are: no dimension holds 2^31 cells (complexes._INDEX_LIMIT)
     live &= lows >= 0
     cand = np.arange(len(lows), dtype=np.int32)[live]
-    lows = lows[live].astype(np.int32, copy=False)
+    lows = lows[live]
     del live
     apparent = _apparent(lows)
     colliding = cand[~apparent]
@@ -470,25 +431,36 @@ def betti(cc: ChainComplexFp) -> BettiVector:
     if not cc.n_cells:
         return BettiVector(cc.ell, ())
     ranks = {d: cc.rank(d) for d in cc.rank_order}
+    # the one rank the reduced Euler identity depends on: the alternating sum
+    # of n_d - r_d - r_{d+1} is that of the n_d minus r_0, whatever the others are
+    if ranks[0] != 1:
+        raise ShapeError(f"the augmentation of a nonempty complex has rank 1, got {ranks[0]}")
     reduced = []
     for d in range(cc.top_dim + 1):
         b = cc.n_cells[d] - ranks[d] - ranks[d + 1]
         if b < 0:
             raise ShapeError(f"negative Betti number computed in dimension {d}")
         reduced.append(b)
-    euler_cells = sum((-1) ** d * cc.n_cells[d] for d in range(cc.top_dim + 1))
-    euler_betti = sum((-1) ** d * reduced[d] for d in range(len(reduced)))
-    if euler_betti != euler_cells - 1:
-        raise ShapeError("reduced Euler identity violated; rank computation inconsistent")
     return BettiVector(cc.ell, tuple(reduced))
 
 
 def betti_numbers(c, ell: int | None = None) -> BettiVector:
-    """Reduced Betti numbers of a complex; the field defaults to the acting prime."""
+    """Reduced Betti numbers of a complex; the field defaults to the acting prime.
+
+    A join of k finite sets of n_i points is checked against Kuenneth over a
+    field (Milnor, Ann. of Math. 63, 1956): only b~_{k-1} = prod(n_i - 1) is
+    nonzero.  A mismatch is a fault of the rank computation, raised as
+    RuntimeError, never reported."""
     field = ell if ell is not None else c.p
     if getattr(c, "is_empty", False) or c.dim < 0:
         return BettiVector(field, ())
-    return betti(boundary_matrices(c, field))
+    bv = betti(boundary_matrices(c, field))
+    if c.join_factors is not None:
+        want = (0,) * (len(c.join_factors) - 1) + (prod(n - 1 for n in c.join_factors),)
+        if bv.reduced != want:
+            raise RuntimeError(f"rank computation inconsistent: reduced Betti numbers "
+                               f"{bv.reduced} of a join of finite sets, against {want}")
+    return bv
 
 
 def connectivity_from_betti(reduced: tuple[int, ...], dim: int) -> int:

@@ -6,7 +6,9 @@ reduction of the boundary itself instead of the package's coboundary
 reduction with clearing, boundary compositions expanded and summed instead
 of the complex's face identities, plain itertools scans instead of the
 search, joins validated from scratch by the general simplicial
-constructor instead of built from their factors, a transfer-matrix power
+constructor instead of built from their factors, a join's top faces filled
+whole, as they were once stored, and a few of them found by binary search,
+instead of generated from the factors on read, a transfer-matrix power
 by hand-written Python list products instead of numpy object arrays, the
 period-p words found depth first, one letter at a time with an explicit
 stack, instead of level by level, torus vertices from masks over the whole
@@ -89,7 +91,8 @@ def csc(b) -> SimpleNamespace:
     """A boundary as the CSC triple the oracles below read: column j holds
     row j of the complex's whole face table, with the dimension's signs."""
     signs = np.array(b.complex.face_signs[b.d], dtype=np.int64)
-    return SimpleNamespace(n_rows=b.n_rows, n_cols=b.n_cols, indptr=b.indptr,
+    indptr = np.arange(0, (b.n_cols + 1) * len(signs), len(signs), dtype=np.int32)
+    return SimpleNamespace(n_rows=b.n_rows, n_cols=b.n_cols, indptr=indptr,
                            indices=b.complex.faces[b.d].reshape(-1), data=np.tile(signs, b.n_cols))
 
 
@@ -972,15 +975,16 @@ def every_colliding_reduction_matches_the_max_scan():
 def every_coboundary_low_matches_the_sort():
     """Every coboundary's lows any test reads must equal those of the
     transpose built by sorting, and those of the whole-table ``maximum.at``,
-    value for value and in the same type."""
+    value for value, and be int32, as the boundary lows are."""
     from zpindex import homology
 
     fast = homology._coboundary_lows
 
     def checked(b):
         got = fast(b)
+        assert got.dtype == np.int32
         for want in (sorted_coboundary_lows(b), whole_table_lows(b)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(got, want)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1080,10 +1084,19 @@ def face_width(n_below: int) -> np.dtype:
 
 
 def assert_face_widths(c) -> None:
-    """Each face table of c has the width of the dimension below it."""
+    """Each face table of c has the width of the dimension below it; a join's
+    generated top faces have it, and so do the positions in that dimension
+    they are gathered from, (n_sigma, n_tau) arrays, while the factors' top
+    faces index those positions' rows and columns, in the widths of those
+    counts (a vertex's one face, the empty cell, is uint16).  No face is
+    read, so no generated table is formed."""
     for d in c.faces:
         below, table = c.n_cells(d - 1), c.faces.table(d)
         assert table.dtype == face_width(below), (d, below, table.dtype)
+        if isinstance(table, complexes._JoinFaces):
+            assert table.left.dtype == table.right.dtype == face_width(below), d
+            assert table.fa.dtype == face_width(len(table.left)), d
+            assert table.fb.dtype == face_width(table.right.shape[1]), d
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -1152,6 +1165,66 @@ def every_approximation_matches_the_general_constructor():
     def checked(spec, cell_cap=None):
         got = fast(spec, cell_cap=cell_cap)
         assert_same_complex(got, general_approx(spec, cell_cap))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        _replace_everywhere(mp, fast, checked)
+        yield
+
+
+def stored_top_faces(table) -> np.ndarray:
+    """A join's generated top faces as ``join_complex`` stored them: the whole
+    table at once, one (n_sigma, n_tau) gather of the positions per face slot."""
+    fa, fb = table.fa, table.fb
+    face = np.empty((len(fa), len(fb), fa.shape[1] + fb.shape[1]), dtype=table.left.dtype)
+    for i in range(fa.shape[1]):  # (d_i sigma, tau)
+        face[:, :, i] = table.left[fa[:, i]]
+    for j in range(fb.shape[1]):  # (sigma, d_j tau)
+        face[:, :, fa.shape[1] + j] = table.right[:, fb[:, j]]
+    return face.reshape(len(table), -1)
+
+
+def searched_top_faces(c, at) -> np.ndarray:
+    """The faces of a join's top cells at the indices ``at``, found as
+    validation finds them: each cell's key formed from its factors' keys by
+    hand, its row decoded, and the row without one vertex looked up among the
+    keys below by binary search."""
+    d, top, below = c.dim, c.keys.table(c.dim), c.keys.table(c.dim - 1)
+    i, j = np.divmod(at, len(top.inner))
+    keys = top.outer.take()[i].astype(np.int64) * top.scale + top.inner.take()[j]
+    rows = complexes._key_rows(keys, c._radices(d))
+    return np.stack([below.search(_row_keys(np.delete(rows, k, axis=1), c._radices(d - 1)))
+                     for k in range(d + 1)], axis=1)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def every_generated_top_face_matches_the_stored_fill():
+    """Every join any test builds, through the library, the CLI or a demo, must
+    generate its top faces as the stored fill has them, read-only and in its
+    width: the whole table, a few rows at once and one at a time (those also
+    found again by binary search among the keys below), and the blocks of the
+    widths the lows and the face-identity check ask for, concatenated."""
+    fast = complexes.join_complex
+
+    def checked(a, b):
+        got = fast(a, b)
+        table = got.faces.table(got.dim) if got.dim > 0 else None
+        if isinstance(table, complexes._JoinFaces):
+            want, whole = stored_top_faces(table), table.take()
+            assert whole.dtype == want.dtype and not whole.flags.writeable
+            assert np.array_equal(whole, want)
+            at = np.random.default_rng(len(table)).integers(0, len(table), size=16)
+            assert np.array_equal(table.take(at), want[at])
+            assert np.array_equal(searched_top_faces(got, at), want[at])
+            for j in at[:4].tolist():
+                row = table.take(j)
+                assert row.dtype == want.dtype and np.array_equal(row, want[j])
+            k = want.shape[1]
+            for width in (k, k * (k - 1)):
+                starts, blocks = zip(*table.blocks(width))
+                assert list(starts) == np.cumsum([0, *map(len, blocks[:-1])]).tolist()
+                assert all(b.dtype == want.dtype and not b.flags.writeable for b in blocks)
+                assert np.array_equal(np.concatenate(blocks), want)
         return got
 
     with pytest.MonkeyPatch.context() as mp:

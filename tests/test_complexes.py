@@ -350,7 +350,7 @@ def test_stored_faces_match_plain_python():
         cc = boundary_matrices(c, 3)
         for d, b in enumerate(cc.boundaries, start=1):
             assert not c.faces[d].flags.writeable
-            assert vars(b).keys() <= {"complex", "d", "indptr"}  # no face array of its own
+            assert vars(b).keys() == {"complex", "d"}  # no face array of its own
 
 
 # -- the join built from its factors against the general constructor ----------------
@@ -517,24 +517,31 @@ def test_generated_top_dimension_matches_the_general_join(name, monkeypatch):
     factors = _generated_top_cases()[name]
     got, want = _fold(join_complex, factors), _fold(general_join, factors)
     top = got.dim
-    generated = got.keys.table(top)
-    assert isinstance(generated, complexes._JoinTop)
+    generated, faces = got.keys.table(top), got.faces.table(top)
+    assert isinstance(generated, complexes._JoinTop) and isinstance(faces, complexes._JoinFaces)
     assert_same_complex(got, want)  # keys, cells, faces, witness; every array read-only
     assert got.keys[top] is not got.keys[top]  # generated on each read, never kept
+    assert got.faces[top] is not got.faces[top]
     assert got.maximal_cells() == want.maximal_cells()
     rng = np.random.default_rng(0)
     n = got.n_cells(top)
     at = rng.integers(0, n, size=40)
-    for x in (at, at.tolist(), [], np.arange(n - 1, -1, -7)):
+    for x in (at, at.tolist(), [], np.arange(n - 1, -1, -7), slice(3, n, 5)):
         rows = got._rows(top, x)
         assert not rows.flags.writeable and not generated.take(x).flags.writeable
         assert np.array_equal(rows, want._rows(top, x))
+        assert not faces.take(x).flags.writeable
+        assert np.array_equal(faces.take(x), want.faces[top][x])
     # read in blocks of 11 keys, the last one partial, as the stored keys are
     monkeypatch.setattr(complexes, "_BLOCK_ENTRIES", 11)
     stored = want.keys.table(top)
     assert [s for s, _ in generated.blocks(1)] == list(range(0, n, 11)) and n % 11
     for (_, block), (_, keys) in zip(generated.blocks(1), stored.blocks(1), strict=True):
         assert not block.flags.writeable and np.array_equal(block, keys)
+    # faces come in whole rows of sigma cells, at least one a block however wide
+    starts, blocks = zip(*faces.blocks(top + 1))
+    assert list(starts) == list(range(0, n, len(faces.fb) * max(1, 11 // (top + 1) // len(faces.fb))))
+    assert np.array_equal(np.concatenate(blocks), want.faces[top])
     # top cells, and rows of top + 1 vertices (repeats allowed) that mostly are not
     strangers = np.sort(rng.integers(0, got.n_vertices, size=(200, top + 1)), axis=1)
     for row in [*want.cells[top][at].tolist(), *strangers.tolist()]:
@@ -584,10 +591,17 @@ def test_no_complex_stores_a_row_array():
     ]
     for c in built:
         assert "cells" not in vars(c)
-        # the only tables of more than one column are the faces
+        # the only tables of more than one column are the stored faces and the
+        # parts a join's top faces are generated from, each with fewer rows
+        # than that top dimension has cells
         held = list(held_arrays(vars(c)))
         wide = {id(a) for a in held if a.ndim > 1}
-        assert wide == {id(f) for f in c.faces.values()}
+        tables = [c.faces.table(d) for d in c.faces]
+        generated = [t for t in tables if isinstance(t, complexes._JoinFaces)]
+        assert bool(generated) == (c.join_factors is not None and c.dim > 0)
+        parts = [a for t in generated for a in (t.fa, t.fb, t.left, t.right)]
+        assert wide == {id(t.take()) for t in tables if t not in generated} | set(map(id, parts))
+        assert all(len(a) < len(t) for t in generated for a in (t.fa, t.fb, t.left, t.right))
         # and every key table is held, one array, unless the join generates it
         assert all(isinstance(c.keys.table(d), complexes._JoinTop)
                    or any(a is c.keys[d] for a in held) for d in c.keys)

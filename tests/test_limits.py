@@ -136,16 +136,17 @@ COMMAND_LADDERS = {
 # refused before their allocation and for answers whose tables set the peak
 # (an interpreter with numpy and zpindex.cli loaded takes about 32 MiB)
 STEP_PEAKS_MIB = {
-    # the 3-fold join of the period-7 set, 2M triangles on 47,628 edges: uint16
-    # faces only, read in cache-sized blocks by the checks, with the triangles'
-    # keys generated from the factors on read, take about 53 MiB, against 64
-    # with int32 faces, 81 when the keys were stored and 150 when rows and
-    # int64 faces were stored too
-    "homology Sigma:m=1,p=7 --copies": {"3": 60},
-    # the 2-fold join of the period-11 set, its edges' faces uint16 into its
-    # vertices: about 65 MiB, against 81 with int32 faces
-    "homology Sigma:m=1,p=11 --copies": {"2": 72},
-    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 53 MiB
+    # the 3-fold join of the period-7 set, 2M triangles on 47,628 edges, with
+    # the triangles' keys and faces generated from the factors on read, in
+    # cache-sized blocks, takes about 33.4 MiB, against 53 when its uint16
+    # faces were stored, 64 with int32 faces, 81 when the keys were stored too
+    # and 150 when rows and int64 faces were stored as well
+    "homology Sigma:m=1,p=7 --copies": {"3": 40},
+    # the 2-fold join of the period-11 set, 4.2M edges generated from its
+    # vertices: about 33.2 MiB, against 65 with stored uint16 faces and 81
+    # with int32 ones
+    "homology Sigma:m=1,p=11 --copies": {"2": 40},
+    "verify 4.2 Sigma:m=1,p=7 --copies": {"4": 40},  # the 3-fold join alone takes 33.5 MiB
     # 1,335,168 words at q = 128 take about 164 MiB, with no labels; 256 is refused
     "verify embed-1.5 p=3 --q": {"128": 190, "256": 40},
     # the benchmark torus, 372,880 cells, answers in about 45 MiB (47 with int64
